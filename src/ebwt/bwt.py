@@ -1,9 +1,13 @@
 """The extended Burrows-Wheeler transform and its inverse.
 
 The forward map sends a finite multiset of necklaces to the word of last
-letters of its rotations sorted by the omega-order; the inverse reads the
-cycles of the standard permutation.  The full lcm-width rotation table is
-materialized only on request (`build_table`) as a desk-scale oracle.
+letters of its rotations sorted by the omega-order.  It ranks the rotations
+of the distinct necklaces by prefix doubling over cyclic positions and
+writes each last letter once per copy, so it costs O(N log N) in the total
+length N of the distinct necklaces plus the output length.  The inverse
+reads the cycles of the standard permutation.  The full lcm-width rotation
+table is materialized only on request (`build_table`) as a desk-scale
+oracle.
 """
 
 from __future__ import annotations
@@ -11,11 +15,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cmp_to_key
+from itertools import repeat
 from math import gcd
 
 from .errors import ResourceLimitError
-from .words import Alphabet, Necklace, Word, lyndon_representative, omega_compare
+# omega_compare is unused here; bench/tracing.py counts calls at bwt.omega_compare.
+from .words import Alphabet, Necklace, Word, lyndon_representative, omega_compare  # noqa: F401
 
 DEFAULT_TABLE_CELLS = 2**20
 
@@ -39,7 +44,8 @@ class NecklaceMultiset:
 
     @classmethod
     def from_necklaces(cls, alphabet: Alphabet, necklaces) -> NecklaceMultiset:
-        """Collect an iterable of necklaces (repeats allowed) into a multiset."""
+        """Collect necklaces into a multiset: an iterable (repeats allowed), or
+        a mapping from necklace to multiplicity."""
         counts = Counter(necklaces)
         entries = tuple(sorted(counts.items(), key=lambda e: e[0].lyndon.codes))
         return cls(alphabet, entries)
@@ -54,12 +60,6 @@ class NecklaceMultiset:
     @property
     def total_length(self) -> int:
         return sum(mult * len(n) for n, mult in self.entries)
-
-    def necklaces(self):
-        """Iterate necklaces with multiplicity."""
-        for necklace, mult in self.entries:
-            for _ in range(mult):
-                yield necklace
 
     def __len__(self) -> int:
         return sum(mult for _, mult in self.entries)
@@ -154,15 +154,45 @@ def word_action(p: StandardPermutation, i: int, u: Word) -> int | None:
 def transform(m: NecklaceMultiset) -> Word:
     """The extended Burrows-Wheeler transform of a necklace multiset.
 
-    Sorts all rotations (with multiplicity) by the omega-order and reads the
-    last letters.  Equal roots compare equal and stay adjacent under the
-    stable sort; their relative order cannot affect the output.
+    Ranks the rotations of the distinct necklaces by the omega-order with
+    prefix doubling (Manber and Myers) on cyclic positions: after round h the
+    rank of position i orders the first 2^h letters of its rotation's
+    infinite power, and round h + 1 pairs it with the rank of the position
+    2^h further round the same necklace.  Two rotations of lengths p and q
+    with equal prefixes of length p + q - gcd(p, q) have equal infinite
+    powers (Fine and Wilf), hence equal roots; rotations of distinct
+    primitive necklaces never do, so every rank is distinct once the span
+    reaches 2 * maxlen, and usually long before.  The copies of one necklace
+    have equal rotations, which sit adjacent in the sorted order, so each
+    rotation's last letter is written out once per copy.
     """
-    rotations: list[Word] = []
-    for necklace in m.necklaces():
-        rotations.extend(necklace.rotations())
-    rotations.sort(key=cmp_to_key(omega_compare))
-    return Word(m.alphabet, tuple(r.codes[-1] for r in rotations))
+    codes: list[int] = []
+    last: list[int] = []
+    nxt: list[int] = []
+    mults: list[int] = []
+    for necklace, mult in m.entries:
+        c = necklace.lyndon.codes
+        start = len(codes)
+        codes.extend(c)
+        last.extend(c[-1:] + c[:-1])
+        nxt.extend(range(start + 1, start + len(c)))
+        nxt.append(start)
+        mults.extend(repeat(mult, len(c)))
+    n = len(codes)
+    base = max(n, m.alphabet.size)
+    limit = 2 * max((len(necklace) for necklace, _ in m.entries), default=0)
+    rank, span, distinct = codes, 1, len(set(codes))
+    while distinct < n and span < limit:
+        keys = [r * base + rank[j] for r, j in zip(rank, nxt)]
+        index = {key: i for i, key in enumerate(sorted(set(keys)))}
+        rank = [index[key] for key in keys]
+        distinct = len(index)
+        nxt = [nxt[j] for j in nxt]
+        span *= 2
+    out: list[int] = []
+    for i in sorted(range(n), key=rank.__getitem__):
+        out += repeat(last[i], mults[i])
+    return Word(m.alphabet, tuple(out))
 
 
 def inverse_transform(w: Word) -> NecklaceMultiset:
@@ -170,16 +200,22 @@ def inverse_transform(w: Word) -> NecklaceMultiset:
 
     Each cycle of the permutation, with position i replaced by the letter
     whose domain contains i, spells a primitive word; the result is the
-    multiset of their necklaces.  Cycles are read from their minimal element,
-    which is immaterial after Lyndon canonicalization.
+    multiset of their necklaces.  Read from its minimal position, a cycle
+    already spells its Lyndon word, so no least-rotation search is needed:
+    position i stands for row i of the omega-sorted rotation table, and the
+    cycle read from i spells the root of row i, so the cycle's minimal
+    position gives its omega-least rotation.  All rotations of one cycle have the same length,
+    and for words of equal length the omega-order is the lexicographic
+    order, so that rotation is the lex-least, the Lyndon word.  `Necklace`
+    still checks primitivity and least rotation.
     """
     if len(w) == 0:
         return NecklaceMultiset(w.alphabet, ())
     p = standard_permutation(w)
-    necklaces = []
-    for cycle in p.cycles():
-        cycle_word = Word(w.alphabet, tuple(p.sorted_codes[i] for i in cycle))
-        necklaces.append(lyndon_representative(cycle_word))
+    necklaces = [
+        Necklace(Word(w.alphabet, tuple(p.sorted_codes[i] for i in cycle)))
+        for cycle in p.cycles()
+    ]
     return NecklaceMultiset.from_necklaces(w.alphabet, necklaces)
 
 

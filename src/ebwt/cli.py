@@ -1,14 +1,18 @@
 """Command-line surface: transform | invert | debruijn | semigroup | factors.
 
 Deterministic, scriptable output: text by default, the same data as JSON
-under --json.  Exit codes: 0 success, 2 input error, 3 resource guard.
+under --json.  Exit codes: 0 success, 2 input error, 3 resource guard; the
+console entry point exits 1, without a traceback, when stdout is closed
+before the output is written (`ebwt ... | head`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections import Counter
 
 from .bwt import NecklaceMultiset, inverse_transform, transform
 from .debruijn import (
@@ -79,7 +83,7 @@ def _parse_multiset(text: str, override: str | None, canonicalize: bool) -> Neck
     if not entries:
         return NecklaceMultiset(_alphabet_from("ab", override), ())
     alphabet = _alphabet_from("".join(w for w, _ in entries), override)
-    necklaces = []
+    counts: Counter = Counter()
     for raw, mult in entries:
         try:
             word = alphabet.word(raw)
@@ -95,8 +99,8 @@ def _parse_multiset(text: str, override: str | None, canonicalize: bool) -> Neck
                 f"entry {raw!r} is not a Lyndon word (canonical form "
                 f"{necklace!s}); pass --canonicalize to accept rotations"
             )
-        necklaces.extend([necklace] * mult)
-    return NecklaceMultiset.from_necklaces(alphabet, necklaces)
+        counts[necklace] += mult
+    return NecklaceMultiset.from_necklaces(alphabet, counts)
 
 
 def _multiset_entries_from_lines(text: str) -> list[tuple[str, int]]:
@@ -130,7 +134,7 @@ def _multiset_entries_from_json(text: str) -> list[tuple[str, int]]:
         if not isinstance(item, dict) or "lyndon" not in item:
             raise CLIError(f"JSON necklace entry needs a 'lyndon' field: {item!r}")
         mult = item.get("multiplicity", 1)
-        if not isinstance(mult, int) or mult < 1:
+        if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise CLIError(f"bad multiplicity for entry {item['lyndon']!r}: {mult!r}")
         entries.append((item["lyndon"], mult))
     return entries
@@ -319,13 +323,23 @@ def cmd_factors(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit JSON instead of text")
     common.add_argument("--alphabet", metavar="CHARS",
                         help="fix the alphabet (characters in code-point order)")
-    common.add_argument("--guard-cells", metavar="N", type=int, dest="guard_cells",
+    common.add_argument("--guard-cells", metavar="N", type=_positive_int, dest="guard_cells",
                         help="override the subcommand's resource guard")
 
     parser = argparse.ArgumentParser(
@@ -407,7 +421,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`ebwt ... | head`).  Point stdout at
+        # devnull so the interpreter's final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately naive and shares no code with the package:
-min-over-rotations, lcm-width tables, substring sets, dict-based closures.
+min-over-rotations, lcm-width tables, prefix-sorted rotations, substring
+sets, dict-based closures.
 """
 
 from functools import reduce
@@ -57,6 +58,20 @@ def naive_bwt(lyndons_with_mult) -> str:
         return ""
     width = reduce(lcm, (len(r) for r in rows))
     return "".join(r[-1] for r in sorted(w * (width // len(w)) for w in rows))
+
+
+def prefix_bwt(lyndons_with_mult) -> str:
+    """The transform by sorting rotations on the first 2 * maxlen letters of
+    their infinite powers, which decide the omega-order (Fine and Wilf).
+
+    Unlike naive_bwt, its rows stay short when the lcm of lengths explodes.
+    """
+    rows = [(r, mult) for text, mult in lyndons_with_mult for r in rotations(text)]
+    if not rows:
+        return ""
+    span = 2 * max(len(r) for r, _ in rows)
+    rows.sort(key=lambda row: (row[0] * (span // len(row[0]) + 1))[:span])
+    return "".join(r[-1] * mult for r, mult in rows)
 
 
 def brute_distinct_factors(seq) -> int:

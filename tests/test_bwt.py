@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,9 +12,11 @@ from ebwt.bwt import (
     word_action,
 )
 from ebwt.errors import ResourceLimitError
-from ebwt.words import Necklace, Word, lyndon_representative, root
+from ebwt.words import Alphabet, Necklace, Word, lyndon_representative, root
 
-from helpers import AB, ABC, W, all_words, naive_bwt
+from helpers import (
+    AB, ABC, W, all_words, naive_bwt, naive_least_rotation, naive_root, prefix_bwt,
+)
 
 
 def multiset(*texts, alphabet=AB):
@@ -35,12 +39,39 @@ def multisets(draw):
     return NecklaceMultiset.from_necklaces(alphabet, necklaces)
 
 
+def texts(letters, max_size):
+    """Texts with a uniform length: st.text alone keeps most of them short."""
+    return st.integers(1, max_size).flatmap(
+        lambda n: st.text(letters, min_size=n, max_size=n)
+    )
+
+
+# wide random multisets: necklaces up to 64 letters, multiplicities up to 50,
+# 1-3 letters; (letters, [(lyndon text, multiplicity)]) built by the oracles
+@st.composite
+def wide_multisets(draw):
+    letters = draw(st.sampled_from(["a", "ab", "abc"]))
+    items = draw(st.lists(st.tuples(texts(letters, 64), st.integers(1, 50)), max_size=6))
+    counts = Counter()
+    for text, mult in items:
+        counts[naive_least_rotation(naive_root(text))] += mult
+    return letters, sorted(counts.items())
+
+
+# words of up to 300 letters over 1-3 letters, as (letters, text)
+words_up_to_300 = st.sampled_from(["a", "ab", "abc"]).flatmap(
+    lambda letters: st.tuples(st.just(letters), texts(letters, 300))
+)
+
+
 class TestNecklaceMultiset:
     def test_orders_and_merges(self):
         m = multiset("abb", "aab", "abb")
         assert entries(m) == [("aab", 1), ("abb", 2)]
         assert m.total_length == 9
         assert len(m) == 3
+        counts = Counter({Necklace(W("abb")): 2, Necklace(W("aab")): 1})
+        assert NecklaceMultiset.from_necklaces(AB, counts) == m
 
     def test_rejects_misordered_entries(self):
         good = Necklace(W("aab"))
@@ -71,6 +102,16 @@ class TestTransform:
     def test_matches_lcm_table_oracle(self, m):
         oracle = naive_bwt([(str(n), mult) for n, mult in m.entries])
         assert str(transform(m)) == oracle
+
+    @given(wide_multisets())
+    @settings(deadline=None)
+    def test_matches_prefix_oracle_on_long_necklaces(self, drawn):
+        letters, items = drawn
+        alphabet = Alphabet(letters)
+        m = NecklaceMultiset(alphabet, tuple(
+            (Necklace(alphabet.word(text)), mult) for text, mult in items
+        ))
+        assert str(transform(m)) == prefix_bwt(items)
 
 
 class TestStandardPermutation:
@@ -150,6 +191,13 @@ class TestInverseTransform:
     @given(multisets())
     def test_round_trip_from_multisets(self, m):
         assert inverse_transform(transform(m)) == m
+
+    @given(words_up_to_300)
+    @settings(deadline=None)
+    def test_long_words_match_prefix_oracle(self, drawn):
+        letters, text = drawn
+        m = inverse_transform(Alphabet(letters).word(text))
+        assert prefix_bwt(entries(m)) == text
 
 
 class TestBuildTable:

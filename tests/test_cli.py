@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ebwt
 from ebwt.cli import main
 
 
@@ -28,6 +32,23 @@ class TestTransform:
         code, out, _ = run(capsys, ["transform", "ab x2"])
         assert code == 0
         assert out == "bbaa\n"
+
+    def test_repeated_lines_merge(self, capsys):
+        code, out, _ = run(capsys, ["transform", "ab x2\naab\nab", "--json"])
+        assert code == 0
+        code, merged, _ = run(capsys, ["transform", "aab\nab x3", "--json"])
+        assert code == 0
+        assert out == merged == '{"word": "babbbaaaa"}\n'
+        code, out, _ = run(capsys, ["transform", "ba\nab x2", "--canonicalize"])
+        assert code == 0
+        assert out == "bbbaaa\n"
+
+    def test_json_boolean_multiplicity_rejected(self, capsys):
+        payload = json.dumps({"necklaces": [{"lyndon": "ab", "multiplicity": True}]})
+        code, out, err = run(capsys, ["transform", payload])
+        assert code == 2
+        assert out == ""
+        assert "multiplicity" in err
 
     def test_json_input(self, capsys):
         payload = json.dumps({"necklaces": [
@@ -301,3 +322,25 @@ class TestArgumentErrors:
     def test_conflicting_modes(self, capsys):
         code, _, _ = run(capsys, ["debruijn", "2", "3", "--least", "--count"])
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_guard_cells_must_be_positive(self, capsys, value):
+        code, out, err = run(capsys, ["debruijn", "2", "5", "--least", "--guard-cells", value])
+        assert code == 2
+        assert out == ""
+        assert "positive" in err
+
+
+class TestEntryPoint:
+    def test_closed_stdout_exits_quietly(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(ebwt.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ebwt.cli", "transform", "ab x40000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        # No reader, and 80001 bytes overflow the pipe buffer: writing fails
+        # with EPIPE whenever the close lands.
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert err == b""
+        assert proc.returncode == 1
