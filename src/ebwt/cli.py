@@ -32,6 +32,7 @@ from .factors import (
 )
 from .semigroups import (
     DEFAULT_CLOSURE_SIZE,
+    TABLE_CELL_LIMIT,
     generate_closure,
     letter_actions,
     letter_induced_isomorphic,
@@ -221,7 +222,6 @@ def cmd_debruijn(args) -> int:
 
 
 def _semigroup_report(name: str, sg, alphabet: Alphabet, with_table: bool):
-    labels = [alphabet.render(w) for w in sg.element_words]
     payload = {
         f"{name}_order": sg.order,
         "generators": [alphabet.letters[a] for a in sorted(sg.generators)],
@@ -231,14 +231,19 @@ def _semigroup_report(name: str, sg, alphabet: Alphabet, with_table: bool):
         "generators " + " ".join(payload["generators"]),
     ]
     if with_table:
+        if sg.order**2 > TABLE_CELL_LIMIT:
+            raise ResourceLimitError(
+                f"multiplication table of order {sg.order} needs {sg.order**2} "
+                f"cells, over the {TABLE_CELL_LIMIT}-cell guard"
+            )
+        labels = [alphabet.render(w) for w in sg.element_words]
         payload["elements"] = labels
-        payload["table"] = [[sg.table[i][j] for j in range(sg.order)] for i in range(sg.order)]
+        payload["table"] = [list(row) for row in sg.table]
         width = max(len(label) for label in labels)
-        head = " ".join(label.rjust(width) for label in labels)
-        lines.append("*".rjust(width) + " " + head)
-        for i, label in enumerate(labels):
-            row = " ".join(labels[sg.table[i][j]].rjust(width) for j in range(sg.order))
-            lines.append(label.rjust(width) + " " + row)
+        padded = [label.rjust(width) for label in labels]
+        lines.append("*".rjust(width) + " " + " ".join(padded))
+        for label, row in zip(padded, sg.table):
+            lines.append(label + " " + " ".join(padded[j] for j in row))
     return payload, lines
 
 

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import factorial
+from math import factorial, lgamma, log, log10
 
 from .bwt import NecklaceMultiset, inverse_transform
 from .errors import ResourceLimitError
 from .words import Word, default_alphabet
 
 DEFAULT_MAX_WORD_LENGTH = 2**24
+# Longest de Bruijn word count returned, in decimal digits: CPython's default
+# int-to-str conversion limit, so every returned count can be printed.
+MAX_COUNT_DIGITS = 4300
 
 
 def first_bad_block(w: Word, k: int, n: int) -> int | None:
@@ -94,9 +97,25 @@ def debruijn_set_from_gamma(v: GammaWord) -> DeBruijnSet:
     return DeBruijnSet(m, v.span)
 
 
+def _log10_gamma_count(k: int, n: int) -> float:
+    """log10 of (k!)^(k^(n-1)), the number of block-permutation words of
+    span n, without building the integer; inf when it overflows a float."""
+    try:
+        return float(k) ** (n - 1) * lgamma(k + 1) / log(10)
+    except OverflowError:
+        return float("inf")
+
+
 def enumerate_gamma(k: int, n: int, limit: int = 10**6):
     """Yield every concatenation of k^{n-1} alphabet-permutation blocks, in
-    lexicographic order.  Refuses up front when the census exceeds `limit`."""
+    lexicographic order.  Refuses up front when the census exceeds `limit`,
+    in log space first (the margin of 1 absorbs float rounding), so the exact
+    census is only computed when it is about as small as `limit`."""
+    if _log10_gamma_count(k, n) > limit.bit_length() * log10(2) + 1:
+        raise ResourceLimitError(
+            f"block-permutation words of span {n} over {k} letters number "
+            f"more than the limit {limit}"
+        )
     count = factorial(k) ** (k ** (n - 1))
     if count > limit:
         raise ResourceLimitError(
@@ -110,13 +129,24 @@ def enumerate_gamma(k: int, n: int, limit: int = 10**6):
 
 
 def count_debruijn_words(k: int, n: int) -> int:
-    """Number of de Bruijn words of span n over k letters: (k!)^(k^(n-1)) / k^n."""
+    """Number of de Bruijn words of span n over k letters: (k!)^(k^(n-1)) / k^n.
+
+    Refuses a count of more than MAX_COUNT_DIGITS digits.  Its length is
+    checked in log space before any big integer exists (the margin of 1
+    absorbs float rounding), then exactly.
+    """
     if k < 2 or n < 1:
         raise ValueError("need k >= 2 and n >= 1")
-    total, rem = divmod(factorial(k) ** (k ** (n - 1)), k**n)
-    if rem:
-        raise AssertionError(f"count formula not divisible for k={k}, n={n}")
-    return total
+    if _log10_gamma_count(k, n) - n * log10(k) <= MAX_COUNT_DIGITS + 1:
+        total, rem = divmod(factorial(k) ** (k ** (n - 1)), k**n)
+        if rem:
+            raise AssertionError(f"count formula not divisible for k={k}, n={n}")
+        if total < 10**MAX_COUNT_DIGITS:
+            return total
+    raise ResourceLimitError(
+        f"the number of de Bruijn words of span {n} over {k} letters has more "
+        f"than {MAX_COUNT_DIGITS} digits"
+    )
 
 
 def _check_generation_guard(k: int, n: int, max_length: int):

@@ -5,19 +5,33 @@ partial injections acting on a sorted necklace, and the transition semigroup
 of the minimal automaton of the positive powers of the word.  Both come out
 as letter-labeled finite semigroups so the letter-induced isomorphism can be
 decided by right-Cayley comparison.
+
+Both routes close over one element form: a partial map on {0..d-1} as a
+tuple of (source, target) pairs sorted by source, where an undefined point
+is simply absent.  Composing such a tuple with a generator costs a dict
+probe per defined point and builds nothing but the result tuple; validation
+happens once, at the public constructors (`PartialInjection(...)`, the
+degree check of `generate_closure`).  The syntactic route reaches the same
+form by dropping the dead state of the minimal automaton, the non-final
+state that every letter maps to itself: every map fixes it, so "maps to the
+dead state" composes exactly like "undefined", and the semigroup of partial
+maps is isomorphic to the dense transition semigroup, letter for letter.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .bwt import NecklaceMultiset, StandardPermutation, standard_permutation, transform
 from .errors import ResourceLimitError
 from .words import Alphabet, Necklace, Word, is_primitive, lyndon_representative
 
 DEFAULT_CLOSURE_SIZE = 10**6
+# Cells of a rendered multiplication table (order squared); the CLI refuses
+# larger tables, whatever the closure guard.
+TABLE_CELL_LIMIT = 2**20
 
 
 @dataclass(frozen=True)
@@ -88,77 +102,116 @@ class Transformation:
 class FiniteSemigroup:
     """Closure of letter-labeled generators under composition.
 
-    Elements are canonical hashable values (partial injections or
-    transformations); `element_words[i]` is a shortest generator word
-    producing element i (shortlex, from the construction order).  The full
-    multiplication table is materialized lazily.
+    Elements are numbered by breadth-first discovery over generator words:
+    the distinct generators first, in letter order, then the right products
+    of each element by every letter in turn.  `element_words[i]` is
+    therefore the shortlex-least generator word producing element i, the
+    words ascend strictly in shortlex order, and every element i past the
+    generators is element `parent` times the generator of its word's last
+    letter, `parent` being the element whose word is `element_words[i][:-1]`.
+
+    Internally each element is kept in the sparse pair form of the module
+    docstring; `elements` builds the public values (partial injections or
+    transformations) on first use.  The multiplication table is read off the
+    right Cayley graph (Froidure and Pin, "Algorithms for computing finite
+    semigroups", 1997): x * y = (x * parent(y)) * last(y), so row x fills left
+    to right with one right-Cayley lookup per cell and no composition.
     """
 
-    def __init__(self, elements, generators, element_words, right_by_letter):
-        self.elements = tuple(elements)
+    def __init__(self, keys, generators, letters, parent, last, right, build):
         self.generators = dict(generators)
-        self.element_words = tuple(element_words)
-        self._right_by_letter = tuple(right_by_letter)
-        self._index = {e: i for i, e in enumerate(self.elements)}
+        self._keys = keys
+        self._letters = tuple(letters)
+        self._column = {a: c for c, a in enumerate(self._letters)}
+        self._parent = parent  # -1 for a generator
+        self._last = last  # column of the last letter of the element's word
+        self._right = tuple(right)  # right[i][c]: element i times letter c
+        self._build = build
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._keys)
+
+    @cached_property
+    def elements(self) -> tuple:
+        return tuple(map(self._build, self._keys))
+
+    @cached_property
+    def _index(self) -> dict:
+        return {e: i for i, e in enumerate(self.elements)}
+
+    @cached_property
+    def element_words(self) -> tuple[tuple[int, ...], ...]:
+        words: list[tuple[int, ...]] = []
+        for p, c in zip(self._parent, self._last):
+            a = self._letters[c]
+            words.append((a,) if p < 0 else words[p] + (a,))
+        return tuple(words)
 
     def index_of(self, element) -> int:
         return self._index[element]
 
     def right_by_letter(self, i: int, letter: int) -> int:
         """Index of elements[i] composed with the generator of `letter`."""
-        return self._right_by_letter[i][letter]
+        return self._right[i][self._column[letter]]
 
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
-        idx = self._index
-        return tuple(
-            tuple(idx[x.compose(y)] for y in self.elements) for x in self.elements
-        )
+        right = self._right
+        steps = list(zip(self._parent, self._last))
+        heads = [c for p, c in steps if p < 0]  # the generators come first
+        steps = steps[len(heads):]
+        rows = []
+        for x in right:
+            row = [x[c] for c in heads]
+            for p, c in steps:
+                row.append(right[row[p]][c])
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def multiply(self, i: int, j: int) -> int:
         return self.table[i][j]
 
 
-def _close(gens, max_size: int) -> FiniteSemigroup:
-    """Breadth-first closure of letter-labeled generators; elements appear in
-    shortlex order of their shortest generator words."""
+def _close(gens: dict[int, tuple], max_size: int, build) -> FiniteSemigroup:
+    """Breadth-first closure of letter-labeled sparse partial maps; `build`
+    turns a closed element into its public value."""
     letters = sorted(gens)
-    index: dict = {}
-    elements: list = []
-    words: list[tuple[int, ...]] = []
-    right: list[dict[int, int]] = []
+    maps = [dict(gens[a]) for a in letters]
+    index: dict[tuple, int] = {}
+    keys: list[tuple] = []
+    parent: list[int] = []
+    last: list[int] = []
+    right: list[tuple[int, ...]] = []
     generators: dict[int, int] = {}
-    for a in letters:
+    for c, a in enumerate(letters):
         g = gens[a]
         if g not in index:
-            index[g] = len(elements)
-            elements.append(g)
-            words.append((a,))
-            right.append({})
+            index[g] = len(keys)
+            keys.append(g)
+            parent.append(-1)
+            last.append(c)
         generators[a] = index[g]
     pos = 0
-    while pos < len(elements):
-        x = elements[pos]
-        for a in letters:
-            y = x.compose(gens[a])
+    while pos < len(keys):
+        x = keys[pos]
+        row = []
+        for c, m in enumerate(maps):
+            y = tuple([(s, m[t]) for s, t in x if t in m])
             j = index.get(y)
             if j is None:
-                if len(elements) >= max_size:
+                if len(keys) >= max_size:
                     raise ResourceLimitError(
                         f"semigroup closure exceeds the {max_size}-element guard"
                     )
-                j = len(elements)
-                index[y] = j
-                elements.append(y)
-                words.append(words[pos] + (a,))
-                right.append({})
-            right[pos][a] = j
+                j = index[y] = len(keys)
+                keys.append(y)
+                parent.append(pos)
+                last.append(c)
+            row.append(j)
+        right.append(tuple(row))
         pos += 1
-    return FiniteSemigroup(elements, generators, words, right)
+    return FiniteSemigroup(keys, generators, letters, parent, last, right, build)
 
 
 def generate_closure(gens: dict[int, PartialInjection],
@@ -171,7 +224,8 @@ def generate_closure(gens: dict[int, PartialInjection],
     degrees = {g.degree for g in gens.values()}
     if len(degrees) != 1:
         raise ValueError(f"generators must share a degree, got {sorted(degrees)}")
-    return _close(gens, max_size)
+    build = partial(PartialInjection, degrees.pop())
+    return _close({a: g.pairs for a, g in gens.items()}, max_size, build)
 
 
 def letter_actions(u: Word) -> dict[int, PartialInjection]:
@@ -266,19 +320,31 @@ def syntactic_semigroup(u: Word, max_size: int = DEFAULT_CLOSURE_SIZE) -> Finite
 
     Computed as the transition semigroup of the minimal complete recognizer,
     generated by the letter transition maps; this equals the quotient of the
-    free semigroup by the syntactic congruence of the language.
+    free semigroup by the syntactic congruence of the language.  The maps are
+    closed in sparse form, without the dead state (see the module docstring);
+    `elements` restores them as full `Transformation`s.
     """
     if len(u) == 0:
         raise ValueError("the syntactic semigroup needs a nonempty word")
     if not is_primitive(u):
         warnings.warn(f"{u} is not primitive; the action comparison theorem "
                       "assumes a primitive word", stacklevel=2)
-    m, delta, _, _ = _minimal_dfa(u)
+    m, delta, _, finals = _minimal_dfa(u)
+    letters = range(u.alphabet.size)
+    dead = next((s for s in range(m) if s not in finals
+                 and all(delta[s][a] == s for a in letters)), None)
     gens = {
-        a: Transformation(tuple(delta[s][a] for s in range(m)))
-        for a in range(u.alphabet.size)
+        a: tuple((s, delta[s][a]) for s in range(m) if s != dead and delta[s][a] != dead)
+        for a in letters
     }
-    return _close(gens, max_size)
+    return _close(gens, max_size, partial(_transformation, m, dead))
+
+
+def _transformation(states: int, dead: int | None, pairs: tuple) -> Transformation:
+    """The full map of a sparse transition map, undefined points sent to the
+    dead state."""
+    targets = dict(pairs)
+    return Transformation(tuple(targets.get(s, dead) for s in range(states)))
 
 
 def cayley_signature(s: FiniteSemigroup) -> tuple:
@@ -286,31 +352,12 @@ def cayley_signature(s: FiniteSemigroup) -> tuple:
 
     Elements get ids in breadth-first discovery order over generator words;
     two semigroups have equal signatures iff mapping same-lettered generators
-    to each other extends to an isomorphism.
+    to each other extends to an isomorphism.  `_close` numbers elements in
+    exactly that order, so the ids are the element indices and the rows are
+    the right Cayley table as it stands.
     """
-    letters = tuple(sorted(s.generators))
-    canon: dict[int, int] = {}
-    order: list[int] = []
-    for a in letters:
-        e = s.generators[a]
-        if e not in canon:
-            canon[e] = len(order)
-            order.append(e)
-    gen_ids = tuple(canon[s.generators[a]] for a in letters)
-    rows = []
-    pos = 0
-    while pos < len(order):
-        e = order[pos]
-        pos += 1
-        row = []
-        for a in letters:
-            t = s.right_by_letter(e, a)
-            if t not in canon:
-                canon[t] = len(order)
-                order.append(t)
-            row.append(canon[t])
-        rows.append(tuple(row))
-    return (letters, gen_ids, tuple(rows))
+    letters = s._letters
+    return (letters, tuple(s.generators[a] for a in letters), s._right)
 
 
 def letter_induced_isomorphic(s1: FiniteSemigroup, s2: FiniteSemigroup) -> bool:

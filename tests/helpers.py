@@ -111,8 +111,9 @@ def naive_letter_maps(u: str, alphabet: str) -> dict[str, dict[int, int]]:
     return maps
 
 
-def naive_closure_size(gens: dict[str, dict[int, int]]) -> int:
-    """Size of the closure of partial maps under composition (set-based)."""
+def naive_closure(gens: dict) -> set[frozenset]:
+    """The closure of partial maps (dicts) under composition, each element
+    as the frozenset of its (point, image) pairs."""
 
     def compose(f, g):
         return frozenset((x, g[y]) for x, y in f if y in g)
@@ -128,7 +129,68 @@ def naive_closure_size(gens: dict[str, dict[int, int]]) -> int:
                     elems.add(h)
                     nxt.append(h)
         frontier = nxt
-    return len(elems)
+    return elems
+
+
+def naive_closure_size(gens: dict[str, dict[int, int]]) -> int:
+    """Size of the closure of partial maps under composition (set-based)."""
+    return len(naive_closure(gens))
+
+
+def dense_transition_signature(delta, letters) -> tuple:
+    """Close the full transition maps of an automaton (delta[state][letter])
+    under composition, dead state included, and return the right-Cayley
+    signature: (letters, generator ids, rows), ids by breadth-first discovery
+    from the generators over the letters in order."""
+    letters = tuple(letters)
+    gens = {a: tuple(row[a] for row in delta) for a in letters}
+    ids: dict[tuple, int] = {}
+    order: list[tuple] = []
+    for a in letters:
+        if gens[a] not in ids:
+            ids[gens[a]] = len(order)
+            order.append(gens[a])
+    rows = []
+    pos = 0
+    while pos < len(order):
+        f = order[pos]
+        pos += 1
+        row = []
+        for a in letters:
+            h = tuple(gens[a][t] for t in f)
+            if h not in ids:
+                ids[h] = len(order)
+                order.append(h)
+            row.append(ids[h])
+        rows.append(tuple(row))
+    return letters, tuple(ids[gens[a]] for a in letters), tuple(rows)
+
+
+def relabelled_signature(s) -> tuple:
+    """Right-Cayley signature of a finite semigroup by breadth-first
+    relabelling from its generators, using only `generators` and
+    `right_by_letter`: whatever numbering the semigroup uses internally."""
+    letters = tuple(sorted(s.generators))
+    canon: dict[int, int] = {}
+    order: list[int] = []
+    for a in letters:
+        if s.generators[a] not in canon:
+            canon[s.generators[a]] = len(order)
+            order.append(s.generators[a])
+    rows = []
+    pos = 0
+    while pos < len(order):
+        e = order[pos]
+        pos += 1
+        row = []
+        for a in letters:
+            t = s.right_by_letter(e, a)
+            if t not in canon:
+                canon[t] = len(order)
+                order.append(t)
+            row.append(canon[t])
+        rows.append(tuple(row))
+    return letters, tuple(canon[s.generators[a]] for a in letters), tuple(rows)
 
 
 def is_power_of(text: str, u: str) -> bool:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 
 import ebwt
 from ebwt.cli import main
+
+from helpers import naive_primitive
 
 
 def run(capsys, argv):
@@ -146,6 +149,16 @@ class TestDeBruijn:
         assert code == 0
         assert out == "2\n"
 
+    def test_count_digit_guard(self, capsys):
+        # (4!)^(4^8) / 4^9 has about 90k digits: refused before it is built
+        code, out, err = run(capsys, ["debruijn", "4", "9", "--count"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "4300 digits" in err
+        code, out, _ = run(capsys, ["debruijn", "2", "5", "--count"])
+        assert code == 0
+        assert out == "2048\n"
+
     def test_from_gamma_single(self, capsys):
         code, out, _ = run(capsys, ["debruijn", "2", "4", "--from-gamma",
                                     "babababaabbababa"])
@@ -227,6 +240,17 @@ class TestSemigroup:
         code, _, _ = run(capsys, ["semigroup", "aabab", "--action",
                                   "--guard-cells", "4"])
         assert code == 3
+
+    def test_table_cell_guard(self, capsys):
+        # a random primitive 62-letter word closes to a few thousand elements,
+        # whose table would pass 2^20 cells
+        rng = random.Random(62)
+        word = "".join(rng.choice("ab") for _ in range(62))
+        assert naive_primitive(word)
+        code, out, err = run(capsys, ["semigroup", word, "--action", "--table"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestFactors:

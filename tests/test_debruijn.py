@@ -1,5 +1,6 @@
 import pytest
 
+from ebwt import debruijn
 from ebwt.bwt import NecklaceMultiset, standard_permutation, transform
 from ebwt.debruijn import (
     GammaWord,
@@ -108,6 +109,11 @@ class TestEnumerateGamma:
         with pytest.raises(ResourceLimitError, match="256"):
             list(enumerate_gamma(2, 4, limit=255))
 
+    def test_huge_census_refused_before_it_is_computed(self):
+        # (10!)^(10^11) would take about 6.6e11 digits
+        with pytest.raises(ResourceLimitError, match="limit"):
+            next(enumerate_gamma(10, 12))
+
     def test_all_validate(self):
         for v in enumerate_gamma(3, 1):
             assert is_gamma(v, 3, 1)
@@ -130,6 +136,19 @@ class TestCounting:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             count_debruijn_words(1, 3)
+
+    def test_digit_guard_is_exact(self, monkeypatch):
+        # 2^(2^13) / 2^14 = 2^8178 has 2462 digits
+        monkeypatch.setattr(debruijn, "MAX_COUNT_DIGITS", 2462)
+        assert count_debruijn_words(2, 14) == 2**8178
+        monkeypatch.setattr(debruijn, "MAX_COUNT_DIGITS", 2461)
+        with pytest.raises(ResourceLimitError, match="2461 digits"):
+            count_debruijn_words(2, 14)
+
+    @pytest.mark.parametrize("k,n", [(4, 9), (10, 12), (2, 10**12), (10**400, 1)])
+    def test_huge_refused_in_log_space(self, k, n):
+        with pytest.raises(ResourceLimitError, match="4300 digits"):
+            count_debruijn_words(k, n)
 
 
 class TestLeastDeBruijnWord:

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ebwt.bwt import NecklaceMultiset, standard_permutation, transform
 from ebwt.errors import NotPrimitiveError, ResourceLimitError
 from ebwt.semigroups import (
     PartialInjection,
+    _minimal_dfa,
     cayley_signature,
     generate_closure,
     letter_actions,
@@ -21,14 +23,33 @@ from helpers import (
     ABC,
     W,
     context_classes,
+    dense_transition_signature,
+    naive_closure,
     naive_closure_size,
     naive_letter_maps,
+    naive_primitive,
     primitive_texts,
+    relabelled_signature,
 )
 
 
 def action_semigroup(text, alphabet=AB):
     return generate_closure(letter_actions(W(text, alphabet)))
+
+
+def primitive_words(max_len):
+    """(text, letters): a primitive word over 2 or 3 letters, not all of
+    which need occur in it."""
+    return st.sampled_from(["ab", "abc"]).flatmap(
+        lambda letters: st.tuples(
+            st.text(alphabet=letters, min_size=1, max_size=max_len), st.just(letters)
+        )
+    ).filter(lambda case: naive_primitive(case[0]))
+
+
+def both_routes(text, letters):
+    u = W(text, Alphabet(letters))
+    return generate_closure(letter_actions(u)), syntactic_semigroup(u)
 
 
 class TestPartialInjection:
@@ -150,6 +171,60 @@ class TestGenerateClosure:
                 t[t[i][j]][k] == t[i][t[j][k]]
                 for i in range(n) for j in range(n) for k in range(n)
             )
+
+
+class TestSparseClosure:
+    """The closure over sparse pair tuples against the dict-based naive
+    closures, composition, and the dense transition semigroup."""
+
+    @given(primitive_words(10))
+    @settings(max_examples=60, deadline=None)
+    def test_both_routes_match_naive_closures(self, case):
+        text, letters = case
+        action, syntactic = both_routes(text, letters)
+        naive = naive_closure(naive_letter_maps(text, letters))
+        assert action.order == len(naive)
+        assert {frozenset(e.pairs) for e in action.elements} == naive
+        _, delta, _, _ = _minimal_dfa(W(text, Alphabet(letters)))
+        dense = naive_closure(
+            {a: dict(enumerate(row[a] for row in delta)) for a in range(len(letters))}
+        )
+        assert syntactic.order == len(dense)
+        assert {frozenset(enumerate(e.targets)) for e in syntactic.elements} == dense
+
+    @given(primitive_words(6))
+    @settings(max_examples=40, deadline=None)
+    def test_table_matches_composition(self, case):
+        for s in both_routes(*case):
+            for i, x in enumerate(s.elements):
+                for j, y in enumerate(s.elements):
+                    assert s.table[i][j] == s.index_of(x.compose(y))
+
+    @given(primitive_words(10))
+    @settings(max_examples=60, deadline=None)
+    def test_syntactic_matches_dense_transition_closure(self, case):
+        text, letters = case
+        _, delta, _, _ = _minimal_dfa(W(text, Alphabet(letters)))
+        dense = dense_transition_signature(delta, range(len(letters)))
+        s = syntactic_semigroup(W(text, Alphabet(letters)))
+        assert s.order == len(dense[2])
+        assert cayley_signature(s) == dense
+
+    @given(primitive_words(10))
+    @settings(max_examples=60, deadline=None)
+    def test_numbering_is_breadth_first_shortlex(self, case):
+        # the invariant that lets cayley_signature read the right table as is
+        for s in both_routes(*case):
+            words = s.element_words
+            keys = [(len(w), w) for w in words]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            index = {w: i for i, w in enumerate(words)}
+            for j, w in enumerate(words):
+                if len(w) == 1:
+                    assert s.generators[w[0]] == j
+                else:
+                    assert s.right_by_letter(index[w[:-1]], w[-1]) == j
+            assert cayley_signature(s) == relabelled_signature(s)
 
 
 class TestSyntacticSemigroup:
