@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from collections import Counter
 
 from .bwt import NecklaceMultiset, inverse_transform, transform
@@ -407,13 +408,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    """Show a library warning as one `warning:` line, without the source
+    location that Python's default format adds."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            return args.func(args)
     except CLIError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

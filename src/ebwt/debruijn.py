@@ -70,7 +70,10 @@ class DeBruijnSet:
 
 def is_debruijn_set(m: NecklaceMultiset, n: int) -> bool:
     """True iff the length-n power-prefixes of all rotations of m's necklaces
-    are exactly the k^n words of A^n, each once."""
+    are exactly the k^n words of A^n, each once: the total length is k^n,
+    every multiplicity is 1, and the prefixes are pairwise distinct.  The
+    prefix of rotation i of a necklace c is the slice [i, i + n) of a power
+    of c long enough to hold every such window."""
     k = m.alphabet.size
     if m.total_length != k**n:
         return False
@@ -78,13 +81,10 @@ def is_debruijn_set(m: NecklaceMultiset, n: int) -> bool:
     for necklace, mult in m.entries:
         if mult != 1:
             return False
-        reps = (n + len(necklace) - 1) // len(necklace)
-        for rotation in necklace.rotations():
-            prefix = (rotation.codes * reps)[:n]
-            if prefix in seen:
-                return False
-            seen.add(prefix)
-    return True
+        c = necklace.lyndon.codes
+        power = c * (n // len(c) + 2)
+        seen.update(power[i:i + n] for i in range(len(c)))
+    return len(seen) == k**n
 
 
 def debruijn_set_from_gamma(v: GammaWord) -> DeBruijnSet:

@@ -1,8 +1,9 @@
 """Semigroups attached to necklaces and their syntactic cross-oracle.
 
 Two independent routes to the same object: the closure of the per-letter
-partial injections acting on a sorted necklace, and the transition semigroup
-of the minimal automaton of the positive powers of the word.  Both come out
+partial injections of the standard permutation of the transform of the
+word's necklace, and the transition semigroup of the automaton of the
+positive powers of the word, built minimal by construction.  Both come out
 as letter-labeled finite semigroups so the letter-induced isomorphism can be
 decided by right-Cayley comparison.
 
@@ -12,10 +13,10 @@ is simply absent.  Composing such a tuple with a generator costs a dict
 probe per defined point and builds nothing but the result tuple; validation
 happens once, at the public constructors (`PartialInjection(...)`, the
 degree check of `generate_closure`).  The syntactic route reaches the same
-form by dropping the dead state of the minimal automaton, the non-final
-state that every letter maps to itself: every map fixes it, so "maps to the
-dead state" composes exactly like "undefined", and the semigroup of partial
-maps is isomorphic to the dense transition semigroup, letter for letter.
+form by dropping the automaton's sink, the non-final state that every letter
+maps to itself: every map fixes it, so "maps to the sink" composes exactly
+like "undefined", and the semigroup of partial maps is isomorphic to the
+dense transition semigroup, letter for letter.
 """
 
 from __future__ import annotations
@@ -232,19 +233,13 @@ def letter_actions(u: Word) -> dict[int, PartialInjection]:
     """The per-letter conjugation actions on the sorted necklace of u.
 
     The necklace is ordered lexicographically and identified with 0..n-1;
-    letter a sends each rotation starting with a to its conjugate shift.
+    letter a sends each rotation ax to its conjugate shift xa.  These are the
+    letter injections of the standard permutation of the transform of {u}.
     Every letter of u's alphabet gets an action, the empty injection when the
     letter does not occur, so both semigroup routes share a generator set.
     """
-    necklace = lyndon_representative(u)
-    rotations = sorted(r.codes for r in necklace.rotations())
-    index = {r: i for i, r in enumerate(rotations)}
-    pairs: dict[int, list[tuple[int, int]]] = {a: [] for a in range(u.alphabet.size)}
-    for i, r in enumerate(rotations):
-        pairs[r[0]].append((i, index[r[1:] + r[:1]]))
-    return {
-        a: PartialInjection(len(u), tuple(p)) for a, p in pairs.items()
-    }
+    m = NecklaceMultiset(u.alphabet, ((lyndon_representative(u), 1),))
+    return letter_injections(standard_permutation(transform(m)))
 
 
 def letter_injections(p: StandardPermutation) -> dict[int, PartialInjection]:
@@ -256,63 +251,28 @@ def letter_injections(p: StandardPermutation) -> dict[int, PartialInjection]:
 
 
 def _minimal_dfa(u: Word):
-    """Minimal complete automaton of {u^m : m >= 1}, states BFS-numbered from
-    the initial state.  Returns (state count, delta[state][letter], initial,
-    final state set)."""
+    """Minimal complete automaton of {u^m : m >= 1}, states numbered by
+    prefix length.  Returns (state count, delta[state][letter], initial,
+    final state set).
+
+    State i < n = |u| has read i letters of a period; state 0 is initial and
+    state n, the only final one, continues like it: delta[n][u[0]] =
+    delta[0][u[0]].  Mismatches go to the sink n + 1, present iff k > 1.
+    Minimal whether or not u is primitive: every state is reachable (by
+    u[:i], u, a mismatch), and the residual of state i, 0 < i < n, is u[i:]u*
+    with shortest word of length n - i, that of state 0 is u+ (length n),
+    that of state n is u* (length 0) and the sink's is empty, so no two
+    states share a residual.
+    """
     n, k = len(u), u.alphabet.size
-    init, acc, sink = 0, n, n + 1
-    delta = [[sink] * k for _ in range(n + 2)]
-    for i in range(n):
-        src = init if i == 0 else i
-        delta[src][u.codes[i]] = i + 1 if i + 1 < n else acc
-    delta[acc][u.codes[0]] = 1 if n > 1 else acc
-
-    # prune unreachable states (the sink, when every letter always matches)
-    reach = [init]
-    seen = {init}
-    for s in reach:
-        for a in range(k):
-            if delta[s][a] not in seen:
-                seen.add(delta[s][a])
-                reach.append(delta[s][a])
-    renum = {s: i for i, s in enumerate(reach)}
-    m = len(reach)
-    delta = [[renum[delta[s][a]] for a in range(k)] for s in reach]
-    finals = {renum[acc]} if acc in renum else set()
-    init = renum[init]
-
-    # Moore refinement to the Nerode classes
-    cls = [1 if s in finals else 0 for s in range(m)]
-    while True:
-        keys = {}
-        new_cls = []
-        for s in range(m):
-            key = (cls[s], tuple(cls[delta[s][a]] for a in range(k)))
-            if key not in keys:
-                keys[key] = len(keys)
-            new_cls.append(keys[key])
-        if new_cls == cls:
-            break
-        cls = new_cls
-    q = max(cls) + 1
-    qdelta = [[0] * k for _ in range(q)]
-    for s in range(m):
-        for a in range(k):
-            qdelta[cls[s]][a] = cls[delta[s][a]]
-    qfinals = {cls[s] for s in finals}
-    qinit = cls[init]
-
-    # canonical numbering: BFS from the initial state in letter order
-    order = [qinit]
-    seen = {qinit}
-    for s in order:
-        for a in range(k):
-            if qdelta[s][a] not in seen:
-                seen.add(qdelta[s][a])
-                order.append(qdelta[s][a])
-    renum = {s: i for i, s in enumerate(order)}
-    final_delta = [[renum[qdelta[s][a]] for a in range(k)] for s in order]
-    return len(order), final_delta, renum[qinit], {renum[s] for s in qfinals}
+    sink = n + 1
+    delta = [[sink] * k for _ in range(n + 1)]
+    for i, a in enumerate(u.codes):
+        delta[i][a] = i + 1
+    delta[n][u.codes[0]] = delta[0][u.codes[0]]
+    if k > 1:
+        delta.append([sink] * k)
+    return len(delta), delta, 0, {n}
 
 
 def syntactic_semigroup(u: Word, max_size: int = DEFAULT_CLOSURE_SIZE) -> FiniteSemigroup:
@@ -321,30 +281,29 @@ def syntactic_semigroup(u: Word, max_size: int = DEFAULT_CLOSURE_SIZE) -> Finite
     Computed as the transition semigroup of the minimal complete recognizer,
     generated by the letter transition maps; this equals the quotient of the
     free semigroup by the syntactic congruence of the language.  The maps are
-    closed in sparse form, without the dead state (see the module docstring);
-    `elements` restores them as full `Transformation`s.
+    closed in sparse form, without the sink (see the module docstring);
+    `elements` restores them as full `Transformation`s over the prefix-length
+    states of `_minimal_dfa`.
     """
     if len(u) == 0:
         raise ValueError("the syntactic semigroup needs a nonempty word")
     if not is_primitive(u):
         warnings.warn(f"{u} is not primitive; the action comparison theorem "
                       "assumes a primitive word", stacklevel=2)
-    m, delta, _, finals = _minimal_dfa(u)
-    letters = range(u.alphabet.size)
-    dead = next((s for s in range(m) if s not in finals
-                 and all(delta[s][a] == s for a in letters)), None)
+    m, delta, _, _ = _minimal_dfa(u)
+    sink = len(u) + 1
     gens = {
-        a: tuple((s, delta[s][a]) for s in range(m) if s != dead and delta[s][a] != dead)
-        for a in letters
+        a: tuple((s, row[a]) for s, row in enumerate(delta) if row[a] != sink)
+        for a in range(u.alphabet.size)
     }
-    return _close(gens, max_size, partial(_transformation, m, dead))
+    return _close(gens, max_size, partial(_transformation, m, sink))
 
 
-def _transformation(states: int, dead: int | None, pairs: tuple) -> Transformation:
+def _transformation(states: int, sink: int, pairs: tuple) -> Transformation:
     """The full map of a sparse transition map, undefined points sent to the
-    dead state."""
+    sink."""
     targets = dict(pairs)
-    return Transformation(tuple(targets.get(s, dead) for s in range(states)))
+    return Transformation(tuple(targets.get(s, sink) for s in range(states)))
 
 
 def cayley_signature(s: FiniteSemigroup) -> tuple:
@@ -403,9 +362,10 @@ class MultisetSemigroup:
         )
 
     def cycle_necklace(self, j: int) -> Necklace:
-        """The necklace whose rotations occupy cycle j."""
+        """The necklace whose rotations occupy cycle j; read from its minimal
+        position, the cycle spells the Lyndon word (see `inverse_transform`)."""
         codes = tuple(self.sorted_codes[i] for i in self.cycle_domains[j])
-        return lyndon_representative(Word(self.alphabet, codes))
+        return Necklace(Word(self.alphabet, codes))
 
 
 def semigroup_of_multiset(m: NecklaceMultiset,

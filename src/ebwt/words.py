@@ -221,11 +221,6 @@ class Necklace:
     def alphabet(self) -> Alphabet:
         return self.lyndon.alphabet
 
-    def rotations(self) -> list[Word]:
-        """All |w| distinct rotations, starting from the Lyndon word."""
-        c = self.lyndon.codes
-        return [Word(self.alphabet, c[i:] + c[:i]) for i in range(len(c))]
-
 
 def lyndon_representative(w: Word) -> Necklace:
     """The necklace of a primitive word, canonicalized to its least rotation.

@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive and shares no code with the package:
 min-over-rotations, lcm-width tables, prefix-sorted rotations, substring
-sets, dict-based closures.
+sets, dict-based closures, Moore-refined automata.
 """
 
 from functools import reduce
@@ -109,6 +109,83 @@ def naive_letter_maps(u: str, alphabet: str) -> dict[str, dict[int, int]]:
     for w, i in index.items():
         maps[w[0]][i] = index[w[1:] + w[0]]
     return maps
+
+
+def moore_minimal_dfa(u):
+    """Minimal complete automaton of the positive powers of a Word u, the long
+    way: a prefix automaton, pruned to its reachable states, Moore-refined to
+    the Nerode classes and numbered breadth-first from the initial state in
+    letter order.  Returns (state count, delta[state][letter], initial,
+    final state set)."""
+    n, k = len(u), u.alphabet.size
+    init, acc, sink = 0, n, n + 1
+    delta = [[sink] * k for _ in range(n + 2)]
+    for i in range(n):
+        src = init if i == 0 else i
+        delta[src][u.codes[i]] = i + 1 if i + 1 < n else acc
+    delta[acc][u.codes[0]] = 1 if n > 1 else acc
+
+    # prune unreachable states (the sink, when every letter always matches)
+    reach = [init]
+    seen = {init}
+    for s in reach:
+        for a in range(k):
+            if delta[s][a] not in seen:
+                seen.add(delta[s][a])
+                reach.append(delta[s][a])
+    renum = {s: i for i, s in enumerate(reach)}
+    m = len(reach)
+    delta = [[renum[delta[s][a]] for a in range(k)] for s in reach]
+    finals = {renum[acc]} if acc in renum else set()
+    init = renum[init]
+
+    # Moore refinement to the Nerode classes
+    cls = [1 if s in finals else 0 for s in range(m)]
+    while True:
+        keys = {}
+        new_cls = []
+        for s in range(m):
+            key = (cls[s], tuple(cls[delta[s][a]] for a in range(k)))
+            if key not in keys:
+                keys[key] = len(keys)
+            new_cls.append(keys[key])
+        if new_cls == cls:
+            break
+        cls = new_cls
+    q = max(cls) + 1
+    qdelta = [[0] * k for _ in range(q)]
+    for s in range(m):
+        for a in range(k):
+            qdelta[cls[s]][a] = cls[delta[s][a]]
+    qfinals = {cls[s] for s in finals}
+    qinit = cls[init]
+    return bfs_canonical(q, qdelta, qinit, qfinals)
+
+
+def bfs_canonical(m, delta, init, finals):
+    """Renumber an automaton breadth-first from its initial state, letters in
+    order; two automata with every state reachable are isomorphic iff the
+    results are equal.  Takes and returns (state count, delta, initial,
+    finals)."""
+    renum = {init: 0}
+    order = [init]
+    for s in order:
+        for t in delta[s]:
+            if t not in renum:
+                renum[t] = len(order)
+                order.append(t)
+    assert len(order) == m, "unreachable states"
+    return m, [[renum[t] for t in delta[s]] for s in order], 0, {renum[s] for s in finals}
+
+
+def naive_power_prefixes_cover(words_with_mult, n: int, alphabet: str) -> bool:
+    """Whether the length-n prefixes of the infinite powers of all rotations,
+    counted with multiplicity, are exactly the words of length n, each once."""
+    prefixes = sorted(
+        (r * n)[:n]
+        for text, mult in words_with_mult for r in rotations(text) * mult
+    )
+    return prefixes == ["".join(w) for w in product(alphabet, repeat=n)]
 
 
 def naive_closure(gens: dict) -> set[frozenset]:

@@ -236,6 +236,15 @@ class TestSemigroup:
         assert code == 2
         assert "primitive" in err
 
+    def test_non_primitive_syntactic_warns_in_one_line(self, capsys):
+        code, out, err = run(capsys, ["semigroup", "abab", "--syntactic"])
+        assert code == 0
+        assert out.splitlines() == ["syntactic order 9", "generators a b"]
+        assert err == (
+            "warning: abab is not primitive; the action comparison theorem "
+            "assumes a primitive word\n"
+        )
+
     def test_guard_exit_code(self, capsys):
         code, _, _ = run(capsys, ["semigroup", "aabab", "--action",
                                   "--guard-cells", "4"])

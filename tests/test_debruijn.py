@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ebwt import debruijn
-from ebwt.bwt import NecklaceMultiset, standard_permutation, transform
+from ebwt.bwt import NecklaceMultiset, inverse_transform, standard_permutation, transform
 from ebwt.debruijn import (
     GammaWord,
     count_debruijn_words,
@@ -17,7 +18,7 @@ from ebwt.debruijn import (
 from ebwt.errors import ResourceLimitError
 from ebwt.words import Word, default_alphabet
 
-from helpers import AB, W, all_words, lyndon_texts
+from helpers import AB, W, all_words, lyndon_texts, naive_power_prefixes_cover, naive_root
 
 
 def multiset(*texts, alphabet=AB):
@@ -52,7 +53,50 @@ class TestIsGamma:
             GammaWord(W("ab"), 2)
 
 
+@st.composite
+def debruijn_candidates(draw):
+    """(texts, n, letters): primitive words, repeats allowed, that are often a
+    de Bruijn set of span n (the inverse of a random block-permutation word)
+    and otherwise miss by one edit: a necklace dropped, repeated, added,
+    replaced by a word of its length, or by a copy of another of its length."""
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 4 if k == 2 else 3))
+    letters = "abc"[:k]
+    word = st.text(alphabet=letters, min_size=1, max_size=n + 2).map(naive_root)
+    if draw(st.booleans()):
+        blocks = draw(st.lists(st.permutations(range(k)),
+                               min_size=k ** (n - 1), max_size=k ** (n - 1)))
+        m = inverse_transform(Word(default_alphabet(k), tuple(c for b in blocks for c in b)))
+        texts = [str(necklace) for necklace, _ in m.entries]
+    else:
+        texts = draw(st.lists(word, max_size=5))
+    edit = draw(st.sampled_from(["none", "none", "drop", "repeat", "add", "replace", "twin"]))
+    i = draw(st.integers(0, len(texts) - 1)) if texts else None
+    if edit == "add" or i is None:
+        texts.append(draw(word))
+    elif edit == "drop":
+        texts.pop(i)
+    elif edit == "repeat":
+        texts.append(texts[i])
+    elif edit == "replace":
+        size = len(texts[i])
+        texts[i] = draw(st.text(alphabet=letters, min_size=size, max_size=size).map(naive_root))
+    elif edit == "twin":
+        same = [j for j, t in enumerate(texts) if j != i and len(t) == len(texts[i])]
+        if same:
+            texts[draw(st.sampled_from(same))] = texts[i]
+    return texts, n, letters
+
+
 class TestIsDeBruijnSet:
+    @given(debruijn_candidates())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_oracle(self, case):
+        texts, n, letters = case
+        m = NecklaceMultiset.from_texts(default_alphabet(len(letters)), texts)
+        expected = naive_power_prefixes_cover([(t, 1) for t in texts], n, letters)
+        assert is_debruijn_set(m, n) == expected
+
     def test_span4_example(self):
         assert is_debruijn_set(multiset("aaaabaabbbbabb", "ab"), 4)
 

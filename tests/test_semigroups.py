@@ -22,12 +22,16 @@ from helpers import (
     AB,
     ABC,
     W,
+    all_words,
+    bfs_canonical,
     context_classes,
     dense_transition_signature,
+    moore_minimal_dfa,
     naive_closure,
     naive_closure_size,
     naive_letter_maps,
     naive_primitive,
+    naive_root,
     primitive_texts,
     relabelled_signature,
 )
@@ -110,12 +114,43 @@ class TestLetterActions:
             assert union == [(i, p.image[i]) for i in range(len(text))]
             assert letter_injections(p) == letter_actions(u)
 
+    @given(st.sampled_from(
+        [("a", "a"), ("ab", "ab"), ("ab", "b"), ("abc", "abc"), ("abc", "ac")]
+    ).flatmap(lambda case: st.tuples(
+        st.text(alphabet=case[1], min_size=1, max_size=60).map(naive_root), st.just(case[0])
+    )))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_letter_maps(self, case):
+        # (text, alphabet): a primitive word, some letters possibly unused
+        text, letters = case
+        acts = letter_actions(W(text, Alphabet(letters)))
+        assert {inj.degree for inj in acts.values()} == {len(text)}
+        assert {letters[a]: dict(inj.pairs) for a, inj in acts.items()} == \
+            naive_letter_maps(text, letters)
+
     def test_representative_independent(self):
         assert letter_actions(W("aab")) == letter_actions(W("aba"))
 
     def test_non_primitive_rejected(self):
         with pytest.raises(NotPrimitiveError):
             letter_actions(W("abab"))
+
+
+class TestMinimalDfa:
+    def test_isomorphic_to_moore_minimisation(self):
+        # every word of up to 9 letters over 1-2 letters and up to 7 over 3,
+        # primitive or not
+        checked = 0
+        for letters, longest in (("a", 9), ("ab", 9), ("abc", 7)):
+            alphabet = Alphabet(letters)
+            for n in range(1, longest + 1):
+                for codes in all_words(len(letters), n):
+                    u = Word(alphabet, codes)
+                    dfa = _minimal_dfa(u)
+                    assert dfa[0] == n + 1 + (len(letters) > 1)
+                    assert bfs_canonical(*dfa) == moore_minimal_dfa(u), u
+                    checked += 1
+        assert checked == 4310
 
 
 class TestGenerateClosure:
