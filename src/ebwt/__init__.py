@@ -3,9 +3,7 @@ with de Bruijn word generation, necklace semigroups, and factor complexity."""
 
 from .bwt import (
     NecklaceMultiset,
-    RotationTable,
     StandardPermutation,
-    build_table,
     inverse_transform,
     standard_permutation,
     transform,
@@ -61,7 +59,7 @@ from .words import (
 
 __all__ = [
     "Alphabet", "Word", "Necklace", "NecklaceMultiset", "StandardPermutation",
-    "RotationTable", "GammaWord", "DeBruijnSet", "PartialInjection",
+    "GammaWord", "DeBruijnSet", "PartialInjection",
     "FiniteSemigroup", "MultisetSemigroup", "FactorStats",
     "NotPrimitiveError", "ResourceLimitError",
     "LESS", "EQUAL", "GREATER",
@@ -69,7 +67,6 @@ __all__ = [
     "has_border", "omega_compare", "cyclic_factors", "default_alphabet",
     "from_text",
     "transform", "inverse_transform", "standard_permutation", "word_action",
-    "build_table",
     "is_gamma", "is_debruijn_set", "debruijn_set_from_gamma",
     "least_debruijn_word", "lyndon_concatenation_oracle",
     "count_debruijn_words", "enumerate_gamma",

@@ -5,9 +5,9 @@ letters of its rotations sorted by the omega-order.  It ranks the rotations
 of the distinct necklaces by prefix doubling over cyclic positions and
 writes each last letter once per copy, so it costs O(N log N) in the total
 length N of the distinct necklaces plus the output length.  The inverse
-reads the cycles of the standard permutation.  The full lcm-width rotation
-table is materialized only on request (`build_table`) as a desk-scale
-oracle.
+reads the cycles of the standard permutation, built by one stable sort of
+positions by letter, and takes each cycle as a Lyndon word without checking
+it again.
 """
 
 from __future__ import annotations
@@ -16,13 +16,9 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from math import gcd
 
-from .errors import ResourceLimitError
 # omega_compare is unused here; bench/tracing.py counts calls at bwt.omega_compare.
 from .words import Alphabet, Necklace, Word, lyndon_representative, omega_compare  # noqa: F401
-
-DEFAULT_TABLE_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -121,18 +117,17 @@ class StandardPermutation:
 
 
 def standard_permutation(w: Word) -> StandardPermutation:
-    """Build the standard permutation of a nonempty word."""
+    """Build the standard permutation of a nonempty word.
+
+    Sorting the positions by letter lists ran(a) for each letter a in turn,
+    and the sort is stable, so within ran(a) the positions stay increasing:
+    that is the order-preserving pairing of dom(a) with ran(a).
+    """
     if len(w) == 0:
         raise ValueError("the standard permutation needs a nonempty word")
-    positions: dict[int, list[int]] = {}
-    for i, c in enumerate(w.codes):
-        positions.setdefault(c, []).append(i)
-    image: list[int] = []
-    sorted_codes: list[int] = []
-    for letter in sorted(positions):
-        image.extend(positions[letter])
-        sorted_codes.extend([letter] * len(positions[letter]))
-    return StandardPermutation(w.alphabet, tuple(image), tuple(sorted_codes))
+    codes = w.codes
+    image = sorted(range(len(codes)), key=codes.__getitem__)
+    return StandardPermutation(w.alphabet, tuple(image), tuple(sorted(codes)))
 
 
 def word_action(p: StandardPermutation, i: int, u: Word) -> int | None:
@@ -199,68 +194,22 @@ def inverse_transform(w: Word) -> NecklaceMultiset:
     """The inverse transform: read necklaces off the standard permutation.
 
     Each cycle of the permutation, with position i replaced by the letter
-    whose domain contains i, spells a primitive word; the result is the
-    multiset of their necklaces.  Read from its minimal position, a cycle
-    already spells its Lyndon word, so no least-rotation search is needed:
-    position i stands for row i of the omega-sorted rotation table, and the
-    cycle read from i spells the root of row i, so the cycle's minimal
-    position gives its omega-least rotation.  All rotations of one cycle have the same length,
+    whose domain contains i, spells a word; the result is the multiset of
+    their necklaces.  Position i stands for row i of the omega-sorted
+    rotation table, and the cycle read from i spells the root of row i, so
+    it is primitive.  Read from its minimal position, the cycle gives its
+    omega-least rotation; all rotations of one cycle have the same length,
     and for words of equal length the omega-order is the lexicographic
-    order, so that rotation is the lex-least, the Lyndon word.  `Necklace`
-    still checks primitivity and least rotation.
+    order, so that rotation is the lex-least, the Lyndon word.  Each cycle
+    therefore becomes a necklace through `Necklace.unchecked`, with no
+    primitivity check and no least-rotation search.
     """
     if len(w) == 0:
         return NecklaceMultiset(w.alphabet, ())
     p = standard_permutation(w)
+    letter = p.sorted_codes.__getitem__
     necklaces = [
-        Necklace(Word(w.alphabet, tuple(p.sorted_codes[i] for i in cycle)))
+        Necklace.unchecked(Word(w.alphabet, tuple(map(letter, cycle))))
         for cycle in p.cycles()
     ]
     return NecklaceMultiset.from_necklaces(w.alphabet, necklaces)
-
-
-@dataclass(frozen=True)
-class RotationTable:
-    """The n x l table of lcm-width rotation rows, ranked lexicographically."""
-
-    rows: tuple[Word, ...]
-
-    @property
-    def width(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i].codes[j]
-
-
-def build_table(w: Word, max_cells: int = DEFAULT_TABLE_CELLS) -> RotationTable:
-    """Materialize the rotation table of a word: row i is the unique width-l
-    word along which position i stays defined, l the lcm of cycle lengths.
-
-    The table exists as a test oracle; l is an lcm and can explode, so the
-    total cell count is guarded.
-    """
-    p = standard_permutation(w)
-    cycles = p.cycles()
-    width = 1
-    for cycle in cycles:
-        width = width * len(cycle) // gcd(width, len(cycle))
-    if len(w) * width > max_cells:
-        raise ResourceLimitError(
-            f"rotation table needs {len(w)}x{width} cells (row width lcm {width}), "
-            f"over the {max_cells}-cell guard"
-        )
-    cycle_of = {}
-    index_in = {}
-    for cycle in cycles:
-        for j, i in enumerate(cycle):
-            cycle_of[i] = cycle
-            index_in[i] = j
-    rows = []
-    for i in range(len(w)):
-        cycle = cycle_of[i]
-        r = len(cycle)
-        start = index_in[i]
-        root_codes = tuple(p.sorted_codes[cycle[(start + t) % r]] for t in range(r))
-        rows.append(Word(w.alphabet, root_codes * (width // r)))
-    return RotationTable(tuple(rows))

@@ -23,7 +23,7 @@ from .debruijn import (
     debruijn_set_from_gamma,
     least_debruijn_word,
 )
-from .errors import ResourceLimitError
+from .errors import NotPrimitiveError, ResourceLimitError
 from .factors import (
     DEFAULT_SCAN_WORDS,
     debruijn_factor_witness,
@@ -39,7 +39,7 @@ from .semigroups import (
     letter_induced_isomorphic,
     syntactic_semigroup,
 )
-from .words import Alphabet, Word, is_primitive, lyndon_representative
+from .words import Alphabet, Word, lyndon_representative
 
 
 class CLIError(Exception):
@@ -93,10 +93,11 @@ def _parse_multiset(text: str, override: str | None, canonicalize: bool) -> Neck
             raise CLIError(str(e)) from e
         if len(word) == 0:
             raise CLIError("empty multiset entry")
-        if not is_primitive(word):
-            raise CLIError(f"entry {raw!r} is not primitive")
-        necklace = lyndon_representative(word)
-        if str(necklace) != raw and not canonicalize:
+        try:
+            necklace = lyndon_representative(word)
+        except NotPrimitiveError:
+            raise CLIError(f"entry {raw!r} is not primitive") from None
+        if necklace.lyndon.codes != word.codes and not canonicalize:
             raise CLIError(
                 f"entry {raw!r} is not a Lyndon word (canonical form "
                 f"{necklace!s}); pass --canonicalize to accept rotations"
@@ -421,6 +422,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         with warnings.catch_warnings():
+            # "always" overrides -W error and PYTHONWARNINGS, which would turn
+            # a library warning into a traceback.
+            warnings.simplefilter("always")
             warnings.showwarning = _warning_line
             return args.func(args)
     except CLIError as e:

@@ -363,9 +363,10 @@ class MultisetSemigroup:
 
     def cycle_necklace(self, j: int) -> Necklace:
         """The necklace whose rotations occupy cycle j; read from its minimal
-        position, the cycle spells the Lyndon word (see `inverse_transform`)."""
-        codes = tuple(self.sorted_codes[i] for i in self.cycle_domains[j])
-        return Necklace(Word(self.alphabet, codes))
+        position, the cycle spells the Lyndon word (see `inverse_transform`),
+        so the necklace is built unchecked."""
+        codes = tuple(map(self.sorted_codes.__getitem__, self.cycle_domains[j]))
+        return Necklace.unchecked(Word(self.alphabet, codes))
 
 
 def semigroup_of_multiset(m: NecklaceMultiset,

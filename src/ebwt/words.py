@@ -8,6 +8,7 @@ lexicographic letter order, so comparing code tuples compares rendered words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .errors import NotPrimitiveError
@@ -40,18 +41,33 @@ class Alphabet:
     def size(self) -> int:
         return len(self.letters)
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {c: i for i, c in enumerate(self.letters)}
+
+    def _unknown(self, char: str) -> ValueError:
+        return ValueError(f"character {char!r} not in alphabet {self.letters!r}")
+
     def code(self, char: str) -> int:
-        i = self.letters.find(char)
-        if i < 0:
-            raise ValueError(f"character {char!r} not in alphabet {self.letters!r}")
-        return i
+        try:
+            return self._index[char]
+        except KeyError:
+            raise self._unknown(char) from None
 
     def word(self, text: str) -> Word:
-        """Parse a rendered string into a Word over this alphabet."""
-        return Word(self, tuple(self.code(c) for c in text))
+        """Parse a rendered string into a Word over this alphabet.
+
+        This is where outside text is checked: one dict lookup per character,
+        and a ValueError naming the first character outside the alphabet.
+        """
+        try:
+            codes = tuple(map(self._index.__getitem__, text))
+        except KeyError as e:
+            raise self._unknown(e.args[0]) from None
+        return Word(self, codes)
 
     def render(self, codes) -> str:
-        return "".join(self.letters[c] for c in codes)
+        return "".join(map(self.letters.__getitem__, codes))
 
 
 def default_alphabet(k: int) -> Alphabet:
@@ -68,14 +84,19 @@ def from_text(text: str) -> Word:
 
 @dataclass(frozen=True, order=False)
 class Word:
-    """An immutable word: integer codes over a fixed alphabet."""
+    """An immutable word: integer codes over a fixed alphabet.
+
+    Construction checks that every code lies in 0..k-1, by one `min` and one
+    `max` over the codes.
+    """
 
     alphabet: Alphabet
     codes: tuple[int, ...]
 
     def __post_init__(self):
         k = self.alphabet.size
-        if any(not 0 <= c < k for c in self.codes):
+        codes = self.codes
+        if codes and (min(codes) < 0 or max(codes) >= k):
             raise ValueError(f"code out of range for {k}-letter alphabet: {self.codes}")
 
     def __len__(self) -> int:
@@ -191,7 +212,13 @@ def least_rotation_index(codes) -> int:
 
 @dataclass(frozen=True, order=False)
 class Necklace:
-    """A conjugacy class of a primitive word, held by its Lyndon rotation."""
+    """A conjugacy class of a primitive word, held by its Lyndon rotation.
+
+    `Necklace(word)` checks that the word is primitive and its own least
+    rotation.  `Necklace.unchecked(word)` skips both checks, for the callers
+    that have just proved them: `lyndon_representative` and the cycles of a
+    standard permutation (see `bwt.inverse_transform`).
+    """
 
     lyndon: Word
 
@@ -201,6 +228,13 @@ class Necklace:
             raise NotPrimitiveError(f"necklace word must be primitive: {w}", root(w))
         if least_rotation_index(w.codes) != 0:
             raise ValueError(f"necklace representative is not the least rotation: {w}")
+
+    @classmethod
+    def unchecked(cls, lyndon: Word) -> Necklace:
+        """The necklace of a word already known to be a Lyndon word."""
+        necklace = object.__new__(cls)
+        object.__setattr__(necklace, "lyndon", lyndon)
+        return necklace
 
     def __len__(self) -> int:
         return len(self.lyndon)
@@ -226,13 +260,15 @@ def lyndon_representative(w: Word) -> Necklace:
     """The necklace of a primitive word, canonicalized to its least rotation.
 
     Raises NotPrimitiveError (carrying root(w)) on a proper power: taking the
-    root is the caller's decision, never an implicit one.
+    root is the caller's decision, never an implicit one.  Having checked
+    primitivity and found the least rotation, it builds the necklace without
+    `Necklace`'s second check of both.
     """
     _require_nonempty(w, "necklace")
     if not is_primitive(w):
         raise NotPrimitiveError(f"word is not primitive: {w}", root(w))
     i = least_rotation_index(w.codes)
-    return Necklace(Word(w.alphabet, w.codes[i:] + w.codes[:i]))
+    return Necklace.unchecked(Word(w.alphabet, w.codes[i:] + w.codes[:i]))
 
 
 def omega_compare(u: Word, v: Word) -> int:

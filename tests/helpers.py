@@ -5,10 +5,12 @@ min-over-rotations, lcm-width tables, prefix-sorted rotations, substring
 sets, dict-based closures, Moore-refined automata.
 """
 
+from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from math import gcd
 
+from ebwt.errors import ResourceLimitError
 from ebwt.words import Alphabet, Word
 
 AB = Alphabet("ab")
@@ -72,6 +74,54 @@ def prefix_bwt(lyndons_with_mult) -> str:
     span = 2 * max(len(r) for r, _ in rows)
     rows.sort(key=lambda row: (row[0] * (span // len(row[0]) + 1))[:span])
     return "".join(r[-1] * mult for r, mult in rows)
+
+
+def naive_standard_permutation(codes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(image, sorted codes) of the standard permutation of a code sequence:
+    its positions sorted by (letter, position), and its letters sorted."""
+    image = sorted(range(len(codes)), key=lambda i: (codes[i], i))
+    return tuple(image), tuple(codes[i] for i in image)
+
+
+DEFAULT_TABLE_CELLS = 2**20
+
+
+@dataclass(frozen=True)
+class RotationTable:
+    """The n x l table of lcm-width rotation rows, ranked lexicographically."""
+
+    rows: tuple[Word, ...]
+
+    @property
+    def width(self) -> int:
+        return len(self.rows[0]) if self.rows else 0
+
+    def entry(self, i: int, j: int) -> int:
+        return self.rows[i].codes[j]
+
+
+def build_table(w: Word, max_cells: int = DEFAULT_TABLE_CELLS) -> RotationTable:
+    """Materialize the rotation table of a word: row i is the unique width-l
+    word along which position i stays defined, l the lcm of cycle lengths.
+
+    Row i repeats the letters met walking the cycle of i from i.  The lcm can
+    explode, so the total cell count is guarded.
+    """
+    image, letters = naive_standard_permutation(w.codes)
+    roots = []
+    for i in range(len(image)):
+        root, j = [letters[i]], image[i]
+        while j != i:
+            root.append(letters[j])
+            j = image[j]
+        roots.append(tuple(root))
+    width = reduce(lcm, map(len, roots), 1)
+    if len(w) * width > max_cells:
+        raise ResourceLimitError(
+            f"rotation table needs {len(w)}x{width} cells (row width lcm {width}), "
+            f"over the {max_cells}-cell guard"
+        )
+    return RotationTable(tuple(Word(w.alphabet, r * (width // len(r))) for r in roots))
 
 
 def brute_distinct_factors(seq) -> int:

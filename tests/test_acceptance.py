@@ -10,7 +10,6 @@ from itertools import product
 
 from ebwt.bwt import (
     NecklaceMultiset,
-    build_table,
     inverse_transform,
     standard_permutation,
     transform,
@@ -47,7 +46,9 @@ from ebwt.words import (
     root,
 )
 
-from helpers import AB, ABC, W, all_words, brute_distinct_factors, lyndon_texts
+from helpers import (
+    AB, ABC, W, all_words, brute_distinct_factors, build_table, lyndon_texts,
+)
 
 
 def _pass(number, detail):

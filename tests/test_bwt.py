@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from ebwt.bwt import (
     NecklaceMultiset,
-    build_table,
     inverse_transform,
     standard_permutation,
     transform,
@@ -15,7 +14,8 @@ from ebwt.errors import ResourceLimitError
 from ebwt.words import Alphabet, Necklace, Word, lyndon_representative, root
 
 from helpers import (
-    AB, ABC, W, all_words, naive_bwt, naive_least_rotation, naive_root, prefix_bwt,
+    AB, ABC, W, all_words, build_table, naive_bwt, naive_least_rotation, naive_primitive,
+    naive_root, naive_standard_permutation, prefix_bwt,
 )
 
 
@@ -62,6 +62,28 @@ def wide_multisets(draw):
 words_up_to_300 = st.sampled_from(["a", "ab", "abc"]).flatmap(
     lambda letters: st.tuples(st.just(letters), texts(letters, 300))
 )
+
+
+# words to invert, over alphabets of 1-4 letters that may hold letters the
+# word never uses: as (word, None) a random word, or as (word, multiset) the
+# transform of a multiset whose necklaces repeat
+@st.composite
+def inversion_inputs(draw):
+    alphabet = Alphabet(draw(st.sampled_from(["a", "ab", "abc", "abcd"])))
+    used = draw(st.lists(st.sampled_from(alphabet.letters), min_size=1, unique=True))
+    if draw(st.booleans()):
+        return alphabet.word(draw(st.text(used, min_size=1, max_size=120))), None
+    items = draw(st.lists(
+        st.tuples(st.text(used, min_size=1, max_size=12), st.integers(1, 4)),
+        min_size=1, max_size=5,
+    ))
+    counts = Counter()
+    for text, mult in items:
+        counts[naive_least_rotation(naive_root(text))] += mult
+    m = NecklaceMultiset(alphabet, tuple(
+        (Necklace(alphabet.word(text)), mult) for text, mult in sorted(counts.items())
+    ))
+    return transform(m), m
 
 
 class TestNecklaceMultiset:
@@ -150,6 +172,14 @@ class TestStandardPermutation:
             assert list(ran) == sorted(i for i, c in enumerate(codes) if c == a)
             assert all(x < y for x, y in zip(ran, ran[1:]))
 
+    @given(st.integers(1, 4).flatmap(
+        lambda k: st.lists(st.integers(0, k - 1), min_size=1, max_size=80).map(
+            lambda codes: Word(Alphabet("abcd"[:k]), tuple(codes)))
+    ))
+    def test_matches_naive_oracle(self, w):
+        p = standard_permutation(w)
+        assert (p.image, p.sorted_codes) == naive_standard_permutation(w.codes)
+
 
 class TestWordAction:
     def test_paper_cycle(self):
@@ -187,6 +217,18 @@ class TestInverseTransform:
             for codes in all_words(2, n):
                 w = Word(AB, codes)
                 assert transform(inverse_transform(w)) == w
+
+    @given(inversion_inputs())
+    @settings(deadline=None)
+    def test_cycles_pass_necklace_checks(self, drawn):
+        w, m = drawn
+        inverse = inverse_transform(w)
+        for necklace, _ in inverse.entries:
+            assert Necklace(necklace.lyndon) == necklace
+            text = str(necklace)
+            assert naive_primitive(text) and text == naive_least_rotation(text)
+        if m is not None:
+            assert inverse == m
 
     @given(multisets())
     def test_round_trip_from_multisets(self, m):

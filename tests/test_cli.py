@@ -377,3 +377,19 @@ class TestEntryPoint:
         _, err = proc.communicate(timeout=60)
         assert err == b""
         assert proc.returncode == 1
+
+    def test_library_warning_under_error_filter(self):
+        # -W error would turn the warning into an exception; the CLI still
+        # prints it as one line and exits 0.
+        env = dict(os.environ, PYTHONPATH=str(Path(ebwt.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "ebwt.cli", "semigroup", "abab",
+             "--syntactic"],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert proc.stderr == (
+            b"warning: abab is not primitive; the action comparison theorem "
+            b"assumes a primitive word\n"
+        )
+        assert proc.stdout == b"syntactic order 9\ngenerators a b\n"
+        assert proc.returncode == 0

@@ -16,7 +16,7 @@ from ebwt.semigroups import (
     semigroup_of_multiset,
     syntactic_semigroup,
 )
-from ebwt.words import Alphabet, Word, lyndon_representative, root
+from ebwt.words import Alphabet, Necklace, Word, lyndon_representative, root
 
 from helpers import (
     AB,
@@ -29,6 +29,7 @@ from helpers import (
     moore_minimal_dfa,
     naive_closure,
     naive_closure_size,
+    naive_least_rotation,
     naive_letter_maps,
     naive_primitive,
     naive_root,
@@ -452,6 +453,30 @@ class TestMultisetSemigroup:
                     ms.restriction(j),
                     generate_closure(letter_actions(necklace.lyndon)),
                 )
+
+    @given(st.sampled_from(["a", "ab", "abc"]).flatmap(lambda letters: st.tuples(
+        st.just(letters),
+        st.lists(st.tuples(st.text(letters, min_size=1, max_size=5), st.integers(1, 3)),
+                 min_size=1, max_size=3),
+    )))
+    @settings(deadline=None)
+    def test_cycle_necklaces_pass_necklace_checks(self, drawn):
+        letters, items = drawn
+        alphabet = Alphabet(letters)
+        counts = {}
+        for text, mult in items:
+            lyndon = naive_least_rotation(naive_root(text))
+            counts[lyndon] = counts.get(lyndon, 0) + mult
+        m = NecklaceMultiset(alphabet, tuple(
+            (Necklace(alphabet.word(text)), mult) for text, mult in sorted(counts.items())
+        ))
+        ms = semigroup_of_multiset(m)
+        found = {}
+        for j in range(len(ms.cycle_domains)):
+            necklace = ms.cycle_necklace(j)
+            assert Necklace(necklace.lyndon) == necklace
+            found[str(necklace)] = found.get(str(necklace), 0) + 1
+        assert found == counts
 
     def test_empty_multiset_rejected(self):
         with pytest.raises(ValueError):

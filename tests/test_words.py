@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -57,6 +59,23 @@ class TestAlphabet:
             Word(AB, (0, 2))
         with pytest.raises(ValueError):
             AB.word("abc")
+
+    @given(st.text("abc", max_size=10), st.characters().filter(lambda c: c not in "abc"),
+           st.text(max_size=10))
+    def test_word_names_first_foreign_character(self, head, bad, tail):
+        message = f"character {bad!r} not in alphabet 'abc'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ABC.word(head + bad + tail)
+
+    @given(st.integers(1, 5), st.data())
+    def test_word_rejects_codes_just_outside_range(self, k, data):
+        alphabet = default_alphabet(k)
+        codes = data.draw(st.lists(st.integers(0, k - 1), max_size=8))
+        assert Word(alphabet, tuple(codes)).codes == tuple(codes)
+        for bad in (-1, k):
+            i = data.draw(st.integers(0, len(codes)))
+            with pytest.raises(ValueError, match="out of range"):
+                Word(alphabet, tuple(codes[:i] + [bad] + codes[i:]))
 
     def test_from_text_infers(self):
         w = from_text("bca")
@@ -152,6 +171,14 @@ class TestLyndonRepresentative:
     @given(binary_words.filter(lambda w: is_primitive(w)))
     def test_matches_min_over_rotations(self, w):
         assert str(lyndon_representative(w).lyndon) == naive_least_rotation(str(w))
+
+    @given(st.sampled_from(["a", "ab", "abc"]).flatmap(
+        lambda letters: st.text(letters, min_size=1, max_size=40).map(Alphabet(letters).word)
+    ).filter(lambda w: naive_primitive(str(w))))
+    def test_output_passes_necklace_checks(self, w):
+        necklace = lyndon_representative(w)
+        assert Necklace(necklace.lyndon) == necklace
+        assert str(necklace) == naive_least_rotation(str(w))
 
     @given(ternary_words.filter(lambda w: is_primitive(w)))
     def test_rotation_invariant_and_borderless(self, w):
