@@ -4,6 +4,8 @@
 For each n up to the requested bound, prints the exhaustive maximum over
 k-ary words, the refined ceiling n(n+1)/2 minus the guaranteed repeated
 factors, the de Bruijn prefix floor, and the lexicographically least witness.
+Asserts that the maximum is at least the de Bruijn prefix's factor count and
+that this count is at least its floor.
 """
 
 import argparse
@@ -29,7 +31,9 @@ def main():
         ceiling = n * (n + 1) // 2
         if n > args.k:
             ceiling -= repeated_factor_lower_bound(n, args.k)
-            floor = debruijn_factor_witness(n, args.k).lower_bound
+            prefix = debruijn_factor_witness(n, args.k)
+            floor = prefix.lower_bound
+            assert best >= prefix.distinct_count >= floor, (n, prefix)
         else:
             floor = best
         print(f"{n:>3} {best:>6} {ceiling:>8} {floor:>6}  {witness}")

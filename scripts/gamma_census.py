@@ -2,7 +2,8 @@
 """Census of block-permutation words and the de Bruijn sets they invert to.
 
 Enumerates every length-k^n word whose length-k blocks permute the alphabet,
-inverts each, and reports how the images split by necklace count.  The number
+inverts each, asserts that the image is a de Bruijn set that transforms back
+to the word, and reports how the images split by necklace count.  The number
 of single-necklace images (cyclic de Bruijn words) is checked against the
 counting formula (k!)^(k^(n-1)) / k^n.
 """
@@ -16,6 +17,7 @@ from ebwt.debruijn import (
     count_debruijn_words,
     debruijn_set_from_gamma,
     enumerate_gamma,
+    is_debruijn_set,
 )
 
 
@@ -34,6 +36,7 @@ def main():
     images = set()
     for v in enumerate_gamma(args.k, args.n, limit=args.limit):
         ds = debruijn_set_from_gamma(GammaWord(v, args.n))
+        assert is_debruijn_set(ds.inner, args.n)
         assert transform(ds.inner) == v
         key = tuple((str(x), mult) for x, mult in ds.inner.entries)
         images.add(key)

@@ -180,6 +180,9 @@ def _render_on(word: Word, override: str | None) -> str:
 
 def cmd_transform(args) -> int:
     m = _parse_multiset(_read_input(args), args.alphabet, args.canonicalize)
+    total, guard = m.total_length, args.guard_cells or DEFAULT_MAX_WORD_LENGTH
+    if total > guard:
+        raise ResourceLimitError(f"transform output needs {total} letters, over the guard {guard}")
     word = transform(m)
     _emit(args, {"word": str(word)}, [str(word)])
     return 0

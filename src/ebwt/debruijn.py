@@ -3,8 +3,10 @@
 A word of length k^n whose length-k blocks are alphabet permutations inverts
 to a de Bruijn set of span n, and conversely; the all-identity-block word
 inverts to the necklaces of Lyndon words of length dividing n, whose sorted
-concatenation is the lexicographically least de Bruijn word.  An independent
-Lyndon-successor enumeration provides the cross-check oracle.
+concatenation is the lexicographically least de Bruijn word.  Both routes
+build what the theorem proves and do not check the inverse again; the tests
+check it with `is_debruijn_set`, and an independent Lyndon-successor
+enumeration provides the cross-check oracle.
 """
 
 from __future__ import annotations
@@ -88,13 +90,20 @@ def is_debruijn_set(m: NecklaceMultiset, n: int) -> bool:
 
 
 def debruijn_set_from_gamma(v: GammaWord) -> DeBruijnSet:
-    """Invert a block-permutation word into its de Bruijn set of span n."""
-    m = inverse_transform(v.word)
-    if not is_debruijn_set(m, v.span):
-        raise AssertionError(
-            f"inverse of {v.word} is not a de Bruijn set of span {v.span}"
-        )
-    return DeBruijnSet(m, v.span)
+    """Invert a block-permutation word into its de Bruijn set of span n.
+
+    The inverse is not re-checked, because the paper's theorem proves it.
+    Each letter occurs k^{n-1} times in v, so position x of the sorted
+    column holds the letter x div k^{n-1}, the leading base-k digit of x.
+    The standard permutation sends x to the position of the j-th occurrence
+    of that letter, j = x mod k^{n-1}.  Block j holds it exactly once, so the
+    image is jk + r with r < k: its leading n-1 digits are the trailing n-1
+    digits of x.  Reading n letters along a cycle from x therefore spells x
+    in base k.  The k^n positions spell k^n distinct windows, so every word
+    of A^n is the length-n window of exactly one rotation, and no necklace
+    repeats.  `is_debruijn_set` checks this in the tests.
+    """
+    return DeBruijnSet(inverse_transform(v.word), v.span)
 
 
 def _log10_gamma_count(k: int, n: int) -> float:
@@ -131,6 +140,9 @@ def enumerate_gamma(k: int, n: int, limit: int = 10**6):
 def count_debruijn_words(k: int, n: int) -> int:
     """Number of de Bruijn words of span n over k letters: (k!)^(k^(n-1)) / k^n.
 
+    The division is exact: k divides k!, so k^(k^(n-1)) divides the
+    numerator, and k^(n-1) >= n for k >= 2.
+
     Refuses a count of more than MAX_COUNT_DIGITS digits.  Its length is
     checked in log space before any big integer exists (the margin of 1
     absorbs float rounding), then exactly.
@@ -138,9 +150,7 @@ def count_debruijn_words(k: int, n: int) -> int:
     if k < 2 or n < 1:
         raise ValueError("need k >= 2 and n >= 1")
     if _log10_gamma_count(k, n) - n * log10(k) <= MAX_COUNT_DIGITS + 1:
-        total, rem = divmod(factorial(k) ** (k ** (n - 1)), k**n)
-        if rem:
-            raise AssertionError(f"count formula not divisible for k={k}, n={n}")
+        total = factorial(k) ** (k ** (n - 1)) // k**n
         if total < 10**MAX_COUNT_DIGITS:
             return total
     raise ResourceLimitError(
@@ -161,11 +171,17 @@ def _check_generation_guard(k: int, n: int, max_length: int):
 
 def least_debruijn_set(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGTH) -> DeBruijnSet:
     """Invert the all-identity-block word: the necklaces of all Lyndon words
-    of length dividing n, each once."""
+    of length dividing n, each once.
+
+    The word (0 1 ... k-1)^(k^{n-1}) has length k^n and every block is the
+    identity, so it is a block-permutation word by construction and is not
+    scanned again.  Its standard permutation sends a*k^{n-1} + j to jk + a,
+    a rotation of the n base-k digits, so its cycles are the necklaces of
+    A^n, each once (see `debruijn_set_from_gamma` for the general proof).
+    """
     _check_generation_guard(k, n, max_length)
-    alphabet = default_alphabet(k)
-    v = Word(alphabet, tuple(range(k)) * (k ** (n - 1)))
-    return debruijn_set_from_gamma(GammaWord(v, n))
+    v = Word(default_alphabet(k), tuple(range(k)) * (k ** (n - 1)))
+    return DeBruijnSet(inverse_transform(v), n)
 
 
 def least_debruijn_word(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGTH) -> Word:

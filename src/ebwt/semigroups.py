@@ -170,9 +170,6 @@ class FiniteSemigroup:
             rows.append(tuple(row))
         return tuple(rows)
 
-    def multiply(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
 
 def _close(gens: dict[int, tuple], max_size: int, build) -> FiniteSemigroup:
     """Breadth-first closure of letter-labeled sparse partial maps; `build`

@@ -132,17 +132,6 @@ class Word:
     def __ge__(self, other: Word) -> bool:
         return other <= self
 
-    @property
-    def text(self) -> str:
-        return str(self)
-
-    def content(self) -> frozenset[int]:
-        """The set of letter codes occurring in the word."""
-        return frozenset(self.codes)
-
-    def count(self, code: int) -> int:
-        return self.codes.count(code)
-
 
 def _require_nonempty(w: Word, what: str):
     if len(w) == 0:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ebwt
+from ebwt import cli
 from ebwt.cli import main
 
 from helpers import naive_primitive
@@ -45,6 +46,24 @@ class TestTransform:
         code, out, _ = run(capsys, ["transform", "ba\nab x2", "--canonicalize"])
         assert code == 0
         assert out == "bbbaaa\n"
+
+    def test_output_guard_edge(self, capsys):
+        code, out, _ = run(capsys, ["transform", "ab x3", "--guard-cells", "6"])
+        assert code == 0
+        assert out == "bbbaaa\n"
+        code, out, err = run(capsys, ["transform", "ab x3", "--guard-cells", "5"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: transform output needs 6 letters, over the guard 5\n"
+
+    def test_output_guard_refuses_before_ranking(self, capsys, monkeypatch):
+        def fail(m):
+            raise AssertionError("transform ran past its guard")
+        monkeypatch.setattr(cli, "transform", fail)
+        code, out, err = run(capsys, ["transform", "ab x1000000000"])
+        assert code == 3
+        assert out == ""
+        assert "2000000000 letters" in err
 
     def test_json_boolean_multiplicity_rejected(self, capsys):
         payload = json.dumps({"necklaces": [{"lyndon": "ab", "multiplicity": True}]})

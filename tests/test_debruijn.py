@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -281,3 +283,49 @@ class TestGammaPermutationStructure:
             for v in enumerate_gamma(k, n):
                 m = debruijn_set_from_gamma(GammaWord(v, n)).inner
                 assert transform(m) == v
+
+
+@st.composite
+def block_permutation_words(draw):
+    """(v, n): a random word of span n whose blocks each permute the
+    alphabet, over 2 letters (n <= 12), 3 (n <= 6) or 4 (n <= 4)."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, {2: 12, 3: 6, 4: 4}[k]))
+    rng = draw(st.randoms(use_true_random=False))
+    codes = []
+    for _ in range(k ** (n - 1)):
+        block = list(range(k))
+        rng.shuffle(block)
+        codes.extend(block)
+    return Word(default_alphabet(k), tuple(codes)), n
+
+
+class TestProvedFacts:
+    """The facts that the library proves in docstrings instead of
+    re-checking on every call."""
+
+    @pytest.mark.parametrize(
+        "k,n", [(k, n) for k in (2, 3, 4) for n in range(1, 17) if k**n <= 2**16]
+    )
+    def test_least_set_is_debruijn(self, k, n):
+        ds = least_debruijn_set(k, n)
+        assert ds.span == n
+        assert is_debruijn_set(ds.inner, n)
+
+    @given(block_permutation_words())
+    @settings(max_examples=150, deadline=None)
+    def test_gamma_inverse_is_debruijn_and_transforms_back(self, case):
+        v, n = case
+        ds = debruijn_set_from_gamma(GammaWord(v, n))
+        assert ds.span == n
+        assert is_debruijn_set(ds.inner, n)
+        assert transform(ds.inner) == v
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_count_division_is_exact(self, monkeypatch, k, n):
+        # (5, 6) and (6, 6) exceed the default digit guard
+        monkeypatch.setattr(debruijn, "MAX_COUNT_DIGITS", 30_000)
+        numerator = factorial(k) ** (k ** (n - 1))
+        assert numerator % k**n == 0
+        assert count_debruijn_words(k, n) * k**n == numerator

@@ -161,3 +161,14 @@ class TestDeBruijnWitness:
             assert result.word.codes == full.codes[:n]
             assert result.distinct_count == brute_distinct_factors(result.word.codes)
             assert result.distinct_count >= result.lower_bound
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_floor_holds_without_a_library_check(self, k):
+        # the premise of the floor: the prefix's length-m windows are distinct
+        for n in range(k + 1, 301):
+            result = debruijn_factor_witness(n, k)
+            m, codes = result.span, result.word.codes
+            assert k ** (m - 1) < n <= k**m
+            assert len({codes[i:i + m] for i in range(n - m + 1)}) == n - m + 1
+            assert result.lower_bound == (n - m + 1) * (n - m + 2) // 2
+            assert result.distinct_count >= result.lower_bound
