@@ -7,7 +7,6 @@ from .bwt import (
     inverse_transform,
     standard_permutation,
     transform,
-    word_action,
 )
 from .debruijn import (
     DeBruijnSet,
@@ -16,16 +15,13 @@ from .debruijn import (
     debruijn_set_from_gamma,
     enumerate_gamma,
     is_debruijn_set,
-    is_gamma,
     least_debruijn_word,
     lyndon_concatenation_oracle,
 )
 from .errors import NotPrimitiveError, ResourceLimitError
 from .factors import (
-    FactorStats,
     debruijn_factor_witness,
     distinct_factors,
-    factor_stats,
     max_factors_exhaustive,
     repeated_factor_lower_bound,
 )
@@ -47,9 +43,7 @@ from .words import (
     Necklace,
     Word,
     conjugate_shift,
-    cyclic_factors,
     default_alphabet,
-    from_text,
     has_border,
     is_primitive,
     lyndon_representative,
@@ -60,18 +54,17 @@ from .words import (
 __all__ = [
     "Alphabet", "Word", "Necklace", "NecklaceMultiset", "StandardPermutation",
     "GammaWord", "DeBruijnSet", "PartialInjection",
-    "FiniteSemigroup", "MultisetSemigroup", "FactorStats",
+    "FiniteSemigroup", "MultisetSemigroup",
     "NotPrimitiveError", "ResourceLimitError",
     "LESS", "EQUAL", "GREATER",
     "conjugate_shift", "root", "is_primitive", "lyndon_representative",
-    "has_border", "omega_compare", "cyclic_factors", "default_alphabet",
-    "from_text",
-    "transform", "inverse_transform", "standard_permutation", "word_action",
-    "is_gamma", "is_debruijn_set", "debruijn_set_from_gamma",
+    "has_border", "omega_compare", "default_alphabet",
+    "transform", "inverse_transform", "standard_permutation",
+    "is_debruijn_set", "debruijn_set_from_gamma",
     "least_debruijn_word", "lyndon_concatenation_oracle",
     "count_debruijn_words", "enumerate_gamma",
     "letter_actions", "generate_closure", "syntactic_semigroup",
     "letter_induced_isomorphic", "semigroup_of_multiset",
-    "distinct_factors", "factor_stats", "max_factors_exhaustive",
+    "distinct_factors", "max_factors_exhaustive",
     "repeated_factor_lower_bound", "debruijn_factor_witness",
 ]

@@ -130,22 +130,6 @@ def standard_permutation(w: Word) -> StandardPermutation:
     return StandardPermutation(w.alphabet, tuple(image), tuple(sorted(codes)))
 
 
-def word_action(p: StandardPermutation, i: int, u: Word) -> int | None:
-    """Compose the per-letter partial maps of p along u, starting from i.
-
-    Returns the final position, or None as soon as a step is undefined; the
-    empty word acts as the identity.
-    """
-    if not 0 <= i < p.size:
-        raise ValueError(f"position {i} outside 0..{p.size - 1}")
-    pos: int | None = i
-    for letter in u.codes:
-        pos = p.apply_letter(pos, letter)
-        if pos is None:
-            return None
-    return pos
-
-
 def transform(m: NecklaceMultiset) -> Word:
     """The extended Burrows-Wheeler transform of a necklace multiset.
 

@@ -9,6 +9,7 @@ before the output is written (`ebwt ... | head`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,6 +26,7 @@ from .debruijn import (
 )
 from .errors import NotPrimitiveError, ResourceLimitError
 from .factors import (
+    DEFAULT_FACTOR_LETTERS,
     DEFAULT_SCAN_WORDS,
     debruijn_factor_witness,
     distinct_factors,
@@ -178,11 +180,16 @@ def _render_on(word: Word, override: str | None) -> str:
     return alphabet.render(word.codes)
 
 
+def _check_letters(what: str, letters: int, guard: int) -> None:
+    """Refuse, before any work, a word of more letters than the guard."""
+    if letters > guard:
+        raise ResourceLimitError(f"{what} {letters} letters, over the guard {guard}")
+
+
 def cmd_transform(args) -> int:
     m = _parse_multiset(_read_input(args), args.alphabet, args.canonicalize)
-    total, guard = m.total_length, args.guard_cells or DEFAULT_MAX_WORD_LENGTH
-    if total > guard:
-        raise ResourceLimitError(f"transform output needs {total} letters, over the guard {guard}")
+    _check_letters("transform output needs", m.total_length,
+                   args.guard_cells or DEFAULT_MAX_WORD_LENGTH)
     word = transform(m)
     _emit(args, {"word": str(word)}, [str(word)])
     return 0
@@ -193,6 +200,7 @@ def cmd_invert(args) -> int:
     if not text:
         _emit(args, {"necklaces": []}, [])
         return 0
+    _check_letters("invert input has", len(text), args.guard_cells or DEFAULT_MAX_WORD_LENGTH)
     m = inverse_transform(_parse_word(text, args.alphabet))
     _emit(args, _multiset_payload(m), _multiset_lines(m))
     return 0
@@ -328,6 +336,8 @@ def cmd_factors(args) -> int:
         return 0
     if args.word is None:
         raise CLIError("factors needs a word, --max, or --witness")
+    _check_letters("factors input has", len(args.word),
+                   args.guard_cells or DEFAULT_FACTOR_LETTERS)
     count = distinct_factors(_parse_word(args.word, args.alphabet))
     _emit(args, {"distinct_factors": count}, [str(count)])
     return 0
@@ -343,6 +353,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",

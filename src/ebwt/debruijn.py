@@ -25,6 +25,20 @@ DEFAULT_MAX_WORD_LENGTH = 2**24
 MAX_COUNT_DIGITS = 4300
 
 
+def power_exceeds(k: int, n: int, limit: int) -> bool:
+    """Whether k^n > limit, for k >= 1, building k^n only for small n: when
+    k >= 2, every n >= limit.bit_length() gives k^n >= 2^n > limit."""
+    return (k >= 2 and n >= limit.bit_length()) or k**n > limit
+
+
+def power_text(k: int, n: int) -> str:
+    """k^n in decimal when it has fewer than MAX_COUNT_DIGITS digits, else
+    written as "k^n", so that a message never builds a huge power."""
+    if n * log10(k) < MAX_COUNT_DIGITS - 1:
+        return str(k**n)
+    return f"{k}^{n}"
+
+
 def first_bad_block(w: Word, k: int, n: int) -> int | None:
     """Index of the first length-k block that is not an alphabet permutation,
     or None when all k^{n-1} blocks are.  Assumes |w| = k^n."""
@@ -35,11 +49,6 @@ def first_bad_block(w: Word, k: int, n: int) -> int | None:
     return None
 
 
-def is_gamma(w: Word, k: int, n: int) -> bool:
-    """True iff |w| = k^n and every length-k block permutes the alphabet."""
-    return len(w) == k**n and first_bad_block(w, k, n) is None
-
-
 @dataclass(frozen=True)
 class GammaWord:
     """A length-k^n word whose k^{n-1} blocks each permute the alphabet."""
@@ -48,18 +57,14 @@ class GammaWord:
     span: int
 
     def __post_init__(self):
-        k = self.word.alphabet.size
-        if len(self.word) != k**self.span:
+        k, length = self.word.alphabet.size, len(self.word)
+        if power_exceeds(k, self.span, length) or k**self.span != length:
             raise ValueError(
-                f"word length {len(self.word)} is not {k}^{self.span}"
+                f"word length {length} is not {k}^{self.span}"
             )
         bad = first_bad_block(self.word, k, self.span)
         if bad is not None:
             raise ValueError(f"block {bad} is not a permutation of the alphabet")
-
-    @property
-    def k(self) -> int:
-        return self.word.alphabet.size
 
 
 @dataclass(frozen=True)
@@ -162,9 +167,9 @@ def count_debruijn_words(k: int, n: int) -> int:
 def _check_generation_guard(k: int, n: int, max_length: int):
     if k < 2 or n < 1:
         raise ValueError("need k >= 2 and n >= 1")
-    if k**n > max_length:
+    if power_exceeds(k, n, max_length):
         raise ResourceLimitError(
-            f"span-{n} generation over {k} letters needs k^n = {k**n} "
+            f"span-{n} generation over {k} letters needs k^n = {power_text(k, n)} "
             f"positions, over the guard {max_length}"
         )
 
@@ -206,10 +211,10 @@ def _lyndon_words_up_to(n: int, k: int):
         w[-1] += 1
 
 
-def lyndon_concatenation_oracle(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGTH) -> Word:
+def lyndon_concatenation_oracle(k: int, n: int) -> Word:
     """Concatenate all Lyndon words of length dividing n in lexicographic
     order.  Independent of the transform machinery, for cross-validation."""
-    _check_generation_guard(k, n, max_length)
+    _check_generation_guard(k, n, DEFAULT_MAX_WORD_LENGTH)
     codes = []
     for u in _lyndon_words_up_to(n, k):
         if n % len(u) == 0:

@@ -11,11 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .debruijn import DEFAULT_MAX_WORD_LENGTH, least_debruijn_word
+from .debruijn import DEFAULT_MAX_WORD_LENGTH, least_debruijn_word, power_exceeds, power_text
 from .errors import ResourceLimitError
 from .words import Word, default_alphabet
 
 DEFAULT_SCAN_WORDS = 2**18
+# Letters of a word whose factors are counted: its suffix automaton takes
+# about 600 B per letter, so about 0.6 GB.
+DEFAULT_FACTOR_LETTERS = 2**20
 
 
 def count_distinct_factors(codes) -> int:
@@ -61,37 +64,18 @@ def distinct_factors(w: Word) -> int:
     return count_distinct_factors(w.codes)
 
 
-@dataclass(frozen=True)
-class FactorStats:
-    """Distinct-factor count of a word, with the universal envelope checked:
-    n <= count <= n(n+1)/2."""
-
-    length: int
-    distinct_count: int
-    alphabet_size: int
-
-    def __post_init__(self):
-        n = self.length
-        if not n <= self.distinct_count <= n * (n + 1) // 2:
-            raise ValueError(
-                f"count {self.distinct_count} outside [{n}, {n * (n + 1) // 2}]"
-            )
-
-
-def factor_stats(w: Word) -> FactorStats:
-    return FactorStats(len(w), distinct_factors(w), w.alphabet.size)
-
-
 def max_factors_exhaustive(n: int, k: int,
                            max_words: int = DEFAULT_SCAN_WORDS) -> tuple[int, Word]:
     """Maximum distinct-factor count over all k-ary words of length n, with
     the lexicographically least witness."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    if k**n > max_words:
-        raise ResourceLimitError(
-            f"scanning {k}^{n} = {k**n} words exceeds the {max_words}-word guard"
-        )
+    if power_exceeds(k, n, max_words):
+        size = f"{k}^{n}"
+        count = power_text(k, n)
+        if count != size:
+            size += f" = {count}"
+        raise ResourceLimitError(f"scanning {size} words exceeds the {max_words}-word guard")
     alphabet = default_alphabet(k)
     best = -1
     witness = None

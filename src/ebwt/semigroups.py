@@ -54,14 +54,6 @@ class PartialInjection:
             if not 0 <= x < self.degree:
                 raise ValueError(f"point {x} outside degree {self.degree}")
 
-    @classmethod
-    def empty(cls, degree: int) -> PartialInjection:
-        return cls(degree, ())
-
-    @classmethod
-    def identity(cls, degree: int) -> PartialInjection:
-        return cls(degree, tuple((i, i) for i in range(degree)))
-
     @cached_property
     def _map(self) -> dict[int, int]:
         return dict(self.pairs)
@@ -138,19 +130,12 @@ class FiniteSemigroup:
         return tuple(map(self._build, self._keys))
 
     @cached_property
-    def _index(self) -> dict:
-        return {e: i for i, e in enumerate(self.elements)}
-
-    @cached_property
     def element_words(self) -> tuple[tuple[int, ...], ...]:
         words: list[tuple[int, ...]] = []
         for p, c in zip(self._parent, self._last):
             a = self._letters[c]
             words.append((a,) if p < 0 else words[p] + (a,))
         return tuple(words)
-
-    def index_of(self, element) -> int:
-        return self._index[element]
 
     def right_by_letter(self, i: int, letter: int) -> int:
         """Index of elements[i] composed with the generator of `letter`."""
@@ -341,7 +326,7 @@ class MultisetSemigroup:
     def _letter_generator(self, a: int) -> PartialInjection:
         return self.semigroup.elements[self.semigroup.generators[a]]
 
-    def restriction(self, j: int, max_size: int = DEFAULT_CLOSURE_SIZE) -> FiniteSemigroup:
+    def restriction(self, j: int) -> FiniteSemigroup:
         """The image of the restriction homomorphism onto cycle j, renumbered
         to degree |cycle|: the closure of the restricted letter actions."""
         domain = self.cycle_domains[j]
@@ -349,7 +334,7 @@ class MultisetSemigroup:
             a: self._letter_generator(a).restrict_renumbered(domain)
             for a in range(self.alphabet.size)
         }
-        return generate_closure(gens, max_size)
+        return generate_closure(gens)
 
     def restriction_tuple(self, i: int) -> tuple[PartialInjection, ...]:
         """Element i restricted to every cycle; the separating invariant."""
@@ -366,11 +351,10 @@ class MultisetSemigroup:
         return Necklace.unchecked(Word(self.alphabet, codes))
 
 
-def semigroup_of_multiset(m: NecklaceMultiset,
-                          max_size: int = DEFAULT_CLOSURE_SIZE) -> MultisetSemigroup:
+def semigroup_of_multiset(m: NecklaceMultiset) -> MultisetSemigroup:
     """Close the per-letter injections of the transform of a multiset."""
     if m.total_length == 0:
         raise ValueError("the empty multiset has no letter actions")
     p = standard_permutation(transform(m))
-    closure = generate_closure(letter_injections(p), max_size)
+    closure = generate_closure(letter_injections(p))
     return MultisetSemigroup(m.alphabet, closure, tuple(p.cycles()), p.sorted_codes)

@@ -77,11 +77,6 @@ def default_alphabet(k: int) -> Alphabet:
     return Alphabet(LOWERCASE[:k])
 
 
-def from_text(text: str) -> Word:
-    """Build a word over the alphabet inferred from its own characters."""
-    return Alphabet("".join(sorted(set(text)))).word(text)
-
-
 @dataclass(frozen=True, order=False)
 class Word:
     """An immutable word: integer codes over a fixed alphabet.
@@ -169,7 +164,8 @@ def root(w: Word) -> Word:
 
 def is_primitive(w: Word) -> bool:
     """True iff w is not a proper power of a shorter word."""
-    return len(root(w)) == len(w)
+    _require_nonempty(w, "root")
+    return least_rotation_start(w.codes) is not None
 
 
 def has_border(w: Word) -> bool:
@@ -178,44 +174,59 @@ def has_border(w: Word) -> bool:
     return prefix_function(w.codes)[len(w) - 1] > 0
 
 
-def least_rotation_index(codes) -> int:
-    """Index of the lexicographically least rotation (Booth's algorithm)."""
+def least_rotation_start(codes) -> int | None:
+    """Start of the least rotation of a nonempty code sequence, or None when
+    the sequence is a proper power: one scan answers both questions.
+
+    Two starts i < j are compared letter by letter along the doubled
+    sequence.  At the first mismatch, at offset k, rotation i + t and rotation
+    j + t differ first at that same letter for every t <= k, so the k + 1
+    starts on the larger side each lose to a rotation and are dropped: j
+    moves past j..j+k, or i takes j and j moves past both j and i..i+k.
+    Hence a start of a least rotation is always i or at least j.  When j
+    passes the end, i is the only start of a least rotation in 0..n-1; a
+    proper power repeats its least rotation, so the sequence is primitive.
+    When k reaches n, the distinct rotations i and j are equal, so shifting
+    by j - i fixes the sequence, which then has a period properly dividing n
+    and is a proper power.  Each mismatch adds k + 1 to i + j < 2n, so the
+    scan makes O(n) comparisons.
+    """
+    n = len(codes)
     s = codes + codes
-    f = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+        elif a < b:
+            j += k + 1
+            k = 0
         else:
-            f[j - k] = i + 1
-    return k
+            i, j = j, max(j + 1, i + k + 1)
+            k = 0
+    return i if k < n else None
 
 
 @dataclass(frozen=True, order=False)
 class Necklace:
     """A conjugacy class of a primitive word, held by its Lyndon rotation.
 
-    `Necklace(word)` checks that the word is primitive and its own least
-    rotation.  `Necklace.unchecked(word)` skips both checks, for the callers
-    that have just proved them: `lyndon_representative` and the cycles of a
-    standard permutation (see `bwt.inverse_transform`).
+    `Necklace(word)` checks, in one `least_rotation_start` scan, that the
+    word is primitive and its own least rotation.  `Necklace.unchecked(word)`
+    skips both checks, for the callers that have just proved them:
+    `lyndon_representative` and the cycles of a standard permutation (see
+    `bwt.inverse_transform`).
     """
 
     lyndon: Word
 
     def __post_init__(self):
         w = self.lyndon
-        if not is_primitive(w):
+        _require_nonempty(w, "root")
+        start = least_rotation_start(w.codes)
+        if start is None:
             raise NotPrimitiveError(f"necklace word must be primitive: {w}", root(w))
-        if least_rotation_index(w.codes) != 0:
+        if start != 0:
             raise ValueError(f"necklace representative is not the least rotation: {w}")
 
     @classmethod
@@ -249,14 +260,14 @@ def lyndon_representative(w: Word) -> Necklace:
     """The necklace of a primitive word, canonicalized to its least rotation.
 
     Raises NotPrimitiveError (carrying root(w)) on a proper power: taking the
-    root is the caller's decision, never an implicit one.  Having checked
-    primitivity and found the least rotation, it builds the necklace without
-    `Necklace`'s second check of both.
+    root is the caller's decision, never an implicit one.  One scan checks
+    primitivity and finds the least rotation, so the necklace is built
+    without `Necklace`'s check of both.
     """
     _require_nonempty(w, "necklace")
-    if not is_primitive(w):
+    i = least_rotation_start(w.codes)
+    if i is None:
         raise NotPrimitiveError(f"word is not primitive: {w}", root(w))
-    i = least_rotation_index(w.codes)
     return Necklace.unchecked(Word(w.alphabet, w.codes[i:] + w.codes[:i]))
 
 
@@ -277,14 +288,3 @@ def omega_compare(u: Word, v: Word) -> int:
             return LESS if ca < cb else GREATER
     return EQUAL
 
-
-def cyclic_factors(w: Word, m: int) -> list[Word]:
-    """The |w| length-m factors of w^omega starting at positions 0..|w|-1.
-
-    Returned with multiplicity, in starting-position order.
-    """
-    _require_nonempty(w, "cyclic factor")
-    if not 1 <= m <= len(w):
-        raise ValueError(f"cyclic factor length must be in 1..{len(w)}, got {m}")
-    doubled = w.codes + w.codes
-    return [Word(w.alphabet, doubled[i:i + m]) for i in range(len(w))]

@@ -8,7 +8,6 @@ from ebwt.bwt import (
     inverse_transform,
     standard_permutation,
     transform,
-    word_action,
 )
 from ebwt.errors import ResourceLimitError
 from ebwt.words import Alphabet, Necklace, Word, lyndon_representative, root
@@ -182,18 +181,20 @@ class TestStandardPermutation:
 
 
 class TestWordAction:
+    """The per-letter partial maps of the standard permutation, walked along
+    a word."""
+
     def test_paper_cycle(self):
         p = standard_permutation(W("babbaaba"))
-        assert word_action(p, 0, W("aab")) == 0
-
-    def test_empty_word_is_identity(self):
-        p = standard_permutation(W("babbaaba"))
-        for i in range(8):
-            assert word_action(p, i, Word(AB, ())) == i
+        pos = 0
+        for letter in W("aab").codes:
+            pos = p.apply_letter(pos, letter)
+        assert pos == 0
 
     def test_undefined_step(self):
         p = standard_permutation(W("babbaaba"))
-        assert word_action(p, 0, W("b")) is None
+        assert p.letter_of(0) == 0
+        assert p.apply_letter(0, 1) is None
 
 
 class TestInverseTransform:

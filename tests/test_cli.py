@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,26 @@ class TestInvert:
         assert code == 0
         assert word_again == word_out
 
+    def test_input_guard_edge(self, capsys):
+        code, out, _ = run(capsys, ["invert", "babbaaba", "--guard-cells", "8"])
+        assert code == 0
+        assert out == "aab\nab\nabb\n"
+        code, out, err = run(capsys, ["invert", "babbaaba", "--guard-cells", "7"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: invert input has 8 letters, over the guard 7\n"
+
+    def test_input_guard_refuses_before_parsing(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("invert ran past its guard")
+        monkeypatch.setattr(cli, "_parse_word", fail)
+        monkeypatch.setattr(cli, "inverse_transform", fail)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("ab" * 2**23 + "a\n"))
+        code, out, err = run(capsys, ["invert"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: invert input has 16777217 letters, over the guard 16777216\n"
+
 
 class TestDeBruijn:
     def test_least_span5(self, capsys):
@@ -199,6 +220,36 @@ class TestDeBruijn:
         code, _, err = run(capsys, ["debruijn", "2", "25", "--least",
                                     "--guard-cells", "1024"])
         assert code == 3
+
+    def test_guard_message_names_small_power(self, capsys):
+        code, out, err = run(capsys, ["debruijn", "2", "30", "--least"])
+        assert code == 3
+        assert out == ""
+        assert err == ("error: span-30 generation over 2 letters needs k^n = 1073741824 "
+                       "positions, over the guard 16777216\n")
+
+    @pytest.mark.parametrize("argv,power", [
+        (["debruijn", "2", "3000000", "--least"], "k^n = 2^3000000 positions"),
+        (["debruijn", "7", "30000000", "--least"], "k^n = 7^30000000 positions"),
+        (["debruijn", "2", "100000000000", "--least"], "k^n = 2^100000000000 positions"),
+        (["factors", "--max", "30000000", "2"], "scanning 2^30000000 words"),
+    ])
+    def test_huge_power_refused_without_building_it(self, capsys, argv, power):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert power in err
+
+    def test_from_gamma_huge_span_is_an_input_error(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["debruijn", "7", "30000000", "--from-gamma", "abcdefg"])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == "error: word length 7 is not 7^30000000\n"
 
     def test_alphabet_rendering(self, capsys):
         code, out, _ = run(capsys, ["debruijn", "2", "3", "--least",
@@ -312,6 +363,29 @@ class TestFactors:
     def test_max_guard(self, capsys):
         code, _, _ = run(capsys, ["factors", "--max", "30", "2"])
         assert code == 3
+        code, out, err = run(capsys, ["factors", "--max", "20", "2"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: scanning 2^20 = 1048576 words exceeds the 262144-word guard\n"
+
+    def test_word_guard_edge(self, capsys):
+        code, out, _ = run(capsys, ["factors", "abab", "--guard-cells", "4"])
+        assert code == 0
+        assert out == "7\n"
+        code, out, err = run(capsys, ["factors", "abab", "--guard-cells", "3"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: factors input has 4 letters, over the guard 3\n"
+
+    def test_word_guard_refuses_before_counting(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("factors ran past its guard")
+        monkeypatch.setattr(cli, "_parse_word", fail)
+        monkeypatch.setattr(cli, "distinct_factors", fail)
+        code, out, err = run(capsys, ["factors", "ab" * 2**19 + "a"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: factors input has 1048577 letters, over the guard 1048576\n"
 
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, ["factors"])
@@ -360,6 +434,29 @@ class TestJsonParity:
             for e in entries
         ]
         assert text_out.splitlines() == rebuilt
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_runs_in_a_row_match_fresh_runs(self, capsys):
+        argvs = [
+            ["transform", "aab\nab\nabb"],
+            ["invert", "babbaaba", "--json"],
+            ["debruijn", "2", "3", "--bogus"],
+            ["debruijn", "2", "3", "--least", "--alphabet", "01"],
+            ["factors", "--max", "3", "2"],
+            ["semigroup", "ab", "--check-iso", "--guard-cells", "2"],
+            ["invert", "babbaaba"],
+            ["factors", "abab", "--json"],
+        ]
+        fresh = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, argv))
+        assert [run(capsys, argv) for argv in argvs] == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 3, 0, 0]
 
 
 class TestArgumentErrors:

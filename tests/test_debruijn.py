@@ -12,7 +12,6 @@ from ebwt.debruijn import (
     enumerate_gamma,
     first_bad_block,
     is_debruijn_set,
-    is_gamma,
     least_debruijn_set,
     least_debruijn_word,
     lyndon_concatenation_oracle,
@@ -31,17 +30,27 @@ ALPHA, BETA = "ab", "ba"
 
 
 class TestIsGamma:
+    """Membership in Gamma: `GammaWord` accepts exactly the length-k^n words
+    whose blocks all permute the alphabet, and `first_bad_block` names the
+    first block that does not."""
+
     def test_valid_span4(self):
-        assert is_gamma(W(BETA + ALPHA * 2 + BETA * 2 + ALPHA * 2 + BETA), 2, 4)
+        w = W(BETA + ALPHA * 2 + BETA * 2 + ALPHA * 2 + BETA)
+        assert first_bad_block(w, 2, 4) is None
+        assert GammaWord(w, 4).word == w
 
     def test_invalid_blocks(self):
-        assert not is_gamma(W("babbaaba"), 2, 3)
+        assert first_bad_block(W("babbaaba"), 2, 3) is not None
+        with pytest.raises(ValueError, match="is not a permutation"):
+            GammaWord(W("babbaaba"), 3)
 
     def test_single_block(self):
-        assert is_gamma(W("ab"), 2, 1)
+        assert first_bad_block(W("ab"), 2, 1) is None
+        assert GammaWord(W("ab"), 1).span == 1
 
     def test_wrong_length(self):
-        assert not is_gamma(W("ab"), 2, 2)
+        with pytest.raises(ValueError, match="word length 2 is not 2\\^2"):
+            GammaWord(W("ab"), 2)
 
     def test_first_bad_block_index(self):
         # blocks ba|bb|aa|ba: index 1 is the first non-permutation
@@ -162,7 +171,7 @@ class TestEnumerateGamma:
 
     def test_all_validate(self):
         for v in enumerate_gamma(3, 1):
-            assert is_gamma(v, 3, 1)
+            assert len(v) == 3 and first_bad_block(v, 3, 1) is None
 
 
 class TestCounting:

@@ -4,11 +4,9 @@ import pytest
 
 from ebwt.errors import ResourceLimitError
 from ebwt.factors import (
-    FactorStats,
     count_distinct_factors,
     debruijn_factor_witness,
     distinct_factors,
-    factor_stats,
     max_factors_exhaustive,
     repeated_factor_lower_bound,
 )
@@ -56,18 +54,6 @@ class TestDistinctFactors:
 
 
 class TestFactorStats:
-    def test_wraps_count(self):
-        stats = factor_stats(W("abab"))
-        assert (stats.length, stats.distinct_count, stats.alphabet_size) == (4, 7, 2)
-
-    def test_envelope_validated(self):
-        FactorStats(3, 3, 2)
-        FactorStats(3, 6, 3)
-        with pytest.raises(ValueError):
-            FactorStats(3, 2, 2)
-        with pytest.raises(ValueError):
-            FactorStats(3, 7, 3)
-
     def test_envelope_exhaustive_binary(self):
         for n in range(1, 11):
             ceiling = n * (n + 1) // 2

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ebwt.errors import NotPrimitiveError
 from ebwt.words import (
@@ -12,11 +12,10 @@ from ebwt.words import (
     Necklace,
     Word,
     conjugate_shift,
-    cyclic_factors,
     default_alphabet,
-    from_text,
     has_border,
     is_primitive,
+    least_rotation_start,
     lyndon_representative,
     omega_compare,
     root,
@@ -76,11 +75,6 @@ class TestAlphabet:
             i = data.draw(st.integers(0, len(codes)))
             with pytest.raises(ValueError, match="out of range"):
                 Word(alphabet, tuple(codes[:i] + [bad] + codes[i:]))
-
-    def test_from_text_infers(self):
-        w = from_text("bca")
-        assert w.alphabet.letters == "abc"
-        assert str(w) == "bca"
 
 
 class TestConjugateShift:
@@ -188,6 +182,66 @@ class TestLyndonRepresentative:
             assert lyndon_representative(W(r, ABC)) == necklace
 
 
+class TestLeastRotationStart:
+    """The one necklace scan: the least rotation's start, or None on a power."""
+
+    @staticmethod
+    def check(text: str, alphabet: Alphabet):
+        start = least_rotation_start(alphabet.word(text).codes)
+        if naive_primitive(text):
+            assert start is not None, text
+            assert text[start:] + text[:start] == naive_least_rotation(text), text
+        else:
+            assert start is None, text
+
+    def test_exhaustive_small(self):
+        for k, max_len in ((2, 14), (3, 9)):
+            alphabet = default_alphabet(k)
+            for n in range(1, max_len + 1):
+                for codes in all_words(k, n):
+                    self.check(alphabet.render(codes), alphabet)
+
+    @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+        st.just(default_alphabet(k)),
+        st.text(default_alphabet(k).letters, min_size=1, max_size=300),
+        st.text(default_alphabet(k).letters, min_size=1, max_size=60),
+        st.integers(2, 5),
+    )))
+    @settings(max_examples=200, deadline=None)
+    def test_words_up_to_300_letters(self, case):
+        # random words rarely are powers, so powers of a shorter word are
+        # drawn as well
+        alphabet, text, base, power = case
+        self.check(text, alphabet)
+        self.check(base * power, alphabet)
+
+    @pytest.mark.parametrize("call,text,error,message,root_text", [
+        (Necklace, "", ValueError, "root is undefined for the empty word", None),
+        (Necklace, "abab", NotPrimitiveError, "necklace word must be primitive: abab", "ab"),
+        (Necklace, "aaa", NotPrimitiveError, "necklace word must be primitive: aaa", "a"),
+        (Necklace, "ba", ValueError,
+         "necklace representative is not the least rotation: ba", None),
+        (Necklace, "bca", ValueError,
+         "necklace representative is not the least rotation: bca", None),
+        (Necklace, "abcabc", NotPrimitiveError,
+         "necklace word must be primitive: abcabc", "abc"),
+        (lyndon_representative, "", ValueError, "necklace is undefined for the empty word",
+         None),
+        (lyndon_representative, "abab", NotPrimitiveError, "word is not primitive: abab", "ab"),
+        (lyndon_representative, "aaa", NotPrimitiveError, "word is not primitive: aaa", "a"),
+        (lyndon_representative, "abcabc", NotPrimitiveError,
+         "word is not primitive: abcabc", "abc"),
+        (is_primitive, "", ValueError, "root is undefined for the empty word", None),
+        (root, "", ValueError, "root is undefined for the empty word", None),
+    ])
+    def test_errors(self, call, text, error, message, root_text):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as err:
+            call(ABC.word(text))
+        assert type(err.value) is error
+        if root_text is not None:
+            assert str(err.value.root) == root_text
+
+
 class TestHasBorder:
     @pytest.mark.parametrize("text,expected", [
         ("aab", False),
@@ -253,29 +307,3 @@ class TestOmegaCompare:
         lex = -1 if u < v else (1 if u > v else 0)
         assert omega_compare(u, v) == lex
 
-
-class TestCyclicFactors:
-    def test_rotations(self):
-        assert [str(f) for f in cyclic_factors(W("aab"), 3)] == ["aab", "aba", "baa"]
-        assert [str(f) for f in cyclic_factors(W("ab"), 2)] == ["ab", "ba"]
-
-    def test_debruijn_span4_covers_all(self):
-        factors = cyclic_factors(W("aaaabbbbaababbab"), 4)
-        assert sorted(f.codes for f in factors) == sorted(all_words(2, 4))
-
-    def test_length_guard(self):
-        with pytest.raises(ValueError):
-            cyclic_factors(W("ab"), 3)
-        with pytest.raises(ValueError):
-            cyclic_factors(W("ab"), 0)
-
-    @given(binary_words, st.data())
-    def test_cardinality_and_membership(self, w, data):
-        m = data.draw(st.integers(1, len(w)))
-        factors = cyclic_factors(w, m)
-        assert len(factors) == len(w)
-        doubled = w.codes + w.codes
-        for f in factors:
-            assert any(
-                doubled[i:i + m] == f.codes for i in range(len(w))
-            )
