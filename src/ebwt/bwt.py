@@ -2,12 +2,13 @@
 
 The forward map sends a finite multiset of necklaces to the word of last
 letters of its rotations sorted by the omega-order.  It ranks the rotations
-of the distinct necklaces by prefix doubling over cyclic positions and
-writes each last letter once per copy, so it costs O(N log N) in the total
-length N of the distinct necklaces plus the output length.  The inverse
-reads the cycles of the standard permutation, built by one stable sort of
-positions by letter, and takes each cycle as a Lyndon word without checking
-it again.
+of the distinct necklaces by prefix doubling over cyclic positions, with the
+early rounds packing prefixes into exact base-k integers, and writes each
+last letter once per copy, so it costs O(N log N) in the total length N of
+the distinct necklaces plus the output length.  The inverse reads the cycles
+of the standard permutation, built by one stable sort of positions by letter,
+counts the letter tuples they spell, and builds one necklace per distinct
+tuple, taking it as a Lyndon word without checking it again.
 """
 
 from __future__ import annotations
@@ -15,10 +16,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 # omega_compare is unused here; bench/tracing.py counts calls at bwt.omega_compare.
 from .words import Alphabet, Necklace, Word, lyndon_representative, omega_compare  # noqa: F401
+
+# The largest width squared at which a ranking round still packs key pairs
+# without renumbering them: keys stay within two 30-bit CPython int digits.
+PACKED_KEY_LIMIT = 2**60
 
 
 @dataclass(frozen=True)
@@ -100,19 +105,26 @@ class StandardPermutation:
         return self.image[i]
 
     def cycles(self) -> list[tuple[int, ...]]:
-        """Disjoint cycles, listed by minimal element, each read from it."""
-        seen = [False] * self.size
+        """Disjoint cycles, listed by minimal element, each read from it.
+
+        Each cycle is followed from its start until the permutation returns
+        there; the next start is the first position not yet seen, which
+        `bytearray.find` locates in C.
+        """
+        image = self.image
+        seen = bytearray(len(image))
         out = []
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            cycle = []
-            i = start
-            while not seen[i]:
-                seen[i] = True
+        start = seen.find(0)
+        while start >= 0:
+            seen[start] = 1
+            cycle = [start]
+            i = image[start]
+            while i != start:
+                seen[i] = 1
                 cycle.append(i)
-                i = self.image[i]
+                i = image[i]
             out.append(tuple(cycle))
+            start = seen.find(0, start + 1)
         return out
 
 
@@ -134,16 +146,29 @@ def transform(m: NecklaceMultiset) -> Word:
     """The extended Burrows-Wheeler transform of a necklace multiset.
 
     Ranks the rotations of the distinct necklaces by the omega-order with
-    prefix doubling (Manber and Myers) on cyclic positions: after round h the
-    rank of position i orders the first 2^h letters of its rotation's
-    infinite power, and round h + 1 pairs it with the rank of the position
-    2^h further round the same necklace.  Two rotations of lengths p and q
-    with equal prefixes of length p + q - gcd(p, q) have equal infinite
-    powers (Fine and Wilf), hence equal roots; rotations of distinct
-    primitive necklaces never do, so every rank is distinct once the span
-    reaches 2 * maxlen, and usually long before.  The copies of one necklace
-    have equal rotations, which sit adjacent in the sorted order, so each
-    rotation's last letter is written out once per copy.
+    prefix doubling (Manber and Myers) on cyclic positions.  After round h
+    the key of position i orders the first span = 2^h letters of its
+    rotation's infinite power.  Round h + 1 pairs it with the key of the
+    position span further round the same necklace, as key * width + key',
+    where every key is below width, so the new key is below width squared.
+
+    The first keys are the letter codes, with width k.  Packed this way, the
+    key after h rounds is the exact base-k value of the first span letters:
+    equal keys mean equal prefixes of length span, and keys of one width
+    compare as those prefixes do lexicographically.  These rounds need no
+    sort and no dict.  Once width squared would pass PACKED_KEY_LIMIT, the
+    keys are first renumbered densely by one sort of the distinct keys, and
+    the width drops to their number.  Pairing is exact at any width, so the
+    limit only keeps the integers small.
+
+    Two rotations of lengths p and q with equal prefixes of length
+    p + q - gcd(p, q) have equal infinite powers (Fine and Wilf), hence equal
+    roots; rotations of distinct primitive necklaces never do.  So every key
+    is distinct once the span reaches 2 * maxlen, and usually long before.
+    The rounds stop as soon as the keys are distinct, and one sort of the
+    positions by key gives the order, with no last renumbering.  The copies
+    of one necklace have equal rotations, which sit adjacent in that order,
+    so each rotation's last letter is written out once per copy.
     """
     codes: list[int] = []
     last: list[int] = []
@@ -158,20 +183,22 @@ def transform(m: NecklaceMultiset) -> Word:
         nxt.append(start)
         mults.extend(repeat(mult, len(c)))
     n = len(codes)
-    base = max(n, m.alphabet.size)
     limit = 2 * max((len(necklace) for necklace, _ in m.entries), default=0)
-    rank, span, distinct = codes, 1, len(set(codes))
-    while distinct < n and span < limit:
-        keys = [r * base + rank[j] for r, j in zip(rank, nxt)]
-        index = {key: i for i, key in enumerate(sorted(set(keys)))}
-        rank = [index[key] for key in keys]
-        distinct = len(index)
+    keys, width, span = codes, m.alphabet.size, 1
+    distinct = set(keys)
+    while len(distinct) < n and span < limit:
+        if width * width > PACKED_KEY_LIMIT:
+            dense = {key: i for i, key in enumerate(sorted(distinct))}
+            keys = [dense[key] for key in keys]
+            width = len(dense)
+        keys = [r * width + keys[j] for r, j in zip(keys, nxt)]
+        width *= width
         nxt = [nxt[j] for j in nxt]
         span *= 2
-    out: list[int] = []
-    for i in sorted(range(n), key=rank.__getitem__):
-        out += repeat(last[i], mults[i])
-    return Word(m.alphabet, tuple(out))
+        distinct = set(keys)
+    order = sorted(range(n), key=keys.__getitem__)
+    copies = map(repeat, map(last.__getitem__, order), map(mults.__getitem__, order))
+    return Word(m.alphabet, tuple(chain.from_iterable(copies)))
 
 
 def inverse_transform(w: Word) -> NecklaceMultiset:
@@ -186,14 +213,15 @@ def inverse_transform(w: Word) -> NecklaceMultiset:
     and for words of equal length the omega-order is the lexicographic
     order, so that rotation is the lex-least, the Lyndon word.  Each cycle
     therefore becomes a necklace through `Necklace.unchecked`, with no
-    primitivity check and no least-rotation search.
+    primitivity check and no least-rotation search.  The m copies of a
+    necklace give m cycles that spell the same word, so the spelled letter
+    tuples are counted first and each distinct one becomes a necklace once.
     """
     if len(w) == 0:
         return NecklaceMultiset(w.alphabet, ())
     p = standard_permutation(w)
     letter = p.sorted_codes.__getitem__
-    necklaces = [
-        Necklace.unchecked(Word(w.alphabet, tuple(map(letter, cycle))))
-        for cycle in p.cycles()
-    ]
-    return NecklaceMultiset.from_necklaces(w.alphabet, necklaces)
+    counts = Counter(tuple(map(letter, cycle)) for cycle in p.cycles())
+    return NecklaceMultiset.from_necklaces(w.alphabet, {
+        Necklace.unchecked(Word(w.alphabet, codes)): mult for codes, mult in counts.items()
+    })

@@ -48,16 +48,47 @@ class CLIError(Exception):
     """Input error; reported on stderr with exit code 2."""
 
 
-def _read_input(args) -> str:
-    if getattr(args, "text", None) is not None:
-        return args.text
+# Characters per read when a guard bounds the input; see _read_stripped.
+INPUT_CHUNK = 1 << 16
+
+
+def _read_input(args, read=lambda stream: stream.read()):
+    """What `read` takes from --file, else from stdin."""
     if getattr(args, "file", None):
         try:
             with open(args.file, encoding="utf-8") as handle:
-                return handle.read()
+                return read(handle)
         except OSError as e:
             raise CLIError(f"cannot read {args.file}: {e.strerror}") from e
-    return sys.stdin.read()
+    return read(sys.stdin)
+
+
+def _read_stripped(stream, guard: int) -> tuple[str, int]:
+    """(stripped text, its length) of a stream read in chunks.
+
+    The length runs from the first to the last non-whitespace character.
+    Chunks are kept only until they hold more than `guard` characters from
+    the first non-whitespace one, so memory stays within guard + one chunk;
+    past that the rest is only counted, and a text longer than the guard
+    comes back empty, for the caller to refuse by its length.
+    """
+    kept: list[str] = []
+    held = length = blank = 0
+    while chunk := stream.read(INPUT_CHUNK):
+        if not length:
+            chunk = chunk.lstrip()
+        body = chunk.rstrip()
+        if body:
+            length += blank + len(body)
+            blank = len(chunk) - len(body)
+        else:
+            blank += len(chunk)
+        if held <= guard:
+            kept.append(chunk)
+            held += len(chunk)
+    if length > guard:
+        return "", length
+    return "".join(kept)[:length], length
 
 
 def _alphabet_from(chars, override: str | None) -> Alphabet:
@@ -187,7 +218,8 @@ def _check_letters(what: str, letters: int, guard: int) -> None:
 
 
 def cmd_transform(args) -> int:
-    m = _parse_multiset(_read_input(args), args.alphabet, args.canonicalize)
+    text = args.text if args.text is not None else _read_input(args)
+    m = _parse_multiset(text, args.alphabet, args.canonicalize)
     _check_letters("transform output needs", m.total_length,
                    args.guard_cells or DEFAULT_MAX_WORD_LENGTH)
     word = transform(m)
@@ -196,11 +228,16 @@ def cmd_transform(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    text = _read_input(args).strip()
+    guard = args.guard_cells or DEFAULT_MAX_WORD_LENGTH
+    if args.text is not None:
+        text = args.text.strip()
+        letters = len(text)
+    else:
+        text, letters = _read_input(args, functools.partial(_read_stripped, guard=guard))
+    _check_letters("invert input has", letters, guard)
     if not text:
         _emit(args, {"necklaces": []}, [])
         return 0
-    _check_letters("invert input has", len(text), args.guard_cells or DEFAULT_MAX_WORD_LENGTH)
     m = inverse_transform(_parse_word(text, args.alphabet))
     _emit(args, _multiset_payload(m), _multiset_lines(m))
     return 0

@@ -83,6 +83,28 @@ def naive_standard_permutation(codes) -> tuple[tuple[int, ...], tuple[int, ...]]
     return tuple(image), tuple(codes[i] for i in image)
 
 
+def naive_cycles(image) -> list[tuple[int, ...]]:
+    """The cycles of a permutation, each read from its least element and
+    listed by it: the orbit of every point, rotated to start at its minimum."""
+    orbits = {}
+    for i in range(len(image)):
+        orbit = [i]
+        while image[orbit[-1]] != i:
+            orbit.append(image[orbit[-1]])
+        least = orbit.index(min(orbit))
+        orbits[orbit[least]] = tuple(orbit[least:] + orbit[:least])
+    return [orbits[start] for start in sorted(orbits)]
+
+
+def fibonacci_word(length: int) -> str:
+    """The first finite Fibonacci word (a, ab, aba, abaab, ...) of at least
+    `length` letters; every one is primitive."""
+    shorter, word = "a", "ab"
+    while len(word) < length:
+        shorter, word = word, word + shorter
+    return word
+
+
 DEFAULT_TABLE_CELLS = 2**20
 
 

@@ -1,8 +1,11 @@
+import random
 from collections import Counter
+from os.path import commonprefix
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ebwt import bwt
 from ebwt.bwt import (
     NecklaceMultiset,
     inverse_transform,
@@ -13,8 +16,9 @@ from ebwt.errors import ResourceLimitError
 from ebwt.words import Alphabet, Necklace, Word, lyndon_representative, root
 
 from helpers import (
-    AB, ABC, W, all_words, build_table, naive_bwt, naive_least_rotation, naive_primitive,
-    naive_root, naive_standard_permutation, prefix_bwt,
+    AB, ABC, W, all_words, build_table, fibonacci_word, naive_bwt, naive_cycles,
+    naive_least_rotation, naive_primitive, naive_root, naive_standard_permutation,
+    prefix_bwt, rotations,
 )
 
 
@@ -135,6 +139,114 @@ class TestTransform:
         assert str(transform(m)) == prefix_bwt(items)
 
 
+# 40 letters in code-point order
+LETTERS_40 = "".join(map(chr, range(48, 88)))
+
+# (letters, span): the keys of k letters pack while k^span squared stays
+# within 2^60, so up to span 32 for k = 2, 3, then 16 for k = 4 and 8 for k = 40
+PACKED_SPANS = [("ab", 32), ("abc", 32), ("abcd", 16), (LETTERS_40, 8)]
+
+
+def oracle_multiset(letters, items):
+    """(multiset, oracle items) for [(primitive text, multiplicity)], with
+    the Lyndon words found by the naive oracles."""
+    counts = Counter()
+    for text, mult in items:
+        counts[naive_least_rotation(naive_root(text))] += mult
+    alphabet = Alphabet(letters)
+    ordered = sorted(counts.items())
+    m = NecklaceMultiset(alphabet, tuple(
+        (Necklace(alphabet.word(text)), mult) for text, mult in ordered
+    ))
+    return m, ordered
+
+
+def distinguishing_span(items) -> int:
+    """The shortest prefix of the rotations' infinite powers on which every
+    two rotations of the distinct necklaces differ: one more than the
+    longest common prefix of two neighbours in sorted order."""
+    span = 2 * max(len(text) for text, _ in items)
+    rows = sorted(
+        (r * (span // len(r) + 1))[:span] for text, _ in items for r in rotations(text)
+    )
+    return 1 + max((len(commonprefix(pair)) for pair in zip(rows, rows[1:])), default=0)
+
+
+def random_texts(rng, letters, length, count):
+    return ["".join(rng.choice(letters) for _ in range(length)) for _ in range(count)]
+
+
+# near-periodic texts u^j v: their rotations share prefixes about |u| * j long
+near_periodic = st.sampled_from(["ab", "abcd", LETTERS_40]).flatmap(
+    lambda letters: st.tuples(
+        st.just(letters),
+        st.lists(st.tuples(
+            texts(letters[:3], 6), st.integers(1, 20), texts(letters, 6), st.integers(1, 4),
+        ).map(lambda d: (d[0] * d[1] + d[2], d[3])), min_size=1, max_size=5),
+    )
+)
+
+
+class TestRanking:
+    """The transform's ranking rounds against the prefix-sorted oracle: keys
+    packed as base-k integers while they fit, renumbered densely after."""
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("letters, packed_span", PACKED_SPANS[:3])
+    @pytest.mark.parametrize("length", [16, 32, 64])
+    def test_packed_rounds_alone(self, letters, packed_span, length, mixed):
+        rng = random.Random(f"{letters}{length}{mixed}")
+        items = [(text, rng.randint(1, 5) if mixed else 1)
+                 for text in random_texts(rng, letters, length, 12)]
+        m, ordered = oracle_multiset(letters, items)
+        assert distinguishing_span(ordered) <= packed_span
+        assert str(transform(m)) == prefix_bwt(ordered)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("letters, packed_span", PACKED_SPANS)
+    def test_packing_stops_then_dense_rounds(self, letters, packed_span, mixed):
+        rng = random.Random(f"{letters}{mixed}")
+        items = [
+            (block * (2 * packed_span // len(block) + 1) + tail, rng.randint(1, 5) if mixed else 1)
+            for block, tail in zip(random_texts(rng, letters[:3], 3, 6),
+                                   random_texts(rng, letters, 5, 6))
+        ]
+        items.append((letters[0] * (2 * packed_span) + letters[-1], 1))
+        m, ordered = oracle_multiset(letters, items)
+        assert distinguishing_span(ordered) > packed_span
+        assert str(transform(m)) == prefix_bwt(ordered)
+
+    @pytest.mark.parametrize("items", [
+        [(fibonacci_word(2000), 1)],
+        [(fibonacci_word(2000), 3), (fibonacci_word(300), 1), ("ab", 7)],
+        [("a" * 1000 + "b", 1)],
+        [("a" * 1000 + "b", 2), ("a" * 999 + "b", 1), ("a" * 10 + "bb", 4)],
+    ], ids=["fibonacci", "fibonacci-mixed", "a^m b", "a^m b-mixed"])
+    def test_repetitive_necklaces(self, items):
+        m, ordered = oracle_multiset("ab", items)
+        assert str(transform(m)) == prefix_bwt(ordered)
+
+    @given(near_periodic)
+    @settings(deadline=None)
+    def test_near_periodic_matches_prefix_oracle(self, drawn):
+        letters, items = drawn
+        m, ordered = oracle_multiset(letters, items)
+        assert str(transform(m)) == prefix_bwt(ordered)
+
+    @pytest.mark.parametrize("limit", [0, 2**8, 2**20])
+    def test_result_does_not_depend_on_the_packing_limit(self, limit, monkeypatch):
+        rng = random.Random(limit)
+        cases = [
+            ("abc", [(text, rng.randint(1, 3)) for text in random_texts(rng, "abc", 40, 10)]),
+            ("ab", [(fibonacci_word(500), 2), ("a" * 100 + "b", 1)]),
+            (LETTERS_40, [(text, 1) for text in random_texts(rng, LETTERS_40, 30, 10)]),
+        ]
+        monkeypatch.setattr(bwt, "PACKED_KEY_LIMIT", limit)
+        for letters, items in cases:
+            m, ordered = oracle_multiset(letters, items)
+            assert str(transform(m)) == prefix_bwt(ordered)
+
+
 class TestStandardPermutation:
     def test_paper_example(self):
         p = standard_permutation(W("babbaaba"))
@@ -178,6 +290,18 @@ class TestStandardPermutation:
     def test_matches_naive_oracle(self, w):
         p = standard_permutation(w)
         assert (p.image, p.sorted_codes) == naive_standard_permutation(w.codes)
+
+    @given(st.sampled_from(["a", "ab", "abc", "abcd"]).flatmap(
+        lambda letters: st.tuples(st.just(letters), texts(letters, 300))
+    ))
+    @settings(deadline=None)
+    def test_cycles_match_naive_decomposition(self, drawn):
+        letters, text = drawn
+        p = standard_permutation(Alphabet(letters).word(text))
+        assert p.cycles() == naive_cycles(p.image)
+
+    def test_cycles_of_empty_permutation(self):
+        assert bwt.StandardPermutation(AB, (), ()).cycles() == []
 
 
 class TestWordAction:
@@ -233,6 +357,16 @@ class TestInverseTransform:
 
     @given(multisets())
     def test_round_trip_from_multisets(self, m):
+        assert inverse_transform(transform(m)) == m
+
+    @given(st.sampled_from(["a", "ab", "abc"]).flatmap(lambda letters: st.tuples(
+        st.just(letters),
+        st.lists(st.tuples(texts(letters, 8), st.integers(1, 1000)), min_size=1, max_size=5),
+    )))
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_at_high_multiplicity(self, drawn):
+        letters, items = drawn
+        m, _ = oracle_multiset(letters, items)
         assert inverse_transform(transform(m)) == m
 
     @given(words_up_to_300)

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,16 @@ class TestTransform:
         assert code == 2
 
 
+class ChunkedStream(io.StringIO):
+    """A text stream that refuses to hand over more than one input chunk at
+    a time."""
+
+    def read(self, size=-1):
+        if size is None or not 0 <= size <= cli.INPUT_CHUNK:
+            raise AssertionError(f"read({size}) asks for more than one chunk")
+        return super().read(size)
+
+
 class TestInvert:
     def test_golden(self, capsys):
         code, out, _ = run(capsys, ["invert", "babbaaba"])
@@ -176,6 +187,51 @@ class TestInvert:
         assert code == 3
         assert out == ""
         assert err == "error: invert input has 16777217 letters, over the guard 16777216\n"
+
+    def test_input_guard_bounds_reading(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("invert ran past its guard")
+        monkeypatch.setattr(cli, "_parse_word", fail)
+        monkeypatch.setattr(sys, "stdin", ChunkedStream(" \n\t" + "ab" * 10**6 + "a\r\n "))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, ["invert", "--guard-cells", "1000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few chunks in flight, far below the 2 MB text
+        assert peak < 8 * cli.INPUT_CHUNK
+        assert code == 3
+        assert out == ""
+        assert err == "error: invert input has 2000001 letters, over the guard 1000\n"
+
+    @pytest.mark.parametrize("chunk", [1, 3, 8, 1 << 16])
+    def test_stream_input_at_and_under_the_guard(self, capsys, monkeypatch, tmp_path, chunk):
+        monkeypatch.setattr(cli, "INPUT_CHUNK", chunk)
+        padded = "\n \t babbaaba  \n\n"
+        path = tmp_path / "word.txt"
+        path.write_text(padded, encoding="utf-8")
+        for guard in ("8", "9"):
+            monkeypatch.setattr(sys, "stdin", ChunkedStream(padded))
+            for source in (["invert"], ["invert", "--file", str(path)]):
+                code, out, _ = run(capsys, source + ["--guard-cells", guard])
+                assert code == 0
+                assert out == "aab\nab\nabb\n"
+        monkeypatch.setattr(sys, "stdin", ChunkedStream(padded))
+        code, out, err = run(capsys, ["invert", "--guard-cells", "7"])
+        assert code == 3
+        assert err == "error: invert input has 8 letters, over the guard 7\n"
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 64])
+    def test_read_stripped_counts_like_strip(self, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "INPUT_CHUNK", chunk)
+        rng = random.Random(chunk)
+        for _ in range(200):
+            text = "".join(rng.choice("ab \n\t\r") for _ in range(rng.randint(0, 40)))
+            stripped = text.strip()
+            for guard in (1, len(stripped) - 1, len(stripped), 100):
+                expected = stripped if len(stripped) <= guard else ""
+                assert cli._read_stripped(ChunkedStream(text), guard) == (expected, len(stripped))
 
 
 class TestDeBruijn:
