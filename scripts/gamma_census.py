@@ -35,15 +35,15 @@ def main():
     total = 0
     images = set()
     for v in enumerate_gamma(args.k, args.n, limit=args.limit):
-        ds = debruijn_set_from_gamma(GammaWord(v, args.n))
-        assert is_debruijn_set(ds.inner, args.n)
-        assert transform(ds.inner) == v
-        key = tuple((str(x), mult) for x, mult in ds.inner.entries)
+        m = debruijn_set_from_gamma(GammaWord(v, args.n))
+        assert is_debruijn_set(m, args.n)
+        assert transform(m) == v
+        key = tuple((str(x), mult) for x, mult in m.entries)
         images.add(key)
-        by_size[len(ds.inner.entries)] += 1
+        by_size[len(m.entries)] += 1
         total += 1
         if args.show:
-            listing = ", ".join(str(x) for x, _ in ds.inner.entries)
+            listing = ", ".join(str(x) for x, _ in m.entries)
             print(f"{v}  ->  {{{listing}}}")
 
     print(f"words of span {args.n} over {args.k} letters: {total}")

@@ -9,7 +9,6 @@ from .bwt import (
     transform,
 )
 from .debruijn import (
-    DeBruijnSet,
     GammaWord,
     count_debruijn_words,
     debruijn_set_from_gamma,
@@ -53,7 +52,7 @@ from .words import (
 
 __all__ = [
     "Alphabet", "Word", "Necklace", "NecklaceMultiset", "StandardPermutation",
-    "GammaWord", "DeBruijnSet", "PartialInjection",
+    "GammaWord", "PartialInjection",
     "FiniteSemigroup", "MultisetSemigroup",
     "NotPrimitiveError", "ResourceLimitError",
     "LESS", "EQUAL", "GREATER",

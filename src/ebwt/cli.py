@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -44,8 +45,9 @@ from .semigroups import (
 from .words import Alphabet, Word, lyndon_representative
 
 
-class CLIError(Exception):
-    """Input error; reported on stderr with exit code 2."""
+class CLIError(ValueError):
+    """Input error; reported on stderr with exit code 2, like the library's
+    ValueErrors on input it is handed."""
 
 
 # Characters per read when a guard bounds the input; see _read_stripped.
@@ -53,8 +55,10 @@ INPUT_CHUNK = 1 << 16
 
 
 def _read_input(args, read=lambda stream: stream.read()):
-    """What `read` takes from --file, else from stdin."""
-    if getattr(args, "file", None):
+    """What `read` takes from the positional text, else --file, else stdin."""
+    if args.text is not None:
+        return read(io.StringIO(args.text))
+    if args.file:
         try:
             with open(args.file, encoding="utf-8") as handle:
                 return read(handle)
@@ -102,30 +106,26 @@ def _alphabet_from(chars, override: str | None) -> Alphabet:
 def _parse_word(text: str, override: str | None) -> Word:
     if not text:
         raise CLIError("empty word")
-    alphabet = _alphabet_from(text, override)
-    try:
-        return alphabet.word(text)
-    except ValueError as e:
-        raise CLIError(str(e)) from e
+    return _alphabet_from(text, override).word(text)
 
 
-def _parse_multiset(text: str, override: str | None, canonicalize: bool) -> NecklaceMultiset:
+def _parse_multiset(text: str, override: str | None, canonicalize: bool,
+                    guard: int) -> NecklaceMultiset:
+    """The multiset that `text` spells, refused by the output guard on its
+    raw entries before any of them is checked or canonicalized."""
     stripped = text.strip()
     if stripped.startswith("{"):
         entries = _multiset_entries_from_json(stripped)
     else:
         entries = _multiset_entries_from_lines(stripped)
+    _check_letters("transform output needs",
+                   sum(len(raw) * mult for raw, mult in entries.items()), guard)
     if not entries:
         return NecklaceMultiset(_alphabet_from("ab", override), ())
-    alphabet = _alphabet_from("".join(w for w, _ in entries), override)
+    alphabet = _alphabet_from("".join(entries), override)
     counts: Counter = Counter()
-    for raw, mult in entries:
-        try:
-            word = alphabet.word(raw)
-        except ValueError as e:
-            raise CLIError(str(e)) from e
-        if len(word) == 0:
-            raise CLIError("empty multiset entry")
+    for raw, mult in entries.items():
+        word = alphabet.word(raw)
         try:
             necklace = lyndon_representative(word)
         except NotPrimitiveError:
@@ -139,57 +139,57 @@ def _parse_multiset(text: str, override: str | None, canonicalize: bool) -> Neck
     return NecklaceMultiset.from_necklaces(alphabet, counts)
 
 
-def _multiset_entries_from_lines(text: str) -> list[tuple[str, int]]:
-    entries = []
+def _multiset_entries_from_lines(text: str) -> Counter:
+    entries: Counter = Counter()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) == 1:
-            entries.append((parts[0], 1))
+            entries[parts[0]] += 1
         elif len(parts) == 2 and parts[1].startswith("x") and parts[1][1:].isdigit():
             mult = int(parts[1][1:])
             if mult < 1:
                 raise CLIError(f"line {lineno}: multiplicity must be positive")
-            entries.append((parts[0], mult))
+            entries[parts[0]] += mult
         else:
             raise CLIError(f"line {lineno}: expected 'word' or 'word xN', got {line!r}")
     return entries
 
 
-def _multiset_entries_from_json(text: str) -> list[tuple[str, int]]:
+def _multiset_entries_from_json(text: str) -> Counter:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise CLIError(f"line {e.lineno}: invalid JSON: {e.msg}") from e
     if not isinstance(payload, dict) or not isinstance(payload.get("necklaces"), list):
         raise CLIError('JSON multiset must be {"necklaces": [...]}')
-    entries = []
+    entries: Counter = Counter()
     for item in payload["necklaces"]:
-        if not isinstance(item, dict) or "lyndon" not in item:
+        lyndon = item.get("lyndon") if isinstance(item, dict) else None
+        if not isinstance(lyndon, str) or not lyndon:
             raise CLIError(f"JSON necklace entry needs a 'lyndon' field: {item!r}")
         mult = item.get("multiplicity", 1)
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-            raise CLIError(f"bad multiplicity for entry {item['lyndon']!r}: {mult!r}")
-        entries.append((item["lyndon"], mult))
+            raise CLIError(f"bad multiplicity for entry {lyndon!r}: {mult!r}")
+        entries[lyndon] += mult
     return entries
 
 
-def _multiset_lines(m: NecklaceMultiset) -> list[str]:
-    return [
-        str(necklace) if mult == 1 else f"{necklace} x{mult}"
-        for necklace, mult in m.entries
-    ]
-
-
-def _multiset_payload(m: NecklaceMultiset) -> dict:
-    return {
+def _multiset_output(m: NecklaceMultiset) -> tuple[dict, list[str]]:
+    """JSON payload and text lines of a multiset, each necklace rendered once."""
+    rendered = [(str(necklace), mult) for necklace, mult in m.entries]
+    payload = {
         "necklaces": [
-            {"lyndon": str(necklace), "multiplicity": mult}
-            for necklace, mult in m.entries
+            {"lyndon": lyndon, "multiplicity": mult}
+            for lyndon, mult in rendered
         ]
     }
+    return payload, [
+        lyndon if mult == 1 else f"{lyndon} x{mult}"
+        for lyndon, mult in rendered
+    ]
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
@@ -218,28 +218,23 @@ def _check_letters(what: str, letters: int, guard: int) -> None:
 
 
 def cmd_transform(args) -> int:
-    text = args.text if args.text is not None else _read_input(args)
-    m = _parse_multiset(text, args.alphabet, args.canonicalize)
-    _check_letters("transform output needs", m.total_length,
-                   args.guard_cells or DEFAULT_MAX_WORD_LENGTH)
-    word = transform(m)
-    _emit(args, {"word": str(word)}, [str(word)])
+    text = _read_input(args)
+    m = _parse_multiset(text, args.alphabet, args.canonicalize,
+                        args.guard_cells or DEFAULT_MAX_WORD_LENGTH)
+    rendered = str(transform(m))
+    _emit(args, {"word": rendered}, [rendered])
     return 0
 
 
 def cmd_invert(args) -> int:
     guard = args.guard_cells or DEFAULT_MAX_WORD_LENGTH
-    if args.text is not None:
-        text = args.text.strip()
-        letters = len(text)
-    else:
-        text, letters = _read_input(args, functools.partial(_read_stripped, guard=guard))
+    text, letters = _read_input(args, functools.partial(_read_stripped, guard=guard))
     _check_letters("invert input has", letters, guard)
     if not text:
         _emit(args, {"necklaces": []}, [])
         return 0
     m = inverse_transform(_parse_word(text, args.alphabet))
-    _emit(args, _multiset_payload(m), _multiset_lines(m))
+    _emit(args, *_multiset_output(m))
     return 0
 
 
@@ -257,12 +252,8 @@ def cmd_debruijn(args) -> int:
             raise CLIError(
                 f"word uses {word.alphabet.size} letters, expected {k}"
             )
-        try:
-            gamma = GammaWord(word, n)
-        except ValueError as e:
-            raise CLIError(str(e)) from e
-        m = debruijn_set_from_gamma(gamma).inner
-        _emit(args, _multiset_payload(m), _multiset_lines(m))
+        m = debruijn_set_from_gamma(GammaWord(word, n))
+        _emit(args, *_multiset_output(m))
         return 0
     guard = args.guard_cells or DEFAULT_MAX_WORD_LENGTH
     word = least_debruijn_word(k, n, max_length=guard)
@@ -341,12 +332,8 @@ def cmd_factors(args) -> int:
             "upper_bound": upper,
             "witness": str(witness),
         }
-        lines = [
-            f"n {n}",
-            f"max_distinct {best}",
-            f"upper_bound {upper}",
-            f"witness {witness}",
-        ]
+        lines = [f"{key} {payload[key]}"
+                 for key in ("n", "max_distinct", "upper_bound", "witness")]
         _emit(args, payload, lines)
         return 0
     if args.witness is not None:
@@ -363,12 +350,8 @@ def cmd_factors(args) -> int:
             "distinct_factors": result.distinct_count,
             "lower_bound": result.lower_bound,
         }
-        lines = [
-            f"witness {result.word}",
-            f"span {result.span}",
-            f"distinct_factors {result.distinct_count}",
-            f"lower_bound {result.lower_bound}",
-        ]
+        lines = [f"{key} {payload[key]}"
+                 for key in ("witness", "span", "distinct_factors", "lower_bound")]
         _emit(args, payload, lines)
         return 0
     if args.word is None:
@@ -478,9 +461,6 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             warnings.showwarning = _warning_line
             return args.func(args)
-    except CLIError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -67,14 +67,6 @@ class GammaWord:
             raise ValueError(f"block {bad} is not a permutation of the alphabet")
 
 
-@dataclass(frozen=True)
-class DeBruijnSet:
-    """A set of necklaces of total length k^n covering A^n exactly once."""
-
-    inner: NecklaceMultiset
-    span: int
-
-
 def is_debruijn_set(m: NecklaceMultiset, n: int) -> bool:
     """True iff the length-n power-prefixes of all rotations of m's necklaces
     are exactly the k^n words of A^n, each once: the total length is k^n,
@@ -94,7 +86,7 @@ def is_debruijn_set(m: NecklaceMultiset, n: int) -> bool:
     return len(seen) == k**n
 
 
-def debruijn_set_from_gamma(v: GammaWord) -> DeBruijnSet:
+def debruijn_set_from_gamma(v: GammaWord) -> NecklaceMultiset:
     """Invert a block-permutation word into its de Bruijn set of span n.
 
     The inverse is not re-checked, because the paper's theorem proves it.
@@ -108,7 +100,7 @@ def debruijn_set_from_gamma(v: GammaWord) -> DeBruijnSet:
     of A^n is the length-n window of exactly one rotation, and no necklace
     repeats.  `is_debruijn_set` checks this in the tests.
     """
-    return DeBruijnSet(inverse_transform(v.word), v.span)
+    return inverse_transform(v.word)
 
 
 def _log10_gamma_count(k: int, n: int) -> float:
@@ -174,7 +166,8 @@ def _check_generation_guard(k: int, n: int, max_length: int):
         )
 
 
-def least_debruijn_set(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGTH) -> DeBruijnSet:
+def least_debruijn_set(k: int, n: int,
+                       max_length: int = DEFAULT_MAX_WORD_LENGTH) -> NecklaceMultiset:
     """Invert the all-identity-block word: the necklaces of all Lyndon words
     of length dividing n, each once.
 
@@ -186,13 +179,13 @@ def least_debruijn_set(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGTH
     """
     _check_generation_guard(k, n, max_length)
     v = Word(default_alphabet(k), tuple(range(k)) * (k ** (n - 1)))
-    return DeBruijnSet(inverse_transform(v), n)
+    return inverse_transform(v)
 
 
 def least_debruijn_word(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGTH) -> Word:
     """The lexicographically least de Bruijn word of span n over k letters,
     generated by transform inversion and sorted Lyndon concatenation."""
-    m = least_debruijn_set(k, n, max_length).inner
+    m = least_debruijn_set(k, n, max_length)
     codes = tuple(c for necklace, _ in m.entries for c in necklace.lyndon.codes)
     return Word(m.alphabet, codes)
 

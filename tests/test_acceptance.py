@@ -165,10 +165,10 @@ def test_criterion_05_gamma_characterization():
         single = 0
         for v in enumerate_gamma(2, n):
             ds = debruijn_set_from_gamma(GammaWord(v, n))
-            assert is_debruijn_set(ds.inner, n)
-            assert transform(ds.inner) == v
-            images.add(tuple(_entries(ds.inner)))
-            if len(ds.inner.entries) == 1 and len(ds.inner.entries[0][0]) == 2**n:
+            assert is_debruijn_set(ds, n)
+            assert transform(ds) == v
+            images.add(tuple(_entries(ds)))
+            if len(ds.entries) == 1 and len(ds.entries[0][0]) == 2**n:
                 single += 1
             count += 1
         assert len(images) == count  # the map is injective
@@ -372,10 +372,10 @@ def test_criterion_10_property_suites():
     # every generated de Bruijn set contains a necklace of length >= n
     for k, n in [(2, 2), (2, 3), (2, 6), (3, 3), (4, 2)]:
         ds = least_debruijn_set(k, n)
-        assert max(len(x) for x, _ in ds.inner.entries) >= n
+        assert max(len(x) for x, _ in ds.entries) >= n
     for v in enumerate_gamma(2, 3):
         ds = debruijn_set_from_gamma(GammaWord(v, 3))
-        assert max(len(x) for x, _ in ds.inner.entries) >= 3
+        assert max(len(x) for x, _ in ds.entries) >= 3
 
     # block-permutation words: ranges are interval transversals and the
     # m-strings spell k-ary digits, exhaustively for k=2, n=4

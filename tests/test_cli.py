@@ -67,6 +67,36 @@ class TestTransform:
         assert out == ""
         assert "2000000000 letters" in err
 
+    def test_output_guard_refuses_before_canonicalizing(self, capsys, monkeypatch):
+        def fail(w):
+            raise AssertionError("an entry was canonicalized past the guard")
+        monkeypatch.setattr(cli, "lyndon_representative", fail)
+        code, out, err = run(capsys, ["transform", "aab\nba x3\nab", "--canonicalize",
+                                      "--guard-cells", "10"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: transform output needs 11 letters, over the guard 10\n"
+
+    def test_guard_is_judged_before_the_entries(self, capsys):
+        # 'aa' is not primitive, but the guard on its 20 letters speaks first
+        code, out, err = run(capsys, ["transform", "aa x10", "--guard-cells", "5"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: transform output needs 20 letters, over the guard 5\n"
+        code, out, err = run(capsys, ["transform", "aa x10", "--guard-cells", "20"])
+        assert code == 2
+        assert err == "error: entry 'aa' is not primitive\n"
+
+    @pytest.mark.parametrize("lyndon", [5, None, ["ab"], ""],
+                             ids=["number", "null", "list", "empty"])
+    def test_json_lyndon_must_be_a_nonempty_string(self, capsys, lyndon):
+        item = {"lyndon": lyndon}
+        for necklaces in ([item], [{"lyndon": "ab"}, item]):
+            code, out, err = run(capsys, ["transform", json.dumps({"necklaces": necklaces})])
+            assert code == 2
+            assert out == ""
+            assert err == f"error: JSON necklace entry needs a 'lyndon' field: {item!r}\n"
+
     def test_json_boolean_multiplicity_rejected(self, capsys):
         payload = json.dumps({"necklaces": [{"lyndon": "ab", "multiplicity": True}]})
         code, out, err = run(capsys, ["transform", payload])

@@ -217,6 +217,11 @@ def expected_multiset_lines(argv):
 # The word guards: refused before the word is parsed.
 @example(["invert", "ab" * 500, "--guard-cells", "999"])
 @example(["factors", "ab" * 500, "--guard-cells", "999"])
+# JSON entries whose 'lyndon' is not a nonempty string: input errors.
+@example(["transform", '{"necklaces": [{"lyndon": 5}]}'])
+@example(["transform", '{"necklaces": [{"lyndon": null}]}'])
+@example(["transform", '{"necklaces": [{"lyndon": ["ab"]}]}'])
+@example(["transform", '{"necklaces": [{"lyndon": "ab"}, {"lyndon": ""}]}'])
 @settings(derandomize=True, deadline=None, max_examples=500)
 def test_cli_properties(argv):
     code, out, err = call(argv)
