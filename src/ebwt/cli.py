@@ -16,6 +16,7 @@ import os
 import sys
 import warnings
 from collections import Counter
+from itertools import chain, dropwhile
 
 from .bwt import NecklaceMultiset, inverse_transform, transform
 from .debruijn import (
@@ -50,11 +51,12 @@ class CLIError(ValueError):
     ValueErrors on input it is handed."""
 
 
-# Characters per read when a guard bounds the input; see _read_stripped.
+# Characters per read when a guard bounds the input; see _read_stripped and
+# _multiset_entries.
 INPUT_CHUNK = 1 << 16
 
 
-def _read_input(args, read=lambda stream: stream.read()):
+def _read_input(args, read):
     """What `read` takes from the positional text, else --file, else stdin."""
     if args.text is not None:
         return read(io.StringIO(args.text))
@@ -109,52 +111,47 @@ def _parse_word(text: str, override: str | None) -> Word:
     return _alphabet_from(text, override).word(text)
 
 
-def _parse_multiset(text: str, override: str | None, canonicalize: bool,
-                    guard: int) -> NecklaceMultiset:
-    """The multiset that `text` spells, refused by the output guard on its
-    raw entries before any of them is checked or canonicalized."""
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        entries = _multiset_entries_from_json(stripped)
-    else:
-        entries = _multiset_entries_from_lines(stripped)
-    _check_letters("transform output needs",
-                   sum(len(raw) * mult for raw, mult in entries.items()), guard)
-    if not entries:
-        return NecklaceMultiset(_alphabet_from("ab", override), ())
-    alphabet = _alphabet_from("".join(entries), override)
-    counts: Counter = Counter()
-    for raw, mult in entries.items():
-        word = alphabet.word(raw)
-        try:
-            necklace = lyndon_representative(word)
-        except NotPrimitiveError:
-            raise CLIError(f"entry {raw!r} is not primitive") from None
-        if necklace.lyndon.codes != word.codes and not canonicalize:
-            raise CLIError(
-                f"entry {raw!r} is not a Lyndon word (canonical form "
-                f"{necklace!s}); pass --canonicalize to accept rotations"
-            )
-        counts[necklace] += mult
-    return NecklaceMultiset.from_necklaces(alphabet, counts)
+def _multiset_entries(stream, guard: int) -> Counter:
+    """Raw entry -> multiplicity of the multiset that `stream` spells,
+    refused by the output guard before any entry is checked.
+
+    JSON (first non-whitespace character `{`) is read whole.  The line
+    format is read in blocks of whole lines of about INPUT_CHUNK characters
+    and refused at the first line where the running sum of length times
+    multiplicity passes the guard, so it never holds more than the guard's
+    worth of entries; the lines after that one are not parsed.
+    """
+    blocks = dropwhile(str.isspace, map("".join, iter(
+        functools.partial(stream.readlines, INPUT_CHUNK), [])))
+    first = next(blocks, "").lstrip()
+    if first.startswith("{"):
+        entries = _multiset_entries_from_json((first + stream.read()).rstrip())
+        _check_letters("transform output needs",
+                       sum(len(raw) * mult for raw, mult in entries.items()), guard)
+        return entries
+    return _multiset_entries_from_lines(
+        chain.from_iterable(map(str.splitlines, chain([first], blocks))), guard)
 
 
-def _multiset_entries_from_lines(text: str) -> Counter:
+def _multiset_entries_from_lines(lines, guard: int) -> Counter:
+    """Entries of 'word' or 'word xN' lines, the first of them not blank."""
     entries: Counter = Counter()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    letters = 0
+    for lineno, line in enumerate(lines, start=1):
         parts = line.split()
         if len(parts) == 1:
-            entries[parts[0]] += 1
+            mult = 1
         elif len(parts) == 2 and parts[1].startswith("x") and parts[1][1:].isdigit():
             mult = int(parts[1][1:])
             if mult < 1:
                 raise CLIError(f"line {lineno}: multiplicity must be positive")
-            entries[parts[0]] += mult
+        elif not parts:
+            continue
         else:
-            raise CLIError(f"line {lineno}: expected 'word' or 'word xN', got {line!r}")
+            raise CLIError(f"line {lineno}: expected 'word' or 'word xN', got {line.strip()!r}")
+        entries[parts[0]] += mult
+        letters += len(parts[0]) * mult
+        _check_letters("transform output needs", letters, guard)
     return entries
 
 
@@ -175,6 +172,28 @@ def _multiset_entries_from_json(text: str) -> Counter:
             raise CLIError(f"bad multiplicity for entry {lyndon!r}: {mult!r}")
         entries[lyndon] += mult
     return entries
+
+
+def _canonical_multiset(entries: Counter, override: str | None,
+                        canonicalize: bool) -> NecklaceMultiset:
+    """The multiset of the raw entries, each checked and canonicalized once."""
+    if not entries:
+        return NecklaceMultiset(_alphabet_from("ab", override), ())
+    alphabet = _alphabet_from("".join(entries), override)
+    counts: Counter = Counter()
+    for raw, mult in entries.items():
+        word = alphabet.word(raw)
+        try:
+            necklace = lyndon_representative(word)
+        except NotPrimitiveError:
+            raise CLIError(f"entry {raw!r} is not primitive") from None
+        if necklace.lyndon.codes != word.codes and not canonicalize:
+            raise CLIError(
+                f"entry {raw!r} is not a Lyndon word (canonical form "
+                f"{necklace!s}); pass --canonicalize to accept rotations"
+            )
+        counts[necklace] += mult
+    return NecklaceMultiset.from_necklaces(alphabet, counts)
 
 
 def _multiset_output(m: NecklaceMultiset) -> tuple[dict, list[str]]:
@@ -218,9 +237,9 @@ def _check_letters(what: str, letters: int, guard: int) -> None:
 
 
 def cmd_transform(args) -> int:
-    text = _read_input(args)
-    m = _parse_multiset(text, args.alphabet, args.canonicalize,
-                        args.guard_cells or DEFAULT_MAX_WORD_LENGTH)
+    guard = args.guard_cells or DEFAULT_MAX_WORD_LENGTH
+    entries = _read_input(args, functools.partial(_multiset_entries, guard=guard))
+    m = _canonical_multiset(entries, args.alphabet, args.canonicalize)
     rendered = str(transform(m))
     _emit(args, {"word": rendered}, [rendered])
     return 0
@@ -262,7 +281,9 @@ def cmd_debruijn(args) -> int:
     return 0
 
 
-def _semigroup_report(name: str, sg, alphabet: Alphabet, with_table: bool):
+def _semigroup_report(name: str, sg, alphabet: Alphabet, with_table: bool, as_json: bool):
+    """JSON payload and text lines of a semigroup; the table goes only into
+    the one that is printed."""
     payload = {
         f"{name}_order": sg.order,
         "generators": [alphabet.letters[a] for a in sorted(sg.generators)],
@@ -278,13 +299,15 @@ def _semigroup_report(name: str, sg, alphabet: Alphabet, with_table: bool):
                 f"cells, over the {TABLE_CELL_LIMIT}-cell guard"
             )
         labels = [alphabet.render(w) for w in sg.element_words]
-        payload["elements"] = labels
-        payload["table"] = [list(row) for row in sg.table]
-        width = max(len(label) for label in labels)
-        padded = [label.rjust(width) for label in labels]
-        lines.append("*".rjust(width) + " " + " ".join(padded))
-        for label, row in zip(padded, sg.table):
-            lines.append(label + " " + " ".join(padded[j] for j in row))
+        if as_json:
+            payload["elements"] = labels
+            payload["table"] = sg.table
+        else:
+            width = max(len(label) for label in labels)
+            padded = [label.rjust(width) for label in labels]
+            lines.append("*".rjust(width) + " " + " ".join(padded))
+            for label, row in zip(padded, sg.table):
+                lines.append(label + " " + " ".join(padded[j] for j in row))
     return payload, lines
 
 
@@ -308,12 +331,10 @@ def cmd_semigroup(args) -> int:
         _emit(args, payload, lines)
         return 0
     if args.action:
-        sg = generate_closure(letter_actions(word), max_size=guard)
-        payload, lines = _semigroup_report("action", sg, word.alphabet, args.table)
+        name, sg = "action", generate_closure(letter_actions(word), max_size=guard)
     else:
-        sg = syntactic_semigroup(word, max_size=guard)
-        payload, lines = _semigroup_report("syntactic", sg, word.alphabet, args.table)
-    _emit(args, payload, lines)
+        name, sg = "syntactic", syntactic_semigroup(word, max_size=guard)
+    _emit(args, *_semigroup_report(name, sg, word.alphabet, args.table, args.json))
     return 0
 
 

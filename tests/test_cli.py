@@ -6,9 +6,11 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ebwt
 from ebwt import cli
@@ -86,6 +88,62 @@ class TestTransform:
         code, out, err = run(capsys, ["transform", "aa x10", "--guard-cells", "20"])
         assert code == 2
         assert err == "error: entry 'aa' is not primitive\n"
+
+    def test_output_guard_refuses_while_reading(self, capsys, monkeypatch):
+        # the line that passes the guard is the last one read: a malformed
+        # line after it is never reached, so the call exits 3, not 2
+        code, out, err = run(capsys, ["transform", "ab x3\nab x", "--guard-cells", "5"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: transform output needs 6 letters, over the guard 5\n"
+
+        class LinesThenFail(io.StringIO):
+            def readlines(self, hint=-1):
+                lines = super().readlines(hint)
+                if not lines:
+                    raise AssertionError("transform read past the line that passed its guard")
+                return lines
+        monkeypatch.setattr(cli, "INPUT_CHUNK", 1)  # one line per read
+        monkeypatch.setattr(sys, "stdin", LinesThenFail("\n  \nab\naab x2\n"))
+        code, out, err = run(capsys, ["transform", "--guard-cells", "7"])
+        assert code == 3
+        assert err == "error: transform output needs 8 letters, over the guard 7\n"
+
+    def test_output_guard_bounds_reading(self, capsys, monkeypatch):
+        text = "ab\n" * 10**6
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, ["transform", "--guard-cells", "100"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block of INPUT_CHUNK characters in lines, about 1.6 MB; the
+        # whole text split into lines would be over 50 MB
+        assert peak < len(text)
+        assert code == 3
+        assert err == "error: transform output needs 102 letters, over the guard 100\n"
+
+    @given(st.text(alphabet="ab x12\n\r\t\x0c\x1c", max_size=40))
+    @settings(deadline=None)
+    def test_line_format_parses_like_the_whole_text(self, text):
+        # the reference splits the stripped text, numbering from its first line
+        expected: Counter = Counter()
+        for lineno, line in enumerate(text.strip().splitlines(), start=1):
+            parts = line.split()
+            if len(parts) == 2 and parts[1].startswith("x") and parts[1][1:].isdigit() \
+                    and int(parts[1][1:]) > 0:
+                expected[parts[0]] += int(parts[1][1:])
+            elif len(parts) == 1:
+                expected[parts[0]] += 1
+            elif parts:
+                expected = lineno
+                break
+        try:
+            got = cli._multiset_entries(io.StringIO(text), guard=10**6)
+        except cli.CLIError as e:
+            got = int(str(e).split(":")[0].removeprefix("line "))
+        assert got == expected
 
     @pytest.mark.parametrize("lyndon", [5, None, ["ab"], ""],
                              ids=["number", "null", "list", "empty"])
@@ -386,6 +444,17 @@ class TestSemigroup:
         assert header[0] == "*" and header[1:] == ["a", "b", "aa", "ab", "ba"]
         row_a = grid[1].split()
         assert row_a[0] == "a" and row_a[1] == "aa" and row_a[2] == "ab"
+
+    def test_table_json(self, capsys):
+        code, out, _ = run(capsys, ["semigroup", "ab", "--action", "--table", "--json"])
+        assert code == 0
+        assert json.loads(out) == {
+            "action_order": 5,
+            "generators": ["a", "b"],
+            "elements": ["a", "b", "aa", "ab", "ba"],
+            "table": [[2, 3, 2, 2, 0], [4, 2, 2, 1, 2], [2, 2, 2, 2, 2], [0, 2, 2, 3, 2],
+                      [2, 1, 2, 2, 4]],
+        }
 
     def test_non_primitive_rejected(self, capsys):
         code, _, err = run(capsys, ["semigroup", "abab", "--action"])

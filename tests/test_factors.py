@@ -1,18 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ebwt import factors
 from ebwt.errors import ResourceLimitError
 from ebwt.factors import (
+    PACKED_KEY_BITS,
     count_distinct_factors,
     debruijn_factor_witness,
     distinct_factors,
     max_factors_exhaustive,
     repeated_factor_lower_bound,
 )
-from ebwt.words import Word
+from ebwt.words import Alphabet, Word, default_alphabet
 
-from helpers import AB, ABC, W, all_words, brute_distinct_factors
+from helpers import AB, ABC, W, all_words, brute_distinct_factors, fibonacci_word
 
 
 class TestDistinctFactors:
@@ -51,6 +54,121 @@ class TestDistinctFactors:
                 text[i:j] for i in range(n) for j in range(i + 1, n + 1)
             ]
             assert len(occurrences) == n * (n + 1) // 2
+
+
+def budget_span(k: int) -> int:
+    """The widest window span whose packed key fits PACKED_KEY_BITS."""
+    span = 1
+    while 2 * span * k.bit_length() <= PACKED_KEY_BITS:
+        span *= 2
+    return span
+
+
+def longest_repeat(text: str) -> int:
+    """Length of the longest factor that occurs at least twice."""
+    n = len(text)
+    return max(length for length in range(n)
+               if len({text[i:i + length] for i in range(n - length + 1)}) < n - length + 1)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Words that distinct_factors handed to the suffix automaton."""
+    seen = []
+
+    def automaton(codes):
+        seen.append(codes)
+        return count_distinct_factors(codes)
+
+    monkeypatch.setattr(factors, "count_distinct_factors", automaton)
+    return seen
+
+
+def text_word(text: str) -> Word:
+    return Alphabet("".join(sorted(set(text)))).word(text)
+
+
+class TestPackedCount:
+    @given(st.integers(1, 6).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), min_size=1,
+                                                 max_size=300))))
+    @settings(deadline=None)
+    def test_matches_brute_force_and_automaton(self, drawn):
+        k, codes = drawn
+        w = Word(default_alphabet(k), tuple(codes))
+        expected = brute_distinct_factors(str(w))
+        assert distinct_factors(w) == count_distinct_factors(w.codes) == expected
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("lead", [0, 20], ids=["prefix", "inner"])
+    def test_repeat_around_the_budget_span(self, fallbacks, k, offset, lead):
+        # x + r + sep + r with x and r over the other letters: the longest
+        # repeat is r, found by the prefix probe when x is empty and by the
+        # rounds otherwise
+        span = budget_span(k)
+        rng = random.Random(span + offset + lead)
+        letters = default_alphabet(k).letters
+        x, r = ("".join(rng.choice(letters[:-1]) for _ in range(length))
+                for length in (lead, span + offset))
+        text = x + r + letters[-1] + r
+        assert longest_repeat(text) == span + offset
+        w = default_alphabet(k).word(text)
+        assert distinct_factors(w) == brute_distinct_factors(text)
+        assert bool(fallbacks) == (offset >= 0)
+
+    @pytest.mark.parametrize("n,packed", [(128, True), (129, False)])
+    def test_unary_at_the_budget(self, fallbacks, n, packed):
+        w = text_word("a" * n)
+        assert distinct_factors(w) == n
+        assert bool(fallbacks) != packed
+
+    @pytest.mark.parametrize("text", [
+        fibonacci_word(300)[:300],
+        fibonacci_word(233),
+        "a" * 300,
+        "ab" * 150,
+        "aab" * 60 + "ab",
+        "abaab" * 50 + "bba",
+        "abc" * 90 + "cab",
+    ], ids=["fibonacci-300", "fibonacci-233", "unary", "ab-power", "aab-power-ab",
+            "abaab-power-bba", "abc-power-cab"])
+    def test_periodic_words_match_brute_force(self, text):
+        assert distinct_factors(text_word(text)) == brute_distinct_factors(text)
+
+    @pytest.mark.parametrize("text", [
+        fibonacci_word(5000)[:5000],
+        "a" * 5000,
+        "ab" * 2500,
+        "abaab" * 1000 + "bba",
+    ], ids=["fibonacci", "unary", "ab-power", "abaab-power-bba"])
+    def test_long_periodic_words_fall_back(self, fallbacks, text):
+        w = text_word(text)
+        assert distinct_factors(w) == count_distinct_factors(w.codes)
+        assert fallbacks == [w.codes]
+
+    def test_wide_alphabet(self, fallbacks):
+        # 300 letters: 9-bit digits, so windows of up to 8 letters fit the budget
+        alphabet = Alphabet("".join(map(chr, range(0x100, 0x100 + 300))))
+        rng = random.Random(300)
+        for length in (1, 2, 300, 1000):
+            text = "".join(rng.choice(alphabet.letters) for _ in range(length))
+            assert distinct_factors(alphabet.word(text)) == brute_distinct_factors(text)
+        assert fallbacks == []
+        repeat = text[:8]
+        text = repeat + text[8:400] + repeat
+        assert longest_repeat(text) >= 8
+        assert distinct_factors(alphabet.word(text)) == brute_distinct_factors(text)
+        assert len(fallbacks) == 1
+
+    def test_one_word_per_path(self, fallbacks):
+        rng = random.Random(1)
+        word = W("".join(rng.choice("ab") for _ in range(2000)))
+        assert distinct_factors(word) == count_distinct_factors(word.codes)
+        assert fallbacks == []
+        fibonacci = W(fibonacci_word(2000)[:2000])
+        assert distinct_factors(fibonacci) == count_distinct_factors(fibonacci.codes)
+        assert fallbacks == [fibonacci.codes]
 
 
 class TestFactorStats:
