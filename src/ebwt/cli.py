@@ -38,6 +38,7 @@ from .factors import (
 from .semigroups import (
     DEFAULT_CLOSURE_SIZE,
     TABLE_CELL_LIMIT,
+    check_closure_guard,
     generate_closure,
     letter_actions,
     letter_induced_isomorphic,
@@ -63,10 +64,27 @@ def _read_input(args, read):
     if args.file:
         try:
             with open(args.file, encoding="utf-8") as handle:
-                return read(handle)
+                try:
+                    return read(handle)
+                except UnicodeDecodeError as e:
+                    # e.object ends where the bytes read so far end
+                    start = handle.buffer.tell() - len(e.object)
+                    raise CLIError(_decode_message(e, start)) from None
         except OSError as e:
             raise CLIError(f"cannot read {args.file}: {e.strerror}") from e
     return read(sys.stdin)
+
+
+def _decode_message(e: UnicodeDecodeError, start: int) -> str:
+    """The codec's message for `e`, raised on bytes that begin `start` bytes
+    into the file, with its positions counted from the start of the file as
+    a whole read gives them."""
+    first, last = start + e.start, start + e.end - 1
+    if first == last:
+        where = f"byte 0x{e.object[e.start]:02x} in position {first}"
+    else:
+        where = f"bytes in position {first}-{last}"
+    return f"'{e.encoding}' codec can't decode {where}: {e.reason}"
 
 
 def _read_stripped(stream, guard: int) -> tuple[str, int]:
@@ -314,6 +332,7 @@ def _semigroup_report(name: str, sg, alphabet: Alphabet, with_table: bool, as_js
 def cmd_semigroup(args) -> int:
     word = _parse_word(args.word, args.alphabet)
     guard = args.guard_cells or DEFAULT_CLOSURE_SIZE
+    check_closure_guard(word, guard)
     if args.check_iso:
         action = generate_closure(letter_actions(word), max_size=guard)
         syntactic = syntactic_semigroup(word, max_size=guard)

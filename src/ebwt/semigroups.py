@@ -9,14 +9,17 @@ decided by right-Cayley comparison.
 
 Both routes close over one element form: a partial map on {0..d-1} as a
 tuple of (source, target) pairs sorted by source, where an undefined point
-is simply absent.  Composing such a tuple with a generator costs a dict
-probe per defined point and builds nothing but the result tuple; validation
-happens once, at the public constructors (`PartialInjection(...)`, the
-degree check of `generate_closure`).  The syntactic route reaches the same
-form by dropping the automaton's sink, the non-final state that every letter
-maps to itself: every map fixes it, so "maps to the sink" composes exactly
-like "undefined", and the semigroup of partial maps is isomorphic to the
-dense transition semigroup, letter for letter.
+is simply absent.  `_close` composes such a tuple with a generator in one
+loop over its pairs: a dict probe per pair and a tuple concatenation per
+defined image, which is one of each for the one-point maps that make up
+most of a necklace closure (see `check_closure_guard`) and quadratic in the
+number of defined points in general.  Validation happens once, at the
+public constructors (`PartialInjection(...)`, the degree check of
+`generate_closure`).  The syntactic route reaches the same form by dropping
+the automaton's sink, the non-final state that every letter maps to itself:
+every map fixes it, so "maps to the sink" composes exactly like
+"undefined", and the semigroup of partial maps is isomorphic to the dense
+transition semigroup, letter for letter.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain
 
 from .bwt import NecklaceMultiset, StandardPermutation, standard_permutation, transform
 from .errors import ResourceLimitError
@@ -100,8 +104,11 @@ class FiniteSemigroup:
     of each element by every letter in turn.  `element_words[i]` is
     therefore the shortlex-least generator word producing element i, the
     words ascend strictly in shortlex order, and every element i past the
-    generators is element `parent` times the generator of its word's last
-    letter, `parent` being the element whose word is `element_words[i][:-1]`.
+    generators is its parent times the generator of its word's last letter,
+    the parent being the element whose word is `element_words[i][:-1]`.
+    Parent and last letter are not stored: the closure meets element i first
+    as that product, so they are the row and column of i's first cell in the
+    right table read row by row (see `_steps`).
 
     Internally each element is kept in the sparse pair form of the module
     docstring; `elements` builds the public values (partial injections or
@@ -111,14 +118,11 @@ class FiniteSemigroup:
     to right with one right-Cayley lookup per cell and no composition.
     """
 
-    def __init__(self, keys, generators, letters, parent, last, right, build):
+    def __init__(self, keys, generators, letters, right, build):
         self.generators = dict(generators)
         self._keys = keys
         self._letters = tuple(letters)
-        self._column = {a: c for c, a in enumerate(self._letters)}
-        self._parent = parent  # -1 for a generator
-        self._last = last  # column of the last letter of the element's word
-        self._right = tuple(right)  # right[i][c]: element i times letter c
+        self._right = right  # right[i][c]: element i times letter c
         self._build = build
 
     @property
@@ -130,21 +134,30 @@ class FiniteSemigroup:
         return tuple(map(self._build, self._keys))
 
     @cached_property
+    def _steps(self) -> list[tuple[int, int]]:
+        """(parent, column of the last letter) of each element: (-1, column
+        of its first letter) for a generator, else the row and column of the
+        element's first cell in the right table, read row by row."""
+        k = len(self._letters)
+        steps: dict[int, tuple[int, int]] = {}
+        for c, a in enumerate(self._letters):
+            steps.setdefault(self.generators[a], (-1, c))
+        for cell, j in enumerate(chain.from_iterable(self._right)):
+            steps.setdefault(j, divmod(cell, k))
+        return [steps[j] for j in range(self.order)]
+
+    @cached_property
     def element_words(self) -> tuple[tuple[int, ...], ...]:
         words: list[tuple[int, ...]] = []
-        for p, c in zip(self._parent, self._last):
+        for p, c in self._steps:
             a = self._letters[c]
             words.append((a,) if p < 0 else words[p] + (a,))
         return tuple(words)
 
-    def right_by_letter(self, i: int, letter: int) -> int:
-        """Index of elements[i] composed with the generator of `letter`."""
-        return self._right[i][self._column[letter]]
-
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
         right = self._right
-        steps = list(zip(self._parent, self._last))
+        steps = self._steps
         heads = [c for p, c in steps if p < 0]  # the generators come first
         steps = steps[len(heads):]
         rows = []
@@ -158,43 +171,69 @@ class FiniteSemigroup:
 
 def _close(gens: dict[int, tuple], max_size: int, build) -> FiniteSemigroup:
     """Breadth-first closure of letter-labeled sparse partial maps; `build`
-    turns a closed element into its public value."""
+    turns a closed element into its public value.
+
+    Each product is built by one loop over the pairs of the element and
+    numbered by one `setdefault`; the right-table cells go to one flat list,
+    cut into rows at the end.
+    """
     letters = sorted(gens)
-    maps = [dict(gens[a]) for a in letters]
+    images = [dict(gens[a]).get for a in letters]
     index: dict[tuple, int] = {}
-    keys: list[tuple] = []
-    parent: list[int] = []
-    last: list[int] = []
-    right: list[tuple[int, ...]] = []
-    generators: dict[int, int] = {}
-    for c, a in enumerate(letters):
-        g = gens[a]
-        if g not in index:
-            index[g] = len(keys)
-            keys.append(g)
-            parent.append(-1)
-            last.append(c)
-        generators[a] = index[g]
-    pos = 0
-    while pos < len(keys):
-        x = keys[pos]
-        row = []
-        for c, m in enumerate(maps):
-            y = tuple([(s, m[t]) for s, t in x if t in m])
-            j = index.get(y)
-            if j is None:
-                if len(keys) >= max_size:
-                    raise ResourceLimitError(
-                        f"semigroup closure exceeds the {max_size}-element guard"
-                    )
-                j = index[y] = len(keys)
+    number = index.setdefault
+    generators = {a: number(gens[a], len(index)) for a in letters}
+    keys = list(index)  # the distinct generators, in letter order
+    cells: list[int] = []
+    push = cells.append
+    size = len(keys)
+    for x in keys:  # visits the elements appended below too
+        for image in images:
+            y = ()
+            for s, t in x:
+                t = image(t)
+                if t is not None:
+                    y += ((s, t),)
+            j = number(y, size)
+            if j == size:
+                if size >= max_size:
+                    raise _over_guard(max_size)
                 keys.append(y)
-                parent.append(pos)
-                last.append(c)
-            row.append(j)
-        right.append(tuple(row))
-        pos += 1
-    return FiniteSemigroup(keys, generators, letters, parent, last, right, build)
+                size += 1
+            push(j)
+    right = tuple(zip(*[iter(cells)] * len(images)))
+    return FiniteSemigroup(keys, generators, letters, right, build)
+
+
+def _over_guard(max_size: int) -> ResourceLimitError:
+    return ResourceLimitError(f"semigroup closure exceeds the {max_size}-element guard")
+
+
+def check_closure_guard(u: Word, max_size: int) -> None:
+    """Refuse a primitive word whose two closures pass `max_size` elements,
+    before either is built; a word that is not primitive passes.
+
+    For primitive u of length n over an alphabet of K letters, the closure of
+    `letter_actions(u)` has at least n^2 + [K >= 2] elements.  The letters act
+    left to right, so a nonempty word w sends each rotation whose periodic
+    reading begins with w to that rotation shifted by |w| letters, and is
+    undefined elsewhere.  The n rotations of a primitive word are n distinct
+    words of length n, so a word of length n or more begins the periodic
+    reading of at most one rotation: it acts as a one-point map or as the
+    empty map.  Rotation r read periodically for n + d letters (0 <= d < n)
+    spells a word that sends r to r shifted by d, so every one-point map
+    between two rotations, all n^2 of them, is an element.  With K >= 2
+    letters there are more words of length n + 1 than rotations, so one of
+    them begins no periodic reading and acts as the empty map: one element
+    more.  By the paper's theorem, the syntactic semigroup of u+ is
+    isomorphic to that closure for primitive u, so it has the same order.
+    A closure takes in its distinct generators, at most K, before its guard
+    applies, and refuses only an order past both max_size and that count.
+    So a bound past max_size and K refuses only words that either closure
+    would refuse, with the same message.
+    """
+    k = u.alphabet.size
+    if is_primitive(u) and len(u) ** 2 + (k >= 2) > max(max_size, k):
+        raise _over_guard(max_size)
 
 
 def generate_closure(gens: dict[int, PartialInjection],

@@ -315,31 +315,111 @@ def dense_transition_signature(delta, letters) -> tuple:
     return letters, tuple(ids[gens[a]] for a in letters), tuple(rows)
 
 
-def relabelled_signature(s) -> tuple:
+def relabelled_signature(generators: dict, right) -> tuple:
     """Right-Cayley signature of a finite semigroup by breadth-first
-    relabelling from its generators, using only `generators` and
-    `right_by_letter`: whatever numbering the semigroup uses internally."""
-    letters = tuple(sorted(s.generators))
+    relabelling from its generators, given its letter -> generator index and
+    its right table (`right[i][c]`, element i times the c-th letter in
+    order): whatever numbering the semigroup uses internally."""
+    letters = tuple(sorted(generators))
     canon: dict[int, int] = {}
     order: list[int] = []
     for a in letters:
-        if s.generators[a] not in canon:
-            canon[s.generators[a]] = len(order)
-            order.append(s.generators[a])
+        if generators[a] not in canon:
+            canon[generators[a]] = len(order)
+            order.append(generators[a])
     rows = []
     pos = 0
     while pos < len(order):
         e = order[pos]
         pos += 1
         row = []
-        for a in letters:
-            t = s.right_by_letter(e, a)
+        for c in range(len(letters)):
+            t = right[e][c]
             if t not in canon:
                 canon[t] = len(order)
                 order.append(t)
             row.append(canon[t])
         rows.append(tuple(row))
-    return letters, tuple(canon[s.generators[a]] for a in letters), tuple(rows)
+    return letters, tuple(canon[generators[a]] for a in letters), tuple(rows)
+
+
+@dataclass
+class ReferenceClosure:
+    """What `reference_close` returns: the closure with the parent and the
+    last letter of each element stored as the closure found it."""
+
+    gens: dict[int, tuple]
+    letters: list[int]
+    generators: dict[int, int]
+    keys: list[tuple]
+    right: tuple[tuple[int, ...], ...]
+    parent: list[int]  # -1 for a generator
+    last: list[int]  # column of the last letter of the element's word
+
+    @property
+    def element_words(self) -> tuple[tuple[int, ...], ...]:
+        words: list[tuple[int, ...]] = []
+        for p, c in zip(self.parent, self.last):
+            a = self.letters[c]
+            words.append((a,) if p < 0 else words[p] + (a,))
+        return tuple(words)
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        right = self.right
+        steps = list(zip(self.parent, self.last))
+        heads = [c for p, c in steps if p < 0]
+        steps = steps[len(heads):]
+        rows = []
+        for x in right:
+            row = [x[c] for c in heads]
+            for p, c in steps:
+                row.append(right[row[p]][c])
+            rows.append(tuple(row))
+        return tuple(rows)
+
+
+def reference_close(gens: dict[int, tuple], max_size: int) -> ReferenceClosure:
+    """The breadth-first closure of letter-labeled sparse partial maps as the
+    package computed it before its closure loop was rewritten: a list
+    comprehension per product, and the parent and last letter of every
+    element stored as it is found."""
+    letters = sorted(gens)
+    maps = [dict(gens[a]) for a in letters]
+    index: dict[tuple, int] = {}
+    keys: list[tuple] = []
+    parent: list[int] = []
+    last: list[int] = []
+    right: list[tuple[int, ...]] = []
+    generators: dict[int, int] = {}
+    for c, a in enumerate(letters):
+        g = gens[a]
+        if g not in index:
+            index[g] = len(keys)
+            keys.append(g)
+            parent.append(-1)
+            last.append(c)
+        generators[a] = index[g]
+    pos = 0
+    while pos < len(keys):
+        x = keys[pos]
+        row = []
+        for c, m in enumerate(maps):
+            y = tuple([(s, m[t]) for s, t in x if t in m])
+            j = index.get(y)
+            if j is None:
+                if len(keys) >= max_size:
+                    raise ResourceLimitError(
+                        f"semigroup closure exceeds the {max_size}-element guard"
+                    )
+                j = index[y] = len(keys)
+                keys.append(y)
+                parent.append(pos)
+                last.append(c)
+            row.append(j)
+        right.append(tuple(row))
+        pos += 1
+    return ReferenceClosure(gens, letters, generators, keys, tuple(right), parent, last)
 
 
 def is_power_of(text: str, u: str) -> bool:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ebwt
-from ebwt import cli
+from ebwt import cli, semigroups
 from ebwt.cli import main
 
 from helpers import naive_primitive
@@ -208,6 +209,48 @@ class TestTransform:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["transform", "--file", str(tmp_path / "nope")])
         assert code == 2
+
+
+class TestUndecodableFile:
+    """A --file that is not UTF-8 is an input error whose position counts
+    from the start of the file, as a whole read of it gives it, however the
+    file is read in blocks."""
+
+    @pytest.mark.parametrize("command, data, position", [
+        ("transform", b"ab\n" * 5000 + b"\xff\n", 15000),
+        ("invert", b"ab" * 100000 + b"\xff", 200000),
+    ])
+    def test_position_from_the_start_of_the_file(self, capsys, tmp_path,
+                                                 command, data, position):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        code, out, err = run(capsys, [command, "--file", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: 'utf-8' codec can't decode byte 0xff in position "
+                       f"{position}: invalid start byte\n")
+
+    @given(st.sampled_from(["transform", "invert"]),
+           st.integers(0, 3 * 2**16), st.sampled_from(["\u00e9", "\u20ac", "\U0001d11e"]),
+           st.sampled_from([b"\xff", b"\xe2\x82x", b"\xe2\x82", b"\xc3"]))
+    @settings(max_examples=60, deadline=None)
+    def test_positions_match_a_whole_read(self, tmp_path_factory, command, letters,
+                                          wide, bad):
+        # multibyte characters straddle the decoder's block boundaries, and
+        # the bad bytes are a lone byte, a broken sequence and a truncated
+        # tail (of the file, or of its first line for transform)
+        text = ("ab" * (letters // 2) + wide * (letters % 7)).encode()
+        data = text + bad + b"\nab"
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            expected = f"error: {e}\n"
+        path = tmp_path_factory.getbasetemp() / "undecodable.txt"
+        path.write_bytes(data)
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, "--file", str(path)])
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", expected)
 
 
 class ChunkedStream(io.StringIO):
@@ -474,6 +517,70 @@ class TestSemigroup:
         code, _, _ = run(capsys, ["semigroup", "aabab", "--action",
                                   "--guard-cells", "4"])
         assert code == 3
+
+    @pytest.mark.parametrize("mode", ["--action", "--syntactic", "--check-iso"])
+    @pytest.mark.parametrize("length, letters, guard", [
+        (5, "ab", "25"),  # 5^2 + 1 elements at least
+        (40, "abc", "1600"),
+        (1050, "ab", None),  # the default guard, 10^6
+        (2000, "ab", None),
+    ])
+    def test_closure_refused_before_it_is_built(self, capsys, monkeypatch, mode,
+                                                length, letters, guard):
+        def fail(*args):
+            raise AssertionError("the closure ran")
+
+        rng = random.Random(length)
+        word = "".join(rng.choice(letters) for _ in range(length))
+        assert naive_primitive(word)
+        monkeypatch.setattr(semigroups, "_close", fail)
+        argv = ["semigroup", word, mode] + (["--guard-cells", guard] if guard else [])
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err == (f"error: semigroup closure exceeds the {guard or 10**6}"
+                       "-element guard\n")
+
+    def test_closure_decides_above_the_bound(self, capsys, monkeypatch):
+        # "aabab" closes to 31 elements, 5^2 + 1 plus its 5 repeated cyclic
+        # factors a, b, ab, ba and aba: from the bound 26 on, the closure
+        # itself decides
+        calls = []
+        real = semigroups._close
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(semigroups, "_close", spy)
+        for guard, expected, closures in (("25", 3, 0), ("26", 3, 1),
+                                          ("30", 3, 1), ("31", 0, 2)):
+            calls.clear()
+            code, _, err = run(capsys, ["semigroup", "aabab", "--check-iso",
+                                        "--guard-cells", guard])
+            assert (code, len(calls)) == (expected, closures)
+            if code == 3:
+                assert err == (f"error: semigroup closure exceeds the {guard}"
+                               "-element guard\n")
+
+    def test_non_primitive_syntactic_guarded_inside_the_closure(self, capsys,
+                                                                monkeypatch):
+        calls = []
+        real = semigroups._close
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(semigroups, "_close", spy)
+        # "abab" closes to 9 elements, under its length squared plus one
+        for guard, expected in (("8", 3), ("9", 0)):
+            code, _, err = run(capsys, ["semigroup", "abab", "--syntactic",
+                                        "--guard-cells", guard])
+            assert code == expected
+            assert err.startswith("warning: abab is not primitive")
+        assert len(calls) == 2
+        assert err.count("\n") == 1
 
     def test_table_cell_guard(self, capsys):
         # a random primitive 62-letter word closes to a few thousand elements,

@@ -1,14 +1,18 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ebwt.bwt import NecklaceMultiset, standard_permutation, transform
+from ebwt import semigroups
 from ebwt.errors import NotPrimitiveError, ResourceLimitError
 from ebwt.semigroups import (
+    DEFAULT_CLOSURE_SIZE,
     PartialInjection,
     _minimal_dfa,
     cayley_signature,
+    check_closure_guard,
     generate_closure,
     letter_actions,
     letter_induced_isomorphic,
@@ -34,6 +38,7 @@ from helpers import (
     naive_primitive,
     naive_root,
     primitive_texts,
+    reference_close,
     relabelled_signature,
 )
 
@@ -255,13 +260,154 @@ class TestSparseClosure:
             words = s.element_words
             keys = [(len(w), w) for w in words]
             assert all(a < b for a, b in zip(keys, keys[1:]))
+            letters, _, right = cayley_signature(s)
             index = {w: i for i, w in enumerate(words)}
             for j, w in enumerate(words):
                 if len(w) == 1:
                     assert s.generators[w[0]] == j
                 else:
-                    assert s.right_by_letter(index[w[:-1]], w[-1]) == j
-            assert cayley_signature(s) == relabelled_signature(s)
+                    assert right[index[w[:-1]]][letters.index(w[-1])] == j
+            assert cayley_signature(s) == relabelled_signature(s.generators, right)
+
+
+def action_route(u, max_size=DEFAULT_CLOSURE_SIZE):
+    return generate_closure(letter_actions(u), max_size)
+
+
+ROUTES = (action_route, syntactic_semigroup)
+
+
+def closed_with_reference(route, u, max_size=DEFAULT_CLOSURE_SIZE):
+    """The closure that `route` builds for u, and the reference closure of
+    the generators the route handed to `_close`."""
+    with mock.patch.object(semigroups, "_close", wraps=semigroups._close) as spy:
+        s = route(u, max_size)
+    gens, guard, _ = spy.call_args.args
+    return s, reference_close(gens, guard)
+
+
+def assert_matches_reference(s, ref, with_table=True):
+    assert s.generators == ref.generators
+    assert s._keys == ref.keys
+    assert cayley_signature(s)[2] == ref.right
+    assert s.element_words == ref.element_words
+    if with_table:
+        assert s.table == ref.table
+
+
+class TestClosureLoop:
+    """`_close` against the closure loop it replaced (`helpers.reference_close`,
+    which stores each element's parent and last letter as it finds it)."""
+
+    def test_every_small_primitive_word(self):
+        checked = 0
+        for letters, longest in (("ab", 8), ("abc", 5)):
+            alphabet = Alphabet(letters)
+            for text in primitive_texts(letters, longest):
+                for route in ROUTES:
+                    assert_matches_reference(*closed_with_reference(route, W(text, alphabet)))
+                checked += 1
+        assert checked == 472 + 345
+
+    @given(primitive_words(40))
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis_words(self, case):
+        text, letters = case
+        for route in ROUTES:
+            s, ref = closed_with_reference(route, W(text, Alphabet(letters)))
+            assert_matches_reference(s, ref, with_table=s.order <= 400)
+
+    @pytest.mark.filterwarnings("ignore:.*not primitive:UserWarning")
+    def test_non_primitive_words_on_the_syntactic_route(self):
+        checked = 0
+        for letters, longest in (("ab", 10), ("abc", 6)):
+            alphabet = Alphabet(letters)
+            for n in range(2, longest + 1):
+                for codes in all_words(len(letters), n):
+                    u = Word(alphabet, codes)
+                    if naive_primitive(str(u)):
+                        continue
+                    s, ref = closed_with_reference(syntactic_semigroup, u)
+                    assert_matches_reference(s, ref)
+                    checked += 1
+        assert checked == 80 + 51
+
+    def test_absent_letters(self):
+        for letters in ("abcd", "abcde"):
+            alphabet = Alphabet(letters)
+            for text in primitive_texts("ab", 6):
+                for route in ROUTES:
+                    assert_matches_reference(*closed_with_reference(route, W(text, alphabet)))
+
+    @pytest.mark.parametrize("text, letters", [
+        ("ab", "ab"), ("aab", "ab"), ("aabab", "ab"), ("abcab", "abc"),
+        ("aabb", "abcd"), ("abaabbab", "ab"),
+    ])
+    def test_guard_boundary(self, text, letters):
+        # the guard refuses the (max_size + 1)-th element, and the loop it
+        # replaced did the same
+        u = W(text, Alphabet(letters))
+        for route in ROUTES:
+            s, ref = closed_with_reference(route, u)
+            assert_matches_reference(*closed_with_reference(route, u, s.order))
+            message = f"semigroup closure exceeds the {s.order - 1}-element guard"
+            with pytest.raises(ResourceLimitError, match=message):
+                route(u, s.order - 1)
+            with pytest.raises(ResourceLimitError, match=message):
+                reference_close(ref.gens, s.order - 1)
+
+    @pytest.mark.parametrize("text, order", [
+        ("a" * 700 + "b", 492101),  # 701^2 + 699 repeated factors a^i + 1
+        ("ab" * 350 + "b", 492799),  # 701^2 + 1397 + 1
+    ], ids=["a^700b", "(ab)^350b"])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_multi_point_worst_case(self, route, text, order):
+        # the elements a^i (and (ab)^i) act on about 700 - i points each,
+        # the quadratic case of the product loop; the orders are those the
+        # replaced loop computed
+        assert route(W(text)).order == order
+
+
+class TestClosureBound:
+    def test_bound_against_both_closures(self):
+        # n^2 + [K >= 2] is at most the order of both closures of a primitive
+        # word of length n over K letters, some of them possibly absent, and
+        # a word refused at a guard is refused by both closures there too
+        checked = 0
+        for letters, longest in (("a", 1), ("ab", 9), ("abc", 6), ("abcd", 4)):
+            alphabet = Alphabet(letters)
+            for text in primitive_texts(letters, longest):
+                u = W(text, alphabet)
+                bound = len(text) ** 2 + (len(letters) >= 2)
+                assert action_route(u).order >= bound
+                assert syntactic_semigroup(u).order >= bound
+                check_closure_guard(u, bound)
+                if len(text) == 1:
+                    # the closure takes in its generators unguarded
+                    check_closure_guard(u, max(bound - 1, 1))
+                    continue
+                with pytest.raises(ResourceLimitError):
+                    check_closure_guard(u, bound - 1)
+                for route in ROUTES:
+                    with pytest.raises(ResourceLimitError):
+                        route(u, bound - 1)
+                checked += 1
+        assert checked == 2334 - 1 - 2 - 3 - 4
+
+    @pytest.mark.parametrize("letters", ["ab", "abcd"])
+    def test_generators_pass_the_guard(self, letters):
+        # "a" over K >= 2 letters closes to its two generators, the letter a
+        # and the empty map of the absent letters; neither closure refuses
+        # them at a guard of 1, so the check does not either
+        u = W("a", Alphabet(letters))
+        check_closure_guard(u, 1)
+        assert [route(u, 1).order for route in ROUTES] == [2, 2]
+
+    @pytest.mark.filterwarnings("ignore:.*not primitive:UserWarning")
+    def test_non_primitive_word_passes(self):
+        # "abab" closes to 9 elements, under 4^2 + 1: the closure decides
+        check_closure_guard(W("abab"), 1)
+        assert syntactic_semigroup(W("abab"), max_size=9).order == 9
 
 
 class TestSyntacticSemigroup:
@@ -294,12 +440,13 @@ class TestSyntacticSemigroup:
             u = W(text, Alphabet("ab"))
             s = syntactic_semigroup(u)
             gens = {a: s.generators[a] for a in s.generators}
+            right = cayley_signature(s)[2]  # both letters label a column
             limit = 2 * len(text) + 2
 
             def class_of(word_text):
                 idx = gens[ord(word_text[0]) - ord("a")]
                 for ch in word_text[1:]:
-                    idx = s.right_by_letter(idx, ord(ch) - ord("a"))
+                    idx = right[idx][ord(ch) - ord("a")]
                 return idx
 
             oracle = context_classes(text, alphabet, limit, limit)
