@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive and shares no code with the package:
 min-over-rotations, lcm-width tables, prefix-sorted rotations, substring
-sets, dict-based closures, Moore-refined automata.
+sets, dict-based closures, Moore-refined automata.  `reference_close` is the
+exception in spirit: a copy of the package's earlier closure loop, kept as
+the reference its rewrite is compared against.
 """
 
 from dataclasses import dataclass

@@ -541,10 +541,9 @@ class TestSemigroup:
         assert err == (f"error: semigroup closure exceeds the {guard or 10**6}"
                        "-element guard\n")
 
-    def test_closure_decides_above_the_bound(self, capsys, monkeypatch):
-        # "aabab" closes to 31 elements, 5^2 + 1 plus its 5 repeated cyclic
-        # factors a, b, ab, ba and aba: from the bound 26 on, the closure
-        # itself decides
+    @pytest.fixture
+    def closures(self, monkeypatch):
+        """The argument tuples of every `_close` call, which still runs."""
         calls = []
         real = semigroups._close
 
@@ -553,33 +552,31 @@ class TestSemigroup:
             return real(*args)
 
         monkeypatch.setattr(semigroups, "_close", spy)
-        for guard, expected, closures in (("25", 3, 0), ("26", 3, 1),
-                                          ("30", 3, 1), ("31", 0, 2)):
-            calls.clear()
+        return calls
+
+    def test_closure_decides_above_the_bound(self, capsys, closures):
+        # "aabab" closes to 31 elements, 5^2 + 1 plus its 5 repeated cyclic
+        # factors a, b, ab, ba and aba: from the bound 26 on, the closure
+        # itself decides
+        for guard, expected, count in (("25", 3, 0), ("26", 3, 1),
+                                       ("30", 3, 1), ("31", 0, 2)):
+            closures.clear()
             code, _, err = run(capsys, ["semigroup", "aabab", "--check-iso",
                                         "--guard-cells", guard])
-            assert (code, len(calls)) == (expected, closures)
+            assert (code, len(closures)) == (expected, count)
             if code == 3:
                 assert err == (f"error: semigroup closure exceeds the {guard}"
                                "-element guard\n")
 
     def test_non_primitive_syntactic_guarded_inside_the_closure(self, capsys,
-                                                                monkeypatch):
-        calls = []
-        real = semigroups._close
-
-        def spy(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(semigroups, "_close", spy)
+                                                                closures):
         # "abab" closes to 9 elements, under its length squared plus one
         for guard, expected in (("8", 3), ("9", 0)):
             code, _, err = run(capsys, ["semigroup", "abab", "--syntactic",
                                         "--guard-cells", guard])
             assert code == expected
             assert err.startswith("warning: abab is not primitive")
-        assert len(calls) == 2
+        assert len(closures) == 2
         assert err.count("\n") == 1
 
     def test_table_cell_guard(self, capsys):
