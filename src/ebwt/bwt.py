@@ -1,14 +1,16 @@
 """The extended Burrows-Wheeler transform and its inverse.
 
 The forward map sends a finite multiset of necklaces to the word of last
-letters of its rotations sorted by the omega-order.  It ranks the rotations
-of the distinct necklaces by prefix doubling over cyclic positions, with the
-early rounds packing prefixes into exact base-k integers, and writes each
-last letter once per copy, so it costs O(N log N) in the total length N of
-the distinct necklaces plus the output length.  The inverse reads the cycles
-of the standard permutation, built by one stable sort of positions by letter,
-counts the letter tuples they spell, and builds one necklace per distinct
-tuple, taking it as a Lyndon word without checking it again.
+letters of its rotations sorted by the omega-order.  It renders each
+distinct necklace once as a periodic string, sorts the windows of a fixed
+width that start at its rotations, and runs prefix-doubling rounds only when
+two windows tie; each last letter is written once per copy.  So it costs one
+sort of the distinct rotations, plus O(log) rounds over them on ties, plus
+the output length.  The inverse reads the cycles of the standard permutation,
+built by one stable sort of positions by letter.  The m copies of a necklace
+give m cycles that are translates of one another; each class of translates
+is walked once and becomes one necklace of multiplicity m, taken as a Lyndon
+word without checking it again.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import add
 
 # omega_compare is unused here; bench/tracing.py counts calls at bwt.omega_compare.
 from .words import Alphabet, Necklace, Word, lyndon_representative, omega_compare  # noqa: F401
@@ -24,6 +27,10 @@ from .words import Alphabet, Necklace, Word, lyndon_representative, omega_compar
 # The largest width squared at which a ranking round still packs key pairs
 # without renumbering them: keys stay within two 30-bit CPython int digits.
 PACKED_KEY_LIMIT = 2**60
+
+# The widest window the transform sorts, in bytes of its string: 64 letters
+# of one byte (k <= 256), 32 of two (k <= 65536), 16 of four.
+WINDOW_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -104,16 +111,37 @@ class StandardPermutation:
             return None
         return self.image[i]
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Disjoint cycles, listed by minimal element, each read from it.
+    def cycles(self) -> dict[tuple[int, ...], int]:
+        """Disjoint cycles by class of translates: {cycle read from its
+        minimal element s: number m of translates}, listed by s.
 
-        Each cycle is followed from its start until the permutation returns
-        there; the next start is the first position not yet seen, which
-        `bytearray.find` locates in C.
+        The translates of a cycle C are C + 1, ..., C + m - 1, with minima
+        s + 1, ..., s + m - 1; expanded in order they list every cycle by its
+        minimal element.  C + j is such a translate when, for every c in C,
+        `sorted_codes[c + j] == sorted_codes[c]` and
+        `image[c + j] == image[c] + j`.  Then the same holds for every i <= j:
+        `sorted_codes` is sorted, so c + i lies in the domain of the letter of
+        c, where `image` increases, so the j + 1 images of c, ..., c + j are
+        j + 1 increasing integers from image[c] to image[c] + j.  So each
+        C + i is closed under the permutation, a cycle with minimum s + i that
+        spells the letters of C.  The largest such j is found by doubling and
+        then bisection, each check a few C-level maps over C, and the rows of
+        the translates are marked seen by slice assignment.
+
+        In a transform, the m copies of a rotation fill adjacent rows that
+        start with one letter, and the permutation sends them in order to
+        the adjacent rows of the next rotation's copies.  So the copies of
+        a necklace give a cycle and its translates, and translates spell
+        one necklace: each class is exactly the copies of one necklace, and
+        every word is the transform of its inverse.  Each class is walked
+        once: its cycle is followed from its start until the permutation
+        returns there, and the next start is the first row not yet seen,
+        which `bytearray.find` locates in C.
         """
-        image = self.image
-        seen = bytearray(len(image))
-        out = []
+        image, letters = self.image, self.sorted_codes
+        n = len(image)
+        seen = bytearray(n)
+        out = {}
         start = seen.find(0)
         while start >= 0:
             seen[start] = 1
@@ -123,9 +151,37 @@ class StandardPermutation:
                 seen[i] = 1
                 cycle.append(i)
                 i = image[i]
-            out.append(tuple(cycle))
-            start = seen.find(0, start + 1)
+            copies = 1
+            for c in cycle:  # is C + 1 a translate? most cycles fail at once
+                if c + 1 == n or image[c + 1] != image[c] + 1 or letters[c + 1] != letters[c]:
+                    break
+            else:
+                top = n - max(cycle)  # translates by top or more leave the rows
+                low, high = 1, 2
+                while high < top and self._translates(cycle, high):
+                    low, high = high, 2 * high
+                high = min(high, top)
+                while high - low > 1:
+                    mid = (low + high) // 2
+                    if self._translates(cycle, mid):
+                        low = mid
+                    else:
+                        high = mid
+                copies = low + 1
+                marks = b"\x01" * low
+                for c in cycle:
+                    seen[c + 1:c + copies] = marks
+            out[tuple(cycle)] = copies
+            start = seen.find(0, start + copies)
         return out
+
+    def _translates(self, cycle: list[int], j: int) -> bool:
+        """Whether `cycle` shifted by j, all rows in range, is a cycle that
+        spells the same letters (see `cycles`)."""
+        letter, image = self.sorted_codes.__getitem__, self.image.__getitem__
+        shifted = list(map(add, cycle, repeat(j)))
+        return (list(map(image, shifted)) == shifted[1:] + shifted[:1]
+                and list(map(letter, shifted)) == list(map(letter, cycle)))
 
 
 def standard_permutation(w: Word) -> StandardPermutation:
@@ -145,60 +201,88 @@ def standard_permutation(w: Word) -> StandardPermutation:
 def transform(m: NecklaceMultiset) -> Word:
     """The extended Burrows-Wheeler transform of a necklace multiset.
 
-    Ranks the rotations of the distinct necklaces by the omega-order with
-    prefix doubling (Manber and Myers) on cyclic positions.  After round h
-    the key of position i orders the first span = 2^h letters of its
-    rotation's infinite power.  Round h + 1 pairs it with the key of the
-    position span further round the same necklace, as key * width + key',
-    where every key is below width, so the new key is below width squared.
-
-    The first keys are the letter codes, with width k.  Packed this way, the
-    key after h rounds is the exact base-k value of the first span letters:
-    equal keys mean equal prefixes of length span, and keys of one width
-    compare as those prefixes do lexicographically.  These rounds need no
-    sort and no dict.  Once width squared would pass PACKED_KEY_LIMIT, the
-    keys are first renumbered densely by one sort of the distinct keys, and
-    the width drops to their number.  Pairing is exact at any width, so the
-    limit only keeps the integers small.
+    Ranks the rotations of the distinct necklaces by the omega-order.  Each
+    necklace is rendered once as a string of `chr(code)` letters, repeated
+    to at least its length plus `span` letters, and the window of `span`
+    letters at each of its rotations is cut with C-level slicing: the first
+    span letters of that rotation's infinite power.  Then one sort of the
+    rotations by window gives the order, unless two windows tie.
 
     Two rotations of lengths p and q with equal prefixes of length
     p + q - gcd(p, q) have equal infinite powers (Fine and Wilf), hence equal
-    roots; rotations of distinct primitive necklaces never do.  So every key
-    is distinct once the span reaches 2 * maxlen, and usually long before.
-    The rounds stop as soon as the keys are distinct, and one sort of the
-    positions by key gives the order, with no last renumbering.  The copies
-    of one necklace have equal rotations, which sit adjacent in that order,
-    so each rotation's last letter is written out once per copy.
+    roots; rotations of distinct primitive necklaces never do.  So when span
+    is 2 * maxlen, the windows are distinct and their order is the
+    omega-order.  Span is capped at WINDOW_BYTES of string (64 letters for
+    k <= 256, 32 for k <= 65536, 16 above), which bounds the memory of the
+    windows; below 2 * maxlen it is checked for ties, and only when there
+    are any does prefix doubling (Manber and Myers) go on from there.
+
+    The windows are ranked densely, by one sort of the distinct ones, so the
+    key of a rotation orders its first span letters.  Each round pairs it
+    with the key of the rotation span letters further round the same
+    necklace, as key * width + key', where every key is below width, so the
+    new key is below width squared and orders the first 2 * span letters.
+    Once width squared would pass PACKED_KEY_LIMIT, the keys are first
+    renumbered densely again, and the width drops to their number.  Pairing
+    is exact at any width, so the limit only keeps the integers small.  The
+    rounds stop as soon as the keys are distinct, or the span reaches
+    2 * maxlen.  The copies of one necklace have equal rotations, which sit
+    adjacent in the order, so each rotation's last letter is written out
+    once per copy.
     """
-    codes: list[int] = []
-    last: list[int] = []
-    nxt: list[int] = []
-    mults: list[int] = []
-    for necklace, mult in m.entries:
-        c = necklace.lyndon.codes
-        start = len(codes)
-        codes.extend(c)
-        last.extend(c[-1:] + c[:-1])
-        nxt.extend(range(start + 1, start + len(c)))
-        nxt.append(start)
-        mults.extend(repeat(mult, len(c)))
-    n = len(codes)
-    limit = 2 * max((len(necklace) for necklace, _ in m.entries), default=0)
-    keys, width, span = codes, m.alphabet.size, 1
+    k = m.alphabet.size
+    lyndons = [necklace.lyndon.codes for necklace, _ in m.entries]
+    lengths = list(map(len, lyndons))
+    limit = 2 * max(lengths, default=0)
+    span = min(limit, WINDOW_BYTES // (1 if k <= 256 else 2 if k <= 65536 else 4))
+    keys = _ranking_keys(lyndons, lengths, span, limit)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    del keys  # the windows: the largest list here
+    last = list(chain.from_iterable(c[-1:] + c[:-1] for c in lyndons))
+    letters = map(last.__getitem__, order)
+    mults = [mult for _, mult in m.entries]
+    if max(mults, default=1) > 1:
+        mults = list(chain.from_iterable(map(repeat, mults, lengths)))
+        letters = chain.from_iterable(map(repeat, letters, map(mults.__getitem__, order)))
+    return Word(m.alphabet, tuple(letters))
+
+
+def _ranking_keys(lyndons: list, lengths: list[int], span: int, limit: int) -> list:
+    """Keys that sort the rotations of the necklaces with the given Lyndon
+    codes into the omega-order (see `transform`): their windows of span
+    letters when those are distinct, else integer keys from prefix-doubling
+    rounds that start at span."""
+    keys: list = []
+    for c, n in zip(lyndons, lengths):
+        text = "".join(map(chr, c)) * (span // n + 2)
+        keys.extend(map(text.__getitem__, map(slice, range(n), range(span, span + n))))
+    if span == limit:
+        return keys
     distinct = set(keys)
-    while len(distinct) < n and span < limit:
-        if width * width > PACKED_KEY_LIMIT:
-            dense = {key: i for i, key in enumerate(sorted(distinct))}
-            keys = [dense[key] for key in keys]
-            width = len(dense)
+    if len(distinct) == len(keys):
+        return keys
+    nxt: list[int] = []
+    for n in lengths:
+        start, shift = len(nxt), span % n
+        nxt.extend(range(start + shift, start + n))
+        nxt.extend(range(start, start + shift))
+    keys, width = _dense(keys, distinct)
+    while True:
         keys = [r * width + keys[j] for r, j in zip(keys, nxt)]
         width *= width
         nxt = [nxt[j] for j in nxt]
         span *= 2
         distinct = set(keys)
-    order = sorted(range(n), key=keys.__getitem__)
-    copies = map(repeat, map(last.__getitem__, order), map(mults.__getitem__, order))
-    return Word(m.alphabet, tuple(chain.from_iterable(copies)))
+        if len(distinct) == len(keys) or span >= limit:
+            return keys
+        if width * width > PACKED_KEY_LIMIT:
+            keys, width = _dense(keys, distinct)
+
+
+def _dense(keys: list, distinct: set) -> tuple[list[int], int]:
+    """(each key's rank among the distinct keys, their number)."""
+    rank = {key: i for i, key in enumerate(sorted(distinct))}
+    return [rank[key] for key in keys], len(rank)
 
 
 def inverse_transform(w: Word) -> NecklaceMultiset:
@@ -214,14 +298,17 @@ def inverse_transform(w: Word) -> NecklaceMultiset:
     order, so that rotation is the lex-least, the Lyndon word.  Each cycle
     therefore becomes a necklace through `Necklace.unchecked`, with no
     primitivity check and no least-rotation search.  The m copies of a
-    necklace give m cycles that spell the same word, so the spelled letter
-    tuples are counted first and each distinct one becomes a necklace once.
+    necklace are one class of m translates in `StandardPermutation.cycles`,
+    so each class becomes one necklace of multiplicity m, and distinct
+    classes spell distinct necklaces: the entries are sorted by their letter
+    tuples, with no hashing of necklaces.
     """
+    alphabet = w.alphabet
     if len(w) == 0:
-        return NecklaceMultiset(w.alphabet, ())
+        return NecklaceMultiset(alphabet, ())
     p = standard_permutation(w)
     letter = p.sorted_codes.__getitem__
-    counts = Counter(tuple(map(letter, cycle)) for cycle in p.cycles())
-    return NecklaceMultiset.from_necklaces(w.alphabet, {
-        Necklace.unchecked(Word(w.alphabet, codes)): mult for codes, mult in counts.items()
-    })
+    spelled = sorted((tuple(map(letter, cycle)), copies) for cycle, copies in p.cycles().items())
+    return NecklaceMultiset(alphabet, tuple(
+        (Necklace.unchecked(Word(alphabet, codes)), copies) for codes, copies in spelled
+    ))

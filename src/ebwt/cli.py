@@ -58,27 +58,61 @@ INPUT_CHUNK = 1 << 16
 
 
 def _read_input(args, read):
-    """What `read` takes from the positional text, else --file, else stdin."""
+    """What `read` takes from the positional text, else --file, else stdin.
+
+    The bytes of --file and stdin are decoded as strict UTF-8, whatever the
+    locale; stdin is taken as it is only when it is already a text stream
+    without bytes beneath it.
+    """
     if args.text is not None:
         return read(io.StringIO(args.text))
     if args.file:
         try:
-            with open(args.file, encoding="utf-8") as handle:
-                try:
-                    return read(handle)
-                except UnicodeDecodeError as e:
-                    # e.object ends where the bytes read so far end
-                    start = handle.buffer.tell() - len(e.object)
-                    raise CLIError(_decode_message(e, start)) from None
+            with open(args.file, "rb") as handle:
+                return _read_utf8(handle, read)
         except OSError as e:
             raise CLIError(f"cannot read {args.file}: {e.strerror}") from e
-    return read(sys.stdin)
+    if not hasattr(sys.stdin, "buffer"):
+        return read(sys.stdin)
+    return _read_utf8(sys.stdin.buffer, read)
+
+
+class _CountedBytes(io.RawIOBase):
+    """A binary stream that counts the bytes read through it, so that a
+    pipe, which cannot seek, still tells how far it has been read."""
+
+    def __init__(self, raw):
+        super().__init__()
+        self._raw = raw
+        self._count = 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(buffer)
+        self._count += n
+        return n
+
+    def tell(self) -> int:
+        return self._count
+
+
+def _read_utf8(raw, read):
+    """What `read` takes from the strict UTF-8 text of the binary stream
+    `raw`; a decoding error is an input error."""
+    counted = _CountedBytes(raw)
+    try:
+        return read(io.TextIOWrapper(counted, encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        # e.object ends where the bytes read so far end
+        raise CLIError(_decode_message(e, counted.tell() - len(e.object))) from None
 
 
 def _decode_message(e: UnicodeDecodeError, start: int) -> str:
     """The codec's message for `e`, raised on bytes that begin `start` bytes
-    into the file, with its positions counted from the start of the file as
-    a whole read gives them."""
+    into the input, with its positions counted from the start of the input
+    as a whole read gives them."""
     first, last = start + e.start, start + e.end - 1
     if first == last:
         where = f"byte 0x{e.object[e.start]:02x} in position {first}"

@@ -175,13 +175,17 @@ def _close(gens: dict[int, tuple], max_size: int, build) -> FiniteSemigroup:
 
     Each product is built by one loop over the pairs of the element and
     numbered by one `setdefault`; the right-table cells go to one flat list,
-    cut into rows at the end.
+    cut into rows at the end.  The distinct generators count against
+    `max_size` like every other element, so no closure of more than
+    `max_size` elements is returned.
     """
     letters = sorted(gens)
     images = [dict(gens[a]).get for a in letters]
     index: dict[tuple, int] = {}
     number = index.setdefault
     generators = {a: number(gens[a], len(index)) for a in letters}
+    if len(index) > max_size:
+        raise _over_guard(max_size)
     keys = list(index)  # the distinct generators, in letter order
     cells: list[int] = []
     push = cells.append
@@ -226,13 +230,12 @@ def check_closure_guard(u: Word, max_size: int) -> None:
     them begins no periodic reading and acts as the empty map: one element
     more.  By the paper's theorem, the syntactic semigroup of u+ is
     isomorphic to that closure for primitive u, so it has the same order.
-    A closure takes in its distinct generators, at most K, before its guard
-    applies, and refuses only an order past both max_size and that count.
-    So a bound past max_size and K refuses only words that either closure
-    would refuse, with the same message.
+    A closure counts its distinct generators against its guard like every
+    other element, so it refuses exactly an order past max_size.  So the
+    bound is compared with max_size alone, and refuses only words that
+    either closure would refuse, with the same message.
     """
-    k = u.alphabet.size
-    if is_primitive(u) and len(u) ** 2 + (k >= 2) > max(max_size, k):
+    if is_primitive(u) and len(u) ** 2 + (u.alphabet.size >= 2) > max_size:
         raise _over_guard(max_size)
 
 
@@ -352,9 +355,11 @@ class MultisetSemigroup:
     """The action semigroup of a necklace multiset with its cycle structure.
 
     `semigroup` is the closure of the per-letter injections of the standard
-    permutation of the transform; `cycle_domains` are the permutation's
-    cycles (read from their minimal element).  Restriction to each cycle is a
-    homomorphism, and the tuple of all restrictions separates elements.
+    permutation of the transform; `cycle_domains` are all the permutation's
+    cycles, each read from its minimal element and listed by it: the classes
+    of `StandardPermutation.cycles` expanded by translation, one cycle per
+    copy of a necklace.  Restriction to each cycle is a homomorphism, and
+    the tuple of all restrictions separates elements.
     """
 
     alphabet: Alphabet
@@ -396,4 +401,7 @@ def semigroup_of_multiset(m: NecklaceMultiset) -> MultisetSemigroup:
         raise ValueError("the empty multiset has no letter actions")
     p = standard_permutation(transform(m))
     closure = generate_closure(letter_injections(p))
-    return MultisetSemigroup(m.alphabet, closure, tuple(p.cycles()), p.sorted_codes)
+    domains = tuple(
+        tuple(c + t for c in cycle) for cycle, copies in p.cycles().items() for t in range(copies)
+    )
+    return MultisetSemigroup(m.alphabet, closure, domains, p.sorted_codes)

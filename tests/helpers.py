@@ -98,6 +98,19 @@ def naive_cycles(image) -> list[tuple[int, ...]]:
     return [orbits[start] for start in sorted(orbits)]
 
 
+def translated_cycles(classes) -> list[tuple[int, ...]]:
+    """Every cycle of a {cycle: number m of translates} map, in its order:
+    each cycle followed by the cycle plus 1, ..., plus m - 1."""
+    return [tuple(c + t for c in cycle) for cycle, m in classes.items() for t in range(m)]
+
+
+def single_classes(classes) -> list[tuple[int, ...]]:
+    """The cycles of a {cycle: number of translates} map, in its order,
+    checking that no cycle has a translate."""
+    assert all(m == 1 for m in classes.values()), classes
+    return list(classes)
+
+
 def fibonacci_word(length: int) -> str:
     """The first finite Fibonacci word (a, ab, aba, abaab, ...) of at least
     `length` letters; every one is primitive."""

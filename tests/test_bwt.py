@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import islice
 from os.path import commonprefix
 
 import pytest
@@ -18,7 +19,7 @@ from ebwt.words import Alphabet, Necklace, Word, lyndon_representative, root
 from helpers import (
     AB, ABC, W, all_words, build_table, fibonacci_word, naive_bwt, naive_cycles,
     naive_least_rotation, naive_primitive, naive_root, naive_standard_permutation,
-    prefix_bwt, rotations,
+    prefix_bwt, rotations, translated_cycles,
 )
 
 
@@ -247,11 +248,114 @@ class TestRanking:
             assert str(transform(m)) == prefix_bwt(ordered)
 
 
+def wide_letters(k):
+    """k letters in code-point order from U+0100 on, surrogates skipped."""
+    codes = (c for c in range(0x100, 0x110000) if not 0xD800 <= c <= 0xDFFF)
+    return "".join(map(chr, islice(codes, k)))
+
+
+LETTERS_300 = wide_letters(300)
+LETTERS_70000 = wide_letters(70000)
+
+
+def ranked(monkeypatch, m):
+    """(transform of m, the width of the tied windows each time the
+    transform went on to prefix doubling)."""
+    widths = []
+    real = bwt._dense
+
+    def spy(keys, distinct):
+        if isinstance(keys[0], str):
+            widths.append(len(keys[0]))
+        return real(keys, distinct)
+
+    monkeypatch.setattr(bwt, "_dense", spy)
+    return transform(m), widths
+
+
+class TestWindowSort:
+    """The windows the transform sorts, 64 letters wide over up to 256
+    letters, 32 up to 65536 and 16 above, against the prefix-sorted oracle;
+    tied windows go on to prefix doubling."""
+
+    @pytest.mark.parametrize("k, width", [
+        (2, 64), (256, 64), (257, 32), (65536, 32), (65537, 16),
+    ])
+    def test_width_follows_the_alphabet(self, monkeypatch, k, width):
+        # a^(2 width) z: its first rotations tie on every window
+        letters = wide_letters(k)
+        items = [(letters[0] * (2 * width) + letters[-1], 1), (letters[0] + letters[-1], 3)]
+        m, ordered = oracle_multiset(letters, items)
+        word, widths = ranked(monkeypatch, m)
+        assert widths == [width]
+        assert str(word) == prefix_bwt(ordered)
+
+    @pytest.mark.parametrize("letters", ["ab", "abc"])
+    def test_short_necklaces_need_no_rounds(self, monkeypatch, letters):
+        # windows of 2 * maxlen letters tell every rotation apart
+        rng = random.Random(letters)
+        items = [(text, rng.randint(1, 3)) for text in random_texts(rng, letters, 32, 40)]
+        m, ordered = oracle_multiset(letters, items)
+        word, widths = ranked(monkeypatch, m)
+        assert widths == []
+        assert str(word) == prefix_bwt(ordered)
+
+    @pytest.mark.parametrize("items", [
+        [(fibonacci_word(80), 1)],
+        [(fibonacci_word(300), 2), (fibonacci_word(40), 1), ("ab", 5)],
+        [("ab" * 40 + "b", 1), ("aab" * 25 + "b", 3), ("ab" * 20 + "b", 2)],
+        [("a" * 70 + "b", 1), ("a" * 66 + "bb", 2), ("a" * 40 + "b", 1)],
+    ], ids=["fibonacci-89", "fibonacci-mixed", "near-periodic", "a^m b"])
+    def test_tied_windows(self, monkeypatch, items):
+        m, ordered = oracle_multiset("ab", items)
+        word, widths = ranked(monkeypatch, m)
+        assert widths == [64]
+        assert str(word) == prefix_bwt(ordered)
+
+    @given(st.sampled_from(["ab", "abc"]).flatmap(lambda letters: st.tuples(
+        st.just(letters),
+        st.lists(st.tuples(
+            texts(letters[:2], 4), st.integers(9, 30), texts(letters, 4), st.integers(1, 4),
+        ).map(lambda d: (d[0] * d[1] + d[2], d[3])), min_size=1, max_size=4),
+    )))
+    @settings(max_examples=60, deadline=None)
+    def test_near_periodic_past_the_window(self, drawn):
+        # u^j v with |u| * j from 9 to 120 letters: ties past 64 letters
+        letters, items = drawn
+        m, ordered = oracle_multiset(letters, items)
+        assert str(transform(m)) == prefix_bwt(ordered)
+
+    @pytest.mark.parametrize("letters", [LETTERS_300, LETTERS_70000], ids=["k=300", "k=70000"])
+    def test_wide_alphabets(self, letters):
+        rng = random.Random(len(letters))
+        high = letters[-3:]  # the codes that need the widest strings
+        items = [(text, rng.randint(1, 4)) for text in random_texts(rng, letters, 50, 20)]
+        items += [(u * j + v, rng.randint(1, 3)) for u, j, v in [
+            (high[0] + letters[0], 20, high[1]), (letters[0] * 3 + high[2], 9, letters[1]),
+            (high[2], 40, high[0]), (letters[5] + high[0], 30, high[0]),
+        ]]
+        m, ordered = oracle_multiset(letters, items)
+        assert str(transform(m)) == prefix_bwt(ordered)
+        assert inverse_transform(transform(m)) == m
+
+    @pytest.mark.parametrize("letters", ["ab", "abc", LETTERS_300], ids=["k=2", "k=3", "k=300"])
+    def test_high_multiplicities(self, letters):
+        rng = random.Random(f"{len(letters)} copies")
+        lengths = [1, 2, 3, 5, 8, 13, 40, 70]
+        items = [(text, rng.randint(1, 10**4)) for n in lengths
+                 for text in random_texts(rng, letters[:3] + letters[-2:], n, 2)]
+        items.append((letters[0] * 70 + letters[1], 10**4))
+        m, ordered = oracle_multiset(letters, items)
+        w = transform(m)
+        assert str(w) == prefix_bwt(ordered)
+        assert inverse_transform(w) == m
+
+
 class TestStandardPermutation:
     def test_paper_example(self):
         p = standard_permutation(W("babbaaba"))
         assert p.image == (1, 4, 5, 7, 0, 2, 3, 6)
-        assert p.cycles() == [(0, 1, 4), (2, 5), (3, 7, 6)]
+        assert list(p.cycles().items()) == [((0, 1, 4), 1), ((2, 5), 1), ((3, 7, 6), 1)]
         assert p.dom(0) == range(0, 4)
         assert p.dom(1) == range(4, 8)
         assert p.ran(0) == (1, 4, 5, 7)
@@ -298,10 +402,31 @@ class TestStandardPermutation:
     def test_cycles_match_naive_decomposition(self, drawn):
         letters, text = drawn
         p = standard_permutation(Alphabet(letters).word(text))
-        assert p.cycles() == naive_cycles(p.image)
+        assert translated_cycles(p.cycles()) == naive_cycles(p.image)
+
+    @given(wide_multisets())
+    @settings(deadline=None)
+    def test_classes_of_transforms(self, drawn):
+        # multiplicities 1-50: each necklace is one class of translates, and
+        # the classes expand to the naive cycles
+        letters, items = drawn
+        alphabet = Alphabet(letters)
+        m = NecklaceMultiset(alphabet, tuple(
+            (Necklace(alphabet.word(text)), mult) for text, mult in items
+        ))
+        if not items:
+            return
+        p = standard_permutation(transform(m))
+        classes = p.cycles()
+        assert translated_cycles(classes) == naive_cycles(p.image)
+        spelled = sorted(
+            (alphabet.render(map(p.sorted_codes.__getitem__, cycle)), copies)
+            for cycle, copies in classes.items()
+        )
+        assert spelled == items
 
     def test_cycles_of_empty_permutation(self):
-        assert bwt.StandardPermutation(AB, (), ()).cycles() == []
+        assert bwt.StandardPermutation(AB, (), ()).cycles() == {}
 
 
 class TestWordAction:
@@ -420,7 +545,7 @@ class TestBuildTable:
                 assert t.entry(i, j) == t.entry(p.image[i], (j - 1) % width)
         # root of row i has the length of i's cycle; rows sorted; last column is w
         cycle_len = {}
-        for cycle in p.cycles():
+        for cycle in translated_cycles(p.cycles()):
             for i in cycle:
                 cycle_len[i] = len(cycle)
         roots = []

@@ -212,9 +212,9 @@ class TestTransform:
 
 
 class TestUndecodableFile:
-    """A --file that is not UTF-8 is an input error whose position counts
-    from the start of the file, as a whole read of it gives it, however the
-    file is read in blocks."""
+    """A --file or stdin that is not UTF-8 is an input error whose position
+    counts from the start of the input, as a whole read of it gives it,
+    however the input is read in blocks and whatever the locale."""
 
     @pytest.mark.parametrize("command, data, position", [
         ("transform", b"ab\n" * 5000 + b"\xff\n", 15000),
@@ -229,6 +229,36 @@ class TestUndecodableFile:
         assert out == ""
         assert err == (f"error: 'utf-8' codec can't decode byte 0xff in position "
                        f"{position}: invalid start byte\n")
+
+    @pytest.mark.parametrize("command, data, position", [
+        ("transform", b"ab\n" * 5000 + b"\xff\n", 15000),
+        ("invert", b"ab" * 100000 + b"\xff", 200000),
+        ("invert", b"abab\xff", 4),
+    ])
+    def test_stdin_position_from_the_start(self, capsys, monkeypatch,
+                                           command, data, position):
+        # stdin as the C locale opens it: its own decoding would let the bad
+        # byte through as a lone surrogate
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, [command])
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: 'utf-8' codec can't decode byte 0xff in position "
+                       f"{position}: invalid start byte\n")
+
+    def test_piped_stdin_under_the_c_locale(self):
+        env = dict(os.environ, LC_ALL="C",
+                   PYTHONPATH=str(Path(ebwt.__file__).resolve().parents[1]))
+        env.pop("PYTHONUTF8", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ebwt.cli", "invert"],
+            input=b"ab" * 100000 + b"\xff", capture_output=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == (b"error: 'utf-8' codec can't decode byte 0xff in position "
+                               b"200000: invalid start byte\n")
 
     @given(st.sampled_from(["transform", "invert"]),
            st.integers(0, 3 * 2**16), st.sampled_from(["\u00e9", "\u20ac", "\U0001d11e"]),
@@ -567,6 +597,19 @@ class TestSemigroup:
             if code == 3:
                 assert err == (f"error: semigroup closure exceeds the {guard}"
                                "-element guard\n")
+
+    @pytest.mark.parametrize("mode", ["--syntactic", "--action", "--check-iso"])
+    def test_generators_count_against_the_guard(self, capsys, closures, mode):
+        # "c" over b, c, f closes to its two generators, the letter c and the
+        # empty map of b and f: 1^2 + 1 elements, refused at a guard of 1
+        # before any closure runs
+        argv = ["semigroup", "c", mode, "--alphabet", "bcf", "--guard-cells"]
+        code, out, err = run(capsys, argv + ["1"])
+        assert (code, out, len(closures)) == (3, "", 0)
+        assert err == "error: semigroup closure exceeds the 1-element guard\n"
+        code, out, err = run(capsys, argv + ["2"])
+        assert (code, err) == (0, "")
+        assert "order 2\n" in out
 
     def test_non_primitive_syntactic_guarded_inside_the_closure(self, capsys,
                                                                 closures):

@@ -33,6 +33,7 @@ from helpers import (
     moore_minimal_dfa,
     naive_closure,
     naive_closure_size,
+    naive_cycles,
     naive_least_rotation,
     naive_letter_maps,
     naive_primitive,
@@ -384,8 +385,6 @@ class TestClosureBound:
                 assert syntactic_semigroup(u).order >= bound
                 check_closure_guard(u, bound)
                 checked += 1
-                if len(text) == 1:
-                    continue  # see test_generators_pass_the_guard
                 with pytest.raises(ResourceLimitError):
                     check_closure_guard(u, bound - 1)
                 for route in ROUTES:
@@ -394,13 +393,19 @@ class TestClosureBound:
         assert checked == 2334
 
     @pytest.mark.parametrize("letters", ["ab", "abcd"])
-    def test_generators_pass_the_guard(self, letters):
+    def test_generators_count_against_the_guard(self, letters):
         # "a" over K >= 2 letters closes to its two generators, the letter a
-        # and the empty map of the absent letters; neither closure refuses
-        # them at a guard of 1, so the check does not either
+        # and the empty map of the absent letters: both closures and the
+        # check refuse them at a guard of 1, and take them at a guard of 2
         u = W("a", Alphabet(letters))
-        check_closure_guard(u, 1)
-        assert [route(u, 1).order for route in ROUTES] == [2, 2]
+        message = "semigroup closure exceeds the 1-element guard"
+        with pytest.raises(ResourceLimitError, match=message):
+            check_closure_guard(u, 1)
+        for route in ROUTES:
+            with pytest.raises(ResourceLimitError, match=message):
+                route(u, 1)
+        check_closure_guard(u, 2)
+        assert [route(u, 2).order for route in ROUTES] == [2, 2]
 
     @pytest.mark.filterwarnings("ignore:.*not primitive:UserWarning")
     def test_non_primitive_word_passes(self):
@@ -618,6 +623,7 @@ class TestMultisetSemigroup:
             (Necklace(alphabet.word(text)), mult) for text, mult in sorted(counts.items())
         ))
         ms = semigroup_of_multiset(m)
+        assert list(ms.cycle_domains) == naive_cycles(standard_permutation(transform(m)).image)
         found = {}
         for j in range(len(ms.cycle_domains)):
             necklace = ms.cycle_necklace(j)
