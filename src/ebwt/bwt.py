@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add
 
 # omega_compare is unused here; bench/tracing.py counts calls at bwt.omega_compare.
-from .words import Alphabet, Necklace, Word, lyndon_representative, omega_compare  # noqa: F401
+from .words import Alphabet, Necklace, Value, Word, lyndon_representative, omega_compare  # noqa: F401
 
 # The largest width squared at which a ranking round still packs key pairs
 # without renumbering them: keys stay within two 30-bit CPython int digits.
@@ -33,8 +32,7 @@ PACKED_KEY_LIMIT = 2**60
 WINDOW_BYTES = 64
 
 
-@dataclass(frozen=True)
-class NecklaceMultiset:
+class NecklaceMultiset(Value):
     """A finite multiset of necklaces, sorted by Lyndon representative."""
 
     alphabet: Alphabet
@@ -73,8 +71,7 @@ class NecklaceMultiset:
         return sum(mult for _, mult in self.entries)
 
 
-@dataclass(frozen=True)
-class StandardPermutation:
+class StandardPermutation(Value):
     """The standard permutation of a word: per-letter sorted-vs-original maps.
 
     For each letter a, dom(a) is the interval of positions of a in the sorted
@@ -228,7 +225,9 @@ def transform(m: NecklaceMultiset) -> Word:
     rounds stop as soon as the keys are distinct, or the span reaches
     2 * maxlen.  The copies of one necklace have equal rotations, which sit
     adjacent in the order, so each rotation's last letter is written out
-    once per copy.
+    once per copy.  Every letter written is a code of a necklace of the
+    multiset, which is over its alphabet, so the word is built without
+    `Word`'s range check.
     """
     k = m.alphabet.size
     lyndons = [necklace.lyndon.codes for necklace, _ in m.entries]
@@ -244,7 +243,7 @@ def transform(m: NecklaceMultiset) -> Word:
     if max(mults, default=1) > 1:
         mults = list(chain.from_iterable(map(repeat, mults, lengths)))
         letters = chain.from_iterable(map(repeat, letters, map(mults.__getitem__, order)))
-    return Word(m.alphabet, tuple(letters))
+    return Word.unchecked(m.alphabet, tuple(letters))
 
 
 def _ranking_keys(lyndons: list, lengths: list[int], span: int, limit: int) -> list:
@@ -302,6 +301,12 @@ def inverse_transform(w: Word) -> NecklaceMultiset:
     so each class becomes one necklace of multiplicity m, and distinct
     classes spell distinct necklaces: the entries are sorted by their letter
     tuples, with no hashing of necklaces.
+
+    So every record of the result is built with `unchecked`, without its
+    constructor's checks: each word's codes are letters of w, over w's
+    alphabet, which every necklace shares with the multiset; each
+    multiplicity is a number of translates, at least 1; and the entries,
+    sorted by distinct letter tuples, ascend strictly by Lyndon word.
     """
     alphabet = w.alphabet
     if len(w) == 0:
@@ -309,6 +314,7 @@ def inverse_transform(w: Word) -> NecklaceMultiset:
     p = standard_permutation(w)
     letter = p.sorted_codes.__getitem__
     spelled = sorted((tuple(map(letter, cycle)), copies) for cycle, copies in p.cycles().items())
-    return NecklaceMultiset(alphabet, tuple(
-        (Necklace.unchecked(Word(alphabet, codes)), copies) for codes, copies in spelled
+    necklace, word = Necklace.unchecked, Word.unchecked
+    return NecklaceMultiset.unchecked(alphabet, tuple(
+        (necklace(word(alphabet, codes)), copies) for codes, copies in spelled
     ))

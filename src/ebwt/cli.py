@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import json
 import os
 import sys
 import warnings
@@ -208,6 +207,8 @@ def _multiset_entries_from_lines(lines, guard: int) -> Counter:
 
 
 def _multiset_entries_from_json(text: str) -> Counter:
+    import json  # here, not at the top: only JSON input needs it
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
@@ -265,6 +266,8 @@ def _multiset_output(m: NecklaceMultiset) -> tuple[dict, list[str]]:
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
     if args.json:
+        import json  # here, not at the top: only --json output needs it
+
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in lines:

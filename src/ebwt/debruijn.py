@@ -11,13 +11,12 @@ enumeration provides the cross-check oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial, lgamma, log, log10
 
 from .bwt import NecklaceMultiset, inverse_transform
 from .errors import ResourceLimitError
-from .words import Word, default_alphabet
+from .words import Value, Word, default_alphabet
 
 DEFAULT_MAX_WORD_LENGTH = 2**24
 # Longest de Bruijn word count returned, in decimal digits: CPython's default
@@ -49,8 +48,7 @@ def first_bad_block(w: Word, k: int, n: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class GammaWord:
+class GammaWord(Value):
     """A length-k^n word whose k^{n-1} blocks each permute the alphabet."""
 
     word: Word

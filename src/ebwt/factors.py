@@ -12,13 +12,12 @@ prefix of the least de Bruijn word of a suitable span certifies the floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice, product, repeat
 from operator import lshift, or_, xor
 
 from .debruijn import DEFAULT_MAX_WORD_LENGTH, least_debruijn_word, power_exceeds, power_text
 from .errors import ResourceLimitError
-from .words import Word, default_alphabet
+from .words import Value, Word, default_alphabet
 
 DEFAULT_SCAN_WORDS = 2**18
 # Letters of a word whose factors are counted.  Packed windows take about
@@ -153,8 +152,7 @@ def repeated_factor_lower_bound(n: int, k: int) -> int:
     return (n + 1) * t - t * (t + 1) // 2 - k * (k**t - 1) // (k - 1)
 
 
-@dataclass(frozen=True)
-class FactorWitness:
+class FactorWitness(Value):
     """A length-n word certifying a quadratic distinct-factor floor."""
 
     word: Word

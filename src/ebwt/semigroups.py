@@ -25,13 +25,12 @@ transition semigroup, letter for letter.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
 
 from .bwt import NecklaceMultiset, StandardPermutation, standard_permutation, transform
 from .errors import ResourceLimitError
-from .words import Alphabet, Necklace, Word, is_primitive, lyndon_representative
+from .words import Alphabet, Necklace, Value, Word, is_primitive, lyndon_representative
 
 DEFAULT_CLOSURE_SIZE = 10**6
 # Cells of a rendered multiplication table (order squared); the CLI refuses
@@ -39,8 +38,7 @@ DEFAULT_CLOSURE_SIZE = 10**6
 TABLE_CELL_LIMIT = 2**20
 
 
-@dataclass(frozen=True)
-class PartialInjection:
+class PartialInjection(Value):
     """A partial one-to-one map on {0..degree-1}, as (source, target) pairs
     sorted by source."""
 
@@ -86,8 +84,7 @@ class PartialInjection:
         return PartialInjection(len(positions), pairs)
 
 
-@dataclass(frozen=True)
-class Transformation:
+class Transformation(Value):
     """A full map on {0..m-1}; element of a transition semigroup."""
 
     targets: tuple[int, ...]
@@ -350,8 +347,7 @@ def letter_induced_isomorphic(s1: FiniteSemigroup, s2: FiniteSemigroup) -> bool:
     return cayley_signature(s1) == cayley_signature(s2)
 
 
-@dataclass(frozen=True)
-class MultisetSemigroup:
+class MultisetSemigroup(Value):
     """The action semigroup of a necklace multiset with its cycle structure.
 
     `semigroup` is the closure of the per-letter injections of the standard

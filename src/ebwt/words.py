@@ -3,11 +3,27 @@
 Words are tuples of contiguous integer codes 0..k-1 over an ordered alphabet;
 display characters exist only at the rendering boundary.  Code order is the
 lexicographic letter order, so comparing code tuples compares rendered words.
+
+The package's immutable records (`Alphabet`, `Word`, `Necklace` here, and
+one or more in each other module) derive from `Value`.  Its fields are the
+names annotated in the class body, passed positionally; two records are
+equal when they have the same class and equal fields, the hash follows the
+fields, assigning or deleting a field raises AttributeError, the repr reads
+`Class(field=value, ...)`, and a class's `__post_init__` checks the fields
+after construction.  `Value.unchecked(*fields)` builds a record without that
+check, for callers that have proved the fields valid; each such call says
+why in its docstring.
+
+`Value` stands in for frozen `dataclasses`, which made up most of the CLI's
+start-up: importing `dataclasses` pulls in `inspect`, `ast`, `dis` and
+`tokenize` (9-16 ms on a 2-CPU container, CPython 3.11), and decorating
+the ten classes took about 10 ms more.  `Alphabet`, `Word` and `Necklace`,
+built on every path of the transform pair, write out their `__init__`,
+`__eq__` and `__hash__`, since the generic ones loop over the field names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
@@ -15,14 +31,70 @@ from .errors import NotPrimitiveError
 
 LOWERCASE = "abcdefghijklmnopqrstuvwxyz"
 
+# Sets a field past Value.__setattr__.  Unlike a write through `__dict__`,
+# it keeps the fields in CPython's compact instance layout, which is read
+# faster and takes less memory.
+_setattr = object.__setattr__
+
 # Return values of omega_compare.
 LESS = -1
 EQUAL = 0
 GREATER = 1
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Value:
+    """An immutable record whose fields are its class's annotated names (see
+    the module docstring)."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} "
+                            f"fields, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            _setattr(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the fields; a class with constraints overrides this."""
+
+    @classmethod
+    def unchecked(cls, *values):
+        """The record of these fields, without `__post_init__`'s check: only
+        for fields the caller has proved valid."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            _setattr(self, name, value)
+        return self
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Alphabet(Value):
     """An ordered alphabet: code i renders as ``letters[i]``.
 
     ``letters`` must be strictly increasing so that code order, rendered
@@ -30,6 +102,18 @@ class Alphabet:
     """
 
     letters: str
+
+    def __init__(self, letters: str):
+        _setattr(self, "letters", letters)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self):
+        return hash((self.letters,))
 
     def __post_init__(self):
         if not self.letters:
@@ -59,12 +143,14 @@ class Alphabet:
 
         This is where outside text is checked: one dict lookup per character,
         and a ValueError naming the first character outside the alphabet.
+        The codes are values of `_index`, which numbers the letters 0..k-1,
+        so the word is built without `Word`'s range check.
         """
         try:
             codes = tuple(map(self._index.__getitem__, text))
         except KeyError as e:
             raise self._unknown(e.args[0]) from None
-        return Word(self, codes)
+        return Word.unchecked(self, codes)
 
     def render(self, codes) -> str:
         return "".join(map(self.letters.__getitem__, codes))
@@ -77,8 +163,7 @@ def default_alphabet(k: int) -> Alphabet:
     return Alphabet(LOWERCASE[:k])
 
 
-@dataclass(frozen=True, order=False)
-class Word:
+class Word(Value):
     """An immutable word: integer codes over a fixed alphabet.
 
     Construction checks that every code lies in 0..k-1, by one `min` and one
@@ -87,6 +172,19 @@ class Word:
 
     alphabet: Alphabet
     codes: tuple[int, ...]
+
+    def __init__(self, alphabet: Alphabet, codes: tuple[int, ...]):
+        _setattr(self, "alphabet", alphabet)
+        _setattr(self, "codes", codes)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet, self.codes) == (other.alphabet, other.codes)
+
+    def __hash__(self):
+        return hash((self.alphabet, self.codes))
 
     def __post_init__(self):
         k = self.alphabet.size
@@ -207,8 +305,7 @@ def least_rotation_start(codes) -> int | None:
     return i if k < n else None
 
 
-@dataclass(frozen=True, order=False)
-class Necklace:
+class Necklace(Value):
     """A conjugacy class of a primitive word, held by its Lyndon rotation.
 
     `Necklace(word)` checks, in one `least_rotation_start` scan, that the
@@ -220,6 +317,18 @@ class Necklace:
 
     lyndon: Word
 
+    def __init__(self, lyndon: Word):
+        _setattr(self, "lyndon", lyndon)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lyndon == other.lyndon
+
+    def __hash__(self):
+        return hash((self.lyndon,))
+
     def __post_init__(self):
         w = self.lyndon
         _require_nonempty(w, "root")
@@ -228,13 +337,6 @@ class Necklace:
             raise NotPrimitiveError(f"necklace word must be primitive: {w}", root(w))
         if start != 0:
             raise ValueError(f"necklace representative is not the least rotation: {w}")
-
-    @classmethod
-    def unchecked(cls, lyndon: Word) -> Necklace:
-        """The necklace of a word already known to be a Lyndon word."""
-        necklace = object.__new__(cls)
-        object.__setattr__(necklace, "lyndon", lyndon)
-        return necklace
 
     def __len__(self) -> int:
         return len(self.lyndon)

@@ -296,6 +296,27 @@ def naive_closure(gens: dict) -> set[frozenset]:
     return elems
 
 
+def necklace_closure_order(text: str, alphabet_size: int) -> int:
+    """The order of either semigroup closure of a primitive word, in closed
+    form: n^2 + R + z.
+
+    Each one-point map between two of the n rotations is an element (words
+    of length n or more occur at one cyclic position); each cyclic factor
+    occurring at two or more cyclic positions is one more, and R counts
+    them, as the sum over the sorted rotations of max(0, lcp[r] - lcp[r-1]),
+    lcp[r] being the longest common prefix of rotations r and r + 1 (0
+    before the first); z = 1 for the empty map, which some word gives
+    exactly when the alphabet has two or more letters.
+    """
+    n = len(text)
+    rows = sorted(rotations(text))
+    lcps = [0]
+    for a, b in zip(rows, rows[1:]):
+        lcps.append(next(i for i in range(n) if a[i] != b[i]))
+    repeated = sum(max(0, cur - prev) for prev, cur in zip(lcps, lcps[1:]))
+    return n * n + repeated + (alphabet_size >= 2)
+
+
 def naive_closure_size(gens: dict[str, dict[int, int]]) -> int:
     """Size of the closure of partial maps under composition (set-based)."""
     return len(naive_closure(gens))

@@ -811,3 +811,40 @@ class TestEntryPoint:
         )
         assert proc.stdout == b"syntactic order 9\ngenerators a b\n"
         assert proc.returncode == 0
+
+
+class TestStartup:
+    """Start-up in a fresh interpreter: what `import ebwt.cli` loads, and the
+    JSON paths that import `json` only when they run."""
+
+    SRC = str(Path(ebwt.__file__).resolve().parents[1])
+
+    def cold(self, *argv):
+        return subprocess.run([sys.executable, "-E", "-s", *argv],
+                              capture_output=True, timeout=60)
+
+    def test_import_loads_no_unwanted_module(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "startup_modules.py"
+        proc = self.cold(str(script), self.SRC)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.decode().split(": ", 1)[1].split())
+        assert "ebwt.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect", "json"}
+
+    def run_cli(self, *argv):
+        # -E ignores PYTHONPATH, so the child puts the package on sys.path
+        code = f"import sys; sys.path.insert(0, {self.SRC!r}); from ebwt.cli import entry; entry()"
+        proc = self.cold("-c", code, *argv)
+        return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+    def test_json_output(self):
+        assert self.run_cli("invert", "babbaaba", "--json") == (0, (
+            '{"necklaces": [{"lyndon": "aab", "multiplicity": 1}, '
+            '{"lyndon": "ab", "multiplicity": 1}, {"lyndon": "abb", "multiplicity": 1}]}\n'
+        ), "")
+
+    def test_json_input(self):
+        payload = '{"necklaces": [{"lyndon": "aab"}, {"lyndon": "ab"}, {"lyndon": "abb"}]}'
+        assert self.run_cli("transform", payload) == (0, "babbaaba\n", "")
+        assert self.run_cli("transform", '{"necklaces": [') == (
+            2, "", "error: line 1: invalid JSON: Expecting value\n")

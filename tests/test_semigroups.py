@@ -38,6 +38,7 @@ from helpers import (
     naive_letter_maps,
     naive_primitive,
     naive_root,
+    necklace_closure_order,
     primitive_texts,
     reference_close,
     relabelled_signature,
@@ -412,6 +413,28 @@ class TestClosureBound:
         # "abab" closes to 9 elements, under 4^2 + 1: the closure decides
         check_closure_guard(W("abab"), 1)
         assert syntactic_semigroup(W("abab"), max_size=9).order == 9
+
+
+class TestClosureOrderFormula:
+    """Both closures of a primitive word have the order n^2 + R + z of
+    `helpers.necklace_closure_order`."""
+
+    def test_every_small_primitive_word(self):
+        checked = 0
+        for letters, longest in (("a", 1), ("ab", 10), ("abc", 7)):
+            alphabet = Alphabet(letters)
+            for text in primitive_texts(letters, longest):
+                order = necklace_closure_order(text, len(letters))
+                assert [route(W(text, alphabet)).order for route in ROUTES] == [order, order]
+                checked += 1
+        assert checked == 1 + 2012 + 3179
+
+    @given(primitive_words(100, min_len=20))
+    @settings(max_examples=25, deadline=None)
+    def test_hypothesis_words(self, case):
+        text, letters = case
+        order = necklace_closure_order(text, len(letters))
+        assert [route(W(text, Alphabet(letters))).order for route in ROUTES] == [order, order]
 
 
 class TestSyntacticSemigroup:
