@@ -4,13 +4,15 @@ The forward map sends a finite multiset of necklaces to the word of last
 letters of its rotations sorted by the omega-order.  It renders each
 distinct necklace once as a periodic string, sorts the windows of a fixed
 width that start at its rotations, and runs prefix-doubling rounds only when
-two windows tie; each last letter is written once per copy.  So it costs one
-sort of the distinct rotations, plus O(log) rounds over them on ties, plus
-the output length.  The inverse reads the cycles of the standard permutation,
-built by one stable sort of positions by letter.  The m copies of a necklace
-give m cycles that are translates of one another; each class of translates
-is walked once and becomes one necklace of multiplicity m, taken as a Lyndon
-word without checking it again.
+two windows tie; each round re-ranks the keys densely and pairs them, and
+each last letter is written once per copy.  So it costs one sort of the
+distinct rotations, plus O(log) rounds over them on ties, plus the output
+length.  The inverse reads the cycles of the standard permutation, built by
+one stable sort of positions by letter.  The m copies of a necklace give m
+cycles that are translates of one another; each class of translates is
+walked once and becomes one necklace of multiplicity m, taken as a Lyndon
+word without checking it again, and the classes come out in the order of
+their Lyndon words.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ from operator import add
 
 # omega_compare is unused here; bench/tracing.py counts calls at bwt.omega_compare.
 from .words import Alphabet, Necklace, Value, Word, lyndon_representative, omega_compare  # noqa: F401
-
-# The largest width squared at which a ranking round still packs key pairs
-# without renumbering them: keys stay within two 30-bit CPython int digits.
-PACKED_KEY_LIMIT = 2**60
 
 # The widest window the transform sorts, in bytes of its string: 64 letters
 # of one byte (k <= 256), 32 of two (k <= 65536), 16 of four.
@@ -88,25 +86,12 @@ class StandardPermutation(Value):
     def size(self) -> int:
         return len(self.image)
 
-    def letter_of(self, i: int) -> int:
-        """The unique letter a with i in dom(a)."""
-        return self.sorted_codes[i]
-
     def dom(self, letter: int) -> range:
         """Positions of `letter` in the sorted rearrangement: an interval."""
         return range(
             bisect_left(self.sorted_codes, letter),
             bisect_right(self.sorted_codes, letter),
         )
-
-    def ran(self, letter: int) -> tuple[int, ...]:
-        return tuple(self.image[i] for i in self.dom(letter))
-
-    def apply_letter(self, i: int, letter: int) -> int | None:
-        """i under the partial map of `letter`, or None when i is not in dom."""
-        if self.sorted_codes[i] != letter:
-            return None
-        return self.image[i]
 
     def cycles(self) -> dict[tuple[int, ...], int]:
         """Disjoint cycles by class of translates: {cycle read from its
@@ -214,20 +199,17 @@ def transform(m: NecklaceMultiset) -> Word:
     windows; below 2 * maxlen it is checked for ties, and only when there
     are any does prefix doubling (Manber and Myers) go on from there.
 
-    The windows are ranked densely, by one sort of the distinct ones, so the
-    key of a rotation orders its first span letters.  Each round pairs it
-    with the key of the rotation span letters further round the same
-    necklace, as key * width + key', where every key is below width, so the
-    new key is below width squared and orders the first 2 * span letters.
-    Once width squared would pass PACKED_KEY_LIMIT, the keys are first
-    renumbered densely again, and the width drops to their number.  Pairing
-    is exact at any width, so the limit only keeps the integers small.  The
-    rounds stop as soon as the keys are distinct, or the span reaches
-    2 * maxlen.  The copies of one necklace have equal rotations, which sit
-    adjacent in the order, so each rotation's last letter is written out
-    once per copy.  Every letter written is a code of a necklace of the
-    multiset, which is over its alphabet, so the word is built without
-    `Word`'s range check.
+    Each round starts by ranking the keys densely, by one sort of the
+    distinct ones, so the key of a rotation is below their number, width,
+    and orders its first span letters.  The round pairs it with the key of
+    the rotation span letters further round the same necklace, cut from
+    that necklace's keys as two slices, as key * width + key', which is below width squared and orders the first
+    2 * span letters.  The rounds stop as soon as the keys are distinct, or
+    the span reaches 2 * maxlen.  The copies of one necklace have equal
+    rotations, which sit adjacent in the order, so each rotation's last
+    letter is written out once per copy.  Every letter written is a code of
+    a necklace of the multiset, which is over its alphabet, so the word is
+    built without `Word`'s range check.
     """
     k = m.alphabet.size
     lyndons = [necklace.lyndon.codes for necklace, _ in m.entries]
@@ -250,38 +232,33 @@ def _ranking_keys(lyndons: list, lengths: list[int], span: int, limit: int) -> l
     """Keys that sort the rotations of the necklaces with the given Lyndon
     codes into the omega-order (see `transform`): their windows of span
     letters when those are distinct, else integer keys from prefix-doubling
-    rounds that start at span."""
+    rounds that start at span.
+
+    A round's width is the number of distinct keys, at most the number of
+    rotations, so its keys stay below width squared.  Under the CLI's
+    default guard of 2^24 letters that is below 2^48, two 30-bit CPython
+    int digits, and pairing is exact at any width."""
     keys: list = []
     for c, n in zip(lyndons, lengths):
         text = "".join(map(chr, c)) * (span // n + 2)
         keys.extend(map(text.__getitem__, map(slice, range(n), range(span, span + n))))
-    if span == limit:
-        return keys
-    distinct = set(keys)
-    if len(distinct) == len(keys):
-        return keys
-    nxt: list[int] = []
-    for n in lengths:
-        start, shift = len(nxt), span % n
-        nxt.extend(range(start + shift, start + n))
-        nxt.extend(range(start, start + shift))
-    keys, width = _dense(keys, distinct)
-    while True:
-        keys = [r * width + keys[j] for r, j in zip(keys, nxt)]
-        width *= width
-        nxt = [nxt[j] for j in nxt]
+    while span < limit and len(distinct := set(keys)) < len(keys):
+        keys, width = _dense(keys, distinct)
+        later: list[int] = []  # the key of each rotation span letters further round
+        for n in lengths:
+            start = len(later)
+            cut = start + span % n
+            later += keys[cut:start + n]
+            later += keys[start:cut]
+        keys = [r * width + s for r, s in zip(keys, later)]
         span *= 2
-        distinct = set(keys)
-        if len(distinct) == len(keys) or span >= limit:
-            return keys
-        if width * width > PACKED_KEY_LIMIT:
-            keys, width = _dense(keys, distinct)
+    return keys
 
 
 def _dense(keys: list, distinct: set) -> tuple[list[int], int]:
     """(each key's rank among the distinct keys, their number)."""
-    rank = {key: i for i, key in enumerate(sorted(distinct))}
-    return [rank[key] for key in keys], len(rank)
+    rank = dict(zip(sorted(distinct), range(len(distinct))))
+    return list(map(rank.__getitem__, keys)), len(rank)
 
 
 def inverse_transform(w: Word) -> NecklaceMultiset:
@@ -299,22 +276,33 @@ def inverse_transform(w: Word) -> NecklaceMultiset:
     primitivity check and no least-rotation search.  The m copies of a
     necklace are one class of m translates in `StandardPermutation.cycles`,
     so each class becomes one necklace of multiplicity m, and distinct
-    classes spell distinct necklaces: the entries are sorted by their letter
-    tuples, with no hashing of necklaces.
+    classes spell distinct necklaces.
+
+    The classes already come in the order of their Lyndon words, so they
+    are not sorted.  `cycles` lists them by minimal row, and the rows are in
+    omega-order, so the Lyndon words U and V of two classes listed in turn
+    have U^omega < V^omega, strictly since they are distinct primitive
+    words.  On distinct Lyndon words the lex order implies the omega-order,
+    hence agrees with it.  Let L < L'.  If L is no prefix of L', both orders
+    are decided at their first difference.  Otherwise L' = L^j x with
+    j >= 1 and x a nonempty proper suffix that does not start with L.  Then
+    L' < x, and x is no prefix of L' (a Lyndon word has no border), nor
+    starts with its prefix L, so x first differs from L' at an index below
+    |L|, where x is larger; so L^omega, past L^j, is below x L'^omega.
 
     So every record of the result is built with `unchecked`, without its
     constructor's checks: each word's codes are letters of w, over w's
     alphabet, which every necklace shares with the multiset; each
-    multiplicity is a number of translates, at least 1; and the entries,
-    sorted by distinct letter tuples, ascend strictly by Lyndon word.
+    multiplicity is a number of translates, at least 1; and the entries
+    ascend strictly by Lyndon word.
     """
     alphabet = w.alphabet
     if len(w) == 0:
         return NecklaceMultiset(alphabet, ())
     p = standard_permutation(w)
     letter = p.sorted_codes.__getitem__
-    spelled = sorted((tuple(map(letter, cycle)), copies) for cycle, copies in p.cycles().items())
     necklace, word = Necklace.unchecked, Word.unchecked
     return NecklaceMultiset.unchecked(alphabet, tuple(
-        (necklace(word(alphabet, codes)), copies) for codes, copies in spelled
+        (necklace(word(alphabet, tuple(map(letter, cycle)))), copies)
+        for cycle, copies in p.cycles().items()
     ))

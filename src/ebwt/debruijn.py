@@ -171,21 +171,24 @@ def least_debruijn_set(k: int, n: int,
 
     The word (0 1 ... k-1)^(k^{n-1}) has length k^n and every block is the
     identity, so it is a block-permutation word by construction and is not
-    scanned again.  Its standard permutation sends a*k^{n-1} + j to jk + a,
+    scanned again, and its codes are 0..k-1, so it is built without `Word`'s
+    range check.  Its standard permutation sends a*k^{n-1} + j to jk + a,
     a rotation of the n base-k digits, so its cycles are the necklaces of
     A^n, each once (see `debruijn_set_from_gamma` for the general proof).
     """
     _check_generation_guard(k, n, max_length)
-    v = Word(default_alphabet(k), tuple(range(k)) * (k ** (n - 1)))
+    v = Word.unchecked(default_alphabet(k), tuple(range(k)) * (k ** (n - 1)))
     return inverse_transform(v)
 
 
 def least_debruijn_word(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGTH) -> Word:
     """The lexicographically least de Bruijn word of span n over k letters,
-    generated by transform inversion and sorted Lyndon concatenation."""
+    generated by transform inversion and sorted Lyndon concatenation.  Its
+    codes are those of the necklaces of the least set, over its k letters,
+    so it is built without `Word`'s range check."""
     m = least_debruijn_set(k, n, max_length)
     codes = tuple(c for necklace, _ in m.entries for c in necklace.lyndon.codes)
-    return Word(m.alphabet, codes)
+    return Word.unchecked(m.alphabet, codes)
 
 
 def _lyndon_words_up_to(n: int, k: int):

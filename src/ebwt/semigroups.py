@@ -60,20 +60,12 @@ class PartialInjection(Value):
     def _map(self) -> dict[int, int]:
         return dict(self.pairs)
 
-    def apply(self, x: int) -> int | None:
-        return self._map.get(x)
-
     def compose(self, other: PartialInjection) -> PartialInjection:
         """Left-to-right composition: x -> other(self(x)) where both defined."""
         om = other._map
         return PartialInjection(
             self.degree, tuple((s, om[t]) for s, t in self.pairs if t in om)
         )
-
-    @property
-    def is_order_preserving(self) -> bool:
-        targets = [t for _, t in self.pairs]
-        return all(a < b for a, b in zip(targets, targets[1:]))
 
     def restrict_renumbered(self, positions: tuple[int, ...]) -> PartialInjection:
         """Restrict to an invariant subset and renumber it as 0..r-1 in order."""
@@ -386,9 +378,11 @@ class MultisetSemigroup(Value):
     def cycle_necklace(self, j: int) -> Necklace:
         """The necklace whose rotations occupy cycle j; read from its minimal
         position, the cycle spells the Lyndon word (see `inverse_transform`),
-        so the necklace is built unchecked."""
+        so the necklace is built unchecked.  Its codes are letters of the
+        transform of the multiset, which is over `alphabet`, so its word is
+        built unchecked too."""
         codes = tuple(map(self.sorted_codes.__getitem__, self.cycle_domains[j]))
-        return Necklace.unchecked(Word(self.alphabet, codes))
+        return Necklace.unchecked(Word.unchecked(self.alphabet, codes))
 
 
 def semigroup_of_multiset(m: NecklaceMultiset) -> MultisetSemigroup:

@@ -364,13 +364,14 @@ def lyndon_representative(w: Word) -> Necklace:
     Raises NotPrimitiveError (carrying root(w)) on a proper power: taking the
     root is the caller's decision, never an implicit one.  One scan checks
     primitivity and finds the least rotation, so the necklace is built
-    without `Necklace`'s check of both.
+    without `Necklace`'s check of both, and its word, a rotation of w's
+    codes, without `Word`'s range check.
     """
     _require_nonempty(w, "necklace")
     i = least_rotation_start(w.codes)
     if i is None:
         raise NotPrimitiveError(f"word is not primitive: {w}", root(w))
-    return Necklace.unchecked(Word(w.alphabet, w.codes[i:] + w.codes[:i]))
+    return Necklace.unchecked(Word.unchecked(w.alphabet, w.codes[i:] + w.codes[:i]))
 
 
 def omega_compare(u: Word, v: Word) -> int:

@@ -111,6 +111,29 @@ def single_classes(classes) -> list[tuple[int, ...]]:
     return list(classes)
 
 
+def injection_apply(inj, x: int):
+    """x under a partial injection, read off its pairs; None off its domain."""
+    return dict(inj.pairs).get(x)
+
+
+def is_order_preserving(inj) -> bool:
+    """Whether a partial injection's targets increase with its sources."""
+    targets = [t for _, t in inj.pairs]
+    return all(a < b for a, b in zip(targets, targets[1:]))
+
+
+def letter_range(p, letter: int) -> tuple[int, ...]:
+    """ran(letter) of a standard permutation: the images of the rows that
+    hold `letter` in its sorted codes, in row order."""
+    return tuple(t for t, c in zip(p.image, p.sorted_codes) if c == letter)
+
+
+def apply_letter(p, i: int, letter: int):
+    """Row i under the partial map of `letter` in a standard permutation:
+    its image, or None when row i holds another letter."""
+    return p.image[i] if p.sorted_codes[i] == letter else None
+
+
 def fibonacci_word(length: int) -> str:
     """The first finite Fibonacci word (a, ab, aba, abaab, ...) of at least
     `length` letters; every one is primitive."""

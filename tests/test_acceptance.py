@@ -47,8 +47,8 @@ from ebwt.words import (
 )
 
 from helpers import (
-    AB, ABC, W, all_words, brute_distinct_factors, build_table, lyndon_texts,
-    single_classes, translated_cycles,
+    AB, ABC, W, all_words, apply_letter, brute_distinct_factors, build_table,
+    injection_apply, letter_range, lyndon_texts, single_classes, translated_cycles,
 )
 
 
@@ -346,7 +346,7 @@ def test_criterion_10_property_suites():
 
             def act(i, over):
                 for ch in over:
-                    i = actions[AB.code(ch)].apply(i)
+                    i = injection_apply(actions[AB.code(ch)], i)
                     if i is None:
                         return None
                 return i
@@ -360,8 +360,8 @@ def test_criterion_10_property_suites():
             pos = start
             for step in range(2 * n):
                 nexts = [
-                    (a, inj.apply(pos)) for a, inj in actions.items()
-                    if inj.apply(pos) is not None
+                    (a, injection_apply(inj, pos)) for a, inj in actions.items()
+                    if injection_apply(inj, pos) is not None
                 ]
                 assert len(nexts) == 1
                 a, pos = nexts[0]
@@ -384,14 +384,14 @@ def test_criterion_10_property_suites():
     for v in enumerate_gamma(k, n):
         p = standard_permutation(v)
         for a in range(k):
-            assert sorted(i // k for i in p.ran(a)) == list(range(k ** (n - 1)))
+            assert sorted(i // k for i in letter_range(p, a)) == list(range(k ** (n - 1)))
         for x in range(k**n):
             digits = [(x >> (n - 1 - i)) & 1 for i in range(n)]
             pos = x
             for m_ in range(n):
-                letter = p.letter_of(pos)
+                letter = p.sorted_codes[pos]
                 assert letter == digits[m_]
-                pos = p.apply_letter(pos, letter)
+                pos = apply_letter(p, pos, letter)
 
     _pass(10, f"{tables_checked} rotation tables plus action, necklace-length, "
               "and block-structure suites")

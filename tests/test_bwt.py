@@ -17,9 +17,9 @@ from ebwt.errors import ResourceLimitError
 from ebwt.words import Alphabet, Necklace, Word, lyndon_representative, root
 
 from helpers import (
-    AB, ABC, W, all_words, build_table, fibonacci_word, naive_bwt, naive_cycles,
-    naive_least_rotation, naive_primitive, naive_root, naive_standard_permutation,
-    prefix_bwt, rotations, translated_cycles,
+    AB, ABC, W, all_words, apply_letter, build_table, fibonacci_word, letter_range,
+    naive_bwt, naive_cycles, naive_least_rotation, naive_primitive, naive_root,
+    naive_standard_permutation, prefix_bwt, rotations, translated_cycles,
 )
 
 
@@ -143,8 +143,8 @@ class TestTransform:
 # 40 letters in code-point order
 LETTERS_40 = "".join(map(chr, range(48, 88)))
 
-# (letters, span): the keys of k letters pack while k^span squared stays
-# within 2^60, so up to span 32 for k = 2, 3, then 16 for k = 4 and 8 for k = 40
+# (letters, span): random necklaces of these letters are told apart within
+# span letters, and near-periodic ones built to tie past it need rounds
 PACKED_SPANS = [("ab", 32), ("abc", 32), ("abcd", 16), (LETTERS_40, 8)]
 
 
@@ -189,8 +189,9 @@ near_periodic = st.sampled_from(["ab", "abcd", LETTERS_40]).flatmap(
 
 
 class TestRanking:
-    """The transform's ranking rounds against the prefix-sorted oracle: keys
-    packed as base-k integers while they fit, renumbered densely after."""
+    """The transform's ranking rounds against the prefix-sorted oracle: each
+    round ranks the tied keys densely and pairs them, until the rotations are
+    told apart."""
 
     @pytest.mark.parametrize("mixed", [False, True])
     @pytest.mark.parametrize("letters, packed_span", PACKED_SPANS[:3])
@@ -217,14 +218,19 @@ class TestRanking:
         assert distinguishing_span(ordered) > packed_span
         assert str(transform(m)) == prefix_bwt(ordered)
 
-    @pytest.mark.parametrize("items", [
-        [(fibonacci_word(2000), 1)],
-        [(fibonacci_word(2000), 3), (fibonacci_word(300), 1), ("ab", 7)],
-        [("a" * 1000 + "b", 1)],
-        [("a" * 1000 + "b", 2), ("a" * 999 + "b", 1), ("a" * 10 + "bb", 4)],
-    ], ids=["fibonacci", "fibonacci-mixed", "a^m b", "a^m b-mixed"])
-    def test_repetitive_necklaces(self, items):
-        m, ordered = oracle_multiset("ab", items)
+    @pytest.mark.parametrize("letters, items", [
+        ("ab", [(fibonacci_word(2000), 1)]),
+        ("ab", [(fibonacci_word(2000), 3), (fibonacci_word(300), 1), ("ab", 7)]),
+        ("ab", [("a" * 1000 + "b", 1)]),
+        ("ab", [("a" * 1000 + "b", 2), ("a" * 999 + "b", 1), ("a" * 10 + "bb", 4)]),
+        ("ab", [(fibonacci_word(500), 2), ("a" * 100 + "b", 1)]),
+        ("abc", [(text, 1 + i % 3) for i, text in
+                 enumerate(random_texts(random.Random("abc"), "abc", 40, 10))]),
+        (LETTERS_40, [(text, 1) for text in random_texts(random.Random(40), LETTERS_40, 30, 10)]),
+    ], ids=["fibonacci", "fibonacci-mixed", "a^m b", "a^m b-mixed", "fibonacci-a^m b",
+            "random-3-letters", "random-40-letters"])
+    def test_repetitive_necklaces(self, letters, items):
+        m, ordered = oracle_multiset(letters, items)
         assert str(transform(m)) == prefix_bwt(ordered)
 
     @given(near_periodic)
@@ -233,19 +239,6 @@ class TestRanking:
         letters, items = drawn
         m, ordered = oracle_multiset(letters, items)
         assert str(transform(m)) == prefix_bwt(ordered)
-
-    @pytest.mark.parametrize("limit", [0, 2**8, 2**20])
-    def test_result_does_not_depend_on_the_packing_limit(self, limit, monkeypatch):
-        rng = random.Random(limit)
-        cases = [
-            ("abc", [(text, rng.randint(1, 3)) for text in random_texts(rng, "abc", 40, 10)]),
-            ("ab", [(fibonacci_word(500), 2), ("a" * 100 + "b", 1)]),
-            (LETTERS_40, [(text, 1) for text in random_texts(rng, LETTERS_40, 30, 10)]),
-        ]
-        monkeypatch.setattr(bwt, "PACKED_KEY_LIMIT", limit)
-        for letters, items in cases:
-            m, ordered = oracle_multiset(letters, items)
-            assert str(transform(m)) == prefix_bwt(ordered)
 
 
 def wide_letters(k):
@@ -358,7 +351,7 @@ class TestStandardPermutation:
         assert list(p.cycles().items()) == [((0, 1, 4), 1), ((2, 5), 1), ((3, 7, 6), 1)]
         assert p.dom(0) == range(0, 4)
         assert p.dom(1) == range(4, 8)
-        assert p.ran(0) == (1, 4, 5, 7)
+        assert letter_range(p, 0) == (1, 4, 5, 7)
 
     def test_sorted_word_is_identity(self):
         assert standard_permutation(W("ab")).image == (0, 1)
@@ -367,7 +360,7 @@ class TestStandardPermutation:
         p = standard_permutation(W("ba"))
         assert p.image == (1, 0)
         assert p.dom(0) == range(0, 1)
-        assert p.ran(0) == (1,)
+        assert letter_range(p, 0) == (1,)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -383,7 +376,7 @@ class TestStandardPermutation:
         assert flat == list(range(len(codes)))
         # each per-letter map is order-preserving onto the letter's positions
         for a in range(3):
-            ran = p.ran(a)
+            ran = letter_range(p, a)
             assert list(ran) == sorted(i for i, c in enumerate(codes) if c == a)
             assert all(x < y for x, y in zip(ran, ran[1:]))
 
@@ -429,6 +422,57 @@ class TestStandardPermutation:
         assert bwt.StandardPermutation(AB, (), ()).cycles() == {}
 
 
+def assert_classes_ascend(w):
+    """The classes of `cycles`, expanded in listing order, spell the naive
+    cycles sorted: Lyndon words that ascend, strictly from class to class.
+    That is the order `inverse_transform` takes without sorting."""
+    p = standard_permutation(w)
+    letter = p.sorted_codes.__getitem__
+    classes = p.cycles()
+    spelled = [tuple(map(letter, cycle)) for cycle in classes]
+    assert all(a < b for a, b in zip(spelled, spelled[1:]))
+    for codes in spelled:
+        assert all(codes < codes[i:] + codes[:i] for i in range(1, len(codes)))
+    listed = [tuple(map(letter, cycle)) for cycle in translated_cycles(classes)]
+    assert listed == sorted(tuple(map(letter, cycle)) for cycle in naive_cycles(p.image))
+    assert [(n.lyndon.codes, m) for n, m in inverse_transform(w).entries] == list(
+        zip(spelled, classes.values()))
+
+
+# words to invert: random, proper powers and transforms of multisets with many
+# copies, over 1-3 letters (one letter gives unary words) or 300 letters
+@st.composite
+def inverse_order_inputs(draw):
+    letters = draw(st.sampled_from(["a", "ab", "abc", LETTERS_300]))
+    kind = draw(st.sampled_from(["random", "power", "copies"]))
+    if kind == "copies":
+        items = draw(st.lists(
+            st.tuples(texts(letters, 12), st.integers(1, 200)), min_size=1, max_size=6,
+        ))
+        return transform(oracle_multiset(letters, items)[0])
+    text = draw(texts(letters, 60))
+    if kind == "power":
+        text *= draw(st.integers(2, 6))
+    return Alphabet(letters).word(text)
+
+
+class TestInverseOrder:
+    """`inverse_transform` reads the classes of `cycles` in listing order as
+    its entries, with no sort: they must spell ascending Lyndon words."""
+
+    def test_all_short_words(self):
+        for k, top in [(2, 12), (3, 8)]:
+            alphabet = Alphabet("abc"[:k])
+            for n in range(1, top + 1):
+                for codes in all_words(k, n):
+                    assert_classes_ascend(Word(alphabet, codes))
+
+    @given(inverse_order_inputs())
+    @settings(deadline=None)
+    def test_random_powers_and_copies(self, w):
+        assert_classes_ascend(w)
+
+
 class TestWordAction:
     """The per-letter partial maps of the standard permutation, walked along
     a word."""
@@ -437,13 +481,13 @@ class TestWordAction:
         p = standard_permutation(W("babbaaba"))
         pos = 0
         for letter in W("aab").codes:
-            pos = p.apply_letter(pos, letter)
+            pos = apply_letter(p, pos, letter)
         assert pos == 0
 
     def test_undefined_step(self):
         p = standard_permutation(W("babbaaba"))
-        assert p.letter_of(0) == 0
-        assert p.apply_letter(0, 1) is None
+        assert p.sorted_codes[0] == 0
+        assert apply_letter(p, 0, 1) is None
 
 
 class TestInverseTransform:

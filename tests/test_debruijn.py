@@ -19,7 +19,10 @@ from ebwt.debruijn import (
 from ebwt.errors import ResourceLimitError
 from ebwt.words import Word, default_alphabet
 
-from helpers import AB, W, all_words, lyndon_texts, naive_power_prefixes_cover, naive_root
+from helpers import (
+    AB, W, all_words, apply_letter, letter_range, lyndon_texts, naive_power_prefixes_cover,
+    naive_root,
+)
 
 
 def multiset(*texts, alphabet=AB):
@@ -270,7 +273,7 @@ class TestGammaPermutationStructure:
         for v in enumerate_gamma(k, n):
             p = standard_permutation(v)
             for a in range(k):
-                ran = p.ran(a)
+                ran = letter_range(p, a)
                 assert sorted(i // k for i in ran) == list(range(k ** (n - 1)))
 
     def test_m_strings_are_kary_prefixes_span4(self):
@@ -283,9 +286,9 @@ class TestGammaPermutationStructure:
                 digits = [(x >> (n - 1 - i)) & 1 for i in range(n)]
                 pos = x
                 for m in range(n):
-                    letter = p.letter_of(pos)
+                    letter = p.sorted_codes[pos]
                     assert letter == digits[m]
-                    pos = p.apply_letter(pos, letter)
+                    pos = apply_letter(p, pos, letter)
 
     def test_transform_of_debruijn_set_is_gamma(self):
         for k, n in [(2, 2), (2, 3)]:
