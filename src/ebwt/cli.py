@@ -38,12 +38,13 @@ from .semigroups import (
     DEFAULT_CLOSURE_SIZE,
     TABLE_CELL_LIMIT,
     check_closure_guard,
+    closure_order,
     generate_closure,
     letter_actions,
     letter_induced_isomorphic,
     syntactic_semigroup,
 )
-from .words import Alphabet, Word, lyndon_representative
+from .words import Alphabet, Word, is_primitive, lyndon_representative
 
 
 class CLIError(ValueError):
@@ -336,6 +337,14 @@ def cmd_debruijn(args) -> int:
     return 0
 
 
+def _check_table_cells(order: int) -> None:
+    """Refuse the multiplication table of a semigroup of this order when it
+    has more than TABLE_CELL_LIMIT cells."""
+    if order**2 > TABLE_CELL_LIMIT:
+        raise ResourceLimitError(f"multiplication table of order {order} needs {order**2} "
+                                 f"cells, over the {TABLE_CELL_LIMIT}-cell guard")
+
+
 def _semigroup_report(name: str, sg, alphabet: Alphabet, with_table: bool, as_json: bool):
     """JSON payload and text lines of a semigroup; the table goes only into
     the one that is printed."""
@@ -348,11 +357,7 @@ def _semigroup_report(name: str, sg, alphabet: Alphabet, with_table: bool, as_js
         "generators " + " ".join(payload["generators"]),
     ]
     if with_table:
-        if sg.order**2 > TABLE_CELL_LIMIT:
-            raise ResourceLimitError(
-                f"multiplication table of order {sg.order} needs {sg.order**2} "
-                f"cells, over the {TABLE_CELL_LIMIT}-cell guard"
-            )
+        _check_table_cells(sg.order)
         labels = [alphabet.render(w) for w in sg.element_words]
         if as_json:
             payload["elements"] = labels
@@ -370,6 +375,10 @@ def cmd_semigroup(args) -> int:
     word = _parse_word(args.word, args.alphabet)
     guard = args.guard_cells or DEFAULT_CLOSURE_SIZE
     check_closure_guard(word, guard)
+    if args.table and not args.check_iso and is_primitive(word):
+        # Both closures of a primitive word have this order: refuse before
+        # building either, with the message that each would end in.
+        _check_table_cells(closure_order(word, guard))
     if args.check_iso:
         action = generate_closure(letter_actions(word), max_size=guard)
         syntactic = syntactic_semigroup(word, max_size=guard)

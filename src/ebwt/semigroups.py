@@ -228,6 +228,55 @@ def check_closure_guard(u: Word, max_size: int) -> None:
         raise _over_guard(max_size)
 
 
+def closure_order(u: Word, max_size: int) -> int:
+    """The order of both closures of a primitive word u, in closed form:
+    n^2 + R + [K >= 2], R being the number of words that begin the periodic
+    reading of two or more rotations.  Refused like the closures when it
+    passes max_size, and then computed only as far as that needs.
+
+    `check_closure_guard` shows that a word of length n or more acts as a
+    one-point map or the empty map, that all n^2 one-point maps are
+    elements, and that the empty map is one when K >= 2 (over one letter,
+    u = a and every word begins the reading of u).  Every element is the
+    map of a nonempty word, so the others are the maps of the R shorter
+    words that begin two or more readings.  Such a word w shifts each
+    rotation it begins by |w| < n letters, so its map, defined at two or
+    more rotations, is neither one-point nor empty, and gives back |w| and
+    then w, the first |w| letters of any rotation where it is defined.
+
+    The rotations that w begins fill adjacent rows in lex order.  Let lcp[r]
+    be the longest common prefix of the rotations in rows r and r + 1, the
+    last row paired with row 0: for n >= 2 these begin with the greatest and
+    the least letter of u, so lcp[n - 1] = 0.  Then the words of length l
+    counted in R are the maximal runs of rows with lcp[r] >= l, a run starts
+    at row r for each l with lcp[r - 1] < l <= lcp[r], and R is the sum over
+    r of max(0, lcp[r] - lcp[r - 1]).  The rows come from the standard
+    permutation of the transform of u's necklace, whose one cycle, read from
+    row 0, lists the row of each rotation of the Lyndon word (see
+    `inverse_transform`).  One pass over the rotations in that word's order
+    finds lcp (Kasai et al., CPM 2001): when rotation t shares h > 0 letters
+    with the next row's, rotation t + 1 shares h - 1 with a later row's, so
+    it shares at least h - 1 with the next row's, and it is not the last row.
+    """
+    n = len(u)
+    order = n * n + (u.alphabet.size >= 2)
+    if 1 < n and order <= max_size:  # one letter: u = a, and R = 0
+        p = _necklace_permutation(u)
+        (rows,) = p.cycles()
+        codes = [p.sorted_codes[r] for r in rows] * 2
+        at_row = {r: t for t, r in enumerate(rows)}
+        lcp, h = [0] * n, 0
+        for t, r in enumerate(rows):
+            j = at_row[(r + 1) % n]
+            while codes[t + h] == codes[j + h]:  # distinct rotations differ
+                h += 1
+            lcp[r], h = h, max(h - 1, 0)
+        order += sum(max(0, lcp[r] - lcp[r - 1]) for r in range(n))
+    if order > max_size:
+        raise _over_guard(max_size)
+    return order
+
+
 def generate_closure(gens: dict[int, PartialInjection],
                      max_size: int = DEFAULT_CLOSURE_SIZE) -> FiniteSemigroup:
     """Close letter-labeled partial injections under composition.
@@ -251,8 +300,14 @@ def letter_actions(u: Word) -> dict[int, PartialInjection]:
     Every letter of u's alphabet gets an action, the empty injection when the
     letter does not occur, so both semigroup routes share a generator set.
     """
+    return letter_injections(_necklace_permutation(u))
+
+
+def _necklace_permutation(u: Word) -> StandardPermutation:
+    """The standard permutation of the transform of u's necklace; its rows
+    are the rotations of u in lex order."""
     m = NecklaceMultiset(u.alphabet, ((lyndon_representative(u), 1),))
-    return letter_injections(standard_permutation(transform(m)))
+    return standard_permutation(transform(m))
 
 
 def letter_injections(p: StandardPermutation) -> dict[int, PartialInjection]:

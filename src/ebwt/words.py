@@ -17,15 +17,15 @@ why in its docstring.
 `Value` stands in for frozen `dataclasses`, which made up most of the CLI's
 start-up: importing `dataclasses` pulls in `inspect`, `ast`, `dis` and
 `tokenize` (9-16 ms on a 2-CPU container, CPython 3.11), and decorating
-the ten classes took about 10 ms more.  `Alphabet`, `Word` and `Necklace`,
-built on every path of the transform pair, write out their `__init__`,
-`__eq__` and `__hash__`, since the generic ones loop over the field names.
+the ten classes took about 10 ms more.  Equality and the hash read the
+fields through one `operator.attrgetter` per class, in C.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import gcd
+from operator import attrgetter
 
 from .errors import NotPrimitiveError
 
@@ -51,6 +51,7 @@ class Value:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
+        cls._get_fields = attrgetter(*cls._fields)
 
     def __init__(self, *values):
         if len(values) != len(self._fields):
@@ -72,16 +73,13 @@ class Value:
             _setattr(self, name, value)
         return self
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._get_fields(self) == self._get_fields(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._get_fields(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -102,18 +100,6 @@ class Alphabet(Value):
     """
 
     letters: str
-
-    def __init__(self, letters: str):
-        _setattr(self, "letters", letters)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self):
-        return hash((self.letters,))
 
     def __post_init__(self):
         if not self.letters:
@@ -173,19 +159,6 @@ class Word(Value):
     alphabet: Alphabet
     codes: tuple[int, ...]
 
-    def __init__(self, alphabet: Alphabet, codes: tuple[int, ...]):
-        _setattr(self, "alphabet", alphabet)
-        _setattr(self, "codes", codes)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alphabet, self.codes) == (other.alphabet, other.codes)
-
-    def __hash__(self):
-        return hash((self.alphabet, self.codes))
-
     def __post_init__(self):
         k = self.alphabet.size
         codes = self.codes
@@ -212,18 +185,16 @@ class Word(Value):
             raise ValueError("cannot compare words over different alphabets")
 
     def __lt__(self, other: Word) -> bool:
+        if not isinstance(other, Word):
+            return NotImplemented
         self._check_comparable(other)
         return self.codes < other.codes
 
     def __le__(self, other: Word) -> bool:
+        if not isinstance(other, Word):
+            return NotImplemented
         self._check_comparable(other)
         return self.codes <= other.codes
-
-    def __gt__(self, other: Word) -> bool:
-        return other < self
-
-    def __ge__(self, other: Word) -> bool:
-        return other <= self
 
 
 def _require_nonempty(w: Word, what: str):
@@ -317,18 +288,6 @@ class Necklace(Value):
 
     lyndon: Word
 
-    def __init__(self, lyndon: Word):
-        _setattr(self, "lyndon", lyndon)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.lyndon == other.lyndon
-
-    def __hash__(self):
-        return hash((self.lyndon,))
-
     def __post_init__(self):
         w = self.lyndon
         _require_nonempty(w, "root")
@@ -346,12 +305,6 @@ class Necklace(Value):
 
     def __repr__(self) -> str:
         return f"Necklace({str(self)!r})"
-
-    def __lt__(self, other: Necklace) -> bool:
-        return self.lyndon < other.lyndon
-
-    def __le__(self, other: Necklace) -> bool:
-        return self.lyndon <= other.lyndon
 
     @property
     def alphabet(self) -> Alphabet:

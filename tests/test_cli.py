@@ -17,7 +17,7 @@ import ebwt
 from ebwt import cli, semigroups
 from ebwt.cli import main
 
-from helpers import naive_primitive
+from helpers import naive_primitive, necklace_closure_order
 
 
 def run(capsys, argv):
@@ -621,6 +621,40 @@ class TestSemigroup:
             assert err.startswith("warning: abab is not primitive")
         assert len(closures) == 2
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("extra", [["--action"], ["--syntactic"], ["--action", "--json"],
+                                       ["--syntactic", "--json"]])
+    def test_table_refused_before_either_closure(self, capsys, monkeypatch, extra):
+        def fail(*args):
+            raise AssertionError("the closure ran")
+
+        rng = random.Random(40)
+        word = "".join(rng.choice("ab") for _ in range(40))
+        assert naive_primitive(word) and necklace_closure_order(word, 2) == 1680
+        monkeypatch.setattr(semigroups, "_close", fail)
+        code, out, err = run(capsys, ["semigroup", word, "--table"] + extra)
+        assert (code, out) == (3, "")
+        assert err == ("error: multiplication table of order 1680 needs 2822400 cells, "
+                       "over the 1048576-cell guard\n")
+
+    @pytest.mark.parametrize("mode", ["--action", "--syntactic"])
+    def test_table_judges_the_closure_guard_first(self, capsys, closures, mode):
+        # "aabab": 5^2 + 1 = 26 is within guards 26-30, the order 31 is not
+        for guard in ("26", "30"):
+            code, out, err = run(capsys, ["semigroup", "aabab", mode, "--table",
+                                          "--guard-cells", guard])
+            assert (code, out, len(closures)) == (3, "", 0)
+            assert err == f"error: semigroup closure exceeds the {guard}-element guard\n"
+        code, out, _ = run(capsys, ["semigroup", "aabab", mode, "--table", "--guard-cells", "31"])
+        assert code == 0 and out.startswith(f"{mode[2:]} order 31\n")
+        assert len(closures) == 1
+
+    @pytest.mark.parametrize("word, mode, closed", [("abab", "--syntactic", 1),
+                                                    ("aabab", "--check-iso", 2)])
+    def test_table_without_closed_form_closes(self, capsys, closures, word, mode, closed):
+        # not primitive, or no table printed: the closures run as before
+        code, _, _ = run(capsys, ["semigroup", word, mode, "--table"])
+        assert code == 0 and len(closures) == closed
 
     def test_table_cell_guard(self, capsys):
         # a random primitive 62-letter word closes to a few thousand elements,

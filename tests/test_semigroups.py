@@ -13,6 +13,7 @@ from ebwt.semigroups import (
     _minimal_dfa,
     cayley_signature,
     check_closure_guard,
+    closure_order,
     generate_closure,
     letter_actions,
     letter_induced_isomorphic,
@@ -428,6 +429,7 @@ class TestClosureOrderFormula:
             for text in primitive_texts(letters, longest):
                 order = necklace_closure_order(text, len(letters))
                 assert [route(W(text, alphabet)).order for route in ROUTES] == [order, order]
+                self.assert_library_order(W(text, alphabet), order)
                 checked += 1
         assert checked == 1 + 2012 + 3179
 
@@ -437,6 +439,16 @@ class TestClosureOrderFormula:
         text, letters = case
         order = necklace_closure_order(text, len(letters))
         assert [route(W(text, Alphabet(letters))).order for route in ROUTES] == [order, order]
+        self.assert_library_order(W(text, Alphabet(letters)), order)
+
+    @staticmethod
+    def assert_library_order(u, order):
+        """`closure_order` gives the order up to a guard of that size, and
+        refuses it, with the closures' message, one element below."""
+        assert closure_order(u, order) == closure_order(u, 10 * order) == order
+        with pytest.raises(ResourceLimitError,
+                           match=f"^semigroup closure exceeds the {order - 1}-element guard$"):
+            closure_order(u, order - 1)
 
 
 class TestSyntacticSemigroup:

@@ -1,4 +1,6 @@
+import operator
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,6 +77,21 @@ class TestAlphabet:
             i = data.draw(st.integers(0, len(codes)))
             with pytest.raises(ValueError, match="out of range"):
                 Word(alphabet, tuple(codes[:i] + [bad] + codes[i:]))
+
+
+class TestWordOrder:
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_code_order_one_alphabet_only(self, op):
+        texts = ["".join(t) for n in range(4) for t in product("ab", repeat=n)]
+        for s, t in product(texts, repeat=2):
+            assert op(W(s), W(t)) == op(W(s).codes, W(t).codes) == op(s, t)
+        with pytest.raises(ValueError, match="different alphabets"):
+            op(W("ab"), W("ab", ABC))
+        for other in (5, None):
+            with pytest.raises(TypeError):
+                op(W("ab"), other)
+            with pytest.raises(TypeError):
+                op(other, W("ab"))
 
 
 class TestConjugateShift:
