@@ -37,7 +37,6 @@ from .factors import (
 from .semigroups import (
     DEFAULT_CLOSURE_SIZE,
     TABLE_CELL_LIMIT,
-    check_closure_guard,
     closure_order,
     generate_closure,
     letter_actions,
@@ -357,7 +356,7 @@ def _semigroup_report(name: str, sg, alphabet: Alphabet, with_table: bool, as_js
         "generators " + " ".join(payload["generators"]),
     ]
     if with_table:
-        _check_table_cells(sg.order)
+        _check_table_cells(sg.order)  # a word that is not primitive meets it here
         labels = [alphabet.render(w) for w in sg.element_words]
         if as_json:
             payload["elements"] = labels
@@ -374,11 +373,12 @@ def _semigroup_report(name: str, sg, alphabet: Alphabet, with_table: bool, as_js
 def cmd_semigroup(args) -> int:
     word = _parse_word(args.word, args.alphabet)
     guard = args.guard_cells or DEFAULT_CLOSURE_SIZE
-    check_closure_guard(word, guard)
-    if args.table and not args.check_iso and is_primitive(word):
+    if is_primitive(word):
         # Both closures of a primitive word have this order: refuse before
         # building either, with the message that each would end in.
-        _check_table_cells(closure_order(word, guard))
+        order = closure_order(word, guard)
+        if args.table and not args.check_iso:
+            _check_table_cells(order)
     if args.check_iso:
         action = generate_closure(letter_actions(word), max_size=guard)
         syntactic = syntactic_semigroup(word, max_size=guard)

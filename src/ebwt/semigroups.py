@@ -12,7 +12,7 @@ tuple of (source, target) pairs sorted by source, where an undefined point
 is simply absent.  `_close` composes such a tuple with a generator in one
 loop over its pairs: a dict probe per pair and a tuple concatenation per
 defined image, which is one of each for the one-point maps that make up
-most of a necklace closure (see `check_closure_guard`) and quadratic in the
+most of a necklace closure (see `closure_order`) and quadratic in the
 number of defined points in general.  Validation happens once, at the
 public constructors (`PartialInjection(...)`, the degree check of
 `generate_closure`).  The syntactic route reaches the same form by dropping
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import warnings
 from functools import cached_property, partial
-from itertools import chain
 
 from .bwt import NecklaceMultiset, StandardPermutation, standard_permutation, transform
 from .errors import ResourceLimitError
@@ -97,7 +96,7 @@ class FiniteSemigroup:
     the parent being the element whose word is `element_words[i][:-1]`.
     Parent and last letter are not stored: the closure meets element i first
     as that product, so they are the row and column of i's first cell in the
-    right table read row by row (see `_steps`).
+    right table, which is kept flat, row by row (see `_steps`).
 
     Internally each element is kept in the sparse pair form of the module
     docstring; `elements` builds the public values (partial injections or
@@ -111,7 +110,7 @@ class FiniteSemigroup:
         self.generators = dict(generators)
         self._keys = keys
         self._letters = tuple(letters)
-        self._right = right  # right[i][c]: element i times letter c
+        self._right = right  # right[i * k + c]: element i times letter c
         self._build = build
 
     @property
@@ -126,12 +125,12 @@ class FiniteSemigroup:
     def _steps(self) -> list[tuple[int, int]]:
         """(parent, column of the last letter) of each element: (-1, column
         of its first letter) for a generator, else the row and column of the
-        element's first cell in the right table, read row by row."""
+        element's first cell in the flat right table."""
         k = len(self._letters)
         steps: dict[int, tuple[int, int]] = {}
         for c, a in enumerate(self._letters):
             steps.setdefault(self.generators[a], (-1, c))
-        for cell, j in enumerate(chain.from_iterable(self._right)):
+        for cell, j in enumerate(self._right):
             steps.setdefault(j, divmod(cell, k))
         return [steps[j] for j in range(self.order)]
 
@@ -145,7 +144,9 @@ class FiniteSemigroup:
 
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
-        right = self._right
+        # the rows of the right table, cut here: O(order) against the
+        # order^2 cells that the table fills
+        right = tuple(zip(*[iter(self._right)] * len(self._letters)))
         steps = self._steps
         heads = [c for p, c in steps if p < 0]  # the generators come first
         steps = steps[len(heads):]
@@ -164,9 +165,9 @@ def _close(gens: dict[int, tuple], max_size: int, build) -> FiniteSemigroup:
 
     Each product is built by one loop over the pairs of the element and
     numbered by one `setdefault`; the right-table cells go to one flat list,
-    cut into rows at the end.  The distinct generators count against
-    `max_size` like every other element, so no closure of more than
-    `max_size` elements is returned.
+    row by row, which the semigroup keeps as it is.  The distinct generators
+    count against `max_size` like every other element, so no closure of more
+    than `max_size` elements is returned.
     """
     letters = sorted(gens)
     images = [dict(gens[a]).get for a in letters]
@@ -193,56 +194,46 @@ def _close(gens: dict[int, tuple], max_size: int, build) -> FiniteSemigroup:
                 keys.append(y)
                 size += 1
             push(j)
-    right = tuple(zip(*[iter(cells)] * len(images)))
-    return FiniteSemigroup(keys, generators, letters, right, build)
+    return FiniteSemigroup(keys, generators, letters, cells, build)
 
 
 def _over_guard(max_size: int) -> ResourceLimitError:
     return ResourceLimitError(f"semigroup closure exceeds the {max_size}-element guard")
 
 
-def check_closure_guard(u: Word, max_size: int) -> None:
-    """Refuse a primitive word whose two closures pass `max_size` elements,
-    before either is built; a word that is not primitive passes.
-
-    For primitive u of length n over an alphabet of K letters, the closure of
-    `letter_actions(u)` has at least n^2 + [K >= 2] elements.  The letters act
-    left to right, so a nonempty word w sends each rotation whose periodic
-    reading begins with w to that rotation shifted by |w| letters, and is
-    undefined elsewhere.  The n rotations of a primitive word are n distinct
-    words of length n, so a word of length n or more begins the periodic
-    reading of at most one rotation: it acts as a one-point map or as the
-    empty map.  Rotation r read periodically for n + d letters (0 <= d < n)
-    spells a word that sends r to r shifted by d, so every one-point map
-    between two rotations, all n^2 of them, is an element.  With K >= 2
-    letters there are more words of length n + 1 than rotations, so one of
-    them begins no periodic reading and acts as the empty map: one element
-    more.  By the paper's theorem, the syntactic semigroup of u+ is
-    isomorphic to that closure for primitive u, so it has the same order.
-    A closure counts its distinct generators against its guard like every
-    other element, so it refuses exactly an order past max_size.  So the
-    bound is compared with max_size alone, and refuses only words that
-    either closure would refuse, with the same message.
-    """
-    if is_primitive(u) and len(u) ** 2 + (u.alphabet.size >= 2) > max_size:
-        raise _over_guard(max_size)
-
-
 def closure_order(u: Word, max_size: int) -> int:
     """The order of both closures of a primitive word u, in closed form:
     n^2 + R + [K >= 2], R being the number of words that begin the periodic
     reading of two or more rotations.  Refused like the closures when it
-    passes max_size, and then computed only as far as that needs.
+    passes max_size, and then computed only as far as that needs: R only
+    when the lower bound n^2 + [K >= 2] is within max_size.
 
-    `check_closure_guard` shows that a word of length n or more acts as a
-    one-point map or the empty map, that all n^2 one-point maps are
-    elements, and that the empty map is one when K >= 2 (over one letter,
-    u = a and every word begins the reading of u).  Every element is the
-    map of a nonempty word, so the others are the maps of the R shorter
-    words that begin two or more readings.  Such a word w shifts each
-    rotation it begins by |w| < n letters, so its map, defined at two or
-    more rotations, is neither one-point nor empty, and gives back |w| and
-    then w, the first |w| letters of any rotation where it is defined.
+    For u of length n over an alphabet of K letters, the closure of
+    `letter_actions(u)` has at least n^2 + [K >= 2] elements.  The letters
+    act left to right, so a nonempty word w sends each rotation whose
+    periodic reading begins with w to that rotation shifted by |w| letters,
+    and is undefined elsewhere.  The n rotations of a primitive word are n
+    distinct words of length n, so a word of length n or more begins the
+    periodic reading of at most one rotation: it acts as a one-point map or
+    as the empty map.  Rotation r read periodically for n + d letters
+    (0 <= d < n) spells a word that sends r to r shifted by d, so every
+    one-point map between two rotations, all n^2 of them, is an element.
+    With K >= 2 letters there are more words of length n + 1 than
+    rotations, so one of them begins no periodic reading and acts as the
+    empty map: one element more (over one letter, u = a and every word
+    begins the reading of u).  By the paper's theorem, the syntactic
+    semigroup of u+ is isomorphic to that closure for primitive u, so it has
+    the same order.  A closure counts its distinct generators against its
+    guard like every other element, so it refuses exactly an order past
+    max_size, and this function refuses exactly the words that either
+    closure would refuse, with the same message.
+
+    Every element is the map of a nonempty word, so the others are the maps
+    of the R shorter words that begin two or more readings.  Such a word w
+    shifts each rotation it begins by |w| < n letters, so its map, defined
+    at two or more rotations, is neither one-point nor empty, and gives back
+    |w| and then w, the first |w| letters of any rotation where it is
+    defined.
 
     The rotations that w begins fill adjacent rows in lex order.  Let lcp[r]
     be the longest common prefix of the rotations in rows r and r + 1, the
@@ -380,8 +371,9 @@ def cayley_signature(s: FiniteSemigroup) -> tuple:
     Elements get ids in breadth-first discovery order over generator words;
     two semigroups have equal signatures iff mapping same-lettered generators
     to each other extends to an isomorphism.  `_close` numbers elements in
-    exactly that order, so the ids are the element indices and the rows are
-    the right Cayley table as it stands.
+    exactly that order, so the ids are the element indices and the third
+    item is the right Cayley table as it stands, flat: entry i * k + c is
+    element i times the c-th of the k letters.
     """
     letters = s._letters
     return (letters, tuple(s.generators[a] for a in letters), s._right)

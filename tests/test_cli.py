@@ -584,19 +584,24 @@ class TestSemigroup:
         monkeypatch.setattr(semigroups, "_close", spy)
         return calls
 
-    def test_closure_decides_above_the_bound(self, capsys, closures):
+    @pytest.mark.parametrize("mode, closed", [("--action", 1), ("--syntactic", 1),
+                                              ("--check-iso", 2)])
+    def test_closure_decides_above_the_bound(self, capsys, closures, mode, closed):
         # "aabab" closes to 31 elements, 5^2 + 1 plus its 5 repeated cyclic
-        # factors a, b, ab, ba and aba: from the bound 26 on, the closure
-        # itself decides
-        for guard, expected, count in (("25", 3, 0), ("26", 3, 1),
-                                       ("30", 3, 1), ("31", 0, 2)):
+        # factors a, b, ab, ba and aba: above the bound 26 the closed-form
+        # order decides, so no closure runs below a guard of 31
+        for guard, expected, count in (("25", 3, 0), ("26", 3, 0), ("30", 3, 0),
+                                       ("31", 0, closed), ("32", 0, closed)):
             closures.clear()
-            code, _, err = run(capsys, ["semigroup", "aabab", "--check-iso",
-                                        "--guard-cells", guard])
+            code, out, err = run(capsys, ["semigroup", "aabab", mode,
+                                          "--guard-cells", guard])
             assert (code, len(closures)) == (expected, count)
             if code == 3:
+                assert out == ""
                 assert err == (f"error: semigroup closure exceeds the {guard}"
                                "-element guard\n")
+            else:
+                assert err == "" and "order 31\n" in out
 
     @pytest.mark.parametrize("mode", ["--syntactic", "--action", "--check-iso"])
     def test_generators_count_against_the_guard(self, capsys, closures, mode):

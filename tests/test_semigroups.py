@@ -12,7 +12,6 @@ from ebwt.semigroups import (
     PartialInjection,
     _minimal_dfa,
     cayley_signature,
-    check_closure_guard,
     closure_order,
     generate_closure,
     letter_actions,
@@ -256,7 +255,7 @@ class TestSparseClosure:
         dense = dense_transition_signature(delta, range(len(letters)))
         s = syntactic_semigroup(W(text, Alphabet(letters)))
         assert s.order == len(dense[2])
-        assert cayley_signature(s) == dense
+        assert cayley_signature(s) == flat_signature(dense)
 
     @given(primitive_words(10))
     @settings(max_examples=60, deadline=None)
@@ -267,13 +266,23 @@ class TestSparseClosure:
             keys = [(len(w), w) for w in words]
             assert all(a < b for a, b in zip(keys, keys[1:]))
             letters, _, right = cayley_signature(s)
+            k = len(letters)
             index = {w: i for i, w in enumerate(words)}
             for j, w in enumerate(words):
                 if len(w) == 1:
                     assert s.generators[w[0]] == j
                 else:
-                    assert right[index[w[:-1]]][letters.index(w[-1])] == j
-            assert cayley_signature(s) == relabelled_signature(s.generators, right)
+                    assert right[index[w[:-1]] * k + letters.index(w[-1])] == j
+            rows = [right[i:i + k] for i in range(0, len(right), k)]
+            assert cayley_signature(s) == flat_signature(
+                relabelled_signature(s.generators, rows))
+
+
+def flat_signature(signature):
+    """An oracle's row-form signature with its rows flattened, as
+    `cayley_signature` gives it."""
+    letters, generators, rows = signature
+    return letters, generators, [j for row in rows for j in row]
 
 
 def action_route(u, max_size=DEFAULT_CLOSURE_SIZE):
@@ -295,7 +304,7 @@ def closed_with_reference(route, u, max_size=DEFAULT_CLOSURE_SIZE):
 def assert_matches_reference(s, ref, with_table=True):
     assert s.generators == ref.generators
     assert s._keys == ref.keys
-    assert cayley_signature(s)[2] == ref.right
+    assert cayley_signature(s)[2] == [j for row in ref.right for j in row]
     assert s.element_words == ref.element_words
     if with_table:
         assert s.table == ref.table
@@ -378,7 +387,8 @@ class TestClosureBound:
     def test_bound_against_both_closures(self):
         # n^2 + [K >= 2] is at most the order of both closures of a primitive
         # word of length n over K letters, some of them possibly absent, and
-        # a word refused at a guard is refused by both closures there too
+        # of `closure_order`, and a word that it refuses below that bound is
+        # refused by both closures there too
         checked = 0
         for letters, longest in (("a", 1), ("ab", 9), ("abc", 6), ("abcd", 4)):
             alphabet = Alphabet(letters)
@@ -387,10 +397,10 @@ class TestClosureBound:
                 bound = len(text) ** 2 + (len(letters) >= 2)
                 assert action_route(u).order >= bound
                 assert syntactic_semigroup(u).order >= bound
-                check_closure_guard(u, bound)
+                assert closure_order(u, DEFAULT_CLOSURE_SIZE) >= bound
                 checked += 1
                 with pytest.raises(ResourceLimitError):
-                    check_closure_guard(u, bound - 1)
+                    closure_order(u, bound - 1)
                 for route in ROUTES:
                     with pytest.raises(ResourceLimitError):
                         route(u, bound - 1)
@@ -399,23 +409,17 @@ class TestClosureBound:
     @pytest.mark.parametrize("letters", ["ab", "abcd"])
     def test_generators_count_against_the_guard(self, letters):
         # "a" over K >= 2 letters closes to its two generators, the letter a
-        # and the empty map of the absent letters: both closures and the
-        # check refuse them at a guard of 1, and take them at a guard of 2
+        # and the empty map of the absent letters: both closures and
+        # `closure_order` refuse them at a guard of 1, and take them at 2
         u = W("a", Alphabet(letters))
         message = "semigroup closure exceeds the 1-element guard"
         with pytest.raises(ResourceLimitError, match=message):
-            check_closure_guard(u, 1)
+            closure_order(u, 1)
         for route in ROUTES:
             with pytest.raises(ResourceLimitError, match=message):
                 route(u, 1)
-        check_closure_guard(u, 2)
+        assert closure_order(u, 2) == 2
         assert [route(u, 2).order for route in ROUTES] == [2, 2]
-
-    @pytest.mark.filterwarnings("ignore:.*not primitive:UserWarning")
-    def test_non_primitive_word_passes(self):
-        # "abab" closes to 9 elements, under 4^2 + 1: the closure decides
-        check_closure_guard(W("abab"), 1)
-        assert syntactic_semigroup(W("abab"), max_size=9).order == 9
 
 
 class TestClosureOrderFormula:
@@ -487,7 +491,7 @@ class TestSyntacticSemigroup:
             def class_of(word_text):
                 idx = gens[ord(word_text[0]) - ord("a")]
                 for ch in word_text[1:]:
-                    idx = right[idx][ord(ch) - ord("a")]
+                    idx = right[idx * 2 + ord(ch) - ord("a")]
                 return idx
 
             oracle = context_classes(text, alphabet, limit, limit)
