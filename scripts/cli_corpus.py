@@ -13,8 +13,11 @@ argv, exit code, stdout and stderr go to OUT (default
 replays the file, so a change to any recorded byte shows in its diff;
 regenerate the file only when that change is meant.
 
-Argument errors are left out of the draw: argparse words them by Python
-version and terminal width.
+The draw uses `random`, not hypothesis, so that the same seed gives the
+same calls whatever hypothesis version is installed.  Argument errors are
+left out of it, since argparse words them by Python version and terminal
+width, and so are tables of words over 6 letters, which would make the
+file large.
 """
 
 import contextlib

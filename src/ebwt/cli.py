@@ -167,28 +167,62 @@ def _multiset_entries(stream, guard: int) -> Counter:
     refused by the output guard before any entry is checked.
 
     JSON (first non-whitespace character `{`) is read whole.  The line
-    format is read in blocks of whole lines of about INPUT_CHUNK characters
-    and refused at the first line where the running sum of length times
-    multiplicity passes the guard, so it never holds more than the guard's
-    worth of entries; the lines after that one are not parsed.
+    format is read in chunks of INPUT_CHUNK characters, a line at a time
+    (see `_lines`), and refused at the first line where the running sum of
+    length times multiplicity passes the guard, so it never holds more than
+    the guard's worth of entries and one line; the lines after that one are
+    not parsed.
     """
-    blocks = dropwhile(str.isspace, map("".join, iter(
-        functools.partial(stream.readlines, INPUT_CHUNK), [])))
-    first = next(blocks, "").lstrip()
+    chunks = dropwhile(str.isspace, iter(functools.partial(stream.read, INPUT_CHUNK), ""))
+    first = next(chunks, "").lstrip()
     if first.startswith("{"):
         entries = _multiset_entries_from_json((first + stream.read()).rstrip())
         _check_letters("transform output needs",
                        sum(len(raw) * mult for raw, mult in entries.items()), guard)
         return entries
-    return _multiset_entries_from_lines(
-        chain.from_iterable(map(str.splitlines, chain([first], blocks))), guard)
+    return _multiset_entries_from_lines(_lines(chain([first], chunks), guard), guard)
+
+
+# The characters where str.splitlines ends a line; "\r\n" ends one too.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _lines(chunks, guard: int):
+    """(number from 1, text) of each line of the text that `chunks` spell,
+    split as `str.splitlines` splits the whole text, each as soon as it ends.
+
+    A line of more than guard + INPUT_CHUNK characters before its line
+    break, more than any line within the output guard needs, is refused as
+    soon as it passes that length, so no more than that and one chunk of
+    any line is held.  A final "\r" of a chunk is kept back until the next
+    chunk shows whether a "\n" follows it.
+    """
+    longest = guard + INPUT_CHUNK
+    lineno, head, held, carry = 0, [], 0, ""
+    for chunk in chunks:
+        chunk = carry + chunk
+        carry = "\r" if chunk.endswith("\r") else ""
+        for part in chunk[:len(chunk) - len(carry)].splitlines(True):
+            head.append(part)
+            text = part.rstrip(_LINE_BREAKS)
+            held += len(text)
+            if held > longest:
+                raise ResourceLimitError(f"transform input line {lineno + 1} has more than "
+                                         f"{longest} characters, over the guard {guard}")
+            if len(text) < len(part):  # the line ends in this part
+                lineno += 1
+                yield lineno, "".join(head)
+                head, held = [], 0
+    if head or carry:
+        yield lineno + 1, "".join(head) + carry
 
 
 def _multiset_entries_from_lines(lines, guard: int) -> Counter:
-    """Entries of 'word' or 'word xN' lines, the first of them not blank."""
+    """Entries of numbered 'word' or 'word xN' lines, the first of them not
+    blank."""
     entries: Counter = Counter()
     letters = 0
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) == 1:
             mult = 1

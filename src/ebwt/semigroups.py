@@ -20,12 +20,18 @@ the automaton's sink, the non-final state that every letter maps to itself:
 every map fixes it, so "maps to the sink" composes exactly like
 "undefined", and the semigroup of partial maps is isomorphic to the dense
 transition semigroup, letter for letter.
+
+The pair tuples live only while `_close` runs.  A closed semigroup keeps
+no element: only its right Cayley graph and each letter's generator as a
+public value (a `PartialInjection`, or a full `Transformation` with the
+sink), from which `FiniteSemigroup.elements` composes the elements again
+when it is asked for them.
 """
 
 from __future__ import annotations
 
 import warnings
-from functools import cached_property, partial
+from functools import cached_property
 
 from .bwt import NecklaceMultiset, StandardPermutation, standard_permutation, transform
 from .errors import ResourceLimitError
@@ -98,28 +104,29 @@ class FiniteSemigroup:
     as that product, so they are the row and column of i's first cell in the
     right table, which is kept flat, row by row (see `_steps`).
 
-    Internally each element is kept in the sparse pair form of the module
-    docstring; `elements` builds the public values (partial injections or
-    transformations) on first use.  The multiplication table is read off the
-    right Cayley graph (Froidure and Pin, "Algorithms for computing finite
-    semigroups", 1997): x * y = (x * parent(y)) * last(y), so row x fills left
-    to right with one right-Cayley lookup per cell and no composition.
+    No element is stored: the semigroup is its right Cayley graph and the
+    value of each letter's generator (Froidure and Pin, "Algorithms for
+    computing finite semigroups", 1997).  `elements` composes each element
+    from its parent and the value of its last letter, on first use.  The
+    multiplication table is read off the same graph: x * y = (x * parent(y))
+    * last(y), so row x fills left to right with one right-Cayley lookup per
+    cell and no composition.
     """
 
-    def __init__(self, keys, generators, letters, right, build):
+    def __init__(self, order, generators, letters, right, values):
+        self.order = order
         self.generators = dict(generators)
-        self._keys = keys
         self._letters = tuple(letters)
         self._right = right  # right[i * k + c]: element i times letter c
-        self._build = build
-
-    @property
-    def order(self) -> int:
-        return len(self._keys)
+        self._values = dict(values)  # letter -> its generator's public value
 
     @cached_property
     def elements(self) -> tuple:
-        return tuple(map(self._build, self._keys))
+        values = [self._values[a] for a in self._letters]
+        elements: list = []
+        for p, c in self._steps:
+            elements.append(values[c] if p < 0 else elements[p].compose(values[c]))
+        return tuple(elements)
 
     @cached_property
     def _steps(self) -> list[tuple[int, int]]:
@@ -159,15 +166,16 @@ class FiniteSemigroup:
         return tuple(rows)
 
 
-def _close(gens: dict[int, tuple], max_size: int, build) -> FiniteSemigroup:
-    """Breadth-first closure of letter-labeled sparse partial maps; `build`
-    turns a closed element into its public value.
+def _close(gens: dict[int, tuple], max_size: int, values: dict) -> FiniteSemigroup:
+    """Breadth-first closure of letter-labeled sparse partial maps; `values`
+    holds each letter's generator as a public value.
 
     Each product is built by one loop over the pairs of the element and
     numbered by one `setdefault`; the right-table cells go to one flat list,
-    row by row, which the semigroup keeps as it is.  The distinct generators
-    count against `max_size` like every other element, so no closure of more
-    than `max_size` elements is returned.
+    row by row, which the semigroup keeps as it is.  The elements themselves
+    and their index are dropped on return.  The distinct generators count
+    against `max_size` like every other element, so no closure of more than
+    `max_size` elements is returned.
     """
     letters = sorted(gens)
     images = [dict(gens[a]).get for a in letters]
@@ -194,7 +202,7 @@ def _close(gens: dict[int, tuple], max_size: int, build) -> FiniteSemigroup:
                 keys.append(y)
                 size += 1
             push(j)
-    return FiniteSemigroup(keys, generators, letters, cells, build)
+    return FiniteSemigroup(size, generators, letters, cells, values)
 
 
 def _over_guard(max_size: int) -> ResourceLimitError:
@@ -278,8 +286,7 @@ def generate_closure(gens: dict[int, PartialInjection],
     degrees = {g.degree for g in gens.values()}
     if len(degrees) != 1:
         raise ValueError(f"generators must share a degree, got {sorted(degrees)}")
-    build = partial(PartialInjection, degrees.pop())
-    return _close({a: g.pairs for a, g in gens.items()}, max_size, build)
+    return _close({a: g.pairs for a, g in gens.items()}, max_size, gens)
 
 
 def letter_actions(u: Word) -> dict[int, PartialInjection]:
@@ -340,29 +347,24 @@ def syntactic_semigroup(u: Word, max_size: int = DEFAULT_CLOSURE_SIZE) -> Finite
     Computed as the transition semigroup of the minimal complete recognizer,
     generated by the letter transition maps; this equals the quotient of the
     free semigroup by the syntactic congruence of the language.  The maps are
-    closed in sparse form, without the sink (see the module docstring);
-    `elements` restores them as full `Transformation`s over the prefix-length
-    states of `_minimal_dfa`.
+    closed in sparse form, without the sink (see the module docstring); each
+    letter's generator is kept as the full `Transformation` over the
+    prefix-length states of `_minimal_dfa`, sink included, so `elements`
+    composes full transformations.
     """
     if len(u) == 0:
         raise ValueError("the syntactic semigroup needs a nonempty word")
     if not is_primitive(u):
         warnings.warn(f"{u} is not primitive; the action comparison theorem "
                       "assumes a primitive word", stacklevel=2)
-    m, delta, _, _ = _minimal_dfa(u)
+    _, delta, _, _ = _minimal_dfa(u)
     sink = len(u) + 1
     gens = {
         a: tuple((s, row[a]) for s, row in enumerate(delta) if row[a] != sink)
         for a in range(u.alphabet.size)
     }
-    return _close(gens, max_size, partial(_transformation, m, sink))
-
-
-def _transformation(states: int, sink: int, pairs: tuple) -> Transformation:
-    """The full map of a sparse transition map, undefined points sent to the
-    sink."""
-    targets = dict(pairs)
-    return Transformation(tuple(targets.get(s, sink) for s in range(states)))
+    values = {a: Transformation(tuple(row[a] for row in delta)) for a in gens}
+    return _close(gens, max_size, values)
 
 
 def cayley_signature(s: FiniteSemigroup) -> tuple:
@@ -403,7 +405,7 @@ class MultisetSemigroup(Value):
     sorted_codes: tuple[int, ...]
 
     def _letter_generator(self, a: int) -> PartialInjection:
-        return self.semigroup.elements[self.semigroup.generators[a]]
+        return self.semigroup._values[a]
 
     def restriction(self, j: int) -> FiniteSemigroup:
         """The image of the restriction homomorphism onto cycle j, renumbered

@@ -9,6 +9,7 @@ import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,14 +99,14 @@ class TestTransform:
         assert out == ""
         assert err == "error: transform output needs 6 letters, over the guard 5\n"
 
-        class LinesThenFail(io.StringIO):
-            def readlines(self, hint=-1):
-                lines = super().readlines(hint)
-                if not lines:
+        class ReadsThenFail(io.StringIO):
+            def read(self, size=-1):
+                text = super().read(size)
+                if not text:
                     raise AssertionError("transform read past the line that passed its guard")
-                return lines
-        monkeypatch.setattr(cli, "INPUT_CHUNK", 1)  # one line per read
-        monkeypatch.setattr(sys, "stdin", LinesThenFail("\n  \nab\naab x2\n"))
+                return text
+        monkeypatch.setattr(cli, "INPUT_CHUNK", 1)  # one character per read
+        monkeypatch.setattr(sys, "stdin", ReadsThenFail("\n  \nab\naab x2\n"))
         code, out, err = run(capsys, ["transform", "--guard-cells", "7"])
         assert code == 3
         assert err == "error: transform output needs 8 letters, over the guard 7\n"
@@ -125,9 +126,10 @@ class TestTransform:
         assert code == 3
         assert err == "error: transform output needs 102 letters, over the guard 100\n"
 
-    @given(st.text(alphabet="ab x12\n\r\t\x0c\x1c", max_size=40))
+    @given(st.text(alphabet="ab x12\n\r\t\x0c\x1c", max_size=40),
+           st.sampled_from([1, 2, 3, 1 << 16]))
     @settings(deadline=None)
-    def test_line_format_parses_like_the_whole_text(self, text):
+    def test_line_format_parses_like_the_whole_text(self, text, chunk):
         # the reference splits the stripped text, numbering from its first line
         expected: Counter = Counter()
         for lineno, line in enumerate(text.strip().splitlines(), start=1):
@@ -141,10 +143,43 @@ class TestTransform:
                 expected = lineno
                 break
         try:
-            got = cli._multiset_entries(io.StringIO(text), guard=10**6)
+            with mock.patch.object(cli, "INPUT_CHUNK", chunk):  # lines and "\r\n" straddle reads
+                got = cli._multiset_entries(io.StringIO(text), guard=10**6)
         except cli.CLIError as e:
             got = int(str(e).split(":")[0].removeprefix("line "))
         assert got == expected
+
+    def test_long_line_refused_in_bounded_memory(self, capsys, monkeypatch):
+        # one line of 2 million letters under a guard of 1000 is refused
+        # before the line ends, holding at most the guard and a chunk of it
+        monkeypatch.setattr(sys, "stdin", ChunkedStream("ab\n" + "ab" * 10**6 + "\nab\n"))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, ["transform", "--guard-cells", "1000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * cli.INPUT_CHUNK
+        assert code == 3
+        assert out == ""
+        longest = 1000 + cli.INPUT_CHUNK
+        assert err == (f"error: transform input line 2 has more than {longest} characters, "
+                       f"over the guard 1000\n")
+
+    @pytest.mark.parametrize("chunk", [1, 3, 16])
+    @pytest.mark.parametrize("end", ["", "\n", "\r\n", "\u2028"])
+    def test_line_length_bound(self, capsys, monkeypatch, chunk, end):
+        # a line of guard + INPUT_CHUNK characters before its line break is
+        # parsed as before; one character more is refused, wherever the
+        # reads fall
+        monkeypatch.setattr(cli, "INPUT_CHUNK", chunk)
+        longest = 20 + chunk
+        for padding, expected in ((longest - 5, (0, "bbbaaa\n", "")),
+                                  (longest - 4, (3, "", f"error: transform input line 2 has "
+                                                       f"more than {longest} characters, over "
+                                                       f"the guard 20\n"))):
+            text = "ab\nab x2" + " " * padding + end
+            assert run(capsys, ["transform", text, "--guard-cells", "20"]) == expected
 
     @pytest.mark.parametrize("lyndon", [5, None, ["ab"], ""],
                              ids=["number", "null", "list", "empty"])

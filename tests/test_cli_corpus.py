@@ -13,17 +13,13 @@ ROOT = Path(__file__).resolve().parent.parent
 CASES = [json.loads(line)
          for line in (ROOT / "tests" / "cli_corpus.jsonl").read_text(encoding="utf-8").splitlines()]
 
-
-def corpus_script():
-    spec = importlib.util.spec_from_file_location("cli_corpus", ROOT / "scripts" / "cli_corpus.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+_spec = importlib.util.spec_from_file_location("cli_corpus", ROOT / "scripts" / "cli_corpus.py")
+cli_corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_corpus)
 
 
 def test_replay():
-    call = corpus_script().call
-    replayed = [(case["argv"], call(case["argv"])) for case in CASES]
+    replayed = [(case["argv"], cli_corpus.call(case["argv"])) for case in CASES]
     recorded = [(case["argv"], (case["exit"], case["stdout"], case["stderr"])) for case in CASES]
     assert replayed == recorded
 
@@ -35,7 +31,7 @@ def test_covers_every_subcommand_outcome_and_format():
             assert {(command, code, False), (command, code, True)} <= seen
 
 
-@pytest.mark.parametrize("argv, shown", corpus_script().readme_examples(),
+@pytest.mark.parametrize("argv, shown", cli_corpus.readme_examples(),
                          ids=lambda v: " ".join(v) if isinstance(v, list) else "")
 def test_readme_examples_are_recorded_as_shown(argv, shown):
     recorded = [case for case in CASES if case["argv"] == argv]

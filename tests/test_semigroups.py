@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 from unittest import mock
 
 import pytest
@@ -200,13 +201,22 @@ class TestGenerateClosure:
                 assert is_order_preserving(element)
 
     def test_element_words_reproduce_elements(self):
-        s = action_semigroup("aab")
-        gens = letter_actions(W("aab"))
-        for element, word in zip(s.elements, s.element_words):
-            acc = gens[word[0]]
-            for a in word[1:]:
-                acc = acc.compose(gens[a])
-            assert acc == element
+        for text, letters in [("aab", "ab"), ("abaabb", "ab"), ("abcab", "abc"), ("acb", "abcd")]:
+            u = W(text, Alphabet(letters))
+            s = action_route(u)
+            gens = letter_actions(u)
+            for element, word in zip(s.elements, s.element_words):
+                acc = gens[word[0]]
+                for a in word[1:]:
+                    acc = acc.compose(gens[a])
+                assert acc == element
+            # the syntactic elements, against the automaton run from every state
+            s = syntactic_semigroup(u)
+            _, delta, _, _ = _minimal_dfa(u)
+            for element, word in zip(s.elements, s.element_words):
+                assert list(element.targets) == [
+                    reduce(lambda q, a: delta[q][a], word, q) for q in range(len(delta))
+                ]
 
     def test_table_is_associative_small(self):
         for text in ["ab", "aab", "aabb"]:
@@ -303,7 +313,16 @@ def closed_with_reference(route, u, max_size=DEFAULT_CLOSURE_SIZE):
 
 def assert_matches_reference(s, ref, with_table=True):
     assert s.generators == ref.generators
-    assert s._keys == ref.keys
+    if isinstance(s.elements[0], PartialInjection):
+        assert [e.pairs for e in s.elements] == ref.keys
+    else:
+        # a transition map of `_minimal_dfa`, whose last state is the sink
+        # when there is one; the reference key leaves out the points it sends
+        # to the sink
+        states = len(s.elements[0].targets)
+        assert [e.targets for e in s.elements] == [
+            tuple(dict(key).get(q, states - 1) for q in range(states)) for key in ref.keys
+        ]
     assert cayley_signature(s)[2] == [j for row in ref.right for j in row]
     assert s.element_words == ref.element_words
     if with_table:
