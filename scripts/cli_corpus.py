@@ -64,10 +64,10 @@ def readme_examples(path=ROOT / "README.md"):
             except ValueError:  # a quote still open
                 command += "\n" + next(lines)
         shown = []
-        for line in lines:
-            if not line.strip() or line.startswith("```"):
+        for output in lines:  # the output runs to the next blank line
+            if not output.strip() or output.startswith("```"):
                 break
-            shown.append(line + "\n")
+            shown.append(output + "\n")
         examples.append((argv[1:], "".join(shown)))
     return examples
 
