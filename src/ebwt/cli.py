@@ -405,6 +405,9 @@ def _semigroup_report(name: str, sg, alphabet: Alphabet, with_table: bool, as_js
 
 
 def cmd_semigroup(args) -> int:
+    if any(map(str.isspace, args.word)):
+        # the text output separates generators and table labels by spaces
+        raise CLIError(f"semigroup word {args.word!r} holds whitespace")
     word = _parse_word(args.word, args.alphabet)
     guard = args.guard_cells or DEFAULT_CLOSURE_SIZE
     if is_primitive(word):

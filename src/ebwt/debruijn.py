@@ -11,10 +11,10 @@ enumeration provides the cross-check oracle.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import factorial, lgamma, log, log10
 
-from .bwt import NecklaceMultiset, inverse_transform
+from .bwt import NecklaceMultiset, inverse_transform, standard_permutation
 from .errors import ResourceLimitError
 from .words import Value, Word, default_alphabet
 
@@ -164,31 +164,48 @@ def _check_generation_guard(k: int, n: int, max_length: int):
         )
 
 
+def _identity_block_word(k: int, n: int, max_length: int) -> Word:
+    """The all-identity-block word (0 1 ... k-1)^(k^{n-1}), refused when
+    k^n passes `max_length`.  It has length k^n and every block is the
+    identity, so it is a block-permutation word by construction and is not
+    scanned again, and its codes are 0..k-1, so it is built without `Word`'s
+    range check."""
+    _check_generation_guard(k, n, max_length)
+    return Word.unchecked(default_alphabet(k), tuple(range(k)) * (k ** (n - 1)))
+
+
 def least_debruijn_set(k: int, n: int,
                        max_length: int = DEFAULT_MAX_WORD_LENGTH) -> NecklaceMultiset:
     """Invert the all-identity-block word: the necklaces of all Lyndon words
     of length dividing n, each once.
 
-    The word (0 1 ... k-1)^(k^{n-1}) has length k^n and every block is the
-    identity, so it is a block-permutation word by construction and is not
-    scanned again, and its codes are 0..k-1, so it is built without `Word`'s
-    range check.  Its standard permutation sends a*k^{n-1} + j to jk + a,
-    a rotation of the n base-k digits, so its cycles are the necklaces of
+    The standard permutation of that word sends a*k^{n-1} + j to jk + a, a
+    rotation of the n base-k digits, so its cycles are the necklaces of
     A^n, each once (see `debruijn_set_from_gamma` for the general proof).
     """
-    _check_generation_guard(k, n, max_length)
-    v = Word.unchecked(default_alphabet(k), tuple(range(k)) * (k ** (n - 1)))
-    return inverse_transform(v)
+    return inverse_transform(_identity_block_word(k, n, max_length))
 
 
 def least_debruijn_word(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGTH) -> Word:
-    """The lexicographically least de Bruijn word of span n over k letters,
-    generated by transform inversion and sorted Lyndon concatenation.  Its
-    codes are those of the necklaces of the least set, over its k letters,
-    so it is built without `Word`'s range check."""
-    m = least_debruijn_set(k, n, max_length)
-    codes = tuple(c for necklace, _ in m.entries for c in necklace.lyndon.codes)
-    return Word.unchecked(m.alphabet, codes)
+    """The lexicographically least de Bruijn word of span n over k letters:
+    the Lyndon words of length dividing n in lexicographic order, read
+    straight off the cycles of the standard permutation of the
+    all-identity-block word, with no record per Lyndon word.
+
+    `StandardPermutation.cycles` lists one cycle per class of translates,
+    read from its minimal row; each spells a Lyndon word, and the classes
+    come in the order of their Lyndon words (see `inverse_transform`).  The
+    word inverted is a block-permutation word, so no necklace of its
+    inverse repeats (see `debruijn_set_from_gamma`): every class has one
+    copy, and the listed cycles are all the cycles.  So their letters, in
+    listing order, are the sorted concatenation of the Lyndon words of
+    `least_debruijn_set`.  They are letters of the word inverted, over its
+    k letters, so the result is built without `Word`'s range check.
+    """
+    v = _identity_block_word(k, n, max_length)
+    p = standard_permutation(v)
+    codes = map(p.sorted_codes.__getitem__, chain.from_iterable(p.cycles()))
+    return Word.unchecked(v.alphabet, tuple(codes))
 
 
 def _lyndon_words_up_to(n: int, k: int):

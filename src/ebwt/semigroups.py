@@ -7,21 +7,26 @@ positive powers of the word, built minimal by construction.  Both come out
 as letter-labeled finite semigroups so the letter-induced isomorphism can be
 decided by right-Cayley comparison.
 
-Both routes close over one element form: a partial map on {0..d-1} as a
-tuple of (source, target) pairs sorted by source, where an undefined point
-is simply absent.  `_close` composes such a tuple with a generator in one
-loop over its pairs: a dict probe per pair and a tuple concatenation per
-defined image, which is one of each for the one-point maps that make up
-most of a necklace closure (see `closure_order`) and quadratic in the
-number of defined points in general.  Validation happens once, at the
-public constructors (`PartialInjection(...)`, the degree check of
-`generate_closure`).  The syntactic route reaches the same form by dropping
-the automaton's sink, the non-final state that every letter maps to itself:
-every map fixes it, so "maps to the sink" composes exactly like
-"undefined", and the semigroup of partial maps is isomorphic to the dense
-transition semigroup, letter for letter.
+Both routes close over one element form: a partial map on {0..d-1} given
+by its defined (source, target) pairs in source order, where an undefined
+point is simply absent.  `_close` packs each pair as the int
+`s << shift | t` and keys a map of exactly one pair by that int alone, any
+other map, the empty one included, by the tuple of its packed pairs.  A
+letter is a dict from each point t of its domain to its move a(t) - t, so
+the product of a packed pair p is p + move(p & mask): one dict probe and
+one addition, with no tuple built or hashed, for the one-point maps that
+make up n^2 of the n^2 + R + [K >= 2] elements of a necklace closure (see
+`closure_order`).  A map of several points takes one probe per pair and a
+tuple concatenation per defined image, quadratic in the number of defined
+points in general.  Validation happens once, at the public constructors
+(`PartialInjection(...)`, the degree check of `generate_closure`).  The
+syntactic route reaches the same form by dropping the automaton's sink,
+the non-final state that every letter maps to itself: every map fixes it,
+so "maps to the sink" composes exactly like "undefined", and the semigroup
+of partial maps is isomorphic to the dense transition semigroup, letter for
+letter.
 
-The pair tuples live only while `_close` runs.  A closed semigroup keeps
+The packed keys live only while `_close` runs.  A closed semigroup keeps
 no element: only its right Cayley graph and each letter's generator as a
 public value (a `PartialInjection`, or a full `Transformation` with the
 sink), from which `FiniteSemigroup.elements` composes the elements again
@@ -167,21 +172,36 @@ class FiniteSemigroup:
 
 
 def _close(gens: dict[int, tuple], max_size: int, values: dict) -> FiniteSemigroup:
-    """Breadth-first closure of letter-labeled sparse partial maps; `values`
-    holds each letter's generator as a public value.
+    """Breadth-first closure of letter-labeled sparse partial maps, each
+    given as its (source, target) pairs in source order; `values` holds each
+    letter's generator as a public value.
 
-    Each product is built by one loop over the pairs of the element and
-    numbered by one `setdefault`; the right-table cells go to one flat list,
-    row by row, which the semigroup keeps as it is.  The elements themselves
-    and their index are dropped on return.  The distinct generators count
-    against `max_size` like every other element, so no closure of more than
-    `max_size` elements is returned.
+    Each map is keyed in packed form (see the module docstring): a one-point
+    map by its packed pair `s << shift | t`, any other by the tuple of its
+    packed pairs, still in source order.  `shift` is the bit length of the
+    largest point of any generator, and it holds every point of every
+    product: a product's sources are sources of the generator of its first
+    letter and its targets are targets of the generator of its last letter.
+    So packing is one to one, `p & mask` is the target of p, and
+    `p + move(p & mask)` replaces that target by its image without carrying
+    into the source bits.  An int never equals a tuple, and a product that
+    shrinks to one point is keyed by its int, as a generator is, so every
+    map has exactly one key and `setdefault` numbers maps, not forms.
+
+    Each product is numbered by one `setdefault`; the right-table cells go
+    to one flat list, row by row, which the semigroup keeps as it is.  The
+    keys and their index are dropped on return.  The distinct generators
+    count against `max_size` like every other element, so no closure of
+    more than `max_size` elements is returned.
     """
     letters = sorted(gens)
-    images = [dict(gens[a]).get for a in letters]
-    index: dict[tuple, int] = {}
+    shift = max((max(pair) for a in letters for pair in gens[a]), default=0).bit_length()
+    mask = (1 << shift) - 1
+    moves = [{s: t - s for s, t in gens[a]}.get for a in letters]
+    index: dict[int | tuple, int] = {}
     number = index.setdefault
-    generators = {a: number(gens[a], len(index)) for a in letters}
+    packed = [_key(tuple(s << shift | t for s, t in gens[a])) for a in letters]
+    generators = {a: number(g, len(index)) for a, g in zip(letters, packed)}
     if len(index) > max_size:
         raise _over_guard(max_size)
     keys = list(index)  # the distinct generators, in letter order
@@ -189,12 +209,18 @@ def _close(gens: dict[int, tuple], max_size: int, values: dict) -> FiniteSemigro
     push = cells.append
     size = len(keys)
     for x in keys:  # visits the elements appended below too
-        for image in images:
-            y = ()
-            for s, t in x:
-                t = image(t)
-                if t is not None:
-                    y += ((s, t),)
+        one_point = type(x) is int
+        for move in moves:
+            if one_point:
+                d = move(x & mask)
+                y = () if d is None else x + d
+            else:
+                y = ()
+                for p in x:
+                    d = move(p & mask)
+                    if d is not None:
+                        y += (p + d,)
+                y = _key(y)
             j = number(y, size)
             if j == size:
                 if size >= max_size:
@@ -203,6 +229,11 @@ def _close(gens: dict[int, tuple], max_size: int, values: dict) -> FiniteSemigro
                 size += 1
             push(j)
     return FiniteSemigroup(size, generators, letters, cells, values)
+
+
+def _key(packed: tuple[int, ...]) -> int | tuple[int, ...]:
+    """A map's key in `_close`: its one packed pair alone, else the tuple."""
+    return packed[0] if len(packed) == 1 else packed
 
 
 def _over_guard(max_size: int) -> ResourceLimitError:

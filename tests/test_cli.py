@@ -578,6 +578,16 @@ class TestSemigroup:
             "assumes a primitive word\n"
         )
 
+    @pytest.mark.parametrize("word", ["a b", " ab", "ab\n", "a\tb", "a\u00a0b", "a\u3000b"])
+    @pytest.mark.parametrize("mode", ["--action", "--syntactic", "--check-iso"])
+    def test_whitespace_in_word_refused(self, capsys, word, mode):
+        # generators and table labels are separated by spaces in the text
+        # output, so a whitespace letter would make it ambiguous
+        code, out, err = run(capsys, ["semigroup", word, mode, "--table"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: semigroup word {word!r} holds whitespace\n"
+
     def test_guard_exit_code(self, capsys):
         code, _, _ = run(capsys, ["semigroup", "aabab", "--action",
                                   "--guard-cells", "4"])

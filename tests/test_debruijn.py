@@ -261,8 +261,14 @@ class TestLyndonOracle:
         assert str(lyndon_concatenation_oracle(2, 4)) == "aaaabaabbababbbb"
 
     def test_matches_transform_route(self):
-        for k, n in [(2, 6), (3, 4), (4, 3)]:
-            assert least_debruijn_word(k, n) == lyndon_concatenation_oracle(k, n)
+        # every span whose word has at most 2^16 letters, over 2 to 5 letters
+        checked = 0
+        for k in range(2, 6):
+            for n in range(1, 17):
+                if k**n <= 2**16:
+                    assert least_debruijn_word(k, n) == lyndon_concatenation_oracle(k, n)
+                    checked += 1
+        assert checked == 16 + 10 + 8 + 6
 
 
 class TestGammaPermutationStructure:

@@ -402,6 +402,82 @@ class TestClosureLoop:
         assert route(W(text)).order == order
 
 
+def multiset_route(m, max_size=DEFAULT_CLOSURE_SIZE):
+    return semigroup_of_multiset(m).semigroup
+
+
+class TestPackedKeys:
+    """`_close` keys a one-point map by its packed pair and any other map by
+    the tuple of its packed pairs; each case below reaches one way a map
+    comes to that form, checked against `helpers.reference_close`."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_one_point_generator(self, route):
+        # b occurs once in aab: on both routes its generator has one point
+        s, ref = closed_with_reference(route, W("aab"))
+        assert len(ref.gens[1]) == 1
+        assert_matches_reference(s, ref)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_empty_and_equal_generators(self, route):
+        # c and d do not occur in ab: both have the empty generator, one
+        # element for the two letters
+        s, ref = closed_with_reference(route, W("ab", Alphabet("abcd")))
+        assert ref.gens[2] == ref.gens[3] == ()
+        assert s.generators[2] == s.generators[3]
+        assert_matches_reference(s, ref)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_products_that_shrink(self, route):
+        # in abac, a acts on two points or more, ab on one and aa on none
+        s, ref = closed_with_reference(route, W("abac", ABC))
+        shrunk = {
+            len(ref.keys[j]) for x, row in zip(ref.keys, ref.right) if len(x) >= 2 for j in row
+        }
+        assert {0, 1} <= shrunk
+        assert_matches_reference(s, ref)
+
+    def test_one_point_map_reached_from_a_larger_map(self):
+        # the identity times b is b again: one map reached as a one-point
+        # generator and as the product of a three-point map; the letters of
+        # a necklace partition the points, so no necklace closure does this
+        gens = {
+            0: PartialInjection(3, ((0, 0), (1, 1), (2, 2))),
+            1: PartialInjection(3, ((0, 1),)),
+        }
+        s, ref = closed_with_reference(generate_closure, gens)
+        assert s.order == 3  # the identity, b and the empty map
+        assert_matches_reference(s, ref)
+
+    def test_random_partial_injections(self):
+        # generators whose domains overlap, of 1 to 5 points over 1 to 3
+        # letters
+        rng = random.Random(18)
+        for _ in range(200):
+            degree = rng.randint(1, 5)
+            gens = {}
+            for a in range(rng.randint(1, 3)):
+                sources = sorted(rng.sample(range(degree), rng.randint(0, degree)))
+                targets = rng.sample(range(degree), len(sources))
+                gens[a] = PartialInjection(degree, tuple(zip(sources, targets)))
+            assert_matches_reference(*closed_with_reference(generate_closure, gens))
+
+    @pytest.mark.parametrize("texts", [
+        ["aab", "aab", "ab", "ab", "ab", "abb"],
+        ["ab"] * 4,
+        ["a", "a", "b", "aab", "aab"],
+        ["abc", "abc", "acb", "aabc", "b", "b", "b"],
+    ])
+    def test_multiset_with_multiplicities(self, texts):
+        # the generators act on many points each: every copy of a necklace
+        # is a cycle of its own
+        alphabet = ABC if "c" in "".join(texts) else AB
+        m = NecklaceMultiset.from_texts(alphabet, texts)
+        s, ref = closed_with_reference(multiset_route, m)
+        assert max(map(len, ref.gens.values())) >= 4
+        assert_matches_reference(s, ref)
+
+
 class TestClosureBound:
     def test_bound_against_both_closures(self):
         # n^2 + [K >= 2] is at most the order of both closures of a primitive
