@@ -408,6 +408,8 @@ def cmd_semigroup(args) -> int:
     if any(map(str.isspace, args.word)):
         # the text output separates generators and table labels by spaces
         raise CLIError(f"semigroup word {args.word!r} holds whitespace")
+    if args.alphabet and any(map(str.isspace, args.alphabet)):
+        raise CLIError(f"semigroup alphabet {args.alphabet!r} holds whitespace")
     word = _parse_word(args.word, args.alphabet)
     guard = args.guard_cells or DEFAULT_CLOSURE_SIZE
     if is_primitive(word):

@@ -481,10 +481,6 @@ def reference_close(gens: dict[int, tuple], max_size: int) -> ReferenceClosure:
     return ReferenceClosure(gens, letters, generators, keys, tuple(right), parent, last)
 
 
-def is_power_of(text: str, u: str) -> bool:
-    return len(text) % len(u) == 0 and text == u * (len(text) // len(u))
-
-
 def context_classes(u: str, alphabet: str, word_len: int, context_len: int):
     """Partition all words of length <= word_len by their bounded context
     profile with respect to the positive powers of u.

@@ -587,6 +587,12 @@ class TestSemigroup:
         assert code == 2
         assert out == ""
         assert err == f"error: semigroup word {word!r} holds whitespace\n"
+        # the same letter brought in through --alphabet, which the word
+        # need not use
+        code, out, err = run(capsys, ["semigroup", "ab", "--alphabet", word, mode, "--table"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: semigroup alphabet {word!r} holds whitespace\n"
 
     def test_guard_exit_code(self, capsys):
         code, _, _ = run(capsys, ["semigroup", "aabab", "--action",
