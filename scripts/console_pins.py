@@ -6,9 +6,9 @@
 Each row of `pins()` runs under `timeout` and PYTHONWARNINGS=error (so an
 uncaught warning is a traceback) and prints one line; a failed row exits 1.
 A child's `ru_maxrss` starts at its parent's peak (a `pass` child of a
-parent that once held 200 MB reads 213 MB), so inputs are written in pieces
-and the script also fails when its own peak passes SELF_CAP_MB, half the
-smallest cap.
+parent that once held 200 MB reads 213 MB), so each row's stdin is built
+only when that row runs and is written in pieces, and the script also fails
+when its own peak passes SELF_CAP_MB, half the smallest cap.
 """
 
 import os
@@ -18,6 +18,7 @@ import subprocess
 import sys
 import tempfile
 from functools import reduce
+from itertools import chain, repeat
 from typing import NamedTuple
 
 SELF_CAP_MB = 32
@@ -30,18 +31,37 @@ class Pin(NamedTuple):
     stderr: str = ""  # a prefix: exactly one line that starts with it
     cap_mb: int | None = None
     timeout: int = 60  # seconds
-    stdin: tuple = ()  # pieces, written in turn
+    stdin: object = tuple  # called when the row runs: the pieces, bytes written in turn
 
 
 def refused(*args, code=3, error="", **pin):
     return Pin(args, code, "", "error: " + error, **pin)
 
 
+def transformed(text, *options):
+    """The stdout of `ebwt transform` of text given as argv."""
+    return subprocess.run(("ebwt", "transform", *options, text), stdout=subprocess.PIPE).stdout
+
+
 def round_trip(text, *options):
     """`ebwt transform` of text piped into `ebwt invert`, which gives it back."""
-    transformed = subprocess.run(("ebwt", "transform", *options, text),
-                                 stdout=subprocess.PIPE, encoding="utf-8").stdout
-    return Pin(("invert", *options), 0, text + "\n", stdin=(transformed,))
+    return Pin(("invert", *options), 0, text + "\n",
+               stdin=lambda: (transformed(text, *options),))
+
+
+def newlines_as_argv(first_line):
+    """`ebwt transform` on stdin of lines that end in "\\r\\n" or a lone "\\r"
+    gives what the same text gives as argv (which holds at most 128 KiB)."""
+    text = first_line + "\r\n" + "a" * 999 + "\u00e9\rab x3\r\naab\r"
+    return Pin(("transform",), 0, transformed(text).decode(), stdin=lambda: (text.encode(),))
+
+
+def undecodable(data):
+    """`ebwt invert` of data on stdin exits 2 with the error of a whole read."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        return refused("invert", code=2, error=f"{e}", stdin=lambda: (data,))
 
 
 def factor_count(w):
@@ -64,7 +84,7 @@ def pins():
         round_trip("a" + "ab" * 99 + "b"),
         round_trip(letters[0] + letters[:2] * 60 + letters[1], "--alphabet", letters),
         refused("debruijn", "7", "30000000", "--least", timeout=10),
-        refused("invert", "--guard-cells", "1000", stdin=("ab" * 1000 + "\n",)),
+        refused("invert", "--guard-cells", "1000", stdin=lambda: (b"ab" * 1000 + b"\n",)),
         refused("transform", '{"necklaces": [{"lyndon": 5}]}', code=2),
         # The second word's repeats are too long for packed windows.
         Pin(("factors", coins[300]), 0, f"{factor_count(coins[300])}\n"),
@@ -79,11 +99,18 @@ def pins():
             "action order 999995\nsyntactic order 999995\nISOMORPHIC\n", cap_mb=280),
         Pin(("semigroup", ab499, "--action"), 0, "action order 999995\ngenerators a b\n",
             cap_mb=200),
-        # A line of 2^27 letters is refused as it is read.  A JSON entry is
-        # read whole before the guard is checked: capped at 1.25 × 79 MB.
-        refused("transform", cap_mb=64, stdin=("ab" * 2**20,) * 64 + ("\n",)),
-        refused("transform", error="transform output needs 33554433 letters", cap_mb=100,
-                stdin=('{"necklaces": [{"lyndon": "',) + ("a" * 2**21,) * 16 + ('b"}]}\n',)),
+        # Stdin is read in blocks of 2^16 bytes: a "\r\n", then a two-byte
+        # letter, straddles the first edge, and a bad byte past it is placed
+        # from the start of the input.
+        newlines_as_argv("a" * (2**16 - 2) + "b"),
+        newlines_as_argv("a" * (2**16 - 1) + "\u00e9"),
+        undecodable(b"ab" * 40000 + b"\xffab\n"),
+        # A line of 2^27 letters, and a JSON document of more than the guard
+        # and a block, are refused as they are read.
+        refused("transform", cap_mb=64, stdin=lambda: chain(repeat(b"ab" * 2**20, 64), [b"\n"])),
+        refused("transform", error="transform JSON input has 33554464 characters", cap_mb=64,
+                stdin=lambda: chain([b'{"necklaces": [{"lyndon": "'], repeat(b"a" * 2**21, 16),
+                                    [b'b"}]}\n'])),
     ]
 
 
@@ -105,8 +132,8 @@ def main() -> int:
     os.environ["PYTHONWARNINGS"] = "error"
     failed = 0
     for pin in pins():
-        with tempfile.TemporaryFile("w+", encoding="utf-8") as stdin:
-            stdin.writelines(pin.stdin)
+        with tempfile.TemporaryFile() as stdin:
+            stdin.writelines(pin.stdin())
             stdin.seek(0)
             code, out, err, peak_mb = run(("timeout", str(pin.timeout), "ebwt", *pin.args), stdin)
         wrong = [message for bad, message in [

@@ -4,17 +4,24 @@ Deterministic, scriptable output: text by default, the same data as JSON
 under --json.  Exit codes: 0 success, 2 input error, 3 resource guard; the
 console entry point exits 1, without a traceback, when stdout is closed
 before the output is written (`ebwt ... | head`).
+
+`transform` and `invert` take their input from one generator, `_chunks`:
+the positional text whole, else the strict UTF-8 of --file or stdin with
+universal newlines, a block of INPUT_CHUNK bytes at a time, so that each
+guard on the input bounds what is held of it as it is read.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import io
 import os
 import sys
 import warnings
 from collections import Counter
+from contextlib import nullcontext
 from itertools import chain, dropwhile
 
 from .bwt import NecklaceMultiset, inverse_transform, transform
@@ -51,61 +58,39 @@ class CLIError(ValueError):
     ValueErrors on input it is handed."""
 
 
-# Characters per read when a guard bounds the input; see _read_stripped and
-# _multiset_entries.
+# Bytes per read of --file or stdin; see _chunks.
 INPUT_CHUNK = 1 << 16
 
 
-def _read_input(args, read):
-    """What `read` takes from the positional text, else --file, else stdin.
+def _chunks(args):
+    """The input of `transform` or `invert` as pieces of text: the
+    positional text in one piece, else --file or stdin read INPUT_CHUNK
+    bytes at a time.
 
-    The bytes of --file and stdin are decoded as strict UTF-8, whatever the
-    locale; stdin is taken as it is only when it is already a text stream
-    without bytes beneath it.
+    Those bytes are decoded as strict UTF-8, whatever the locale, with
+    universal newlines ("\\r\\n" and a lone "\\r" become "\\n"), as a text
+    file's read gives them; a decoding error is an input error placed from
+    the start of the input.  A piece may be empty.
     """
     if args.text is not None:
-        return read(io.StringIO(args.text))
-    if args.file:
-        try:
-            with open(args.file, "rb") as handle:
-                return _read_utf8(handle, read)
-        except OSError as e:
-            raise CLIError(f"cannot read {args.file}: {e.strerror}") from e
-    if not hasattr(sys.stdin, "buffer"):
-        return read(sys.stdin)
-    return _read_utf8(sys.stdin.buffer, read)
-
-
-class _CountedBytes(io.RawIOBase):
-    """A binary stream that counts the bytes read through it, so that a
-    pipe, which cannot seek, still tells how far it has been read."""
-
-    def __init__(self, raw):
-        super().__init__()
-        self._raw = raw
-        self._count = 0
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._raw.readinto(buffer)
-        self._count += n
-        return n
-
-    def tell(self) -> int:
-        return self._count
-
-
-def _read_utf8(raw, read):
-    """What `read` takes from the strict UTF-8 text of the binary stream
-    `raw`; a decoding error is an input error."""
-    counted = _CountedBytes(raw)
+        yield args.text
+        return
+    if not args.file and sys.stdin is None:
+        raise CLIError("stdin is closed; give the input as an argument or with --file")
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(),
+                                           translate=True)
+    count = 0
     try:
-        return read(io.TextIOWrapper(counted, encoding="utf-8"))
+        with open(args.file, "rb") if args.file else nullcontext(sys.stdin.buffer) as raw:
+            while data := raw.read(INPUT_CHUNK):
+                count += len(data)
+                yield decoder.decode(data)
+            yield decoder.decode(b"", final=True)
     except UnicodeDecodeError as e:
         # e.object ends where the bytes read so far end
-        raise CLIError(_decode_message(e, counted.tell() - len(e.object))) from None
+        raise CLIError(_decode_message(e, count - len(e.object))) from None
+    except OSError as e:
+        raise CLIError(f"cannot read {args.file or 'stdin'}: {e.strerror}") from e
 
 
 def _decode_message(e: UnicodeDecodeError, start: int) -> str:
@@ -120,8 +105,8 @@ def _decode_message(e: UnicodeDecodeError, start: int) -> str:
     return f"'{e.encoding}' codec can't decode {where}: {e.reason}"
 
 
-def _read_stripped(stream, guard: int) -> tuple[str, int]:
-    """(stripped text, its length) of a stream read in chunks.
+def _read_stripped(chunks, guard: int) -> tuple[str, int]:
+    """(stripped text, its length) of the text that `chunks` spell.
 
     The length runs from the first to the last non-whitespace character.
     Chunks are kept only until they hold more than `guard` characters from
@@ -131,7 +116,7 @@ def _read_stripped(stream, guard: int) -> tuple[str, int]:
     """
     kept: list[str] = []
     held = length = blank = 0
-    while chunk := stream.read(INPUT_CHUNK):
+    for chunk in chunks:
         if not length:
             chunk = chunk.lstrip()
         body = chunk.rstrip()
@@ -162,21 +147,27 @@ def _parse_word(text: str, override: str | None) -> Word:
     return _alphabet_from(text, override).word(text)
 
 
-def _multiset_entries(stream, guard: int) -> Counter:
-    """Raw entry -> multiplicity of the multiset that `stream` spells,
+def _multiset_entries(chunks, guard: int) -> Counter:
+    """Raw entry -> multiplicity of the multiset that `chunks` spell,
     refused by the output guard before any entry is checked.
 
-    JSON (first non-whitespace character `{`) is read whole.  The line
-    format is read in chunks of INPUT_CHUNK characters, a line at a time
-    (see `_lines`), and refused at the first line where the running sum of
-    length times multiplicity passes the guard, so it never holds more than
-    the guard's worth of entries and one line; the lines after that one are
-    not parsed.
+    JSON (first non-whitespace character `{`) is read through
+    `_read_stripped`, held to the bound of a line (see `_lines`), and
+    refused by its length before it is parsed when it passes that bound.
+    The line format is read a line at a time and refused at the first line
+    where the running sum of length times multiplicity passes the guard, so
+    it never holds more than the guard's worth of entries and one line; the
+    lines after that one are not parsed.
     """
-    chunks = dropwhile(str.isspace, iter(functools.partial(stream.read, INPUT_CHUNK), ""))
+    chunks = dropwhile(lambda chunk: not chunk or chunk.isspace(), chunks)
     first = next(chunks, "").lstrip()
     if first.startswith("{"):
-        entries = _multiset_entries_from_json((first + stream.read()).rstrip())
+        longest = guard + INPUT_CHUNK
+        text, length = _read_stripped(chain([first], chunks), longest)
+        if length > longest:
+            raise ResourceLimitError(f"transform JSON input has {length} characters, "
+                                     f"over the {longest} that the guard {guard} allows")
+        entries = _multiset_entries_from_json(text)
         _check_letters("transform output needs",
                        sum(len(raw) * mult for raw, mult in entries.items()), guard)
         return entries
@@ -194,15 +185,13 @@ def _lines(chunks, guard: int):
     A line of more than guard + INPUT_CHUNK characters before its line
     break, more than any line within the output guard needs, is refused as
     soon as it passes that length, so no more than that and one chunk of
-    any line is held.  A final "\r" of a chunk is kept back until the next
-    chunk shows whether a "\n" follows it.
+    any line is held.  No "\r\n" straddles two chunks: `_chunks` gives the
+    positional text whole and translates the newlines of --file and stdin.
     """
     longest = guard + INPUT_CHUNK
-    lineno, head, held, carry = 0, [], 0, ""
+    lineno, head, held = 0, [], 0
     for chunk in chunks:
-        chunk = carry + chunk
-        carry = "\r" if chunk.endswith("\r") else ""
-        for part in chunk[:len(chunk) - len(carry)].splitlines(True):
+        for part in chunk.splitlines(True):
             head.append(part)
             text = part.rstrip(_LINE_BREAKS)
             held += len(text)
@@ -213,8 +202,8 @@ def _lines(chunks, guard: int):
                 lineno += 1
                 yield lineno, "".join(head)
                 head, held = [], 0
-    if head or carry:
-        yield lineno + 1, "".join(head) + carry
+    if head:
+        yield lineno + 1, "".join(head)
 
 
 def _multiset_entries_from_lines(lines, guard: int) -> Counter:
@@ -247,6 +236,8 @@ def _multiset_entries_from_json(text: str) -> Counter:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise CLIError(f"line {e.lineno}: invalid JSON: {e.msg}") from e
+    except RecursionError:
+        raise CLIError("JSON multiset is nested too deeply to parse") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("necklaces"), list):
         raise CLIError('JSON multiset must be {"necklaces": [...]}')
     entries: Counter = Counter()
@@ -327,7 +318,7 @@ def _check_letters(what: str, letters: int, guard: int) -> None:
 
 def cmd_transform(args) -> int:
     guard = args.guard_cells or DEFAULT_MAX_WORD_LENGTH
-    entries = _read_input(args, functools.partial(_multiset_entries, guard=guard))
+    entries = _multiset_entries(_chunks(args), guard)
     m = _canonical_multiset(entries, args.alphabet, args.canonicalize)
     rendered = str(transform(m))
     _emit(args, {"word": rendered}, [rendered])
@@ -336,7 +327,7 @@ def cmd_transform(args) -> int:
 
 def cmd_invert(args) -> int:
     guard = args.guard_cells or DEFAULT_MAX_WORD_LENGTH
-    text, letters = _read_input(args, functools.partial(_read_stripped, guard=guard))
+    text, letters = _read_stripped(_chunks(args), guard)
     _check_letters("invert input has", letters, guard)
     if not text:
         _emit(args, {"necklaces": []}, [])

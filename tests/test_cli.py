@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -25,6 +26,27 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class ChunkedStdin(io.BytesIO):
+    """A stdin of the UTF-8 bytes of a text, its own `buffer`, that refuses
+    to hand over more than one input chunk at a time."""
+
+    def __init__(self, text: str):
+        super().__init__(text.encode())
+
+    @property
+    def buffer(self):
+        return self
+
+    def read(self, size=-1):
+        if size is None or not 0 <= size <= cli.INPUT_CHUNK:
+            raise AssertionError(f"read({size}) asks for more than one chunk")
+        return super().read(size)
+
+
+# The arguments of a transform or invert that reads stdin.
+STDIN = argparse.Namespace(text=None, file=None)
 
 
 class TestTransform:
@@ -99,13 +121,13 @@ class TestTransform:
         assert out == ""
         assert err == "error: transform output needs 6 letters, over the guard 5\n"
 
-        class ReadsThenFail(io.StringIO):
+        class ReadsThenFail(ChunkedStdin):
             def read(self, size=-1):
-                text = super().read(size)
-                if not text:
+                data = super().read(size)
+                if not data:
                     raise AssertionError("transform read past the line that passed its guard")
-                return text
-        monkeypatch.setattr(cli, "INPUT_CHUNK", 1)  # one character per read
+                return data
+        monkeypatch.setattr(cli, "INPUT_CHUNK", 1)  # one byte per read
         monkeypatch.setattr(sys, "stdin", ReadsThenFail("\n  \nab\naab x2\n"))
         code, out, err = run(capsys, ["transform", "--guard-cells", "7"])
         assert code == 3
@@ -113,7 +135,7 @@ class TestTransform:
 
     def test_output_guard_bounds_reading(self, capsys, monkeypatch):
         text = "ab\n" * 10**6
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        monkeypatch.setattr(sys, "stdin", ChunkedStdin(text))
         tracemalloc.start()
         try:
             code, out, err = run(capsys, ["transform", "--guard-cells", "100"])
@@ -143,8 +165,10 @@ class TestTransform:
                 expected = lineno
                 break
         try:
-            with mock.patch.object(cli, "INPUT_CHUNK", chunk):  # lines and "\r\n" straddle reads
-                got = cli._multiset_entries(io.StringIO(text), guard=10**6)
+            # lines and "\r\n" straddle reads
+            with mock.patch.object(cli, "INPUT_CHUNK", chunk), \
+                    mock.patch.object(sys, "stdin", ChunkedStdin(text)):
+                got = cli._multiset_entries(cli._chunks(STDIN), guard=10**6)
         except cli.CLIError as e:
             got = int(str(e).split(":")[0].removeprefix("line "))
         assert got == expected
@@ -152,7 +176,7 @@ class TestTransform:
     def test_long_line_refused_in_bounded_memory(self, capsys, monkeypatch):
         # one line of 2 million letters under a guard of 1000 is refused
         # before the line ends, holding at most the guard and a chunk of it
-        monkeypatch.setattr(sys, "stdin", ChunkedStream("ab\n" + "ab" * 10**6 + "\nab\n"))
+        monkeypatch.setattr(sys, "stdin", ChunkedStdin("ab\n" + "ab" * 10**6 + "\nab\n"))
         tracemalloc.start()
         try:
             code, out, err = run(capsys, ["transform", "--guard-cells", "1000"])
@@ -180,6 +204,53 @@ class TestTransform:
                                                        f"the guard 20\n"))):
             text = "ab\nab x2" + " " * padding + end
             assert run(capsys, ["transform", text, "--guard-cells", "20"]) == expected
+
+    def test_json_refused_while_it_is_read(self, capsys, monkeypatch):
+        # a document of more than guard + INPUT_CHUNK characters is refused
+        # before it is parsed, holding at most that much of it
+        def fail(text):
+            raise AssertionError("JSON parsed past its bound")
+        monkeypatch.setattr(cli, "_multiset_entries_from_json", fail)
+        document = '{"necklaces": [{"lyndon": "' + "a" * 2 * 10**6 + 'b"}]}'
+        monkeypatch.setattr(sys, "stdin", ChunkedStdin(" \n" + document + "\n"))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, ["transform", "--guard-cells", "1000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * cli.INPUT_CHUNK
+        assert code == 3
+        assert out == ""
+        longest = 1000 + cli.INPUT_CHUNK
+        assert err == (f"error: transform JSON input has {len(document)} characters, "
+                       f"over the {longest} that the guard 1000 allows\n")
+
+    @pytest.mark.parametrize("chunk", [1, 3, 16])
+    def test_json_length_bound(self, capsys, monkeypatch, tmp_path, chunk):
+        # a document of guard + INPUT_CHUNK characters is parsed and judged by
+        # its output; one character more is refused by its length
+        monkeypatch.setattr(cli, "INPUT_CHUNK", chunk)
+        longest = 100 + chunk
+        bare = '{"necklaces": [{"lyndon": "aab"}, {"lyndon": "ab"}, {"lyndon": "abb"}]}'
+        path = tmp_path / "multiset.json"
+        for padding, expected in ((-1, (0, "babbaaba\n", "")), (0, (0, "babbaaba\n", "")),
+                                  (1, (3, "", f"error: transform JSON input has {longest + 1} "
+                                              f"characters, over the {longest} that the "
+                                              f"guard 100 allows\n"))):
+            document = bare[:-1] + " " * (longest + padding - len(bare)) + bare[-1]
+            path.write_text("\n " + document + " \n", encoding="utf-8")
+            for source in ([document], ["--file", str(path)]):
+                assert run(capsys, ["transform", *source, "--guard-cells", "100"]) == expected
+
+    @pytest.mark.parametrize("source", ["argv", "--file"])
+    def test_deeply_nested_json_is_an_input_error(self, capsys, tmp_path, source):
+        document = '{"necklaces": ' + "[" * 10**5 + "]" * 10**5 + "}"
+        path = tmp_path / "deep.json"
+        path.write_text(document, encoding="utf-8")
+        argv = [document] if source == "argv" else ["--file", str(path)]
+        assert run(capsys, ["transform", *argv]) == (
+            2, "", "error: JSON multiset is nested too deeply to parse\n")
 
     @pytest.mark.parametrize("lyndon", [5, None, ["ab"], ""],
                              ids=["number", "null", "list", "empty"])
@@ -229,7 +300,7 @@ class TestTransform:
         assert "line 2" in err
 
     def test_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("aab\nab\nabb\n"))
+        monkeypatch.setattr(sys, "stdin", ChunkedStdin("aab\nab\nabb\n"))
         code, out, _ = run(capsys, ["transform"])
         assert code == 0
         assert out == "babbaaba\n"
@@ -318,14 +389,33 @@ class TestUndecodableFile:
         assert (code, out.getvalue(), err.getvalue()) == (2, "", expected)
 
 
-class ChunkedStream(io.StringIO):
-    """A text stream that refuses to hand over more than one input chunk at
-    a time."""
+    @given(st.sampled_from([1, 2, 3, 2**16]), st.integers(0, 3),
+           st.lists(st.sampled_from([b"a", b"\r", b"\n", b"\r\n", "\u00e9".encode(),
+                                     "\u20ac".encode(), "\U0001d11e".encode(),
+                                     "\u2028".encode(), b"\xff", b"\xe2\x82", b"\xc3",
+                                     b"\xed\xa0\x80"]), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_file_text_matches_a_whole_decode(self, tmp_path_factory, chunk, before, pieces):
+        # the pieces start up to 3 bytes before the first block edge, so
+        # multibyte letters, "\r\n" and bad or truncated bytes straddle it or
+        # a later one, and a lone "\r" may end a block or the file
+        data = b"a" * max(chunk - before, 0) + b"".join(pieces)
+        try:
+            expected = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        except UnicodeDecodeError as e:
+            expected = str(e)
+        path = tmp_path_factory.getbasetemp() / "text.txt"
+        path.write_bytes(data)
+        try:
+            with mock.patch.object(cli, "INPUT_CHUNK", chunk):
+                got = "".join(cli._chunks(argparse.Namespace(text=None, file=str(path))))
+        except cli.CLIError as e:
+            got = str(e)
+        assert got == expected
 
-    def read(self, size=-1):
-        if size is None or not 0 <= size <= cli.INPUT_CHUNK:
-            raise AssertionError(f"read({size}) asks for more than one chunk")
-        return super().read(size)
+    def test_argv_text_comes_whole_as_given(self):
+        text = "ab\r\nab\rab\u2028\xff"
+        assert list(cli._chunks(argparse.Namespace(text=text, file=None))) == [text]
 
 
 class TestInvert:
@@ -378,7 +468,7 @@ class TestInvert:
             raise AssertionError("invert ran past its guard")
         monkeypatch.setattr(cli, "_parse_word", fail)
         monkeypatch.setattr(cli, "inverse_transform", fail)
-        monkeypatch.setattr(sys, "stdin", io.StringIO("ab" * 2**23 + "a\n"))
+        monkeypatch.setattr(sys, "stdin", ChunkedStdin("ab" * 2**23 + "a\n"))
         code, out, err = run(capsys, ["invert"])
         assert code == 3
         assert out == ""
@@ -388,7 +478,7 @@ class TestInvert:
         def fail(*args):
             raise AssertionError("invert ran past its guard")
         monkeypatch.setattr(cli, "_parse_word", fail)
-        monkeypatch.setattr(sys, "stdin", ChunkedStream(" \n\t" + "ab" * 10**6 + "a\r\n "))
+        monkeypatch.setattr(sys, "stdin", ChunkedStdin(" \n\t" + "ab" * 10**6 + "a\r\n "))
         tracemalloc.start()
         try:
             code, out, err = run(capsys, ["invert", "--guard-cells", "1000"])
@@ -408,12 +498,12 @@ class TestInvert:
         path = tmp_path / "word.txt"
         path.write_text(padded, encoding="utf-8")
         for guard in ("8", "9"):
-            monkeypatch.setattr(sys, "stdin", ChunkedStream(padded))
+            monkeypatch.setattr(sys, "stdin", ChunkedStdin(padded))
             for source in (["invert"], ["invert", "--file", str(path)]):
                 code, out, _ = run(capsys, source + ["--guard-cells", guard])
                 assert code == 0
                 assert out == "aab\nab\nabb\n"
-        monkeypatch.setattr(sys, "stdin", ChunkedStream(padded))
+        monkeypatch.setattr(sys, "stdin", ChunkedStdin(padded))
         code, out, err = run(capsys, ["invert", "--guard-cells", "7"])
         assert code == 3
         assert err == "error: invert input has 8 letters, over the guard 7\n"
@@ -424,10 +514,12 @@ class TestInvert:
         rng = random.Random(chunk)
         for _ in range(200):
             text = "".join(rng.choice("ab \n\t\r") for _ in range(rng.randint(0, 40)))
-            stripped = text.strip()
+            # stdin is read with universal newlines
+            stripped = text.replace("\r\n", "\n").replace("\r", "\n").strip()
             for guard in (1, len(stripped) - 1, len(stripped), 100):
                 expected = stripped if len(stripped) <= guard else ""
-                assert cli._read_stripped(ChunkedStream(text), guard) == (expected, len(stripped))
+                monkeypatch.setattr(sys, "stdin", ChunkedStdin(text))
+                assert cli._read_stripped(cli._chunks(STDIN), guard) == (expected, len(stripped))
 
 
 class TestDeBruijn:
@@ -885,6 +977,18 @@ class TestEntryPoint:
         _, err = proc.communicate(timeout=60)
         assert err == b""
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("command", ["transform", "invert"])
+    def test_closed_stdin_is_an_input_error(self, command):
+        # with file descriptor 0 closed, sys.stdin is None
+        env = dict(os.environ, PYTHONPATH=str(Path(ebwt.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ebwt.cli", command],
+            capture_output=True, env=env, timeout=60, preexec_fn=lambda: os.close(0),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == b"error: stdin is closed; give the input as an argument or with --file\n"
 
     def test_library_warning_under_error_filter(self):
         # -W error would turn the warning into an exception; the CLI still

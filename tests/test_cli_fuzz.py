@@ -222,6 +222,8 @@ def expected_multiset_lines(argv):
 @example(["transform", '{"necklaces": [{"lyndon": null}]}'])
 @example(["transform", '{"necklaces": [{"lyndon": ["ab"]}]}'])
 @example(["transform", '{"necklaces": [{"lyndon": "ab"}, {"lyndon": ""}]}'])
+# JSON nested past the parser's recursion limit: an input error.
+@example(["transform", '{"necklaces": ' + "[" * 10**5 + "]" * 10**5 + "}"])
 @settings(derandomize=True, deadline=None, max_examples=500)
 def test_cli_properties(argv):
     code, out, err = call(argv)
