@@ -97,8 +97,11 @@ def pins():
         # One closure alive at a time, a packed int per one-point map.
         Pin(("semigroup", ab499, "--check-iso"), 0,
             "action order 999995\nsyntactic order 999995\nISOMORPHIC\n", cap_mb=280),
+        # The order alone, from the closed form, for a primitive word or not.
         Pin(("semigroup", ab499, "--action"), 0, "action order 999995\ngenerators a b\n",
-            cap_mb=200),
+            cap_mb=64),
+        Pin(("semigroup", "ab" * 1600, "--syntactic"), 0,
+            "syntactic order 6401\ngenerators a b\n", "warning: ", cap_mb=64, timeout=10),
         # Stdin is read in blocks of 2^16 bytes: a "\r\n", then a two-byte
         # letter, straddles the first edge, and a bad byte past it is placed
         # from the start of the input.
@@ -108,9 +111,9 @@ def pins():
         # A line of 2^27 letters, and a JSON document of more than the guard
         # and a block, are refused as they are read.
         refused("transform", cap_mb=64, stdin=lambda: chain(repeat(b"ab" * 2**20, 64), [b"\n"])),
-        refused("transform", error="transform JSON input has 33554464 characters", cap_mb=64,
-                stdin=lambda: chain([b'{"necklaces": [{"lyndon": "'], repeat(b"a" * 2**21, 16),
-                                    [b'b"}]}\n'])),
+        refused("transform", error="transform JSON input has more than 16842752 characters",
+                cap_mb=64, stdin=lambda: chain([b'{"necklaces": [{"lyndon": "'],
+                                               repeat(b"a" * 2**21, 16), [b'b"}]}\n'])),
     ]
 
 

@@ -49,8 +49,9 @@ from .semigroups import (
     letter_actions,
     letter_induced_isomorphic,
     syntactic_semigroup,
+    warn_if_not_primitive,
 )
-from .words import Alphabet, Word, is_primitive, lyndon_representative
+from .words import Alphabet, Word, lyndon_representative
 
 
 class CLIError(ValueError):
@@ -105,14 +106,17 @@ def _decode_message(e: UnicodeDecodeError, start: int) -> str:
     return f"'{e.encoding}' codec can't decode {where}: {e.reason}"
 
 
-def _read_stripped(chunks, guard: int) -> tuple[str, int]:
-    """(stripped text, its length) of the text that `chunks` spell.
+def _read_stripped(chunks, bound: int, refusal: str) -> str:
+    """The text that `chunks` spell, stripped of whitespace at both ends.
 
-    The length runs from the first to the last non-whitespace character.
-    Chunks are kept only until they hold more than `guard` characters from
-    the first non-whitespace one, so memory stays within guard + one chunk;
-    past that the rest is only counted, and a text longer than the guard
-    comes back empty, for the caller to refuse by its length.
+    It is refused, with `refusal` and its count filled in, at the first
+    chunk where it passes `bound` characters from the first non-whitespace
+    one to the last, and nothing more is read but the next chunk.  The count
+    is exact when there is none, as for the positional text, which comes
+    whole; else it is "more than `bound`", as for --file and stdin, whose
+    decoder gives a last chunk of its own.  Chunks are kept only until they
+    hold more than `bound` characters, so memory stays within bound + one
+    chunk however much whitespace follows.
     """
     kept: list[str] = []
     held = length = blank = 0
@@ -125,12 +129,27 @@ def _read_stripped(chunks, guard: int) -> tuple[str, int]:
             blank = len(chunk) - len(body)
         else:
             blank += len(chunk)
-        if held <= guard:
+        if length > bound:
+            count = length if next(chunks, None) is None else f"more than {bound}"
+            raise ResourceLimitError(refusal.format(count))
+        if held <= bound:
             kept.append(chunk)
             held += len(chunk)
-    if length > guard:
-        return "", length
-    return "".join(kept)[:length], length
+    return "".join(kept)[:length]
+
+
+def _check_argv_text(args) -> None:
+    """Hold each text given in argv, but not a path, to the strict UTF-8 of
+    --file and stdin, with the message that --file gives for the same bytes.
+    Python decodes argv with surrogateescape, so a byte that is not UTF-8
+    arrives as a lone surrogate, which `os.fsencode` gives back."""
+    for name in ("text", "word", "from_gamma", "alphabet"):
+        text = getattr(args, name, None)
+        if text and not text.isascii():
+            try:
+                setattr(args, name, os.fsencode(text).decode("utf-8"))
+            except UnicodeDecodeError as e:
+                raise CLIError(_decode_message(e, 0)) from None
 
 
 def _alphabet_from(chars, override: str | None) -> Alphabet:
@@ -163,10 +182,8 @@ def _multiset_entries(chunks, guard: int) -> Counter:
     first = next(chunks, "").lstrip()
     if first.startswith("{"):
         longest = guard + INPUT_CHUNK
-        text, length = _read_stripped(chain([first], chunks), longest)
-        if length > longest:
-            raise ResourceLimitError(f"transform JSON input has {length} characters, "
-                                     f"over the {longest} that the guard {guard} allows")
+        text = _read_stripped(chain([first], chunks), longest, "transform JSON input has {} "
+                              f"characters, over the {longest} that the guard {guard} allows")
         entries = _multiset_entries_from_json(text)
         _check_letters("transform output needs",
                        sum(len(raw) * mult for raw, mult in entries.items()), guard)
@@ -290,13 +307,13 @@ def _multiset_output(m: NecklaceMultiset) -> tuple[dict, list[str]]:
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
+    """Write the output in one piece, so that a text stdout cannot encode
+    leaves it empty."""
     if args.json:
         import json  # here, not at the top: only --json output needs it
 
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+        lines = [json.dumps(payload, sort_keys=True)]
+    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def _render_on(word: Word, override: str | None) -> str:
@@ -327,8 +344,8 @@ def cmd_transform(args) -> int:
 
 def cmd_invert(args) -> int:
     guard = args.guard_cells or DEFAULT_MAX_WORD_LENGTH
-    text, letters = _read_stripped(_chunks(args), guard)
-    _check_letters("invert input has", letters, guard)
+    text = _read_stripped(_chunks(args), guard,
+                          f"invert input has {{}} letters, over the guard {guard}")
     if not text:
         _emit(args, {"necklaces": []}, [])
         return 0
@@ -361,29 +378,42 @@ def cmd_debruijn(args) -> int:
     return 0
 
 
-def _check_table_cells(order: int) -> None:
-    """Refuse the multiplication table of a semigroup of this order when it
-    has more than TABLE_CELL_LIMIT cells."""
-    if order**2 > TABLE_CELL_LIMIT:
-        raise ResourceLimitError(f"multiplication table of order {order} needs {order**2} "
-                                 f"cells, over the {TABLE_CELL_LIMIT}-cell guard")
-
-
-def _semigroup_report(name: str, sg, alphabet: Alphabet, with_table: bool, as_json: bool):
-    """JSON payload and text lines of a semigroup; the table goes only into
-    the one that is printed."""
-    payload = {
-        f"{name}_order": sg.order,
-        "generators": [alphabet.letters[a] for a in sorted(sg.generators)],
-    }
-    lines = [
-        f"{name} order {sg.order}",
-        "generators " + " ".join(payload["generators"]),
-    ]
-    if with_table:
-        _check_table_cells(sg.order)  # a word that is not primitive meets it here
-        labels = [alphabet.render(w) for w in sg.element_words]
-        if as_json:
+def cmd_semigroup(args) -> int:
+    for what, text in (("word", args.word), ("alphabet", args.alphabet or "")):
+        if any(map(str.isspace, text)):
+            # the text output separates generators and table labels by spaces
+            raise CLIError(f"semigroup {what} {text!r} holds whitespace")
+    word = _parse_word(args.word, args.alphabet)
+    if not args.syntactic:
+        lyndon_representative(word)  # refuses a word that is not primitive
+    guard = args.guard_cells or DEFAULT_CLOSURE_SIZE
+    # The order of every closure below: refuse before building any, with
+    # the message that each would end in.
+    order = closure_order(word, guard)
+    if args.check_iso:
+        action = generate_closure(letter_actions(word), max_size=guard)
+        syntactic = syntactic_semigroup(word, max_size=guard)
+        verdict = letter_induced_isomorphic(action, syntactic)
+        payload = {"action_order": action.order, "syntactic_order": syntactic.order,
+                   "isomorphic": verdict}
+        lines = [f"action order {action.order}", f"syntactic order {syntactic.order}",
+                 "ISOMORPHIC" if verdict else "NOT ISOMORPHIC"]
+        _emit(args, payload, lines)
+        return 0
+    name = "action" if args.action else "syntactic"
+    letters = word.alphabet.letters  # both routes give each a generator
+    payload = {f"{name}_order": order, "generators": list(letters)}
+    lines = [f"{name} order {order}", "generators " + " ".join(letters)]
+    if args.table:  # the table goes only into the output that is printed
+        if order**2 > TABLE_CELL_LIMIT:
+            raise ResourceLimitError(f"multiplication table of order {order} needs {order**2} "
+                                     f"cells, over the {TABLE_CELL_LIMIT}-cell guard")
+        if args.action:
+            sg = generate_closure(letter_actions(word), max_size=guard)
+        else:
+            sg = syntactic_semigroup(word, max_size=guard)
+        labels = [word.alphabet.render(w) for w in sg.element_words]
+        if args.json:
             payload["elements"] = labels
             payload["table"] = sg.table
         else:
@@ -392,44 +422,9 @@ def _semigroup_report(name: str, sg, alphabet: Alphabet, with_table: bool, as_js
             lines.append("*".rjust(width) + " " + " ".join(padded))
             for label, row in zip(padded, sg.table):
                 lines.append(label + " " + " ".join(padded[j] for j in row))
-    return payload, lines
-
-
-def cmd_semigroup(args) -> int:
-    if any(map(str.isspace, args.word)):
-        # the text output separates generators and table labels by spaces
-        raise CLIError(f"semigroup word {args.word!r} holds whitespace")
-    if args.alphabet and any(map(str.isspace, args.alphabet)):
-        raise CLIError(f"semigroup alphabet {args.alphabet!r} holds whitespace")
-    word = _parse_word(args.word, args.alphabet)
-    guard = args.guard_cells or DEFAULT_CLOSURE_SIZE
-    if is_primitive(word):
-        # Both closures of a primitive word have this order: refuse before
-        # building either, with the message that each would end in.
-        order = closure_order(word, guard)
-        if args.table and not args.check_iso:
-            _check_table_cells(order)
-    if args.check_iso:
-        action = generate_closure(letter_actions(word), max_size=guard)
-        syntactic = syntactic_semigroup(word, max_size=guard)
-        verdict = letter_induced_isomorphic(action, syntactic)
-        payload = {
-            "action_order": action.order,
-            "syntactic_order": syntactic.order,
-            "isomorphic": verdict,
-        }
-        lines = [
-            f"action order {action.order}",
-            f"syntactic order {syntactic.order}",
-            "ISOMORPHIC" if verdict else "NOT ISOMORPHIC",
-        ]
-        _emit(args, payload, lines)
-        return 0
-    if args.action:
-        name, sg = "action", generate_closure(letter_actions(word), max_size=guard)
-    else:
-        name, sg = "syntactic", syntactic_semigroup(word, max_size=guard)
-    _emit(args, *_semigroup_report(name, sg, word.alphabet, args.table, args.json))
+    elif args.syntactic:
+        warn_if_not_primitive(word)
+    _emit(args, payload, lines)
     return 0
 
 
@@ -576,6 +571,7 @@ def main(argv=None) -> int:
             # a library warning into a traceback.
             warnings.simplefilter("always")
             warnings.showwarning = _warning_line
+            _check_argv_text(args)
             return args.func(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

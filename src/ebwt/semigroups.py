@@ -40,7 +40,7 @@ from functools import cached_property
 
 from .bwt import NecklaceMultiset, StandardPermutation, standard_permutation, transform
 from .errors import ResourceLimitError
-from .words import Alphabet, Necklace, Value, Word, is_primitive, lyndon_representative
+from .words import Alphabet, Necklace, Value, Word, is_primitive, lyndon_representative, root
 
 DEFAULT_CLOSURE_SIZE = 10**6
 # Cells of a rendered multiplication table (order squared); the CLI refuses
@@ -241,67 +241,77 @@ def _over_guard(max_size: int) -> ResourceLimitError:
 
 
 def closure_order(u: Word, max_size: int) -> int:
-    """The order of both closures of a primitive word u, in closed form:
-    n^2 + R + [K >= 2], R being the number of words that begin the periodic
-    reading of two or more rotations.  Refused like the closures when it
-    passes max_size, and then computed only as far as that needs: R only
-    when the lower bound n^2 + [K >= 2] is within max_size.
+    """The order of the syntactic semigroup of u+, in closed form, and for a
+    primitive u that of the closure of its letter actions too:
+    m * n + R + [K >= 2], for u of length n over an alphabet of K letters
+    with primitive root r of length m, R being the number of words that
+    begin the periodic reading of two or more rotations of r.  Refused like
+    the closures when it passes max_size, and then computed only as far as
+    that needs: R only when the lower bound m * n + [K >= 2] is within
+    max_size.
 
-    For u of length n over an alphabet of K letters, the closure of
-    `letter_actions(u)` has at least n^2 + [K >= 2] elements.  The letters
-    act left to right, so a nonempty word w sends each rotation whose
-    periodic reading begins with w to that rotation shifted by |w| letters,
-    and is undefined elsewhere.  The n rotations of a primitive word are n
-    distinct words of length n, so a word of length n or more begins the
-    periodic reading of at most one rotation: it acts as a one-point map or
-    as the empty map.  Rotation r read periodically for n + d letters
-    (0 <= d < n) spells a word that sends r to r shifted by d, so every
-    one-point map between two rotations, all n^2 of them, is an element.
-    With K >= 2 letters there are more words of length n + 1 than
-    rotations, so one of them begins no periodic reading and acts as the
-    empty map: one element more (over one letter, u = a and every word
-    begins the reading of u).  By the paper's theorem, the syntactic
-    semigroup of u+ is isomorphic to that closure for primitive u, so it has
-    the same order.  A closure counts its distinct generators against its
-    guard like every other element, so it refuses exactly an order past
-    max_size, and this function refuses exactly the words that either
-    closure would refuse, with the same message.
+    The states of `_minimal_dfa(u)` without its sink are offsets mod n:
+    state i < n has read i letters of a period, and state n continues like
+    state 0.  A nonempty word w is defined at the offsets from which it
+    spells the periodic reading u^omega = r^omega, and moves each of them
+    |w| letters on, so its map is fixed by that set of offsets and by |w|
+    mod n, and is empty when the set is.  The reading repeats every m
+    letters, so the set is a union of residues mod m.  The m rotations of
+    the primitive r are m distinct words of length m, so a word of length m
+    or more reads r^omega from at most one residue, and its map is fixed by
+    that residue and |w| mod n.  Reading r^omega from residue j for n + d
+    letters (0 <= d < n) spells a word of each such pair, and the pairs give
+    m * n distinct maps, each defined at the n / m offsets of one residue.
+    With K >= 2 letters there are more words of length m + 1 than rotations
+    of r, so one of them reads from no residue and acts as the empty map:
+    one element more (over one letter, r = a and every word reads r^omega
+    from every offset).
 
-    Every element is the map of a nonempty word, so the others are the maps
-    of the R shorter words that begin two or more readings.  Such a word w
-    shifts each rotation it begins by |w| < n letters, so its map, defined
-    at two or more rotations, is neither one-point nor empty, and gives back
-    |w| and then w, the first |w| letters of any rotation where it is
-    defined.
+    Every element is the map of a nonempty word.  A shorter word, of fewer
+    than m letters, that reads from no residue acts as the empty map, and
+    one that reads from one residue as the same reading continued for n more
+    letters, so the others are the maps of the R shorter words that read
+    from two or more residues.  Such a word w is defined at more than n / m
+    offsets, so its map is none of the above, and it gives back |w| < m <= n
+    and then w, the first |w| letters of the reading from any residue where
+    it is defined.  `syntactic_semigroup` closes these maps, the sink
+    dropped (see the module docstring).  For a primitive u, r = u, and by
+    the paper's theorem the closure of `letter_actions(u)` is isomorphic to
+    the syntactic semigroup, so it has the same order.  A closure counts its
+    distinct generators against its guard like every other element, so it
+    refuses exactly an order past max_size, and this function refuses
+    exactly the words that a closure would refuse, with the same message.
 
-    The rotations that w begins fill adjacent rows in lex order.  Let lcp[r]
-    be the longest common prefix of the rotations in rows r and r + 1, the
-    last row paired with row 0: for n >= 2 these begin with the greatest and
-    the least letter of u, so lcp[n - 1] = 0.  Then the words of length l
-    counted in R are the maximal runs of rows with lcp[r] >= l, a run starts
-    at row r for each l with lcp[r - 1] < l <= lcp[r], and R is the sum over
-    r of max(0, lcp[r] - lcp[r - 1]).  The rows come from the standard
-    permutation of the transform of u's necklace, whose one cycle, read from
-    row 0, lists the row of each rotation of the Lyndon word (see
+    The rotations of r that w begins fill adjacent rows in lex order.  Let
+    lcp[q] be the longest common prefix of the rotations in rows q and
+    q + 1, the last row paired with row 0: for m >= 2 these begin with the
+    greatest and the least letter of r, so lcp[m - 1] = 0.  Then the words
+    of length l counted in R are the maximal runs of rows with lcp[q] >= l,
+    a run starts at row q for each l with lcp[q - 1] < l <= lcp[q], and R is
+    the sum over q of max(0, lcp[q] - lcp[q - 1]).  The rows come from the
+    standard permutation of the transform of r's necklace, whose one cycle,
+    read from row 0, lists the row of each rotation of the Lyndon word (see
     `inverse_transform`).  One pass over the rotations in that word's order
     finds lcp (Kasai et al., CPM 2001): when rotation t shares h > 0 letters
     with the next row's, rotation t + 1 shares h - 1 with a later row's, so
-    it shares at least h - 1 with the next row's, and it is not the last row.
+    it shares at least h - 1 with the next row's, and it is not the last
+    row.
     """
-    n = len(u)
-    order = n * n + (u.alphabet.size >= 2)
-    if 1 < n and order <= max_size:  # one letter: u = a, and R = 0
-        p = _necklace_permutation(u)
+    r = root(u)
+    m = len(r)
+    order = m * len(u) + (u.alphabet.size >= 2)
+    if 1 < m and order <= max_size:  # one letter: r = a, and R = 0
+        p = _necklace_permutation(r)
         (rows,) = p.cycles()
-        codes = [p.sorted_codes[r] for r in rows] * 2
-        at_row = {r: t for t, r in enumerate(rows)}
-        lcp, h = [0] * n, 0
-        for t, r in enumerate(rows):
-            j = at_row[(r + 1) % n]
+        codes = [p.sorted_codes[q] for q in rows] * 2
+        at_row = {q: t for t, q in enumerate(rows)}
+        lcp, h = [0] * m, 0
+        for t, q in enumerate(rows):
+            j = at_row[(q + 1) % m]
             while codes[t + h] == codes[j + h]:  # distinct rotations differ
                 h += 1
-            lcp[r], h = h, max(h - 1, 0)
-        order += sum(max(0, lcp[r] - lcp[r - 1]) for r in range(n))
+            lcp[q], h = h, max(h - 1, 0)
+        order += sum(max(0, lcp[q] - lcp[q - 1]) for q in range(m))
     if order > max_size:
         raise _over_guard(max_size)
     return order
@@ -385,9 +395,7 @@ def syntactic_semigroup(u: Word, max_size: int = DEFAULT_CLOSURE_SIZE) -> Finite
     """
     if len(u) == 0:
         raise ValueError("the syntactic semigroup needs a nonempty word")
-    if not is_primitive(u):
-        warnings.warn(f"{u} is not primitive; the action comparison theorem "
-                      "assumes a primitive word", stacklevel=2)
+    warn_if_not_primitive(u)
     _, delta, _, _ = _minimal_dfa(u)
     sink = len(u) + 1
     gens = {
@@ -396,6 +404,14 @@ def syntactic_semigroup(u: Word, max_size: int = DEFAULT_CLOSURE_SIZE) -> Finite
     }
     values = {a: Transformation(tuple(row[a] for row in delta)) for a in gens}
     return _close(gens, max_size, values)
+
+
+def warn_if_not_primitive(u: Word) -> None:
+    """Warn, for the caller of its caller, when u is not primitive: the
+    syntactic semigroup of u+ is then no action semigroup to compare with."""
+    if not is_primitive(u):
+        warnings.warn(f"{u} is not primitive; the action comparison theorem "
+                      "assumes a primitive word", stacklevel=3)
 
 
 def cayley_signature(s: FiniteSemigroup) -> tuple:

@@ -320,24 +320,26 @@ def naive_closure(gens: dict) -> set[frozenset]:
 
 
 def necklace_closure_order(text: str, alphabet_size: int) -> int:
-    """The order of either semigroup closure of a primitive word, in closed
-    form: n^2 + R + z.
+    """The order of the syntactic semigroup of text+, and of the closure of
+    the letter actions of a primitive text, in closed form: m * n + R + z.
 
-    Each one-point map between two of the n rotations is an element (words
-    of length n or more occur at one cyclic position); each cyclic factor
-    occurring at two or more cyclic positions is one more, and R counts
-    them, as the sum over the sorted rotations of max(0, lcp[r] - lcp[r-1]),
-    lcp[r] being the longest common prefix of rotations r and r + 1 (0
-    before the first); z = 1 for the empty map, which some word gives
-    exactly when the alphabet has two or more letters.
+    With r the primitive root of the text and m = |r|, a word of length m or
+    more reads the periodic text from at most one offset mod m, so its map
+    is fixed by that offset and by its length mod n: m * n maps.  Each
+    factor of r's necklace that begins two or more of r's rotations is one
+    more, and R counts them, as the sum over the sorted rotations of r of
+    max(0, lcp[q] - lcp[q-1]), lcp[q] being the longest common prefix of
+    rotations q and q + 1 (0 before the first); z = 1 for the empty map,
+    which some word gives exactly when the alphabet has two or more letters.
     """
-    n = len(text)
-    rows = sorted(rotations(text))
+    r = naive_root(text)
+    m = len(r)
+    rows = sorted(rotations(r))
     lcps = [0]
     for a, b in zip(rows, rows[1:]):
-        lcps.append(next(i for i in range(n) if a[i] != b[i]))
+        lcps.append(next(i for i in range(m) if a[i] != b[i]))
     repeated = sum(max(0, cur - prev) for prev, cur in zip(lcps, lcps[1:]))
-    return n * n + repeated + (alphabet_size >= 2)
+    return m * len(text) + repeated + (alphabet_size >= 2)
 
 
 def naive_closure_size(gens: dict[str, dict[int, int]]) -> int:

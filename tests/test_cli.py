@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import ebwt
 from ebwt import cli, semigroups
 from ebwt.cli import main
+from ebwt.errors import ResourceLimitError
 
 from helpers import naive_primitive, necklace_closure_order
 
@@ -43,6 +44,22 @@ class ChunkedStdin(io.BytesIO):
         if size is None or not 0 <= size <= cli.INPUT_CHUNK:
             raise AssertionError(f"read({size}) asks for more than one chunk")
         return super().read(size)
+
+
+class EndlessStdin:
+    """A stdin, its own `buffer`, that never ends: `first`, then blocks of
+    `then` repeated, for as many reads as are asked, which it counts."""
+
+    def __init__(self, first: bytes, then: bytes):
+        self.first, self.then, self.reads = first, then, 0
+
+    @property
+    def buffer(self):
+        return self
+
+    def read(self, size):
+        self.reads += 1
+        return self.first if self.reads == 1 else self.then * (size // len(self.then))
 
 
 # The arguments of a transform or invert that reads stdin.
@@ -223,24 +240,27 @@ class TestTransform:
         assert code == 3
         assert out == ""
         longest = 1000 + cli.INPUT_CHUNK
-        assert err == (f"error: transform JSON input has {len(document)} characters, "
+        assert err == (f"error: transform JSON input has more than {longest} characters, "
                        f"over the {longest} that the guard 1000 allows\n")
 
     @pytest.mark.parametrize("chunk", [1, 3, 16])
     def test_json_length_bound(self, capsys, monkeypatch, tmp_path, chunk):
         # a document of guard + INPUT_CHUNK characters is parsed and judged by
-        # its output; one character more is refused by its length
+        # its output; one character more is refused by its length, counted
+        # exactly when it comes whole as argv
         monkeypatch.setattr(cli, "INPUT_CHUNK", chunk)
         longest = 100 + chunk
         bare = '{"necklaces": [{"lyndon": "aab"}, {"lyndon": "ab"}, {"lyndon": "abb"}]}'
         path = tmp_path / "multiset.json"
-        for padding, expected in ((-1, (0, "babbaaba\n", "")), (0, (0, "babbaaba\n", "")),
-                                  (1, (3, "", f"error: transform JSON input has {longest + 1} "
-                                              f"characters, over the {longest} that the "
-                                              f"guard 100 allows\n"))):
+        refused = (f"error: transform JSON input has {{}} characters, over the {longest} "
+                   f"that the guard 100 allows\n")
+        for padding in (-1, 0, 1):
             document = bare[:-1] + " " * (longest + padding - len(bare)) + bare[-1]
             path.write_text("\n " + document + " \n", encoding="utf-8")
-            for source in ([document], ["--file", str(path)]):
+            for source, count in (([document], longest + 1),
+                                  (["--file", str(path)], f"more than {longest}")):
+                expected = ((3, "", refused.format(count)) if padding > 0
+                            else (0, "babbaaba\n", ""))
                 assert run(capsys, ["transform", *source, "--guard-cells", "100"]) == expected
 
     @pytest.mark.parametrize("source", ["argv", "--file"])
@@ -472,7 +492,8 @@ class TestInvert:
         code, out, err = run(capsys, ["invert"])
         assert code == 3
         assert out == ""
-        assert err == "error: invert input has 16777217 letters, over the guard 16777216\n"
+        assert err == ("error: invert input has more than 16777216 letters, "
+                       "over the guard 16777216\n")
 
     def test_input_guard_bounds_reading(self, capsys, monkeypatch):
         def fail(*args):
@@ -489,7 +510,19 @@ class TestInvert:
         assert peak < 8 * cli.INPUT_CHUNK
         assert code == 3
         assert out == ""
-        assert err == "error: invert input has 2000001 letters, over the guard 1000\n"
+        assert err == "error: invert input has more than 1000 letters, over the guard 1000\n"
+
+    @pytest.mark.parametrize("command, first", [("invert", b"y\n"), ("transform", b"{\n")])
+    def test_endless_stdin_refused_after_a_few_reads(self, capsys, monkeypatch, command, first):
+        # `yes | ebwt invert` and `(echo "{"; yes) | ebwt transform`: refused
+        # at the first block past the bound, after one more read
+        stdin = EndlessStdin(first, b"y\n")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, [command, "--guard-cells", "1000"])
+        assert (code, out) == (3, "")
+        bound = 1000 if command == "invert" else 1000 + cli.INPUT_CHUNK
+        assert f" has more than {bound} " in err and err.count("\n") == 1
+        assert stdin.reads <= 4
 
     @pytest.mark.parametrize("chunk", [1, 3, 8, 1 << 16])
     def test_stream_input_at_and_under_the_guard(self, capsys, monkeypatch, tmp_path, chunk):
@@ -506,7 +539,7 @@ class TestInvert:
         monkeypatch.setattr(sys, "stdin", ChunkedStdin(padded))
         code, out, err = run(capsys, ["invert", "--guard-cells", "7"])
         assert code == 3
-        assert err == "error: invert input has 8 letters, over the guard 7\n"
+        assert err == "error: invert input has more than 7 letters, over the guard 7\n"
 
     @pytest.mark.parametrize("chunk", [1, 2, 5, 64])
     def test_read_stripped_counts_like_strip(self, monkeypatch, chunk):
@@ -516,10 +549,14 @@ class TestInvert:
             text = "".join(rng.choice("ab \n\t\r") for _ in range(rng.randint(0, 40)))
             # stdin is read with universal newlines
             stripped = text.replace("\r\n", "\n").replace("\r", "\n").strip()
-            for guard in (1, len(stripped) - 1, len(stripped), 100):
-                expected = stripped if len(stripped) <= guard else ""
+            for guard in (1, max(len(stripped) - 1, 0), len(stripped), 100):
                 monkeypatch.setattr(sys, "stdin", ChunkedStdin(text))
-                assert cli._read_stripped(cli._chunks(STDIN), guard) == (expected, len(stripped))
+                chunks = cli._chunks(STDIN)
+                if len(stripped) <= guard:
+                    assert cli._read_stripped(chunks, guard, "{}") == stripped
+                else:
+                    with pytest.raises(ResourceLimitError, match=f"^more than {guard}$"):
+                        cli._read_stripped(chunks, guard, "{}")
 
 
 class TestDeBruijn:
@@ -727,12 +764,13 @@ class TestSemigroup:
         monkeypatch.setattr(semigroups, "_close", spy)
         return calls
 
-    @pytest.mark.parametrize("mode, closed", [("--action", 1), ("--syntactic", 1),
+    @pytest.mark.parametrize("mode, closed", [("--action", 0), ("--syntactic", 0),
                                               ("--check-iso", 2)])
     def test_closure_decides_above_the_bound(self, capsys, closures, mode, closed):
         # "aabab" closes to 31 elements, 5^2 + 1 plus its 5 repeated cyclic
         # factors a, b, ab, ba and aba: above the bound 26 the closed-form
-        # order decides, so no closure runs below a guard of 31
+        # order decides, so no closure runs below a guard of 31, and none
+        # at all but the two that --check-iso compares
         for guard, expected, count in (("25", 3, 0), ("26", 3, 0), ("30", 3, 0),
                                        ("31", 0, closed), ("32", 0, closed)):
             closures.clear()
@@ -761,14 +799,17 @@ class TestSemigroup:
 
     def test_non_primitive_syntactic_guarded_inside_the_closure(self, capsys,
                                                                 closures):
-        # "abab" closes to 9 elements, under its length squared plus one
-        for guard, expected in (("8", 3), ("9", 0)):
-            code, _, err = run(capsys, ["semigroup", "abab", "--syntactic",
-                                        "--guard-cells", guard])
-            assert code == expected
-            assert err.startswith("warning: abab is not primitive")
-        assert len(closures) == 2
+        # "abab" closes to 9 elements, |ab| * |abab| + 1, under its length
+        # squared plus one; the closed form refuses it without a closure or
+        # a warning, and takes it with the one warning line
+        code, out, err = run(capsys, ["semigroup", "abab", "--syntactic", "--guard-cells", "8"])
+        assert (code, out) == (3, "")
+        assert err == "error: semigroup closure exceeds the 8-element guard\n"
+        code, out, err = run(capsys, ["semigroup", "abab", "--syntactic", "--guard-cells", "9"])
+        assert (code, out) == (0, "syntactic order 9\ngenerators a b\n")
+        assert err.startswith("warning: abab is not primitive")
         assert err.count("\n") == 1
+        assert len(closures) == 0
 
     @pytest.mark.parametrize("extra", [["--action"], ["--syntactic"], ["--action", "--json"],
                                        ["--syntactic", "--json"]])
@@ -797,10 +838,35 @@ class TestSemigroup:
         assert code == 0 and out.startswith(f"{mode[2:]} order 31\n")
         assert len(closures) == 1
 
+    @pytest.mark.parametrize("word, mode, closed", [
+        ("aabab", ["--action"], 0), ("aabab", ["--syntactic"], 0), ("abab", ["--syntactic"], 0),
+        ("aabab", ["--action", "--table"], 1), ("aabab", ["--syntactic", "--table"], 1),
+        ("abab", ["--syntactic", "--table"], 1), ("aabab", ["--check-iso"], 2),
+    ])
+    def test_closures_only_for_a_table_or_a_comparison(self, capsys, closures, word, mode,
+                                                      closed):
+        # the order comes from the closed form, for a primitive word or not;
+        # a closure is built only to print its table or to compare the routes
+        order = 9 if word == "abab" else 31
+        code, out, _ = run(capsys, ["semigroup", word, *mode])
+        assert (code, len(closures)) == (0, closed)
+        assert f"order {order}\n" in out
+        closures.clear()
+        code, out, _ = run(capsys, ["semigroup", word, *mode, "--json"])
+        assert (code, len(closures)) == (0, closed)
+        assert {v for k, v in json.loads(out).items() if k.endswith("_order")} == {order}
+
+    @pytest.mark.parametrize("mode", ["--action", "--check-iso"])
+    def test_action_refuses_a_power_first(self, capsys, closures, mode):
+        code, out, err = run(capsys, ["semigroup", "abab", mode, "--guard-cells", "1"])
+        assert (code, out, len(closures)) == (2, "", 0)
+        assert err == "error: word is not primitive: abab\n"
+
     @pytest.mark.parametrize("word, mode, closed", [("abab", "--syntactic", 1),
                                                     ("aabab", "--check-iso", 2)])
     def test_table_without_closed_form_closes(self, capsys, closures, word, mode, closed):
-        # not primitive, or no table printed: the closures run as before
+        # a printed table, of a word that is primitive or not, and the
+        # comparison of the two routes are what closures are built for
         code, _, _ = run(capsys, ["semigroup", word, mode, "--table"])
         assert code == 0 and len(closures) == closed
 
@@ -989,6 +1055,41 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert proc.stderr == b"error: stdin is closed; give the input as an argument or with --file\n"
+
+    def test_unencodable_output_leaves_stdout_empty(self):
+        # the output "ab\na\u00e9\n" has an ASCII first line and a second
+        # line that ASCII cannot encode
+        env = dict(os.environ, PYTHONIOENCODING="ascii",
+                   PYTHONPATH=str(Path(ebwt.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "ebwt.cli", "invert", "b\u00e9aa"],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: 'ascii' codec can't encode ")
+        assert proc.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize("encoding", [{"LC_ALL": "C"}, {"PYTHONIOENCODING": "utf-8"}])
+    @pytest.mark.parametrize("argv", [
+        ["invert", b"bbaa\xff"],
+        ["transform", b"ab\nb\xe2\x82b"],
+        ["factors", b"\xc3"],
+        ["semigroup", b"ab\xffb", "--syntactic"],
+        ["debruijn", "2", "1", "--from-gamma", b"ab\xe9"],
+        ["invert", "ab", "--alphabet", b"abc\xff"],
+    ])
+    def test_argv_bytes_refused_like_file(self, capsys, tmp_path, encoding, argv):
+        # a byte that is not UTF-8 reaches Python's argv as a lone surrogate
+        bad = next(arg for arg in argv if isinstance(arg, bytes))
+        path = tmp_path / "input"
+        path.write_bytes(bad)
+        code, out, err = run(capsys, ["invert", "--file", str(path)])
+        assert (code, out) == (2, "") and err.startswith("error: 'utf-8' codec can't decode")
+        env = dict(os.environ, PYTHONPATH=str(Path(ebwt.__file__).resolve().parents[1]),
+                   **encoding)
+        env.pop("PYTHONUTF8", None)
+        proc = subprocess.run([sys.executable, "-m", "ebwt.cli", *argv],
+                              capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err.encode())
 
     def test_library_warning_under_error_filter(self):
         # -W error would turn the warning into an exception; the CLI still

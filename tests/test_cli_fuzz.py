@@ -3,8 +3,9 @@ subcommands, with small inputs and resource guards drawn near their edges.
 
 For every argv: `main` returns instead of raising; the exit code is 0, 2 or
 3; a nonzero exit writes exactly one error line to stderr and nothing to
-stdout; the same call with --json exits alike and carries the same data; and
-`invert` of a successful `transform` gives back its input, canonicalized.
+stdout, and a zero exit writes text that UTF-8 can encode; the same call
+with --json exits alike and carries the same data; and `invert` of a
+successful `transform` gives back its input, canonicalized.
 """
 
 import contextlib
@@ -224,6 +225,9 @@ def expected_multiset_lines(argv):
 @example(["transform", '{"necklaces": [{"lyndon": "ab"}, {"lyndon": ""}]}'])
 # JSON nested past the parser's recursion limit: an input error.
 @example(["transform", '{"necklaces": ' + "[" * 10**5 + "]" * 10**5 + "}"])
+# A byte that is not UTF-8, as Python's argv holds it: an input error.
+@example(["invert", "bbaa\udcff"])
+@example(["semigroup", "ab", "--syntactic", "--alphabet", "ab\udcff"])
 @settings(derandomize=True, deadline=None, max_examples=500)
 def test_cli_properties(argv):
     code, out, err = call(argv)
@@ -231,6 +235,7 @@ def test_cli_properties(argv):
     errors = [line for line in err.splitlines() if ERROR_LINE.match(line)]
     if code == 0:
         assert errors == []
+        out.encode("utf-8")
     else:
         assert len(errors) == 1
         assert out == ""

@@ -1,5 +1,6 @@
 import random
 from functools import reduce
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -519,7 +520,8 @@ class TestClosureBound:
 
 class TestClosureOrderFormula:
     """Both closures of a primitive word have the order n^2 + R + z of
-    `helpers.necklace_closure_order`."""
+    `helpers.necklace_closure_order`, and the syntactic semigroup of any
+    other word the order m * n + R + z of its root's rotations."""
 
     def test_every_small_primitive_word(self):
         checked = 0
@@ -531,6 +533,22 @@ class TestClosureOrderFormula:
                 self.assert_library_order(W(text, alphabet), order)
                 checked += 1
         assert checked == 1 + 2012 + 3179
+
+    @pytest.mark.filterwarnings("ignore:.*not primitive:UserWarning")
+    def test_every_small_non_primitive_word(self):
+        # the syntactic route alone: the action needs a primitive word
+        checked = 0
+        for letters, longest in (("a", 12), ("ab", 12), ("abc", 7)):
+            alphabet = Alphabet(letters)
+            for length in range(2, longest + 1):
+                for text in map("".join, product(letters, repeat=length)):
+                    if naive_primitive(text):
+                        continue
+                    order = necklace_closure_order(text, len(letters))
+                    assert syntactic_semigroup(W(text, alphabet)).order == order
+                    self.assert_library_order(W(text, alphabet), order)
+                    checked += 1
+        assert checked == 11 + 158 + 54
 
     @given(primitive_words(100, min_len=20))
     @settings(max_examples=25, deadline=None)
