@@ -4,17 +4,13 @@
 For each n up to the requested bound, prints the exhaustive maximum over
 k-ary words, the refined ceiling n(n+1)/2 minus the guaranteed repeated
 factors, the de Bruijn prefix floor, and the lexicographically least witness.
-Asserts that the maximum is at least the de Bruijn prefix's factor count and
-that this count is at least its floor.
+Asserts both envelopes: that the maximum is at most the ceiling, and at
+least the de Bruijn prefix's factor count, which is at least its floor.
 """
 
 import argparse
 
-from ebwt.factors import (
-    debruijn_factor_witness,
-    max_factors_exhaustive,
-    repeated_factor_lower_bound,
-)
+from ebwt.factors import debruijn_factor_witness, factor_ceiling, max_factors_exhaustive
 
 
 def main():
@@ -28,9 +24,9 @@ def main():
     print(f"{'n':>3} {'f(n)':>6} {'ceiling':>8} {'floor':>6}  witness")
     for n in range(1, args.max_n + 1):
         best, witness = max_factors_exhaustive(n, args.k, max_words=args.guard)
-        ceiling = n * (n + 1) // 2
+        ceiling = factor_ceiling(n, args.k)
+        assert best <= ceiling, (n, best, ceiling)
         if n > args.k:
-            ceiling -= repeated_factor_lower_bound(n, args.k)
             prefix = debruijn_factor_witness(n, args.k)
             floor = prefix.lower_bound
             assert best >= prefix.distinct_count >= floor, (n, prefix)

@@ -9,6 +9,12 @@ before the output is written (`ebwt ... | head`).
 the positional text whole, else the strict UTF-8 of --file or stdin with
 universal newlines, a block of INPUT_CHUNK bytes at a time, so that each
 guard on the input bounds what is held of it as it is read.
+
+`main` runs the steps that every call shares: it parses and checks the
+argv text, resolves the call's guard once (`_guard`), and writes the
+payload and lines that the subcommand's handler returns with one `_emit`.
+Every alphabet, inferred or from --alphabet, is built by `_alphabet_from`,
+which refuses a whitespace letter.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ from .factors import (
     DEFAULT_SCAN_WORDS,
     debruijn_factor_witness,
     distinct_factors,
+    factor_ceiling,
     max_factors_exhaustive,
-    repeated_factor_lower_bound,
 )
 from .semigroups import (
     DEFAULT_CLOSURE_SIZE,
@@ -153,11 +159,20 @@ def _check_argv_text(args) -> None:
 
 
 def _alphabet_from(chars, override: str | None) -> Alphabet:
-    if override:
-        if len(set(override)) != len(override):
-            raise CLIError(f"--alphabet has repeated characters: {override!r}")
-        return Alphabet("".join(sorted(override)))
-    return Alphabet("".join(sorted(set(chars))))
+    """The alphabet that --alphabet fixes, else the sorted set of `chars`.
+
+    A letter that `str.isspace` counts is an input error on every channel:
+    `invert` strips its text and the line format splits on those characters,
+    so a word or necklace that held one could not be read back.
+    """
+    if override and len(set(override)) != len(override):
+        raise CLIError(f"--alphabet has repeated characters: {override!r}")
+    letters = "".join(sorted(set(override or chars)))
+    space = next(filter(str.isspace, letters), "")
+    if space:
+        where = f"--alphabet {override!r}" if override else "the input"
+        raise CLIError(f"{where} holds the whitespace letter {space!r}")
+    return Alphabet(letters)
 
 
 def _parse_word(text: str, override: str | None) -> Word:
@@ -306,10 +321,10 @@ def _multiset_output(m: NecklaceMultiset) -> tuple[dict, list[str]]:
     ]
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
+def _emit(as_json: bool, payload: dict, lines: list[str]) -> None:
     """Write the output in one piece, so that a text stdout cannot encode
     leaves it empty."""
-    if args.json:
+    if as_json:
         import json  # here, not at the top: only --json output needs it
 
         lines = [json.dumps(payload, sort_keys=True)]
@@ -333,60 +348,67 @@ def _check_letters(what: str, letters: int, guard: int) -> None:
         raise ResourceLimitError(f"{what} {letters} letters, over the guard {guard}")
 
 
-def cmd_transform(args) -> int:
-    guard = args.guard_cells or DEFAULT_MAX_WORD_LENGTH
+def _guard(args) -> int:
+    """The guard of the call: --guard-cells, else the default of its
+    subcommand, which for `factors` is the default of its mode."""
+    if args.guard_cells:
+        return args.guard_cells
+    command = args.command
+    if command == "factors":
+        command += " --max" if args.max else " --witness" if args.witness else ""
+    return {
+        "transform": DEFAULT_MAX_WORD_LENGTH,
+        "invert": DEFAULT_MAX_WORD_LENGTH,
+        "debruijn": DEFAULT_MAX_WORD_LENGTH,
+        "semigroup": DEFAULT_CLOSURE_SIZE,
+        "factors": DEFAULT_FACTOR_LETTERS,
+        "factors --max": DEFAULT_SCAN_WORDS,
+        "factors --witness": DEFAULT_MAX_WORD_LENGTH,
+    }[command]
+
+
+# Each handler takes the parsed arguments and the guard of the call, and
+# returns the JSON payload and the text lines of its output; `main` writes them.
+
+
+def cmd_transform(args, guard: int) -> tuple[dict, list[str]]:
     entries = _multiset_entries(_chunks(args), guard)
     m = _canonical_multiset(entries, args.alphabet, args.canonicalize)
     rendered = str(transform(m))
-    _emit(args, {"word": rendered}, [rendered])
-    return 0
+    return {"word": rendered}, [rendered]
 
 
-def cmd_invert(args) -> int:
-    guard = args.guard_cells or DEFAULT_MAX_WORD_LENGTH
+def cmd_invert(args, guard: int) -> tuple[dict, list[str]]:
     text = _read_stripped(_chunks(args), guard,
                           f"invert input has {{}} letters, over the guard {guard}")
     if not text:
-        _emit(args, {"necklaces": []}, [])
-        return 0
-    m = inverse_transform(_parse_word(text, args.alphabet))
-    _emit(args, *_multiset_output(m))
-    return 0
+        return {"necklaces": []}, []
+    return _multiset_output(inverse_transform(_parse_word(text, args.alphabet)))
 
 
-def cmd_debruijn(args) -> int:
+def cmd_debruijn(args, guard: int) -> tuple[dict, list[str]]:
     k, n = args.k, args.n
     if k < 2 or n < 1:
         raise CLIError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
     if args.count:
         total = count_debruijn_words(k, n)
-        _emit(args, {"count": total}, [str(total)])
-        return 0
+        return {"count": total}, [str(total)]
     if args.from_gamma is not None:
         word = _parse_word(args.from_gamma, args.alphabet)
         if word.alphabet.size != k:
             raise CLIError(
                 f"word uses {word.alphabet.size} letters, expected {k}"
             )
-        m = debruijn_set_from_gamma(GammaWord(word, n))
-        _emit(args, *_multiset_output(m))
-        return 0
-    guard = args.guard_cells or DEFAULT_MAX_WORD_LENGTH
+        return _multiset_output(debruijn_set_from_gamma(GammaWord(word, n)))
     word = least_debruijn_word(k, n, max_length=guard)
     rendered = _render_on(word, args.alphabet)
-    _emit(args, {"word": rendered}, [rendered])
-    return 0
+    return {"word": rendered}, [rendered]
 
 
-def cmd_semigroup(args) -> int:
-    for what, text in (("word", args.word), ("alphabet", args.alphabet or "")):
-        if any(map(str.isspace, text)):
-            # the text output separates generators and table labels by spaces
-            raise CLIError(f"semigroup {what} {text!r} holds whitespace")
+def cmd_semigroup(args, guard: int) -> tuple[dict, list[str]]:
     word = _parse_word(args.word, args.alphabet)
     if not args.syntactic:
         lyndon_representative(word)  # refuses a word that is not primitive
-    guard = args.guard_cells or DEFAULT_CLOSURE_SIZE
     # The order of every closure below: refuse before building any, with
     # the message that each would end in.
     order = closure_order(word, guard)
@@ -396,10 +418,8 @@ def cmd_semigroup(args) -> int:
         verdict = letter_induced_isomorphic(action, syntactic)
         payload = {"action_order": action.order, "syntactic_order": syntactic.order,
                    "isomorphic": verdict}
-        lines = [f"action order {action.order}", f"syntactic order {syntactic.order}",
-                 "ISOMORPHIC" if verdict else "NOT ISOMORPHIC"]
-        _emit(args, payload, lines)
-        return 0
+        return payload, [f"action order {action.order}", f"syntactic order {syntactic.order}",
+                         "ISOMORPHIC" if verdict else "NOT ISOMORPHIC"]
     name = "action" if args.action else "syntactic"
     letters = word.alphabet.letters  # both routes give each a generator
     payload = {f"{name}_order": order, "generators": list(letters)}
@@ -424,32 +444,24 @@ def cmd_semigroup(args) -> int:
                 lines.append(label + " " + " ".join(padded[j] for j in row))
     elif args.syntactic:
         warn_if_not_primitive(word)
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_factors(args) -> int:
+def cmd_factors(args, guard: int) -> tuple[dict, list[str]]:
     if args.max is not None:
         n, k = args.max
-        guard = args.guard_cells or DEFAULT_SCAN_WORDS
         best, witness = max_factors_exhaustive(n, k, max_words=guard)
-        upper = n * (n + 1) // 2
-        if n > k >= 2:
-            upper -= repeated_factor_lower_bound(n, k)
         payload = {
             "n": n,
             "k": k,
             "max_distinct": best,
-            "upper_bound": upper,
+            "upper_bound": factor_ceiling(n, k),
             "witness": str(witness),
         }
-        lines = [f"{key} {payload[key]}"
-                 for key in ("n", "max_distinct", "upper_bound", "witness")]
-        _emit(args, payload, lines)
-        return 0
+        return payload, [f"{key} {payload[key]}"
+                         for key in ("n", "max_distinct", "upper_bound", "witness")]
     if args.witness is not None:
         n, k = args.witness
-        guard = args.guard_cells or DEFAULT_MAX_WORD_LENGTH
         if not n > k >= 2:
             raise CLIError(f"witness needs n > k >= 2, got n={n}, k={k}")
         result = debruijn_factor_witness(n, k, max_length=guard)
@@ -461,17 +473,13 @@ def cmd_factors(args) -> int:
             "distinct_factors": result.distinct_count,
             "lower_bound": result.lower_bound,
         }
-        lines = [f"{key} {payload[key]}"
-                 for key in ("witness", "span", "distinct_factors", "lower_bound")]
-        _emit(args, payload, lines)
-        return 0
+        return payload, [f"{key} {payload[key]}"
+                         for key in ("witness", "span", "distinct_factors", "lower_bound")]
     if args.word is None:
         raise CLIError("factors needs a word, --max, or --witness")
-    _check_letters("factors input has", len(args.word),
-                   args.guard_cells or DEFAULT_FACTOR_LETTERS)
+    _check_letters("factors input has", len(args.word), guard)
     count = distinct_factors(_parse_word(args.word, args.alphabet))
-    _emit(args, {"distinct_factors": count}, [str(count)])
-    return 0
+    return {"distinct_factors": count}, [str(count)]
 
 
 def _positive_int(text: str) -> int:
@@ -572,7 +580,8 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             warnings.showwarning = _warning_line
             _check_argv_text(args)
-            return args.func(args)
+            _emit(args.json, *args.func(args, _guard(args)))
+            return 0
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

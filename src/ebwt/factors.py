@@ -118,7 +118,13 @@ def distinct_factors(w: Word) -> int:
 def max_factors_exhaustive(n: int, k: int,
                            max_words: int = DEFAULT_SCAN_WORDS) -> tuple[int, Word]:
     """Maximum distinct-factor count over all k-ary words of length n, with
-    the lexicographically least witness."""
+    the lexicographically least witness.
+
+    The words are scanned in lexicographic order, and the scan stops at the
+    first one whose count meets `factor_ceiling`, which no word exceeds: that
+    word is the least witness.  When none meets it (k = 1), the scan runs to
+    the end.
+    """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     if power_exceeds(k, n, max_words):
@@ -127,7 +133,7 @@ def max_factors_exhaustive(n: int, k: int,
         if count != size:
             size += f" = {count}"
         raise ResourceLimitError(f"scanning {size} words exceeds the {max_words}-word guard")
-    alphabet = default_alphabet(k)
+    ceiling = factor_ceiling(n, k)
     best = -1
     witness = None
     for codes in product(range(k), repeat=n):
@@ -135,7 +141,9 @@ def max_factors_exhaustive(n: int, k: int,
         if count > best:
             best = count
             witness = codes
-    return best, Word(alphabet, witness)
+            if best == ceiling:
+                break
+    return best, Word(default_alphabet(k), witness)
 
 
 def repeated_factor_lower_bound(n: int, k: int) -> int:
@@ -150,6 +158,14 @@ def repeated_factor_lower_bound(n: int, k: int) -> int:
         t = r
         r += 1
     return (n + 1) * t - t * (t + 1) // 2 - k * (k**t - 1) // (k - 1)
+
+
+def factor_ceiling(n: int, k: int) -> int:
+    """The most distinct nonempty factors a k-ary word of length n can have
+    by the envelope: n(n+1)/2, less `repeated_factor_lower_bound(n, k)` when
+    n > k >= 2."""
+    ceiling = n * (n + 1) // 2
+    return ceiling - repeated_factor_lower_bound(n, k) if n > k >= 2 else ceiling
 
 
 class FactorWitness(Value):

@@ -194,6 +194,17 @@ def all_words(k: int, length: int):
     return product(range(k), repeat=length)
 
 
+def scan_max_factors(n: int, k: int) -> tuple[int, tuple[int, ...]]:
+    """The maximum distinct-factor count over all k-ary words of length n and
+    its lexicographically least witness, by scanning every word to the end."""
+    best, witness = -1, ()
+    for codes in all_words(k, n):
+        count = brute_distinct_factors(codes)
+        if count > best:
+            best, witness = count, codes
+    return best, witness
+
+
 def primitive_texts(alphabet: str, max_len: int):
     """All primitive words up to max_len over the given letters, as text."""
     for length in range(1, max_len + 1):

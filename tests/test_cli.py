@@ -712,16 +712,17 @@ class TestSemigroup:
     def test_whitespace_in_word_refused(self, capsys, word, mode):
         # generators and table labels are separated by spaces in the text
         # output, so a whitespace letter would make it ambiguous
+        space = "".join(filter(str.isspace, word))
         code, out, err = run(capsys, ["semigroup", word, mode, "--table"])
         assert code == 2
         assert out == ""
-        assert err == f"error: semigroup word {word!r} holds whitespace\n"
+        assert err == f"error: the input holds the whitespace letter {space!r}\n"
         # the same letter brought in through --alphabet, which the word
         # need not use
         code, out, err = run(capsys, ["semigroup", "ab", "--alphabet", word, mode, "--table"])
         assert code == 2
         assert out == ""
-        assert err == f"error: semigroup alphabet {word!r} holds whitespace\n"
+        assert err == f"error: --alphabet {word!r} holds the whitespace letter {space!r}\n"
 
     def test_guard_exit_code(self, capsys):
         code, _, _ = run(capsys, ["semigroup", "aabab", "--action",
@@ -940,6 +941,67 @@ class TestFactors:
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, ["factors"])
         assert code == 2
+
+
+class TestDefaultGuards:
+    @pytest.mark.parametrize("argv,stdin,default", [
+        (["transform", "ab x8388609"], None, 2**24),
+        (["invert"], "a" * (2**24 + 1), 2**24),
+        (["debruijn", "2", "25", "--least"], None, 2**24),
+        (["semigroup", "a" * 999 + "b", "--action"], None, 10**6),
+        (["factors", "ab" * 2**19 + "a"], None, 2**20),
+        (["factors", "--max", "19", "2"], None, 2**18),
+        (["factors", "--witness", "16777217", "2"], None, 2**24),
+    ], ids=["transform", "invert", "debruijn", "semigroup", "factors", "factors-max",
+            "factors-witness"])
+    def test_just_past_the_default(self, capsys, monkeypatch, argv, stdin, default):
+        # Another subcommand's --guard-cells comes first, through the same
+        # cached parser: a guard that leaked from it would show in the message.
+        other = ["invert", "ab"] if argv[0] == "semigroup" else ["semigroup", "ab", "--action"]
+        assert run(capsys, other + ["--guard-cells", "1"])[0] == 3
+        if stdin is not None:
+            monkeypatch.setattr(sys, "stdin", ChunkedStdin(stdin))
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(default) in err
+
+
+class TestLetterRule:
+    """A letter that str.isspace counts, which `invert` would strip and the
+    line format would split on, is an input error on every channel."""
+
+    @pytest.mark.parametrize("argv", [
+        ["invert", "ab ba"],
+        ["invert", "--file", "FILE"],
+        ["invert"],
+        ["invert", "a\u00a0b"],
+        ["transform", '{"necklaces": [{"lyndon": " a"}]}'],
+        ["transform", '{"necklaces": [{"lyndon": "a\\u00a0b"}]}'],
+        ["factors", "a b"],
+        ["debruijn", "2", "1", "--from-gamma", "a b"],
+        ["semigroup", "a b", "--syntactic"],
+        ["transform", "ab", "--alphabet", " ab"],
+        ["transform", "", "--alphabet", "a\u00a0b"],
+        ["invert", "ab", "--alphabet", "a b"],
+        ["debruijn", "2", "2", "--least", "--alphabet", " x"],
+        ["debruijn", "2", "1", "--from-gamma", "ab", "--alphabet", "a\tb"],
+        ["semigroup", "ab", "--action", "--alphabet", "a\nb"],
+        ["factors", "ab", "--alphabet", "a b"],
+    ])
+    def test_whitespace_letter_refused(self, capsys, monkeypatch, tmp_path, argv):
+        path = tmp_path / "input"
+        path.write_text("ab ba\n")
+        monkeypatch.setattr(sys, "stdin", ChunkedStdin("ab ba\n"))
+        argv = [str(path) if arg == "FILE" else arg for arg in argv]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "holds the whitespace letter" in err
+
+    def test_stripped_ends_are_not_letters(self, capsys):
+        # whitespace around the invert text is not part of the word
+        assert run(capsys, ["invert", " \u00a0ba\n"]) == (0, "ab\n", "")
 
 
 class TestJsonParity:

@@ -10,12 +10,14 @@ from ebwt.factors import (
     count_distinct_factors,
     debruijn_factor_witness,
     distinct_factors,
+    factor_ceiling,
     max_factors_exhaustive,
     repeated_factor_lower_bound,
 )
 from ebwt.words import Alphabet, Word, default_alphabet
 
-from helpers import AB, ABC, W, all_words, brute_distinct_factors, fibonacci_word
+from helpers import (AB, ABC, W, all_words, brute_distinct_factors, fibonacci_word,
+                     scan_max_factors)
 
 
 class TestDistinctFactors:
@@ -210,6 +212,29 @@ class TestMaxFactorsExhaustive:
         with pytest.raises(ResourceLimitError):
             max_factors_exhaustive(30, 2, max_words=2**20)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_the_full_scan(self, k):
+        for n in range(1, 15):
+            if k**n > 2**14:
+                break
+            best, word = max_factors_exhaustive(n, k)
+            assert (best, word.codes) == scan_max_factors(n, k), (n, k)
+
+    @pytest.mark.parametrize("n,k", [(10, 2), (12, 2), (7, 3), (5, 4)])
+    def test_scan_stops_at_the_ceiling(self, monkeypatch, n, k):
+        counted = []
+
+        def count(codes):
+            counted.append(codes)
+            return count_distinct_factors(codes)
+
+        monkeypatch.setattr(factors, "count_distinct_factors", count)
+        best, word = max_factors_exhaustive(n, k)
+        assert best == factor_ceiling(n, k)
+        # the witness is the last word counted: its rank in lex order, plus 1
+        assert counted[-1] == word.codes
+        assert len(counted) == int("".join(map(str, word.codes)), k) + 1 < k**n
+
 
 class TestRepeatedFactorBound:
     def test_derived_values(self):
@@ -225,6 +250,13 @@ class TestRepeatedFactorBound:
     def test_consistent_with_exhaustive_max(self):
         best, _ = max_factors_exhaustive(3, 2)
         assert best <= 3 * 4 // 2 - repeated_factor_lower_bound(3, 2)
+
+    @pytest.mark.parametrize("n,k,ceiling", [
+        (1, 1, 1), (5, 1, 15), (2, 2, 3), (3, 2, 5), (10, 2, 42), (3, 3, 6), (11, 3, 57),
+    ])
+    def test_factor_ceiling(self, n, k, ceiling):
+        # n(n+1)/2, less the repeated factors only where n > k >= 2
+        assert factor_ceiling(n, k) == ceiling
 
     def test_refines_ceiling_exhaustively(self):
         for n in range(3, 13):
