@@ -74,6 +74,8 @@ def pins():
              for seed, n in [(1, 300), (900, 900), (2000, 2000)]}
     fibonacci = reduce(lambda w, _: w.translate({97: "ab", 98: "a"}), range(12), "a")[:300]
     letters = "".join(map(chr, range(0x100, 0x100 + 300)))
+    draw = random.Random(256)
+    wide = "".join(draw.sample(letters, 256) + draw.choices(letters[:16], k=44))
     ab499 = "ab" * 499 + "b"  # of order 999995 by the closed form
     return [
         Pin(("semigroup", "abab", "--syntactic"), 0, "syntactic order 9\ngenerators a b\n",
@@ -86,9 +88,11 @@ def pins():
         refused("debruijn", "7", "30000000", "--least", timeout=10),
         refused("invert", "--guard-cells", "1000", stdin=lambda: (b"ab" * 1000 + b"\n",)),
         refused("transform", '{"necklaces": [{"lyndon": 5}]}', code=2),
-        # The second word's repeats are too long for packed windows.
+        # The second word's repeats are too long for packed windows; the
+        # third has 256 letters or more, so each digit takes two bytes.
         Pin(("factors", coins[300]), 0, f"{factor_count(coins[300])}\n"),
         Pin(("factors", fibonacci), 0, f"{factor_count(fibonacci)}\n"),
+        Pin(("factors", wide), 0, f"{factor_count(wide)}\n"),
         # Closures refused before either is built.
         refused("semigroup", coins[2000], "--check-iso", timeout=10),
         refused("semigroup", coins[900], "--action", "--table", cap_mb=64),

@@ -6,6 +6,8 @@ k-ary words, the refined ceiling n(n+1)/2 minus the guaranteed repeated
 factors, the de Bruijn prefix floor, and the lexicographically least witness.
 Asserts both envelopes: that the maximum is at most the ceiling, and at
 least the de Bruijn prefix's factor count, which is at least its floor.
+Over one letter there is no de Bruijn prefix, and the one word's count is
+its own floor.
 """
 
 import argparse
@@ -26,7 +28,7 @@ def main():
         best, witness = max_factors_exhaustive(n, args.k, max_words=args.guard)
         ceiling = factor_ceiling(n, args.k)
         assert best <= ceiling, (n, best, ceiling)
-        if n > args.k:
+        if n > args.k >= 2:
             prefix = debruijn_factor_witness(n, args.k)
             floor = prefix.lower_bound
             assert best >= prefix.distinct_count >= floor, (n, prefix)

@@ -34,6 +34,7 @@ from .bwt import NecklaceMultiset, inverse_transform, transform
 from .debruijn import (
     DEFAULT_MAX_WORD_LENGTH,
     GammaWord,
+    check_generation_guard,
     count_debruijn_words,
     debruijn_set_from_gamma,
     least_debruijn_word,
@@ -331,17 +332,6 @@ def _emit(as_json: bool, payload: dict, lines: list[str]) -> None:
     sys.stdout.write("".join(line + "\n" for line in lines))
 
 
-def _render_on(word: Word, override: str | None) -> str:
-    if not override:
-        return str(word)
-    alphabet = _alphabet_from(override, override)
-    if alphabet.size != word.alphabet.size:
-        raise CLIError(
-            f"--alphabet needs {word.alphabet.size} characters, got {alphabet.size}"
-        )
-    return alphabet.render(word.codes)
-
-
 def _check_letters(what: str, letters: int, guard: int) -> None:
     """Refuse, before any work, a word of more letters than the guard."""
     if letters > guard:
@@ -400,8 +390,12 @@ def cmd_debruijn(args, guard: int) -> tuple[dict, list[str]]:
                 f"word uses {word.alphabet.size} letters, expected {k}"
             )
         return _multiset_output(debruijn_set_from_gamma(GammaWord(word, n)))
+    check_generation_guard(k, n, guard)  # over the guard is exit 3 before --alphabet
+    alphabet = _alphabet_from(args.alphabet, args.alphabet) if args.alphabet else None
+    if alphabet and alphabet.size != k:
+        raise CLIError(f"--alphabet needs {k} characters, got {alphabet.size}")
     word = least_debruijn_word(k, n, max_length=guard)
-    rendered = _render_on(word, args.alphabet)
+    rendered = alphabet.render(word.codes) if alphabet else str(word)
     return {"word": rendered}, [rendered]
 
 

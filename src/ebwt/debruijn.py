@@ -154,7 +154,8 @@ def count_debruijn_words(k: int, n: int) -> int:
     )
 
 
-def _check_generation_guard(k: int, n: int, max_length: int):
+def check_generation_guard(k: int, n: int, max_length: int):
+    """Refuse span-n generation over k letters when k^n passes max_length."""
     if k < 2 or n < 1:
         raise ValueError("need k >= 2 and n >= 1")
     if power_exceeds(k, n, max_length):
@@ -170,7 +171,7 @@ def _identity_block_word(k: int, n: int, max_length: int) -> Word:
     identity, so it is a block-permutation word by construction and is not
     scanned again, and its codes are 0..k-1, so it is built without `Word`'s
     range check."""
-    _check_generation_guard(k, n, max_length)
+    check_generation_guard(k, n, max_length)
     return Word.unchecked(default_alphabet(k), tuple(range(k)) * (k ** (n - 1)))
 
 
@@ -225,7 +226,7 @@ def _lyndon_words_up_to(n: int, k: int):
 def lyndon_concatenation_oracle(k: int, n: int) -> Word:
     """Concatenate all Lyndon words of length dividing n in lexicographic
     order.  Independent of the transform machinery, for cross-validation."""
-    _check_generation_guard(k, n, DEFAULT_MAX_WORD_LENGTH)
+    check_generation_guard(k, n, DEFAULT_MAX_WORD_LENGTH)
     codes = []
     for u in _lyndon_words_up_to(n, k):
         if n % len(u) == 0:

@@ -1,10 +1,11 @@
 """Distinct-factor counting and the envelope bounds it satisfies.
 
 A word's distinct nonempty factors are counted from its suffixes in sorted
-order: prefix-doubled windows packed into integers, one sort and one pass
-over the XORs of neighbours.  A word whose longest repeated factor is too
-long for a key of PACKED_KEY_BITS bits is counted by an online suffix
-automaton, in linear time; so are the short words of the exhaustive scan.
+order: each suffix is cut to the widest window that one integer key of
+PACKED_KEY_BITS bits holds, in one pass over bytes of packed digits, and
+one sort and one pass over the XORs of neighbours follow.  A word with a
+repeat as long as that window is counted by an online suffix automaton, in
+linear time; so are the short words of the exhaustive scan.
 The brute-force substring set stays in the test suite as the oracle.  The
 bounds: every repeated-short-factor count lowers the n(n+1)/2 ceiling, and a
 prefix of the least de Bruijn word of a suitable span certifies the floor.
@@ -12,20 +13,22 @@ prefix of the least de Bruijn word of a suitable span certifies the floor.
 
 from __future__ import annotations
 
-from itertools import chain, islice, product, repeat
-from operator import lshift, or_, xor
+from itertools import islice, product, repeat
+from operator import xor
 
 from .debruijn import DEFAULT_MAX_WORD_LENGTH, least_debruijn_word, power_exceeds, power_text
 from .errors import ResourceLimitError
 from .words import Value, Word, default_alphabet
 
 DEFAULT_SCAN_WORDS = 2**18
-# Letters of a word whose factors are counted.  Packed windows take about
-# 100 B per letter, but a word with a long repeat falls back to the suffix
-# automaton at about 600 B per letter, so about 0.6 GB.
+# Letters of a word whose factors are counted.  Packed keys take about 65 B
+# per letter at their peak (a 128-bit int and its list slot; tracemalloc
+# reads 63 B on 2^20 random letters), but a word with a long repeat falls
+# back to the suffix automaton at about 600 B per letter, so about 0.6 GB.
 DEFAULT_FACTOR_LETTERS = 2**20
-# Widest packed window key of distinct_factors: span 64 over 2-3 letters,
-# span 32 over 4-15.  A word with a repeat of that span goes to the automaton.
+# Bits of a packed key of distinct_factors: windows of 64 letters over 2-3
+# letters, 32 over 4-15 and 16 over 16-255.  A word with a repeat of that
+# span goes to the automaton.
 PACKED_KEY_BITS = 128
 
 
@@ -66,53 +69,68 @@ def count_distinct_factors(codes) -> int:
 
 
 def distinct_factors(w: Word) -> int:
-    """Number of distinct nonempty factors of w, from its sorted packed
-    windows (Manber and Myers, "Suffix arrays", SIAM J. Comput. 1993).
+    """Number of distinct nonempty factors of w, from its sorted suffixes
+    (Manber and Myers, "Suffix arrays", SIAM J. Comput. 1993), each cut to
+    its first `widest` letters.
 
-    Letter code c is the digit c + 1 of `bits` = k.bit_length() bits, and the
-    digit 0 pads past the end of w.  Key i starts as the digit of w[i]; each
-    round sets key[i] = key[i] << (bits * span) | key[i + span] and doubles
-    the span, so key i spells w[i:i + span] followed by padding.  A 0 digit
-    never equals a letter, so two keys are equal only when both are full
-    windows that are equal; the rounds stop once all n keys are distinct,
-    that is, once span exceeds the longest repeated factor.  While k^span is
-    less than the n - span + 1 full windows, pigeonhole says some window
-    repeats, so that round skips the check.
+    Letter code c is the digit c + 1 of dw bits, dw the least power of two
+    at least k.bit_length(), and the digit 0 pads past the end of w.  Key i
+    is the integer of the widest = PACKED_KEY_BITS / dw digits from position
+    i, so it spells w[i:i + widest] followed by padding.  Each key is one
+    `int.from_bytes` of a slice of PACKED_KEY_BITS / 8 bytes.  When dw < 8,
+    a byte holds per = 8 / dw digits, and the string of phase r < per holds
+    the digits from position r on, so key r + per * j starts at its byte j;
+    when dw >= 8, one string holds dw / 8 bytes a letter.  Each string ends
+    in at least a key of padding.  Manber and Myers double the span so that
+    it can grow past any repeat; here it stops at `widest`, so each key is
+    cut whole, in one pass.
 
-    Then two suffixes differ within their first span letters, so the sorted
-    keys are the suffixes in order.  Neighbours a < b share
-    span - ceil(bitlen(a ^ b) / bits) leading digits, all of them letters:
+    A 0 digit never equals a letter, so two keys are equal only when both
+    are full windows that are equal, and two different keys order their
+    suffixes.  Neighbours a < b of the sorted keys share
+    widest - ceil(bitlen(a ^ b) / dw) leading digits, all of them letters:
     each suffix has its first padding digit at a position of its own, where
     the other has a letter.  That is their longest common prefix, and the
     count is n(n+1)/2 minus the sum over neighbours.
 
-    A word whose longest repeated factor is at least the widest span that
-    fits PACKED_KEY_BITS is counted by its suffix automaton instead: a packed
-    key for it would grow with the repeat, and with it the whole pass.  When
-    its first `widest` letters occur again, one `str.find` says so before any
-    round; periodic and Fibonacci words are found that way.
+    When two keys are equal, w has a repeat of `widest` letters or more,
+    and its suffix automaton counts it instead: a packed key for it would
+    grow with the repeat, and with it the whole pass.  When its first
+    `widest` letters occur again, one `str.find` says so before any key is
+    cut; periodic and Fibonacci words are found that way.
     """
     n = len(w)
     if n == 0:
         raise ValueError("factor counting is undefined for the empty word")
-    k = w.alphabet.size
-    bits = k.bit_length()
-    widest = 1 << ((PACKED_KEY_BITS // bits).bit_length() - 1)
+    dw = 1 << (w.alphabet.size.bit_length() - 1).bit_length()
+    widest = PACKED_KEY_BITS // dw
     text = str(w)
     if text.find(text[:widest], 1) >= 0:
         return count_distinct_factors(w.codes)
-    keys = list(map((1).__add__, w.codes))
-    span = 1
-    while k**span < n - span + 1 or len(set(keys)) < n:
-        if span == widest:
-            return count_distinct_factors(w.codes)
-        keys = list(map(or_, map(lshift, keys, repeat(bits * span)),
-                        chain(islice(keys, span, None), repeat(0, span))))
-        span *= 2
+    key_bytes = PACKED_KEY_BITS // 8
+    if dw < 8:
+        per, step = 8 // dw, 1
+        size = -(-n // per) + key_bytes
+        digits = bytes(w.codes).translate(bytes.maketrans(bytes(range(15)), b"123456789abcdef"))
+        packed = int(digits + b"0" * (size * per - n), 1 << dw)
+        strings = [(packed << dw * r).to_bytes(size + 1, "big")[1:] for r in range(per)]
+    else:
+        per, step = 1, dw // 8
+        strings = [b"".join(map(int.to_bytes, map((1).__add__, w.codes), repeat(step),
+                                repeat("big"))) + bytes(key_bytes)]
+    keys = []
+    for r, string in enumerate(strings):
+        starts = range(0, len(range(r, n, per)) * step, step)
+        ends = range(key_bytes, key_bytes + starts.stop, step)
+        keys += map(int.from_bytes, map(string.__getitem__, map(slice, starts, ends)),
+                    repeat("big"))
     keys.sort()
-    shared = [span - -(-length // bits) for length in range(span * bits + 1)]
-    lcps = map(shared.__getitem__, map(int.bit_length, map(xor, keys, islice(keys, 1, None))))
-    return n * (n + 1) // 2 - sum(lcps)
+    gaps = list(map(int.bit_length, map(xor, keys, islice(keys, 1, None))))
+    del keys
+    if 0 in gaps:  # two equal full windows
+        return count_distinct_factors(w.codes)
+    shared = [widest - -(-length // dw) for length in range(PACKED_KEY_BITS + 1)]
+    return n * (n + 1) // 2 - sum(map(shared.__getitem__, gaps))
 
 
 def max_factors_exhaustive(n: int, k: int,

@@ -643,6 +643,21 @@ class TestDeBruijn:
                                     "--alphabet", "01"])
         assert code == 2
 
+    @pytest.mark.parametrize("alphabet,error", [
+        ("xyz", "error: --alphabet needs 2 characters, got 3\n"),
+        (" x", "error: --alphabet ' x' holds the whitespace letter ' '\n"),
+    ])
+    def test_alphabet_judged_before_generation(self, capsys, monkeypatch, alphabet, error):
+        def fail(*args, **kwargs):
+            raise AssertionError("generated a word for a bad --alphabet")
+
+        monkeypatch.setattr(cli, "least_debruijn_word", fail)
+        code, out, err = run(capsys, ["debruijn", "2", "20", "--least", "--alphabet", alphabet])
+        assert (code, out, err) == (2, "", error)
+        # over the guard is still exit 3, ahead of the alphabet
+        code, _, err = run(capsys, ["debruijn", "2", "30", "--least", "--alphabet", alphabet])
+        assert code == 3 and err.startswith("error: span-30 generation")
+
     def test_requires_mode(self, capsys):
         code, _, _ = run(capsys, ["debruijn", "2", "3"])
         assert code == 2

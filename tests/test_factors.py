@@ -90,6 +90,11 @@ def text_word(text: str) -> Word:
     return Alphabet("".join(sorted(set(text)))).word(text)
 
 
+def wide_alphabet(k: int) -> Alphabet:
+    """k letters from U+0100 on."""
+    return Alphabet("".join(map(chr, range(0x100, 0x100 + k))))
+
+
 class TestPackedCount:
     @given(st.integers(1, 6).flatmap(
         lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), min_size=1,
@@ -101,23 +106,47 @@ class TestPackedCount:
         expected = brute_distinct_factors(str(w))
         assert distinct_factors(w) == count_distinct_factors(w.codes) == expected
 
-    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("k", [2, 3, 5, 16, 256])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("lead", [0, 20], ids=["prefix", "inner"])
     def test_repeat_around_the_budget_span(self, fallbacks, k, offset, lead):
-        # x + r + sep + r with x and r over the other letters: the longest
-        # repeat is r, found by the prefix probe when x is empty and by the
-        # rounds otherwise
+        # x + r + y + r with x and y ending in different letters: the longest
+        # repeat is r, found by the prefix probe when x is empty and by two
+        # equal keys otherwise
         span = budget_span(k)
         rng = random.Random(span + offset + lead)
-        letters = default_alphabet(k).letters
-        x, r = ("".join(rng.choice(letters[:-1]) for _ in range(length))
-                for length in (lead, span + offset))
-        text = x + r + letters[-1] + r
+        alphabet = wide_alphabet(k)
+        letters = alphabet.letters
+        x, r, y = ("".join(rng.choices(letters, k=length)) for length in (lead, span + offset, 5))
+        if x and x[-1] == y[-1]:
+            y = y[:-1] + letters[letters.index(x[-1]) - 1]
+        text = x + r + y + r
         assert longest_repeat(text) == span + offset
-        w = default_alphabet(k).word(text)
-        assert distinct_factors(w) == brute_distinct_factors(text)
+        assert distinct_factors(alphabet.word(text)) == brute_distinct_factors(text)
         assert bool(fallbacks) == (offset >= 0)
+
+    # The edges of every digit width dw = 1, 2, 4, 8, 16, 32, of 8 // dw
+    # phase strings when dw < 8 and of dw // 8 bytes a letter otherwise.
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 15, 16, 255, 256, 65536, 65537])
+    def test_every_digit_width_matches_brute_force(self, fallbacks, k):
+        dw = 1
+        while dw < k.bit_length():
+            dw *= 2
+        per = max(1, 8 // dw)
+        span = budget_span(k)
+        assert span * dw == PACKED_KEY_BITS
+        alphabet = wide_alphabet(k)
+        rng = random.Random(k)
+        pools = dict.fromkeys([(0,), (k - 1,), (0, k - 1), tuple(rng.sample(range(k), min(k, 3))),
+                               tuple(range(k))])
+        lengths = {1, per - 1, per, per + 1, span - 1, span, span + 1, 2 * span + per + 1} - {0}
+        repeats = 0
+        for n in sorted(lengths):
+            for pool in pools:
+                codes = tuple(rng.choices(pool, k=n))
+                assert distinct_factors(Word(alphabet, codes)) == brute_distinct_factors(codes)
+                repeats += longest_repeat(codes) >= span
+        assert len(fallbacks) == repeats
 
     @pytest.mark.parametrize("n,packed", [(128, True), (129, False)])
     def test_unary_at_the_budget(self, fallbacks, n, packed):
@@ -150,8 +179,8 @@ class TestPackedCount:
         assert fallbacks == [w.codes]
 
     def test_wide_alphabet(self, fallbacks):
-        # 300 letters: 9-bit digits, so windows of up to 8 letters fit the budget
-        alphabet = Alphabet("".join(map(chr, range(0x100, 0x100 + 300))))
+        # 300 letters: 16-bit digits, so windows of 8 letters fit the budget
+        alphabet = wide_alphabet(300)
         rng = random.Random(300)
         for length in (1, 2, 300, 1000):
             text = "".join(rng.choice(alphabet.letters) for _ in range(length))
