@@ -26,12 +26,12 @@ import json
 import random
 import shlex
 import sys
-import warnings
 from itertools import permutations
 from pathlib import Path
 
+from ebwt import semigroups
 from ebwt.cli import _parse_word, main
-from ebwt.semigroups import generate_closure, letter_actions, syntactic_semigroup
+from ebwt.words import is_primitive
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "cli_corpus.jsonl"
@@ -120,19 +120,12 @@ def debruijn_argv(r):
 
 def closure_order(w, mode):
     """The closure size a semigroup call needs, or None when the word is
-    refused before any closure."""
+    refused before any closure: --action and --check-iso refuse a word that
+    is not primitive."""
     u = _parse_word(w, None)
-    orders = []
-    try:
-        if mode in ("--action", "--check-iso"):
-            orders.append(generate_closure(letter_actions(u)).order)
-        if mode in ("--syntactic", "--check-iso"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # a proper power only warns
-                orders.append(syntactic_semigroup(u).order)
-    except ValueError:
+    if mode != "--syntactic" and not is_primitive(u):
         return None
-    return max(orders)
+    return semigroups.closure_order(u, semigroups.DEFAULT_CLOSURE_SIZE)
 
 
 def semigroup_argv(r):

@@ -28,7 +28,7 @@ import sys
 import warnings
 from collections import Counter
 from contextlib import nullcontext
-from itertools import chain, dropwhile
+from itertools import chain
 
 from .bwt import NecklaceMultiset, inverse_transform, transform
 from .debruijn import (
@@ -193,27 +193,37 @@ def _multiset_entries(chunks, guard: int) -> Counter:
     where the running sum of length times multiplicity passes the guard, so
     it never holds more than the guard's worth of entries and one line; the
     lines after that one are not parsed.
+
+    Both number lines from the first line of the input: the whitespace
+    before the first other character is dropped as it is read, and only
+    its line breaks are counted.
     """
-    chunks = dropwhile(lambda chunk: not chunk or chunk.isspace(), chunks)
-    first = next(chunks, "").lstrip()
+    skipped, first = 0, ""  # line breaks before the first non-whitespace character
+    for chunk in chunks:
+        first = chunk.lstrip()
+        blank = chunk[:len(chunk) - len(first)]
+        skipped += sum(map(blank.count, _LINE_BREAKS)) - blank.count("\r\n")
+        if first:
+            break
     if first.startswith("{"):
         longest = guard + INPUT_CHUNK
         text = _read_stripped(chain([first], chunks), longest, "transform JSON input has {} "
                               f"characters, over the {longest} that the guard {guard} allows")
-        entries = _multiset_entries_from_json(text)
+        entries = _multiset_entries_from_json(text, skipped)
         _check_letters("transform output needs",
                        sum(len(raw) * mult for raw, mult in entries.items()), guard)
         return entries
-    return _multiset_entries_from_lines(_lines(chain([first], chunks), guard), guard)
+    return _multiset_entries_from_lines(_lines(chain([first], chunks), guard, skipped), guard)
 
 
 # The characters where str.splitlines ends a line; "\r\n" ends one too.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _lines(chunks, guard: int):
-    """(number from 1, text) of each line of the text that `chunks` spell,
-    split as `str.splitlines` splits the whole text, each as soon as it ends.
+def _lines(chunks, guard: int, lineno: int = 0):
+    """(number, text) of each line of the text that `chunks` spell, split
+    as `str.splitlines` splits the whole text, each as soon as it ends; the
+    first is numbered lineno + 1.
 
     A line of more than guard + INPUT_CHUNK characters before its line
     break, more than any line within the output guard needs, is refused as
@@ -222,7 +232,7 @@ def _lines(chunks, guard: int):
     positional text whole and translates the newlines of --file and stdin.
     """
     longest = guard + INPUT_CHUNK
-    lineno, head, held = 0, [], 0
+    head, held = [], 0
     for chunk in chunks:
         for part in chunk.splitlines(True):
             head.append(part)
@@ -262,13 +272,14 @@ def _multiset_entries_from_lines(lines, guard: int) -> Counter:
     return entries
 
 
-def _multiset_entries_from_json(text: str) -> Counter:
+def _multiset_entries_from_json(text: str, skipped: int) -> Counter:
+    """Entries of a JSON multiset that starts after `skipped` lines."""
     import json  # here, not at the top: only JSON input needs it
 
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
-        raise CLIError(f"line {e.lineno}: invalid JSON: {e.msg}") from e
+        raise CLIError(f"line {skipped + e.lineno}: invalid JSON: {e.msg}") from e
     except RecursionError:
         raise CLIError("JSON multiset is nested too deeply to parse") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("necklaces"), list):
@@ -394,8 +405,7 @@ def cmd_debruijn(args, guard: int) -> tuple[dict, list[str]]:
     alphabet = _alphabet_from(args.alphabet, args.alphabet) if args.alphabet else None
     if alphabet and alphabet.size != k:
         raise CLIError(f"--alphabet needs {k} characters, got {alphabet.size}")
-    word = least_debruijn_word(k, n, max_length=guard)
-    rendered = alphabet.render(word.codes) if alphabet else str(word)
+    rendered = str(least_debruijn_word(k, n, max_length=guard, alphabet=alphabet))
     return {"word": rendered}, [rendered]
 
 
@@ -422,10 +432,15 @@ def cmd_semigroup(args, guard: int) -> tuple[dict, list[str]]:
         if order**2 > TABLE_CELL_LIMIT:
             raise ResourceLimitError(f"multiplication table of order {order} needs {order**2} "
                                      f"cells, over the {TABLE_CELL_LIMIT}-cell guard")
-        if args.action:
-            sg = generate_closure(letter_actions(word), max_size=guard)
-        else:
-            sg = syntactic_semigroup(word, max_size=guard)
+        # One closure prints every table, in both modes.  On a primitive word
+        # the closure of the letter actions is letter-isomorphic to the
+        # syntactic semigroup (the paper's theorem, which --check-iso tests),
+        # and `_close` numbers both in the same breadth-first order over
+        # generator words, so their labels and cells agree: over every
+        # primitive word of up to 8 letters over 1-3 letters, with and
+        # without --alphabet abcd, the two tables matched byte for byte and
+        # took the same time.  So only --check-iso closes the letter actions.
+        sg = syntactic_semigroup(word, max_size=guard)
         labels = [word.alphabet.render(w) for w in sg.element_words]
         if args.json:
             payload["elements"] = labels
@@ -456,8 +471,6 @@ def cmd_factors(args, guard: int) -> tuple[dict, list[str]]:
                          for key in ("n", "max_distinct", "upper_bound", "witness")]
     if args.witness is not None:
         n, k = args.witness
-        if not n > k >= 2:
-            raise CLIError(f"witness needs n > k >= 2, got n={n}, k={k}")
         result = debruijn_factor_witness(n, k, max_length=guard)
         payload = {
             "n": n,

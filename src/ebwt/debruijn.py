@@ -16,7 +16,7 @@ from math import factorial, lgamma, log, log10
 
 from .bwt import NecklaceMultiset, inverse_transform, standard_permutation
 from .errors import ResourceLimitError
-from .words import Value, Word, default_alphabet
+from .words import Alphabet, Value, Word, default_alphabet
 
 DEFAULT_MAX_WORD_LENGTH = 2**24
 # Longest de Bruijn word count returned, in decimal digits: CPython's default
@@ -165,14 +165,18 @@ def check_generation_guard(k: int, n: int, max_length: int):
         )
 
 
-def _identity_block_word(k: int, n: int, max_length: int) -> Word:
-    """The all-identity-block word (0 1 ... k-1)^(k^{n-1}), refused when
-    k^n passes `max_length`.  It has length k^n and every block is the
-    identity, so it is a block-permutation word by construction and is not
-    scanned again, and its codes are 0..k-1, so it is built without `Word`'s
-    range check."""
+def _identity_block_word(k: int, n: int, max_length: int,
+                         alphabet: Alphabet | None = None) -> Word:
+    """The all-identity-block word (0 1 ... k-1)^(k^{n-1}) over `alphabet`,
+    by default `default_alphabet(k)`, refused when k^n passes `max_length`.
+    It has length k^n and every block is the identity, so it is a
+    block-permutation word by construction and is not scanned again, and its
+    codes are 0..k-1, so it is built without `Word`'s range check."""
     check_generation_guard(k, n, max_length)
-    return Word.unchecked(default_alphabet(k), tuple(range(k)) * (k ** (n - 1)))
+    alphabet = default_alphabet(k) if alphabet is None else alphabet
+    if alphabet.size != k:
+        raise ValueError(f"alphabet needs {k} letters, got {alphabet.size}")
+    return Word.unchecked(alphabet, tuple(range(k)) * (k ** (n - 1)))
 
 
 def least_debruijn_set(k: int, n: int,
@@ -187,11 +191,13 @@ def least_debruijn_set(k: int, n: int,
     return inverse_transform(_identity_block_word(k, n, max_length))
 
 
-def least_debruijn_word(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGTH) -> Word:
-    """The lexicographically least de Bruijn word of span n over k letters:
-    the Lyndon words of length dividing n in lexicographic order, read
-    straight off the cycles of the standard permutation of the
-    all-identity-block word, with no record per Lyndon word.
+def least_debruijn_word(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGTH,
+                        alphabet: Alphabet | None = None) -> Word:
+    """The lexicographically least de Bruijn word of span n over the k
+    letters of `alphabet`, by default `default_alphabet(k)`: the Lyndon
+    words of length dividing n in lexicographic order, read straight off the
+    cycles of the standard permutation of the all-identity-block word, with
+    no record per Lyndon word.
 
     `StandardPermutation.cycles` lists one cycle per class of translates,
     read from its minimal row; each spells a Lyndon word, and the classes
@@ -203,7 +209,7 @@ def least_debruijn_word(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGT
     `least_debruijn_set`.  They are letters of the word inverted, over its
     k letters, so the result is built without `Word`'s range check.
     """
-    v = _identity_block_word(k, n, max_length)
+    v = _identity_block_word(k, n, max_length, alphabet)
     p = standard_permutation(v)
     codes = map(p.sorted_codes.__getitem__, chain.from_iterable(p.cycles()))
     return Word.unchecked(v.alphabet, tuple(codes))

@@ -24,7 +24,9 @@ DEFAULT_SCAN_WORDS = 2**18
 # Letters of a word whose factors are counted.  Packed keys take about 65 B
 # per letter at their peak (a 128-bit int and its list slot; tracemalloc
 # reads 63 B on 2^20 random letters), but a word with a long repeat falls
-# back to the suffix automaton at about 600 B per letter, so about 0.6 GB.
+# back to the suffix automaton at about 300 B per letter, so about 0.3 GB:
+# a child's ru_maxrss grew by 306 MB as it counted r.r, r a random binary
+# word of 2^19 letters (CPython 3.11).
 DEFAULT_FACTOR_LETTERS = 2**20
 # Bits of a packed key of distinct_factors: windows of 64 letters over 2-3
 # letters, 32 over 4-15 and 16 over 16-255.  A word with a repeat of that
@@ -208,7 +210,7 @@ def debruijn_factor_witness(n: int, k: int,
     floor.
     """
     if not n > k >= 2:
-        raise ValueError(f"need n > k >= 2, got n={n}, k={k}")
+        raise ValueError(f"witness needs n > k >= 2, got n={n}, k={k}")
     m = 1
     while k**m < n:
         m += 1

@@ -451,18 +451,12 @@ class MultisetSemigroup(Value):
     cycle_domains: tuple[tuple[int, ...], ...]
     sorted_codes: tuple[int, ...]
 
-    def _letter_generator(self, a: int) -> PartialInjection:
-        return self.semigroup._values[a]
-
     def restriction(self, j: int) -> FiniteSemigroup:
         """The image of the restriction homomorphism onto cycle j, renumbered
         to degree |cycle|: the closure of the restricted letter actions."""
         domain = self.cycle_domains[j]
-        gens = {
-            a: self._letter_generator(a).restrict_renumbered(domain)
-            for a in range(self.alphabet.size)
-        }
-        return generate_closure(gens)
+        letters = self.semigroup._values.items()  # every letter has its action
+        return generate_closure({a: g.restrict_renumbered(domain) for a, g in letters})
 
     def restriction_tuple(self, i: int) -> tuple[PartialInjection, ...]:
         """Element i restricted to every cycle; the separating invariant."""

@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ebwt
-from ebwt import cli, semigroups
+from ebwt import cli, debruijn, semigroups
 from ebwt.cli import main
 from ebwt.errors import ResourceLimitError
 
@@ -169,9 +170,10 @@ class TestTransform:
            st.sampled_from([1, 2, 3, 1 << 16]))
     @settings(deadline=None)
     def test_line_format_parses_like_the_whole_text(self, text, chunk):
-        # the reference splits the stripped text, numbering from its first line
+        # the reference splits the whole text, numbering from its first line,
+        # blank or not
         expected: Counter = Counter()
-        for lineno, line in enumerate(text.strip().splitlines(), start=1):
+        for lineno, line in enumerate(text.splitlines(), start=1):
             parts = line.split()
             if len(parts) == 2 and parts[1].startswith("x") and parts[1][1:].isdigit() \
                     and int(parts[1][1:]) > 0:
@@ -225,7 +227,7 @@ class TestTransform:
     def test_json_refused_while_it_is_read(self, capsys, monkeypatch):
         # a document of more than guard + INPUT_CHUNK characters is refused
         # before it is parsed, holding at most that much of it
-        def fail(text):
+        def fail(*args):
             raise AssertionError("JSON parsed past its bound")
         monkeypatch.setattr(cli, "_multiset_entries_from_json", fail)
         document = '{"necklaces": [{"lyndon": "' + "a" * 2 * 10**6 + 'b"}]}'
@@ -318,6 +320,44 @@ class TestTransform:
         code, _, err = run(capsys, ["transform", "aab\nab x\nabb"])
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("text, error", [
+        ("\n\nab\nab x0", "line 4: multiplicity must be positive"),
+        (" \r\n\t\n  ab\nab y", "line 4: expected 'word' or 'word xN', got 'ab y'"),
+        ('\n\n{"necklaces": [}', "line 3: invalid JSON: Expecting value"),
+        ('\n \n\n  {"necklaces":\n[}', "line 5: invalid JSON: Expecting value"),
+    ])
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+    def test_leading_blank_lines_are_counted(self, capsys, monkeypatch, text, error, chunk):
+        # line numbers count from the first line of the input, blank or
+        # not, in argv and on stdin, wherever the reads fall
+        monkeypatch.setattr(cli, "INPUT_CHUNK", chunk)
+        monkeypatch.setattr(sys, "stdin", ChunkedStdin(text))
+        for source in ([text], []):
+            assert run(capsys, ["transform", *source]) == (2, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("chunk", [1, 3, 16])
+    def test_long_line_after_blank_lines_names_its_line(self, capsys, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "INPUT_CHUNK", chunk)
+        longest = 20 + chunk
+        text = "\n \n" + "ab" * longest
+        monkeypatch.setattr(sys, "stdin", ChunkedStdin(text))
+        for source in ([text], []):
+            assert run(capsys, ["transform", *source, "--guard-cells", "20"]) == (
+                3, "", f"error: transform input line 3 has more than {longest} characters, "
+                       "over the guard 20\n")
+
+    def test_leading_blank_lines_are_not_held(self, capsys, monkeypatch):
+        # a million blank lines are counted as they are read, not kept
+        monkeypatch.setattr(sys, "stdin", ChunkedStdin(" \n" * 10**6 + "ab x0\n"))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, ["transform"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * cli.INPUT_CHUNK
+        assert (code, out, err) == (2, "", "error: line 1000001: multiplicity must be positive\n")
 
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", ChunkedStdin("aab\nab\nabb\n"))
@@ -638,6 +678,29 @@ class TestDeBruijn:
         assert code == 0
         assert out == "00010111\n"
 
+    @pytest.mark.parametrize("k", [27, 40])
+    def test_least_over_more_than_26_given_letters(self, capsys, k):
+        # the word is generated over the letters of --alphabet, and equals
+        # the Lyndon-concatenation oracle rendered on them
+        letters = "".join(map(chr, range(0x100, 0x100 + k)))
+        codes = [c for u in debruijn._lyndon_words_up_to(2, k) if 2 % len(u) == 0 for c in u]
+        expected = "".join(letters[c] for c in codes)
+        assert len(expected) == k**2
+        for flag in ([], ["--json"]):
+            code, out, err = run(capsys, ["debruijn", str(k), "2", "--least",
+                                          "--alphabet", letters, *flag])
+            assert (code, err) == (0, "")
+            assert out == (json.dumps({"word": expected}) if flag else expected) + "\n"
+
+    def test_more_than_26_letters_need_an_alphabet(self, capsys, monkeypatch):
+        # without --alphabet the default one refuses them, before generation
+        def fail(*args):
+            raise AssertionError("generated a word over no alphabet")
+
+        monkeypatch.setattr(debruijn, "standard_permutation", fail)
+        assert run(capsys, ["debruijn", "27", "2", "--least"]) == (
+            2, "", "error: default alphabet supports 1..26 letters, got 27\n")
+
     def test_alphabet_size_mismatch(self, capsys):
         code, _, err = run(capsys, ["debruijn", "3", "2", "--least",
                                     "--alphabet", "01"])
@@ -872,6 +935,58 @@ class TestSemigroup:
         assert (code, len(closures)) == (0, closed)
         assert {v for k, v in json.loads(out).items() if k.endswith("_order")} == {order}
 
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """The names of the action-route steps that the CLI calls, in order."""
+        calls = []
+        for name in ("letter_actions", "generate_closure"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, name=name, real=real, **kwargs:
+                                calls.append(name) or real(*args, **kwargs))
+        return calls
+
+    @pytest.mark.parametrize("word, mode", [("aabab", "--action"), ("aabab", "--syntactic"),
+                                            ("abab", "--syntactic")])
+    @pytest.mark.parametrize("output", [[], ["--json"]])
+    def test_table_closes_once_through_the_syntactic_route(self, capsys, closures, routes,
+                                                           word, mode, output):
+        code, _, _ = run(capsys, ["semigroup", word, mode, "--table", *output])
+        assert (code, routes) == (0, [])
+        (values,) = [args[2] for args in closures]  # the letters' generators
+        assert {type(v) for v in values.values()} == {semigroups.Transformation}
+
+    @pytest.mark.parametrize("output", [[], ["--json"]])
+    def test_check_iso_closes_both_routes(self, capsys, closures, routes, output):
+        code, _, _ = run(capsys, ["semigroup", "aabab", "--check-iso", *output])
+        assert (code, routes) == (0, ["letter_actions", "generate_closure"])
+        assert [{type(v) for v in args[2].values()} for args in closures] == [
+            {semigroups.PartialInjection}, {semigroups.Transformation}]
+
+    @pytest.mark.parametrize("alphabet", [[], ["--alphabet", "abcd"]])
+    def test_action_table_is_the_syntactic_table(self, capsys, alphabet):
+        # every primitive word of up to 7 letters over 1-3 letters: both
+        # modes print one table, in text on every line after the first and
+        # in JSON on every key but the order's, and it is the table of the
+        # closure of the letter actions, which --action --table once printed
+        for length in range(1, 8):
+            for letters in product("abc", repeat=length):
+                word = "".join(letters)
+                if not naive_primitive(word):
+                    continue
+                argv = ["semigroup", word, "--table", *alphabet]
+                action, syntactic = (run(capsys, argv + [mode]) for mode in ("--action",
+                                                                             "--syntactic"))
+                assert action[0] == syntactic[0] == 0
+                assert action[1].split("\n", 1)[1] == syntactic[1].split("\n", 1)[1]
+                action, syntactic = (json.loads(run(capsys, argv + [mode, "--json"])[1])
+                                     for mode in ("--action", "--syntactic"))
+                assert action.pop("action_order") == syntactic.pop("syntactic_order")
+                assert action == syntactic
+                u = cli._parse_word(word, alphabet[1] if alphabet else None)
+                closure = semigroups.generate_closure(semigroups.letter_actions(u))
+                assert action["elements"] == [u.alphabet.render(w) for w in closure.element_words]
+                assert action["table"] == [list(row) for row in closure.table]
+
     @pytest.mark.parametrize("mode", ["--action", "--check-iso"])
     def test_action_refuses_a_power_first(self, capsys, closures, mode):
         code, out, err = run(capsys, ["semigroup", "abab", mode, "--guard-cells", "1"])
@@ -915,6 +1030,16 @@ class TestFactors:
         assert out.splitlines() == [
             "n 3", "max_distinct 5", "upper_bound 5", "witness aab",
         ]
+
+    @pytest.mark.parametrize("n, k", [(2, 2), (5, 1), (1, 3)])
+    def test_witness_rule_is_the_library_one(self, capsys, monkeypatch, n, k):
+        calls = []
+        real = cli.debruijn_factor_witness
+        monkeypatch.setattr(cli, "debruijn_factor_witness",
+                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        assert run(capsys, ["factors", "--witness", str(n), str(k)]) == (
+            2, "", f"error: witness needs n > k >= 2, got n={n}, k={k}\n")
+        assert calls == [(n, k)]
 
     def test_witness_report(self, capsys):
         code, out, _ = run(capsys, ["factors", "--witness", "16", "2"])

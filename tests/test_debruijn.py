@@ -17,7 +17,7 @@ from ebwt.debruijn import (
     lyndon_concatenation_oracle,
 )
 from ebwt.errors import ResourceLimitError
-from ebwt.words import Word, default_alphabet
+from ebwt.words import Alphabet, Word, default_alphabet
 
 from helpers import (
     AB, W, all_words, apply_letter, letter_range, lyndon_texts, naive_power_prefixes_cover,
@@ -224,6 +224,22 @@ class TestLeastDeBruijnWord:
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
             least_debruijn_word(2, 30, max_length=2**20)
+
+    @pytest.mark.parametrize("k, n", [(2, 4), (3, 3), (27, 2), (30, 2)])
+    def test_given_alphabet(self, k, n):
+        # the codes do not depend on the alphabet, which needs not stop at 26
+        alphabet = Alphabet("".join(map(chr, range(0x100, 0x100 + k))))
+        word = least_debruijn_word(k, n, alphabet=alphabet)
+        codes = [c for u in debruijn._lyndon_words_up_to(n, k) if n % len(u) == 0 for c in u]
+        assert word.alphabet == alphabet and list(word.codes) == codes
+        if k <= 26:
+            assert word.codes == lyndon_concatenation_oracle(k, n).codes
+
+    def test_given_alphabet_needs_k_letters(self):
+        with pytest.raises(ValueError, match="^alphabet needs 3 letters, got 2$"):
+            least_debruijn_word(3, 2, alphabet=AB)
+        with pytest.raises(ValueError, match="^default alphabet supports 1..26 letters, got 27$"):
+            least_debruijn_word(27, 2)
 
     def test_result_is_genuinely_least(self):
         # exhaustive check at span 3: no binary de Bruijn word is smaller

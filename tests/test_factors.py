@@ -315,7 +315,7 @@ class TestDeBruijnWitness:
         assert result.lower_bound == 3
 
     def test_requires_n_above_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^witness needs n > k >= 2, got n=2, k=2$"):
             debruijn_factor_witness(2, 2)
 
     def test_prefix_of_least_word_and_exact_count(self):
