@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import chain, repeat
-from operator import add
+from operator import add, mul
 
 # omega_compare is unused here; bench/tracing.py counts calls at bwt.omega_compare.
 from .words import Alphabet, Necklace, Value, Word, lyndon_representative, omega_compare  # noqa: F401
@@ -207,9 +207,12 @@ def transform(m: NecklaceMultiset) -> Word:
     2 * span letters.  The rounds stop as soon as the keys are distinct, or
     the span reaches 2 * maxlen.  The copies of one necklace have equal
     rotations, which sit adjacent in the order, so each rotation's last
-    letter is written out once per copy.  Every letter written is a code of
-    a necklace of the multiset, which is over its alphabet, so the word is
-    built without `Word`'s range check.
+    letter, as a `chr(code)` string, is repeated once per copy; those
+    strings are joined in the order into one string, transient at 1 to 4
+    bytes a letter, whose `ord`s are the word (past code 256 each `ord` is
+    an int object of its own, 32 bytes a letter).  Every letter written is
+    a code of a necklace of the multiset, which is over its alphabet, so
+    the word is built without `Word`'s range check.
     """
     k = m.alphabet.size
     lyndons = [necklace.lyndon.codes for necklace, _ in m.entries]
@@ -219,13 +222,9 @@ def transform(m: NecklaceMultiset) -> Word:
     keys = _ranking_keys(lyndons, lengths, span, limit)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     del keys  # the windows: the largest list here
-    last = list(chain.from_iterable(c[-1:] + c[:-1] for c in lyndons))
-    letters = map(last.__getitem__, order)
-    mults = [mult for _, mult in m.entries]
-    if max(mults, default=1) > 1:
-        mults = list(chain.from_iterable(map(repeat, mults, lengths)))
-        letters = chain.from_iterable(map(repeat, letters, map(mults.__getitem__, order)))
-    return Word.unchecked(m.alphabet, tuple(letters))
+    mults = chain.from_iterable(map(repeat, (mult for _, mult in m.entries), lengths))
+    last = list(map(mul, map(chr, chain.from_iterable(c[-1:] + c[:-1] for c in lyndons)), mults))
+    return Word.unchecked(m.alphabet, tuple(map(ord, "".join(map(last.__getitem__, order)))))
 
 
 def _ranking_keys(lyndons: list, lengths: list[int], span: int, limit: int) -> list:

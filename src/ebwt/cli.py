@@ -28,12 +28,13 @@ import sys
 import warnings
 from collections import Counter
 from contextlib import nullcontext
-from itertools import chain
+from itertools import accumulate, chain
 
 from .bwt import NecklaceMultiset, inverse_transform, transform
 from .debruijn import (
     DEFAULT_MAX_WORD_LENGTH,
     GammaWord,
+    check_alphabet_and_span,
     check_generation_guard,
     count_debruijn_words,
     debruijn_set_from_gamma,
@@ -201,8 +202,7 @@ def _multiset_entries(chunks, guard: int) -> Counter:
     skipped, first = 0, ""  # line breaks before the first non-whitespace character
     for chunk in chunks:
         first = chunk.lstrip()
-        blank = chunk[:len(chunk) - len(first)]
-        skipped += sum(map(blank.count, _LINE_BREAKS)) - blank.count("\r\n")
+        skipped += _line_breaks(chunk[:len(chunk) - len(first)])
         if first:
             break
     if first.startswith("{"):
@@ -218,6 +218,11 @@ def _multiset_entries(chunks, guard: int) -> Counter:
 
 # The characters where str.splitlines ends a line; "\r\n" ends one too.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _line_breaks(text: str) -> int:
+    """The number of line breaks in `text`, as `str.splitlines` counts them."""
+    return sum(map(text.count, _LINE_BREAKS)) - text.count("\r\n")
 
 
 def _lines(chunks, guard: int, lineno: int = 0):
@@ -273,13 +278,18 @@ def _multiset_entries_from_lines(lines, guard: int) -> Counter:
 
 
 def _multiset_entries_from_json(text: str, skipped: int) -> Counter:
-    """Entries of a JSON multiset that starts after `skipped` lines."""
+    """Entries of a JSON multiset that starts after `skipped` lines.
+
+    An error's line is counted from `e.pos` by `_line_breaks`, the rule of
+    the line format, not taken from `e.lineno`, which counts only "\n".
+    """
     import json  # here, not at the top: only JSON input needs it
 
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
-        raise CLIError(f"line {skipped + e.lineno}: invalid JSON: {e.msg}") from e
+        line = skipped + _line_breaks(text[:e.pos]) + 1
+        raise CLIError(f"line {line}: invalid JSON: {e.msg}") from e
     except RecursionError:
         raise CLIError("JSON multiset is nested too deeply to parse") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("necklaces"), list):
@@ -298,29 +308,47 @@ def _multiset_entries_from_json(text: str, skipped: int) -> Counter:
 
 def _canonical_multiset(entries: Counter, override: str | None,
                         canonicalize: bool) -> NecklaceMultiset:
-    """The multiset of the raw entries, each checked and canonicalized once."""
+    """The multiset of the raw entries, each checked and canonicalized once.
+
+    Entries with one Lyndon word merge in a dict keyed by its codes, and
+    the multiset is built from them with `unchecked`, since they already
+    hold what `NecklaceMultiset`'s check asks: every word is parsed by
+    `alphabet.word`, over the one alphabet, and its necklace keeps that
+    alphabet; every raw multiplicity is positive (both input formats refuse
+    one below 1), and so is each sum of them; and the keys of a dict are
+    distinct, so one `sorted` makes them strictly ascending, in the order of
+    the code tuples that `NecklaceMultiset` compares.
+    """
     if not entries:
         return NecklaceMultiset(_alphabet_from("ab", override), ())
     alphabet = _alphabet_from("".join(entries), override)
-    counts: Counter = Counter()
+    merged: dict = {}  # Lyndon codes -> (necklace, multiplicity)
     for raw, mult in entries.items():
         word = alphabet.word(raw)
         try:
             necklace = lyndon_representative(word)
         except NotPrimitiveError:
             raise CLIError(f"entry {raw!r} is not primitive") from None
-        if necklace.lyndon.codes != word.codes and not canonicalize:
+        if necklace.lyndon is not word and not canonicalize:
             raise CLIError(
                 f"entry {raw!r} is not a Lyndon word (canonical form "
                 f"{necklace!s}); pass --canonicalize to accept rotations"
             )
-        counts[necklace] += mult
-    return NecklaceMultiset.from_necklaces(alphabet, counts)
+        key = necklace.lyndon.codes
+        if key in merged:
+            mult += merged[key][1]
+        merged[key] = necklace, mult
+    return NecklaceMultiset.unchecked(alphabet, tuple(map(merged.__getitem__, sorted(merged))))
 
 
 def _multiset_output(m: NecklaceMultiset) -> tuple[dict, list[str]]:
-    """JSON payload and text lines of a multiset, each necklace rendered once."""
-    rendered = [(str(necklace), mult) for necklace, mult in m.entries]
+    """JSON payload and text lines of a multiset: the Lyndon words are
+    rendered in one piece, which is cut into one per necklace."""
+    lyndons = [necklace.lyndon.codes for necklace, _ in m.entries]
+    text = m.alphabet.render(chain.from_iterable(lyndons))
+    ends = list(accumulate(map(len, lyndons)))
+    rendered = list(zip(map(text.__getitem__, map(slice, [0] + ends, ends)),
+                        (mult for _, mult in m.entries)))
     payload = {
         "necklaces": [
             {"lyndon": lyndon, "multiplicity": mult}
@@ -389,8 +417,7 @@ def cmd_invert(args, guard: int) -> tuple[dict, list[str]]:
 
 def cmd_debruijn(args, guard: int) -> tuple[dict, list[str]]:
     k, n = args.k, args.n
-    if k < 2 or n < 1:
-        raise CLIError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
+    check_alphabet_and_span(k, n)  # before --from-gamma parses its word
     if args.count:
         total = count_debruijn_words(k, n)
         return {"count": total}, [str(total)]

@@ -132,6 +132,13 @@ def enumerate_gamma(k: int, n: int, limit: int = 10**6):
         yield Word(alphabet, codes)
 
 
+def check_alphabet_and_span(k: int, n: int):
+    """Refuse a de Bruijn question over fewer than 2 letters or of span
+    below 1: the one home of that rule."""
+    if k < 2 or n < 1:
+        raise ValueError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
+
+
 def count_debruijn_words(k: int, n: int) -> int:
     """Number of de Bruijn words of span n over k letters: (k!)^(k^(n-1)) / k^n.
 
@@ -142,8 +149,7 @@ def count_debruijn_words(k: int, n: int) -> int:
     checked in log space before any big integer exists (the margin of 1
     absorbs float rounding), then exactly.
     """
-    if k < 2 or n < 1:
-        raise ValueError("need k >= 2 and n >= 1")
+    check_alphabet_and_span(k, n)
     if _log10_gamma_count(k, n) - n * log10(k) <= MAX_COUNT_DIGITS + 1:
         total = factorial(k) ** (k ** (n - 1)) // k**n
         if total < 10**MAX_COUNT_DIGITS:
@@ -156,8 +162,7 @@ def count_debruijn_words(k: int, n: int) -> int:
 
 def check_generation_guard(k: int, n: int, max_length: int):
     """Refuse span-n generation over k letters when k^n passes max_length."""
-    if k < 2 or n < 1:
-        raise ValueError("need k >= 2 and n >= 1")
+    check_alphabet_and_span(k, n)
     if power_exceeds(k, n, max_length):
         raise ResourceLimitError(
             f"span-{n} generation over {k} letters needs k^n = {power_text(k, n)} "

@@ -23,6 +23,10 @@ def W(text: str, alphabet: Alphabet = AB) -> Word:
     return alphabet.word(text)
 
 
+def naive_render(letters: str, codes) -> str:
+    return "".join(letters[c] for c in codes)
+
+
 def rotations(text: str) -> list[str]:
     return [text[i:] + text[:i] for i in range(len(text))]
 

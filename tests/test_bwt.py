@@ -305,6 +305,21 @@ class TestWindowSort:
         assert widths == [64]
         assert str(word) == prefix_bwt(ordered)
 
+    @pytest.mark.parametrize("letters, width", [("ab", 64), (LETTERS_300, 32)],
+                             ids=["k=2", "k=300"])
+    @pytest.mark.parametrize("j", [40, 70])
+    def test_mixed_multiplicities_against_the_table(self, monkeypatch, letters, width, j):
+        # a(ab)^j b ties on every window, so the rounds run; the other
+        # entries mix multiplicity 1 with larger ones
+        a, b = letters[0], letters[-1]
+        items = [(a + (a + b) * j + b, 1), (a + b, 3), (a + a + b, 1), (a + b + b, 2),
+                 (b, 4), (a, 1), (a + a + b + a + b, 1)]
+        m, ordered = oracle_multiset(letters, items)
+        word, widths = ranked(monkeypatch, m)
+        assert widths == [width]
+        assert str(word) == naive_bwt(ordered)
+        assert inverse_transform(word) == m
+
     @given(st.sampled_from(["ab", "abc"]).flatmap(lambda letters: st.tuples(
         st.just(letters),
         st.lists(st.tuples(

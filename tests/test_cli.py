@@ -21,7 +21,10 @@ from ebwt import cli, debruijn, semigroups
 from ebwt.cli import main
 from ebwt.errors import ResourceLimitError
 
-from helpers import naive_primitive, necklace_closure_order
+from ebwt.bwt import NecklaceMultiset
+from ebwt.words import lyndon_representative
+
+from helpers import AB, naive_primitive, necklace_closure_order
 
 
 def run(capsys, argv):
@@ -92,6 +95,26 @@ class TestTransform:
         code, out, _ = run(capsys, ["transform", "ba\nab x2", "--canonicalize"])
         assert code == 0
         assert out == "bbbaaa\n"
+
+    def test_canonicalize_gives_the_multiset_of_from_necklaces(self):
+        text = "ba\nab x2\nbaa x3\naab"
+        m = cli._canonical_multiset(cli._multiset_entries(iter([text]), 100), None, True)
+        texts = ["ba", "ab", "ab", "baa", "baa", "baa", "aab"]
+        assert m == NecklaceMultiset.from_necklaces(
+            AB, [lyndon_representative(AB.word(t)) for t in texts])
+        assert [(str(n), mult) for n, mult in m.entries] == [("aab", 4), ("ab", 3)]
+
+    @given(st.sampled_from(["ab", "abc"]).flatmap(lambda letters: st.lists(
+        st.tuples(st.text(letters, min_size=1, max_size=9).filter(naive_primitive),
+                  st.integers(1, 4)), min_size=1, max_size=12)))
+    def test_canonical_multiset_passes_the_checks(self, items):
+        # built unchecked, it is what the checked constructor accepts
+        text = "\n".join(f"{raw} x{mult}" for raw, mult in items)
+        m = cli._canonical_multiset(cli._multiset_entries(iter([text]), 10**4), None, True)
+        assert NecklaceMultiset(m.alphabet, m.entries) == m
+        expanded = [lyndon_representative(m.alphabet.word(raw))
+                    for raw, mult in items for _ in range(mult)]
+        assert m == NecklaceMultiset.from_necklaces(m.alphabet, expanded)
 
     def test_output_guard_edge(self, capsys):
         code, out, _ = run(capsys, ["transform", "ab x3", "--guard-cells", "6"])
@@ -326,6 +349,10 @@ class TestTransform:
         (" \r\n\t\n  ab\nab y", "line 4: expected 'word' or 'word xN', got 'ab y'"),
         ('\n\n{"necklaces": [}', "line 3: invalid JSON: Expecting value"),
         ('\n \n\n  {"necklaces":\n[}', "line 5: invalid JSON: Expecting value"),
+        # line breaks inside the document count as they do before it
+        ('{"necklaces":\r\r[}', "line 3: invalid JSON: Expecting value"),
+        ('\r\r{"necklaces": [}', "line 3: invalid JSON: Expecting value"),
+        ('\r\n{"necklaces":\r\n\r[}', "line 4: invalid JSON: Expecting value"),
     ])
     @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
     def test_leading_blank_lines_are_counted(self, capsys, monkeypatch, text, error, chunk):
@@ -671,6 +698,14 @@ class TestDeBruijn:
         assert code == 2
         assert out == ""
         assert err == "error: word length 7 is not 7^30000000\n"
+
+    @pytest.mark.parametrize("mode", [["--least"], ["--count"], ["--from-gamma", "a b"],
+                                      ["--from-gamma", ""]])
+    @pytest.mark.parametrize("k, n", [(1, 2), (2, 0), (0, -1)])
+    def test_alphabet_and_span_rule_speaks_first(self, capsys, mode, k, n):
+        # one rule for every mode, judged before --from-gamma parses its word
+        assert run(capsys, ["debruijn", str(k), str(n), *mode]) == (
+            2, "", f"error: need k >= 2 and n >= 1, got k={k}, n={n}\n")
 
     def test_alphabet_rendering(self, capsys):
         code, out, _ = run(capsys, ["debruijn", "2", "3", "--least",

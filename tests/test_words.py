@@ -24,7 +24,8 @@ from ebwt.words import (
 )
 
 from helpers import (
-    AB, ABC, W, all_words, naive_least_rotation, naive_omega_compare, naive_primitive, rotations,
+    AB, ABC, W, all_words, naive_least_rotation, naive_omega_compare, naive_primitive,
+    naive_render, rotations,
 )
 
 binary_words = st.lists(st.integers(0, 1), min_size=1, max_size=14).map(
@@ -77,6 +78,42 @@ class TestAlphabet:
             i = data.draw(st.integers(0, len(codes)))
             with pytest.raises(ValueError, match="out of range"):
                 Word(alphabet, tuple(codes[:i] + [bad] + codes[i:]))
+
+
+# alphabets whose letters are ASCII, Latin-1, BMP past U+00FF, and astral
+RENDER_ALPHABETS = [
+    "ab",
+    "".join(map(chr, range(33, 127))),
+    "\xc0\xdf\xe4\xf6\xfc\xff",
+    "".join(map(chr, range(0x100, 0x100 + 300))),
+    "a\u4e00\uffef",
+    "".join(map(chr, range(0x1F600, 0x1F600 + 40))) + "\U0010ffff",
+]
+
+
+class TestRender:
+    @given(st.sampled_from(RENDER_ALPHABETS).flatmap(lambda letters: st.tuples(
+        st.just(letters), st.lists(st.integers(0, len(letters) - 1), max_size=60))))
+    def test_matches_letter_lookup(self, drawn):
+        letters, codes = drawn
+        alphabet = Alphabet(letters)
+        expected = naive_render(letters, codes)
+        assert alphabet.render(tuple(codes)) == expected
+        assert alphabet.render(iter(codes)) == expected
+        assert alphabet.render(c for c in codes) == expected
+        assert str(Word(alphabet, tuple(codes))) == expected
+
+    @pytest.mark.parametrize("letters", RENDER_ALPHABETS)
+    def test_empty(self, letters):
+        alphabet = Alphabet(letters)
+        assert alphabet.render(()) == alphabet.render(iter(())) == ""
+
+    @pytest.mark.parametrize("letters", RENDER_ALPHABETS)
+    def test_every_letter_round_trips(self, letters):
+        alphabet = Alphabet(letters)
+        codes = tuple(range(alphabet.size)) * 2
+        assert alphabet.render(codes) == letters * 2
+        assert alphabet.word(alphabet.render(codes)).codes == codes
 
 
 class TestWordOrder:
@@ -190,6 +227,14 @@ class TestLyndonRepresentative:
         necklace = lyndon_representative(w)
         assert Necklace(necklace.lyndon) == necklace
         assert str(necklace) == naive_least_rotation(str(w))
+
+    @given(ternary_words.filter(lambda w: is_primitive(w)))
+    def test_lyndon_word_is_kept(self, w):
+        # a word that is its own least rotation becomes the necklace's word
+        # itself; any other word, a new rotation of it
+        necklace = lyndon_representative(w)
+        assert (necklace.lyndon is w) == (str(w) == naive_least_rotation(str(w)))
+        assert lyndon_representative(necklace.lyndon).lyndon is necklace.lyndon
 
     @given(ternary_words.filter(lambda w: is_primitive(w)))
     def test_rotation_invariant_and_borderless(self, w):
