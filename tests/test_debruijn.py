@@ -192,13 +192,17 @@ class TestCounting:
         # (2!)^(2^6) / 2^7: exact arbitrary-precision division
         assert count_debruijn_words(2, 7) == 2**64 // 2**7
 
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ValueError, match=re.escape("need k >= 2 and n >= 1, got k=1, n=3")):
+            count_debruijn_words(1, 3)
+
     @pytest.mark.parametrize("check", [
         count_debruijn_words,
         lambda k, n: debruijn.check_generation_guard(k, n, 10**6),
         debruijn.check_alphabet_and_span,
     ])
     @pytest.mark.parametrize("k, n", [(1, 3), (2, 0), (0, -1)])
-    def test_rejects_bad_parameters(self, check, k, n):
+    def test_every_entry_point_rejects_bad_parameters(self, check, k, n):
         with pytest.raises(ValueError, match=re.escape(f"need k >= 2 and n >= 1, got k={k}, n={n}")):
             check(k, n)
 
