@@ -10,6 +10,11 @@ the positional text whole, else the strict UTF-8 of --file or stdin with
 universal newlines, a block of INPUT_CHUNK bytes at a time, so that each
 guard on the input bounds what is held of it as it is read.
 
+Each call takes one mode and one input: argparse refuses a second mode of
+`debruijn`, `semigroup` or `factors`, and the positional text with
+--file; a handler refuses an option that its mode would not use
+(`_refuse_with`).
+
 `main` runs the steps that every call shares: it parses and checks the
 argv text, resolves the call's guard once (`_guard`), and writes the
 payload and lines that the subcommand's handler returns with one `_emit`.
@@ -294,16 +299,26 @@ def _multiset_entries_from_json(text: str, skipped: int) -> Counter:
         raise CLIError("JSON multiset is nested too deeply to parse") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("necklaces"), list):
         raise CLIError('JSON multiset must be {"necklaces": [...]}')
+    _refuse_unknown_keys("JSON multiset", payload, {"necklaces"})
     entries: Counter = Counter()
     for item in payload["necklaces"]:
         lyndon = item.get("lyndon") if isinstance(item, dict) else None
         if not isinstance(lyndon, str) or not lyndon:
             raise CLIError(f"JSON necklace entry needs a 'lyndon' field: {item!r}")
+        _refuse_unknown_keys(f"JSON necklace entry {lyndon!r}", item, {"lyndon", "multiplicity"})
         mult = item.get("multiplicity", 1)
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise CLIError(f"bad multiplicity for entry {lyndon!r}: {mult!r}")
         entries[lyndon] += mult
     return entries
+
+
+def _refuse_unknown_keys(what: str, obj: dict, known: set) -> None:
+    """Refuse a key that the JSON multiset format does not read, rather than
+    drop what it says."""
+    unknown = next((key for key in obj if key not in known), None)
+    if unknown is not None:
+        raise CLIError(f"{what} has the unknown key {unknown!r}")
 
 
 def _canonical_multiset(entries: Counter, override: str | None,
@@ -371,6 +386,12 @@ def _emit(as_json: bool, payload: dict, lines: list[str]) -> None:
     sys.stdout.write("".join(line + "\n" for line in lines))
 
 
+def _refuse_with(mode: str, option: str, given) -> None:
+    """Refuse an option that `mode` would not use, before any work."""
+    if given:
+        raise CLIError(f"{option} is not allowed with {mode}")
+
+
 def _check_letters(what: str, letters: int, guard: int) -> None:
     """Refuse, before any work, a word of more letters than the guard."""
     if letters > guard:
@@ -419,6 +440,7 @@ def cmd_debruijn(args, guard: int) -> tuple[dict, list[str]]:
     k, n = args.k, args.n
     check_alphabet_and_span(k, n)  # before --from-gamma parses its word
     if args.count:
+        _refuse_with("--count", "--alphabet", args.alphabet is not None)
         total = count_debruijn_words(k, n)
         return {"count": total}, [str(total)]
     if args.from_gamma is not None:
@@ -440,6 +462,7 @@ def cmd_semigroup(args, guard: int) -> tuple[dict, list[str]]:
     word = _parse_word(args.word, args.alphabet)
     if not args.syntactic:
         lyndon_representative(word)  # refuses a word that is not primitive
+    _refuse_with("--check-iso", "--table", args.check_iso and args.table)
     # The order of every closure below: refuse before building any, with
     # the message that each would end in.
     order = closure_order(word, guard)
@@ -485,6 +508,7 @@ def cmd_semigroup(args, guard: int) -> tuple[dict, list[str]]:
 
 def cmd_factors(args, guard: int) -> tuple[dict, list[str]]:
     if args.max is not None:
+        _refuse_with("--max", "--alphabet", args.alphabet is not None)
         n, k = args.max
         best, witness = max_factors_exhaustive(n, k, max_words=guard)
         payload = {
@@ -497,6 +521,7 @@ def cmd_factors(args, guard: int) -> tuple[dict, list[str]]:
         return payload, [f"{key} {payload[key]}"
                          for key in ("n", "max_distinct", "upper_bound", "witness")]
     if args.witness is not None:
+        _refuse_with("--witness", "--alphabet", args.alphabet is not None)
         n, k = args.witness
         result = debruijn_factor_witness(n, k, max_length=guard)
         payload = {
@@ -509,8 +534,6 @@ def cmd_factors(args, guard: int) -> tuple[dict, list[str]]:
         }
         return payload, [f"{key} {payload[key]}"
                          for key in ("witness", "span", "distinct_factors", "lower_bound")]
-    if args.word is None:
-        raise CLIError("factors needs a word, --max, or --witness")
     _check_letters("factors input has", len(args.word), guard)
     count = distinct_factors(_parse_word(args.word, args.alphabet))
     return {"distinct_factors": count}, [str(count)]
@@ -523,6 +546,8 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if value > sys.maxsize:  # past what a sequence can be indexed by
+        raise argparse.ArgumentTypeError(f"must be at most {sys.maxsize}, got {value}")
     return value
 
 
@@ -546,16 +571,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", parents=[common],
                        help="multiset of Lyndon words -> transformed word")
-    p.add_argument("text", nargs="?", help="multiset: lines of 'word [xN]' or JSON")
-    p.add_argument("--file", help="read the multiset from a file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("text", nargs="?", help="multiset: lines of 'word [xN]' or JSON")
+    source.add_argument("--file", help="read the multiset from a file")
     p.add_argument("--canonicalize", action="store_true",
                    help="accept primitive non-Lyndon entries, canonicalizing them")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("invert", parents=[common],
                        help="word -> multiset of Lyndon words")
-    p.add_argument("text", nargs="?", help="the word to invert")
-    p.add_argument("--file", help="read the word from a file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("text", nargs="?", help="the word to invert")
+    source.add_argument("--file", help="read the word from a file")
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("debruijn", parents=[common],
@@ -587,11 +614,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factors", parents=[common],
                        help="distinct-factor counts and bounds")
-    p.add_argument("word", nargs="?", help="count distinct factors of this word")
-    p.add_argument("--max", nargs=2, type=int, metavar=("N", "K"),
-                   help="exhaustive maximum over all k-ary words of length n")
-    p.add_argument("--witness", nargs=2, type=int, metavar=("N", "K"),
-                   help="de Bruijn prefix witness with its quadratic floor")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("word", nargs="?", help="count distinct factors of this word")
+    mode.add_argument("--max", nargs=2, type=int, metavar=("N", "K"),
+                      help="exhaustive maximum over all k-ary words of length n")
+    mode.add_argument("--witness", nargs=2, type=int, metavar=("N", "K"),
+                      help="de Bruijn prefix witness with its quadratic floor")
     p.set_defaults(func=cmd_factors)
     return parser
 
@@ -619,8 +647,8 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ResourceLimitError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as e:  # a bare MemoryError has no message
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -25,6 +25,7 @@ from ebwt.bwt import NecklaceMultiset
 from ebwt.words import lyndon_representative
 
 from helpers import AB, naive_primitive, necklace_closure_order
+from test_cli_fuzz import ERROR_LINE
 
 
 def run(capsys, argv):
@@ -306,6 +307,19 @@ class TestTransform:
             assert code == 2
             assert out == ""
             assert err == f"error: JSON necklace entry needs a 'lyndon' field: {item!r}\n"
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"necklaces": [{"lyndon": "ab", "mult": 3}]},
+         "JSON necklace entry 'ab' has the unknown key 'mult'"),
+        ({"necklaces": [{"lyndon": "ab"}, {"lyndon": "b", "multiplicity": 2, "x": 0}]},
+         "JSON necklace entry 'b' has the unknown key 'x'"),
+        ({"necklaces": [{"lyndon": "ab"}], "version": 1},
+         "JSON multiset has the unknown key 'version'"),
+    ])
+    def test_json_unknown_key_refused(self, capsys, payload, message):
+        # a key the format does not read is refused, not dropped: "mult"
+        # once gave the transform of multiplicity 1
+        assert run(capsys, ["transform", json.dumps(payload)]) == (2, "", f"error: {message}\n")
 
     def test_json_boolean_multiplicity_rejected(self, capsys):
         payload = json.dumps({"necklaces": [{"lyndon": "ab", "multiplicity": True}]})
@@ -1028,13 +1042,24 @@ class TestSemigroup:
         assert (code, out, len(closures)) == (2, "", 0)
         assert err == "error: word is not primitive: abab\n"
 
-    @pytest.mark.parametrize("word, mode, closed", [("abab", "--syntactic", 1),
-                                                    ("aabab", "--check-iso", 2)])
+    @pytest.mark.parametrize("word, mode, closed", [("abab", "--syntactic", 1)])
     def test_table_without_closed_form_closes(self, capsys, closures, word, mode, closed):
-        # a printed table, of a word that is primitive or not, and the
-        # comparison of the two routes are what closures are built for
+        # a printed table, of a word that is primitive or not, is what a
+        # closure is built for
         code, _, _ = run(capsys, ["semigroup", word, mode, "--table"])
         assert code == 0 and len(closures) == closed
+
+    @pytest.mark.parametrize("output", [[], ["--json"]])
+    def test_check_iso_refuses_a_table(self, capsys, closures, monkeypatch, output):
+        # --check-iso prints no table, so --table is refused before the
+        # closure order is judged or any closure is built
+        monkeypatch.setattr(cli, "closure_order", lambda *args: pytest.fail("order judged"))
+        assert run(capsys, ["semigroup", "aabab", "--check-iso", "--table", *output]) == (
+            2, "", "error: --table is not allowed with --check-iso\n")
+        assert closures == []
+        # word errors speak first
+        assert run(capsys, ["semigroup", "abab", "--check-iso", "--table", *output]) == (
+            2, "", "error: word is not primitive: abab\n")
 
     def test_table_cell_guard(self, capsys):
         # a random primitive 62-letter word closes to a few thousand elements,
@@ -1116,6 +1141,7 @@ class TestFactors:
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, ["factors"])
         assert code == 2
+        assert err.endswith("error: one of the arguments word --max --witness is required\n")
 
 
 class TestDefaultGuards:
@@ -1265,6 +1291,87 @@ class TestArgumentErrors:
         assert code == 2
         assert out == ""
         assert "positive" in err
+
+
+class TestOneModeAndOneInput:
+    """Every option acts or is refused: exit 2, nothing on stdout, one error
+    line, and no input read, no scan, count or generation run first."""
+
+    @staticmethod
+    def refused(capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert len([line for line in err.splitlines() if ERROR_LINE.match(line)]) == 1
+        return err.splitlines()[-1]
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        for name in ("_chunks", "distinct_factors", "max_factors_exhaustive",
+                     "debruijn_factor_witness", "count_debruijn_words", "least_debruijn_word"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs:
+                                pytest.fail(f"{name} ran"))
+
+    @pytest.mark.parametrize("argv", [
+        ["abab", "--max", "3", "2"], ["--max", "3", "2", "abab"],
+        ["abab", "--witness", "5", "2"], ["--witness", "5", "2", "abab"],
+        ["--max", "3", "2", "--witness", "5", "2"],
+        ["abab", "--max", "3", "2", "--witness", "5", "2"],
+    ])
+    def test_factors_takes_one_mode(self, capsys, no_work, argv):
+        assert "not allowed with argument" in self.refused(capsys, ["factors", *argv])
+
+    @pytest.mark.parametrize("command", ["transform", "invert"])
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_text_or_file(self, capsys, no_work, tmp_path, command, order):
+        # the file exists, but it is not opened: the argument and the file
+        # are two inputs
+        path = tmp_path / "input"
+        path.write_text("ab\n", encoding="utf-8")
+        source = [["ab"], ["--file", str(path)]]
+        argv = [command, *source[order], *source[1 - order]]
+        assert "not allowed with argument" in self.refused(capsys, argv)
+
+    @pytest.mark.parametrize("argv, mode", [
+        (["factors", "--max", "3", "2"], "--max"),
+        (["factors", "--witness", "5", "2"], "--witness"),
+        (["debruijn", "2", "3", "--count"], "--count"),
+    ])
+    @pytest.mark.parametrize("alphabet", ["01", "ab", ""])
+    def test_alphabet_only_where_a_word_is_read_or_rendered_over_it(
+            self, capsys, no_work, argv, mode, alphabet):
+        # the witness of --max and --witness renders over a b ...; a count
+        # has no letters
+        for output in ([], ["--json"]):
+            line = self.refused(capsys, [*argv, "--alphabet", alphabet, *output])
+            assert line == f"error: --alphabet is not allowed with {mode}"
+
+
+class TestGuardPastIndexing:
+    """A guard past what a sequence can be indexed by is an argument error,
+    and a call that the guard admits but memory cannot hold exits 3; none of
+    these calls allocates the word."""
+
+    @pytest.mark.parametrize("argv", [
+        ["debruijn", "2", "70", "--least", "--guard-cells", "1" + "0" * 25],
+        ["factors", "--witness", "1" + "0" * 20, "2", "--guard-cells", "1" + "0" * 28],
+        ["debruijn", "2", "5", "--least", "--guard-cells", str(sys.maxsize + 1)],
+    ])
+    def test_guard_above_maxsize_refused(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --guard-cells: must be at most {sys.maxsize}, "
+                            f"got {argv[-1]}\n")
+
+    def test_guard_at_maxsize_is_taken(self, capsys):
+        code, out, _ = run(capsys, ["debruijn", "2", "3", "--least",
+                                    "--guard-cells", str(sys.maxsize)])
+        assert (code, out) == (0, "aaababbb\n")
+
+    def test_out_of_memory_exits_3(self, capsys):
+        # 2^62 positions pass the guard; the tuple's own size check refuses
+        # them before anything is allocated
+        assert run(capsys, ["debruijn", "2", "62", "--least", "--guard-cells", str(2**62)]) == (
+            3, "", "error: out of memory\n")
 
 
 class TestEntryPoint:

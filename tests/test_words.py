@@ -1,4 +1,5 @@
 import operator
+import random
 import re
 from itertools import product
 
@@ -276,6 +277,39 @@ class TestLeastRotationStart:
         alphabet, text, base, power = case
         self.check(text, alphabet)
         self.check(base * power, alphabet)
+
+    class CountedTuple(tuple):
+        """A code tuple that counts the reads of itself and of its doubling."""
+
+        def __add__(self, other):
+            doubled = TestLeastRotationStart.CountedTuple(tuple.__add__(self, other))
+            doubled.reads = self.reads
+            return doubled
+
+        def __getitem__(self, index):
+            self.reads[0] += 1
+            return tuple.__getitem__(self, index)
+
+    @classmethod
+    def reads_per_letter(cls, codes) -> float:
+        counted = cls.CountedTuple(codes)
+        counted.reads = [0]
+        least_rotation_start(counted)
+        return counted.reads[0] / len(codes)
+
+    @pytest.mark.parametrize("m", [1000, 2000, 4000])
+    def test_linear_on_long_runs(self, m):
+        # 1^m 0^m 1^m 0^(m-1) 2: each mismatch after a long match must move
+        # past the whole match; moving j by one makes the scan quadratic
+        codes = (1,) * m + (0,) * m + (1,) * m + (0,) * (m - 1) + (2,)
+        assert self.reads_per_letter(codes) <= 6
+
+    def test_linear_on_short_words(self):
+        rng = random.Random(300)
+        cases = [codes for n in range(1, 13) for codes in all_words(2, n)]
+        cases += [tuple(rng.randrange(k) for _ in range(rng.randint(1, 300)))
+                  for k in (2, 3, 4) for _ in range(100)]
+        assert max(map(self.reads_per_letter, cases)) <= 6
 
     @pytest.mark.parametrize("call,text,error,message,root_text", [
         (Necklace, "", ValueError, "root is undefined for the empty word", None),
