@@ -14,8 +14,9 @@ import sys
 import time
 
 # Not needed to start: `dataclasses` pulls in `inspect`, `ast`, `dis` and
-# `tokenize`, and `json` serves only --json output and JSON input.
-UNWANTED = ("dataclasses", "inspect", "json")
+# `tokenize`, `json` serves only --json output and JSON input, and `array`
+# only factor counting.
+UNWANTED = ("array", "dataclasses", "inspect", "json")
 
 
 def main(argv: list[str]) -> int:

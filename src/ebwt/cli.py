@@ -19,7 +19,7 @@ Each call takes one mode and one input: argparse refuses a second mode of
 argv text, resolves the call's guard once (`_guard`), and writes the
 payload and lines that the subcommand's handler returns with one `_emit`.
 Every alphabet, inferred or from --alphabet, is built by `_alphabet_from`,
-which refuses a whitespace letter.
+which refuses a whitespace letter and an empty --alphabet.
 """
 
 from __future__ import annotations
@@ -170,8 +170,11 @@ def _alphabet_from(chars, override: str | None) -> Alphabet:
 
     A letter that `str.isspace` counts is an input error on every channel:
     `invert` strips its text and the line format splits on those characters,
-    so a word or necklace that held one could not be read back.
+    so a word or necklace that held one could not be read back.  An empty
+    --alphabet is refused too, not taken as none.
     """
+    if override == "":
+        raise CLIError("--alphabet has no characters")
     if override and len(set(override)) != len(override):
         raise CLIError(f"--alphabet has repeated characters: {override!r}")
     letters = "".join(sorted(set(override or chars)))
@@ -432,6 +435,8 @@ def cmd_invert(args, guard: int) -> tuple[dict, list[str]]:
     text = _read_stripped(_chunks(args), guard,
                           f"invert input has {{}} letters, over the guard {guard}")
     if not text:
+        if args.alphabet is not None:  # judged as transform judges it with no entries
+            _alphabet_from("", args.alphabet)
         return {"necklaces": []}, []
     return _multiset_output(inverse_transform(_parse_word(text, args.alphabet)))
 
@@ -451,7 +456,7 @@ def cmd_debruijn(args, guard: int) -> tuple[dict, list[str]]:
             )
         return _multiset_output(debruijn_set_from_gamma(GammaWord(word, n)))
     check_generation_guard(k, n, guard)  # over the guard is exit 3 before --alphabet
-    alphabet = _alphabet_from(args.alphabet, args.alphabet) if args.alphabet else None
+    alphabet = _alphabet_from(args.alphabet, args.alphabet) if args.alphabet is not None else None
     if alphabet and alphabet.size != k:
         raise CLIError(f"--alphabet needs {k} characters, got {alphabet.size}")
     rendered = str(least_debruijn_word(k, n, max_length=guard, alphabet=alphabet))
@@ -612,8 +617,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also print the multiplication table")
     p.set_defaults(func=cmd_semigroup)
 
-    p = sub.add_parser("factors", parents=[common],
-                       help="distinct-factor counts and bounds")
+    # argparse would list the three modes as if each were optional
+    p = sub.add_parser("factors", parents=[common], help="distinct-factor counts and bounds",
+                       usage="%(prog)s [-h] [--json] [--alphabet CHARS] [--guard-cells N]\n"
+                             "                    (WORD | --max N K | --witness N K)")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("word", nargs="?", help="count distinct factors of this word")
     mode.add_argument("--max", nargs=2, type=int, metavar=("N", "K"),

@@ -2,35 +2,38 @@
 
 A word's distinct nonempty factors are counted from its suffixes in sorted
 order: each suffix is cut to the widest window that one integer key of
-PACKED_KEY_BITS bits holds, in one pass over bytes of packed digits, and
-one sort and one pass over the XORs of neighbours follow.  A word with a
-repeat as long as that window is counted by an online suffix automaton, in
-linear time; so are the short words of the exhaustive scan.
-The brute-force substring set stays in the test suite as the oracle.  The
-bounds: every repeated-short-factor count lowers the n(n+1)/2 ceiling, and a
-prefix of the least de Bruijn word of a suitable span certifies the floor.
+PACKED_KEY_BITS bits holds, joined from two 64-bit words of an array read
+over bytes of packed digits, and one sort and one pass over the XORs of
+neighbours follow.  A word with a repeat as long as that window is counted
+by an online suffix automaton, in linear time; so are the short words of
+the exhaustive scan.  The brute-force substring set stays in the test
+suite as the oracle.  The bounds: every repeated-short-factor count lowers
+the n(n+1)/2 ceiling, and a prefix of the least de Bruijn word of a suitable
+span certifies the floor.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import islice, product, repeat
-from operator import xor
+from operator import lshift, or_, xor
 
 from .debruijn import DEFAULT_MAX_WORD_LENGTH, least_debruijn_word, power_exceeds, power_text
 from .errors import ResourceLimitError
 from .words import Value, Word, default_alphabet
 
 DEFAULT_SCAN_WORDS = 2**18
-# Letters of a word whose factors are counted.  Packed keys take about 65 B
-# per letter at their peak (a 128-bit int and its list slot; tracemalloc
-# reads 63 B on 2^20 random letters), but a word with a long repeat falls
+# Letters of a word whose factors are counted.  Packed keys take about 61 B
+# per letter at their peak over any alphabet (a 128-bit int and its list
+# slot; tracemalloc reads 60.4, 60.6, 60.1 and 60.7 B on 2^20 random letters
+# over 2, 4, 16 and 300 letters), but a word with a long repeat falls
 # back to the suffix automaton at about 300 B per letter, so about 0.3 GB:
 # a child's ru_maxrss grew by 306 MB as it counted r.r, r a random binary
 # word of 2^19 letters (CPython 3.11).
 DEFAULT_FACTOR_LETTERS = 2**20
-# Bits of a packed key of distinct_factors: windows of 64 letters over 2-3
-# letters, 32 over 4-15 and 16 over 16-255.  A word with a repeat of that
-# span goes to the automaton.
+# Bits of a packed key of distinct_factors, two 64-bit words: windows of 64
+# letters over 2-3 letters, 32 over 4-15 and 16 over 16-255.  A word with a
+# repeat of that span goes to the automaton.
 PACKED_KEY_BITS = 128
 
 
@@ -78,14 +81,20 @@ def distinct_factors(w: Word) -> int:
     Letter code c is the digit c + 1 of dw bits, dw the least power of two
     at least k.bit_length(), and the digit 0 pads past the end of w.  Key i
     is the integer of the widest = PACKED_KEY_BITS / dw digits from position
-    i, so it spells w[i:i + widest] followed by padding.  Each key is one
-    `int.from_bytes` of a slice of PACKED_KEY_BITS / 8 bytes.  When dw < 8,
-    a byte holds per = 8 / dw digits, and the string of phase r < per holds
+    i, so it spells w[i:i + widest] followed by padding.  When dw < 8, a
+    byte holds per = 8 / dw digits, and the string of phase r < per holds
     the digits from position r on, so key r + per * j starts at its byte j;
-    when dw >= 8, one string holds dw / 8 bytes a letter.  Each string ends
-    in at least a key of padding.  Manber and Myers double the span so that
-    it can grow past any repeat; here it stops at `widest`, so each key is
-    cut whole, in one pass.
+    when dw >= 8, one string holds step = dw / 8 bytes a letter, so key i
+    starts at its byte i * step.  Each string ends in at least a key of
+    padding.  Manber and Myers double the span so that it can grow past any
+    repeat; here it stops at `widest`, so each key is cut whole, in one pass.
+
+    The keys are cut from 64-bit words, not from slices: each string is
+    read as big-endian words from each byte offset o < 8 that a key starts
+    at, one `array("Q")` an offset, and the key at its byte o + 8t is
+    high[t] << 64 | high[t + 1], high being the words read from o.  A read
+    ends less than 16 bytes past the last key's start, inside the padding.
+    The keys are listed by offset, not by position, which the sort undoes.
 
     A 0 digit never equals a letter, so two keys are equal only when both
     are full windows that are equal, and two different keys order their
@@ -98,34 +107,57 @@ def distinct_factors(w: Word) -> int:
     When two keys are equal, w has a repeat of `widest` letters or more,
     and its suffix automaton counts it instead: a packed key for it would
     grow with the repeat, and with it the whole pass.  When its first
-    `widest` letters occur again, one `str.find` says so before any key is
-    cut; periodic and Fibonacci words are found that way.
+    `widest` letters occur again, one `bytes.find` says so before any key is
+    cut; periodic and Fibonacci words are found that way.  It runs on the
+    digits that the keys are cut from, step bytes a letter, so a match
+    counts only at a multiple of step (and none reaches the padding, whose
+    digits are 0); the word is never rendered.
     """
+    from array import array  # only counting needs it, not the CLI's start-up
+
     n = len(w)
     if n == 0:
         raise ValueError("factor counting is undefined for the empty word")
     dw = 1 << (w.alphabet.size.bit_length() - 1).bit_length()
     widest = PACKED_KEY_BITS // dw
-    text = str(w)
-    if text.find(text[:widest], 1) >= 0:
-        return count_distinct_factors(w.codes)
     key_bytes = PACKED_KEY_BITS // 8
+    swap = sys.byteorder == "little"
     if dw < 8:
         per, step = 8 // dw, 1
-        size = -(-n // per) + key_bytes
-        digits = bytes(w.codes).translate(bytes.maketrans(bytes(range(15)), b"123456789abcdef"))
-        packed = int(digits + b"0" * (size * per - n), 1 << dw)
-        strings = [(packed << dw * r).to_bytes(size + 1, "big")[1:] for r in range(per)]
+        letters = bytes(w.codes).translate(bytes.maketrans(bytes(range(15)), b"123456789abcdef"))
     else:
         per, step = 1, dw // 8
-        strings = [b"".join(map(int.to_bytes, map((1).__add__, w.codes), repeat(step),
-                                repeat("big"))) + bytes(key_bytes)]
+        wide = array(next(code for code in "BHILQ" if array(code).itemsize == step),
+                     map((1).__add__, w.codes))
+        wide.extend(repeat(0, key_bytes // step))
+        if swap:
+            wide.byteswap()
+        letters = wide.tobytes()
+        del wide
+    prefix = letters[:widest * step]
+    at = letters.find(prefix, step)
+    while at > 0 and at % step:
+        at = letters.find(prefix, at + 1)
+    if at > 0:
+        return count_distinct_factors(w.codes)
+    if dw < 8:
+        size = -(-n // per) + key_bytes
+        packed = int(letters + b"0" * (size * per - n), 1 << dw)
+        strings = [(packed << dw * r).to_bytes(size + 1, "big")[1:] for r in range(per)]
+    else:
+        strings = [letters]
     keys = []
     for r, string in enumerate(strings):
-        starts = range(0, len(range(r, n, per)) * step, step)
-        ends = range(key_bytes, key_bytes + starts.stop, step)
-        keys += map(int.from_bytes, map(string.__getitem__, map(slice, starts, ends)),
-                    repeat("big"))
+        end = len(range(r, n, per)) * step  # keys start at multiples of step below it
+        view = memoryview(string)
+        for offset in range(0, min(8, end), step):
+            high = array("Q")
+            high.frombytes(view[offset:offset + (end - offset + 15) // 8 * 8])
+            if swap:
+                high.byteswap()
+            high = high.tolist()
+            keys += map(or_, map(lshift, high, repeat(64)), islice(high, 1, None))
+    del letters, strings, string, view, high  # the sort and the gaps set the peak
     keys.sort()
     gaps = list(map(int.bit_length, map(xor, keys, islice(keys, 1, None))))
     del keys

@@ -540,6 +540,13 @@ class TestInvert:
         assert code == 0
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["transform", "invert"])
+    def test_empty_input_judges_its_alphabet(self, capsys, command):
+        # an --alphabet is judged even when the input holds no letter
+        assert run(capsys, [command, "", "--alphabet", "aba"]) == (
+            2, "", "error: --alphabet has repeated characters: 'aba'\n")
+        assert run(capsys, [command, "", "--alphabet", "ab", "--json"])[0] == 0
+
     def test_character_outside_alphabet(self, capsys):
         code, _, err = run(capsys, ["invert", "abc", "--alphabet", "ab"])
         assert code == 2
@@ -1143,6 +1150,23 @@ class TestFactors:
         assert code == 2
         assert err.endswith("error: one of the arguments word --max --witness is required\n")
 
+    # argparse draws a group's ( | ) only when its members sit side by side,
+    # and would list the three modes as if each were optional
+    USAGE = ("usage: ebwt factors [-h] [--json] [--alphabet CHARS] [--guard-cells N]\n"
+             "                    (WORD | --max N K | --witness N K)\n")
+
+    @pytest.mark.parametrize("argv", [[], ["abab", "--max", "3", "2"], ["--max", "3"]])
+    def test_usage_shows_the_choice_of_mode(self, capsys, argv):
+        code, out, err = run(capsys, ["factors", *argv])
+        assert (code, out) == (2, "")
+        assert err.startswith(self.USAGE)
+        assert err.count("\n") == 3
+
+    def test_help_shows_the_choice_of_mode(self, capsys):
+        code, out, err = run(capsys, ["factors", "-h"])
+        assert (code, err) == (0, "")
+        assert out.startswith(self.USAGE + "\n")
+
 
 class TestDefaultGuards:
     @pytest.mark.parametrize("argv,stdin,default", [
@@ -1203,6 +1227,29 @@ class TestLetterRule:
     def test_stripped_ends_are_not_letters(self, capsys):
         # whitespace around the invert text is not part of the word
         assert run(capsys, ["invert", " \u00a0ba\n"]) == (0, "ab\n", "")
+
+
+class TestEmptyAlphabet:
+    """An empty --alphabet is refused in every mode that reads one, not taken
+    as no --alphabet."""
+
+    @pytest.mark.parametrize("argv", [
+        ["transform", "ab"],
+        ["transform", ""],
+        ["invert", "ba"],
+        ["invert", ""],
+        ["debruijn", "2", "3", "--least"],
+        ["debruijn", "2", "1", "--from-gamma", "ab"],
+        ["semigroup", "ab", "--action"],
+        ["semigroup", "ab", "--syntactic"],
+        ["semigroup", "ab", "--check-iso"],
+        ["factors", "ab"],
+    ])
+    @pytest.mark.parametrize("form", [["--alphabet="], ["--alphabet", ""]])
+    @pytest.mark.parametrize("output", [[], ["--json"]])
+    def test_empty_alphabet_refused(self, capsys, argv, form, output):
+        assert run(capsys, [*argv, *form, *output]) == (
+            2, "", "error: --alphabet has no characters\n")
 
 
 class TestJsonParity:
@@ -1468,7 +1515,7 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.decode().split(": ", 1)[1].split())
         assert "ebwt.cli" in loaded
-        assert not loaded & {"dataclasses", "inspect", "json"}
+        assert not loaded & {"array", "dataclasses", "inspect", "json"}
 
     def run_cli(self, *argv):
         # -E ignores PYTHONPATH, so the child puts the package on sys.path

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +96,11 @@ def wide_alphabet(k: int) -> Alphabet:
     return Alphabet("".join(map(chr, range(0x100, 0x100 + k))))
 
 
+def digit_bytes(codes, step: int) -> bytes:
+    """The digits c + 1 of `codes`, `step` big-endian bytes each."""
+    return b"".join((c + 1).to_bytes(step, "big") for c in codes)
+
+
 class TestPackedCount:
     @given(st.integers(1, 6).flatmap(
         lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), min_size=1,
@@ -127,6 +133,9 @@ class TestPackedCount:
 
     # The edges of every digit width dw = 1, 2, 4, 8, 16, 32, of 8 // dw
     # phase strings when dw < 8 and of dw // 8 bytes a letter otherwise.
+    # Lengths around 8 * per * j put a key at every byte offset of the
+    # 64-bit words that keys are cut from, and end each string in a word
+    # that is partly padding.
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 15, 16, 255, 256, 65536, 65537])
     def test_every_digit_width_matches_brute_force(self, fallbacks, k):
         dw = 1
@@ -139,7 +148,8 @@ class TestPackedCount:
         rng = random.Random(k)
         pools = dict.fromkeys([(0,), (k - 1,), (0, k - 1), tuple(rng.sample(range(k), min(k, 3))),
                                tuple(range(k))])
-        lengths = {1, per - 1, per, per + 1, span - 1, span, span + 1, 2 * span + per + 1} - {0}
+        lengths = {1, per - 1, per, per + 1, span - 1, span, span + 1, 2 * span + per + 1,
+                   *(8 * per * j + d for j in (1, 2, 3) for d in (-1, 0, 1))} - {0}
         repeats = 0
         for n in sorted(lengths):
             for pool in pools:
@@ -191,6 +201,47 @@ class TestPackedCount:
         assert longest_repeat(text) >= 8
         assert distinct_factors(alphabet.word(text)) == brute_distinct_factors(text)
         assert len(fallbacks) == 1
+
+    # The probe reads digit bytes, step = dw / 8 a letter.  `shifted` spells
+    # the digit bytes of `prefix` from byte `shift` of its first letter on,
+    # so they recur off the letter boundaries, which is no repeat.
+    @pytest.mark.parametrize("k,prefix,shift", [
+        (300, (256, 256, 255, 256, 0, 0, 256, 255), 1),
+        (65537, (65536, 65535, 65536, 0), 2),
+    ])
+    @pytest.mark.parametrize("boundary", [False, True], ids=["off-boundary", "at-boundary"])
+    def test_probe_counts_a_match_only_at_a_letter_boundary(self, fallbacks, k, prefix, shift,
+                                                            boundary):
+        widest = budget_span(k)
+        step = PACKED_KEY_BITS // widest // 8
+        assert len(prefix) == widest
+        spelled = bytes(shift) + digit_bytes(prefix, step) + (1).to_bytes(step - shift, "big")
+        shifted = tuple(int.from_bytes(spelled[i:i + step], "big") - 1
+                        for i in range(0, len(spelled), step))
+        filler = tuple(random.Random(k).choices(range(k), k=40))
+        codes = prefix + filler + (prefix if boundary else shifted)
+        assert 0 <= min(codes) and max(codes) < k
+        at = digit_bytes(codes, step).find(digit_bytes(prefix, step), 1)
+        assert (at % step == 0) == boundary
+        assert (longest_repeat(codes) >= widest) == boundary
+        assert distinct_factors(Word(wide_alphabet(k), codes)) == brute_distinct_factors(codes)
+        assert len(fallbacks) == boundary
+
+    @pytest.mark.parametrize("k", [2, 300, 65537])
+    def test_peak_memory_per_letter(self, fallbacks, k):
+        # about 60 B a letter over any alphabet, a 128-bit key and its list
+        # slot; one more object a letter, such as a bytes of its digit,
+        # passes the bound
+        n = 50_000
+        w = Word(wide_alphabet(k), tuple(random.Random(k).choices(range(k), k=n)))
+        tracemalloc.start()
+        try:
+            distinct_factors(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fallbacks == []
+        assert peak / n < 80
 
     def test_one_word_per_path(self, fallbacks):
         rng = random.Random(1)
