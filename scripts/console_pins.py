@@ -86,8 +86,14 @@ def pins():
         round_trip("a" + "ab" * 99 + "b"),
         round_trip(letters[0] + letters[:2] * 60 + letters[1], "--alphabet", letters),
         refused("debruijn", "7", "30000000", "--least", timeout=10),
+        # The guard judges k^n before --from-gamma reads its word.
+        refused("debruijn", "2", "25", "--from-gamma", "a", timeout=10,
+                error="span-25 generation over 2 letters needs k^n = 33554432 positions"),
         refused("invert", "--guard-cells", "1000", stdin=lambda: (b"ab" * 1000 + b"\n",)),
         refused("transform", '{"necklaces": [{"lyndon": 5}]}', code=2),
+        # A multiplicity too long for CPython to convert is the guard's.
+        refused("transform", "ab x" + "9" * 4301, error="transform multiplicity has more than "
+                "4300 digits, over the guard 16777216"),
         # The second word's repeats are too long for packed windows; the
         # third has 256 letters or more, so each digit takes two bytes.
         Pin(("factors", coins[300]), 0, f"{factor_count(coins[300])}\n"),

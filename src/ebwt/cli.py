@@ -30,7 +30,6 @@ import functools
 import io
 import os
 import sys
-import warnings
 from collections import Counter
 from contextlib import nullcontext
 from itertools import accumulate, chain
@@ -38,6 +37,7 @@ from itertools import accumulate, chain
 from .bwt import NecklaceMultiset, inverse_transform, transform
 from .debruijn import (
     DEFAULT_MAX_WORD_LENGTH,
+    MAX_COUNT_DIGITS,
     GammaWord,
     check_alphabet_and_span,
     check_generation_guard,
@@ -62,9 +62,8 @@ from .semigroups import (
     letter_actions,
     letter_induced_isomorphic,
     syntactic_semigroup,
-    warn_if_not_primitive,
 )
-from .words import Alphabet, Word, lyndon_representative
+from .words import Alphabet, Word, is_primitive, lyndon_representative
 
 
 class CLIError(ValueError):
@@ -217,7 +216,7 @@ def _multiset_entries(chunks, guard: int) -> Counter:
         longest = guard + INPUT_CHUNK
         text = _read_stripped(chain([first], chunks), longest, "transform JSON input has {} "
                               f"characters, over the {longest} that the guard {guard} allows")
-        entries = _multiset_entries_from_json(text, skipped)
+        entries = _multiset_entries_from_json(text, skipped, guard)
         _check_letters("transform output needs",
                        sum(len(raw) * mult for raw, mult in entries.items()), guard)
         return entries
@@ -271,8 +270,9 @@ def _multiset_entries_from_lines(lines, guard: int) -> Counter:
         parts = line.split()
         if len(parts) == 1:
             mult = 1
-        elif len(parts) == 2 and parts[1].startswith("x") and parts[1][1:].isdigit():
-            mult = int(parts[1][1:])
+        elif (len(parts) == 2 and parts[1].startswith("x")
+              and (digits := parts[1][1:]).isascii() and digits.isdigit()):
+            mult = _multiplicity(digits, guard)
             if mult < 1:
                 raise CLIError(f"line {lineno}: multiplicity must be positive")
         elif not parts:
@@ -285,7 +285,20 @@ def _multiset_entries_from_lines(lines, guard: int) -> Counter:
     return entries
 
 
-def _multiset_entries_from_json(text: str, skipped: int) -> Counter:
+def _multiplicity(digits: str, guard: int) -> int:
+    """The int that decimal `digits` spell, refused by the guard before
+    `int` reads them when they pass MAX_COUNT_DIGITS digits, leading zeros
+    and a sign aside: so many letters pass any guard, and `int` would refuse
+    them in CPython's words, or with that limit off take time quadratic in
+    them.  Every integer of a JSON multiset is read by it."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits.lstrip("-")) > MAX_COUNT_DIGITS:
+        raise ResourceLimitError(f"transform multiplicity has more than {MAX_COUNT_DIGITS} "
+                                 f"digits, over the guard {guard}")
+    return int(digits)
+
+
+def _multiset_entries_from_json(text: str, skipped: int, guard: int) -> Counter:
     """Entries of a JSON multiset that starts after `skipped` lines.
 
     An error's line is counted from `e.pos` by `_line_breaks`, the rule of
@@ -294,7 +307,7 @@ def _multiset_entries_from_json(text: str, skipped: int) -> Counter:
     import json  # here, not at the top: only JSON input needs it
 
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_int=lambda digits: _multiplicity(digits, guard))
     except json.JSONDecodeError as e:
         line = skipped + _line_breaks(text[:e.pos]) + 1
         raise CLIError(f"line {line}: invalid JSON: {e.msg}") from e
@@ -326,7 +339,8 @@ def _refuse_unknown_keys(what: str, obj: dict, known: set) -> None:
 
 def _canonical_multiset(entries: Counter, override: str | None,
                         canonicalize: bool) -> NecklaceMultiset:
-    """The multiset of the raw entries, each checked and canonicalized once.
+    """The multiset of the raw entries, each checked and canonicalized once;
+    with no entries, the empty multiset over a and b or --alphabet.
 
     Entries with one Lyndon word merge in a dict keyed by its codes, and
     the multiset is built from them with `unchecked`, since they already
@@ -337,9 +351,7 @@ def _canonical_multiset(entries: Counter, override: str | None,
     distinct, so one `sorted` makes them strictly ascending, in the order of
     the code tuples that `NecklaceMultiset` compares.
     """
-    if not entries:
-        return NecklaceMultiset(_alphabet_from("ab", override), ())
-    alphabet = _alphabet_from("".join(entries), override)
+    alphabet = _alphabet_from("".join(entries) or "ab", override)
     merged: dict = {}  # Lyndon codes -> (necklace, multiplicity)
     for raw, mult in entries.items():
         word = alphabet.word(raw)
@@ -396,8 +408,12 @@ def _refuse_with(mode: str, option: str, given) -> None:
 
 
 def _check_letters(what: str, letters: int, guard: int) -> None:
-    """Refuse, before any work, a word of more letters than the guard."""
+    """Refuse, before any work, a word of more letters than the guard; a
+    count of more than MAX_COUNT_DIGITS digits, which `str` would refuse, is
+    written as a power of 10."""
     if letters > guard:
+        if letters >= 10**MAX_COUNT_DIGITS:
+            letters = f"at least 10^{MAX_COUNT_DIGITS}"
         raise ResourceLimitError(f"{what} {letters} letters, over the guard {guard}")
 
 
@@ -422,6 +438,7 @@ def _guard(args) -> int:
 
 # Each handler takes the parsed arguments and the guard of the call, and
 # returns the JSON payload and the text lines of its output; `main` writes them.
+# Only `cmd_semigroup` writes a line of its own, its warning, to stderr.
 
 
 def cmd_transform(args, guard: int) -> tuple[dict, list[str]]:
@@ -434,20 +451,19 @@ def cmd_transform(args, guard: int) -> tuple[dict, list[str]]:
 def cmd_invert(args, guard: int) -> tuple[dict, list[str]]:
     text = _read_stripped(_chunks(args), guard,
                           f"invert input has {{}} letters, over the guard {guard}")
-    if not text:
-        if args.alphabet is not None:  # judged as transform judges it with no entries
-            _alphabet_from("", args.alphabet)
-        return {"necklaces": []}, []
+    if not text:  # no necklaces, and --alphabet judged as transform judges it
+        return _multiset_output(_canonical_multiset(Counter(), args.alphabet, False))
     return _multiset_output(inverse_transform(_parse_word(text, args.alphabet)))
 
 
 def cmd_debruijn(args, guard: int) -> tuple[dict, list[str]]:
     k, n = args.k, args.n
-    check_alphabet_and_span(k, n)  # before --from-gamma parses its word
+    check_alphabet_and_span(k, n)  # before --count refuses --alphabet
     if args.count:
         _refuse_with("--count", "--alphabet", args.alphabet is not None)
         total = count_debruijn_words(k, n)
         return {"count": total}, [str(total)]
+    check_generation_guard(k, n, guard)  # over the guard is exit 3 before the word or --alphabet
     if args.from_gamma is not None:
         word = _parse_word(args.from_gamma, args.alphabet)
         if word.alphabet.size != k:
@@ -455,7 +471,6 @@ def cmd_debruijn(args, guard: int) -> tuple[dict, list[str]]:
                 f"word uses {word.alphabet.size} letters, expected {k}"
             )
         return _multiset_output(debruijn_set_from_gamma(GammaWord(word, n)))
-    check_generation_guard(k, n, guard)  # over the guard is exit 3 before --alphabet
     alphabet = _alphabet_from(args.alphabet, args.alphabet) if args.alphabet is not None else None
     if alphabet and alphabet.size != k:
         raise CLIError(f"--alphabet needs {k} characters, got {alphabet.size}")
@@ -465,8 +480,9 @@ def cmd_debruijn(args, guard: int) -> tuple[dict, list[str]]:
 
 def cmd_semigroup(args, guard: int) -> tuple[dict, list[str]]:
     word = _parse_word(args.word, args.alphabet)
-    if not args.syntactic:
-        lyndon_representative(word)  # refuses a word that is not primitive
+    primitive = is_primitive(word)
+    if not (primitive or args.syntactic):  # the action needs a primitive word
+        raise CLIError(f"word is not primitive: {word}")
     _refuse_with("--check-iso", "--table", args.check_iso and args.table)
     # The order of every closure below: refuse before building any, with
     # the message that each would end in.
@@ -506,8 +522,9 @@ def cmd_semigroup(args, guard: int) -> tuple[dict, list[str]]:
             lines.append("*".rjust(width) + " " + " ".join(padded))
             for label, row in zip(padded, sg.table):
                 lines.append(label + " " + " ".join(padded[j] for j in row))
-    elif args.syntactic:
-        warn_if_not_primitive(word)
+    if not primitive:  # written last, after every refusal
+        print(f"warning: {word} is not primitive; the action comparison theorem "
+              "assumes a primitive word", file=sys.stderr)
     return payload, lines
 
 
@@ -631,26 +648,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warning_line(message, category, filename, lineno, file=None, line=None):
-    """Show a library warning as one `warning:` line, without the source
-    location that Python's default format adds."""
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        with warnings.catch_warnings():
-            # "always" overrides -W error and PYTHONWARNINGS, which would turn
-            # a library warning into a traceback.
-            warnings.simplefilter("always")
-            warnings.showwarning = _warning_line
-            _check_argv_text(args)
-            _emit(args.json, *args.func(args, _guard(args)))
-            return 0
+        _check_argv_text(args)
+        _emit(args.json, *args.func(args, _guard(args)))
+        return 0
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -32,8 +32,10 @@ def power_exceeds(k: int, n: int, limit: int) -> bool:
 
 def power_text(k: int, n: int) -> str:
     """k^n in decimal when it has fewer than MAX_COUNT_DIGITS digits, else
-    written as "k^n", so that a message never builds a huge power."""
-    if n * log10(k) < MAX_COUNT_DIGITS - 1:
+    written as "k^n", so that a message never builds a huge power.  n is
+    compared with a float, not turned into one, which a span of more than
+    308 digits could not be."""
+    if k < 2 or n < (MAX_COUNT_DIGITS - 1) / log10(k):
         return str(k**n)
     return f"{k}^{n}"
 

@@ -35,12 +35,11 @@ when it is asked for them.
 
 from __future__ import annotations
 
-import warnings
 from functools import cached_property
 
 from .bwt import NecklaceMultiset, StandardPermutation, standard_permutation, transform
 from .errors import ResourceLimitError
-from .words import Alphabet, Necklace, Value, Word, is_primitive, lyndon_representative, root
+from .words import Alphabet, Necklace, Value, Word, lyndon_representative, root
 
 DEFAULT_CLOSURE_SIZE = 10**6
 # Cells of a rendered multiplication table (order squared); the CLI refuses
@@ -391,11 +390,11 @@ def syntactic_semigroup(u: Word, max_size: int = DEFAULT_CLOSURE_SIZE) -> Finite
     closed in sparse form, without the sink (see the module docstring); each
     letter's generator is kept as the full `Transformation` over the
     prefix-length states of `_minimal_dfa`, sink included, so `elements`
-    composes full transformations.
+    composes full transformations.  A proper power is taken as it is; only
+    for a primitive u is there a closure of `letter_actions(u)` to compare.
     """
     if len(u) == 0:
         raise ValueError("the syntactic semigroup needs a nonempty word")
-    warn_if_not_primitive(u)
     _, delta, _, _ = _minimal_dfa(u)
     sink = len(u) + 1
     gens = {
@@ -404,14 +403,6 @@ def syntactic_semigroup(u: Word, max_size: int = DEFAULT_CLOSURE_SIZE) -> Finite
     }
     values = {a: Transformation(tuple(row[a] for row in delta)) for a in gens}
     return _close(gens, max_size, values)
-
-
-def warn_if_not_primitive(u: Word) -> None:
-    """Warn, for the caller of its caller, when u is not primitive: the
-    syntactic semigroup of u+ is then no action semigroup to compare with."""
-    if not is_primitive(u):
-        warnings.warn(f"{u} is not primitive; the action comparison theorem "
-                      "assumes a primitive word", stacklevel=3)
 
 
 def cayley_signature(s: FiniteSemigroup) -> tuple:

@@ -87,6 +87,12 @@ class TestTransform:
         assert code == 0
         assert out == "bbaa\n"
 
+    @pytest.mark.parametrize("digits", ["\u0661\u0662", "\u00b2", "\uff11\uff12", "\u0967"])
+    def test_multiplicity_takes_ascii_digits_only(self, capsys, digits):
+        # str.isdigit accepts these, and int reads some of them
+        assert run(capsys, ["transform", f"ab x{digits}"]) == (
+            2, "", f"error: line 1: expected 'word' or 'word xN', got 'ab x{digits}'\n")
+
     def test_repeated_lines_merge(self, capsys):
         code, out, _ = run(capsys, ["transform", "ab x2\naab\nab", "--json"])
         assert code == 0
@@ -337,6 +343,39 @@ class TestTransform:
         code, out, _ = run(capsys, ["transform", payload])
         assert code == 0
         assert out == "babbaaba\n"
+
+    @pytest.fixture(params=["limited", "unlimited"])
+    def int_digits(self, request):
+        """CPython's limit on int <-> str conversion as it stands, then off:
+        the CLI's refusals must not rest on it."""
+        limit = sys.get_int_max_str_digits()
+        if request.param == "unlimited":
+            sys.set_int_max_str_digits(0)
+        yield
+        sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("digits", ["9" * 4301, "1" + "0" * 4300, "0" * 9 + "7" * 5000])
+    def test_overlong_multiplicity_is_over_the_guard(self, capsys, int_digits, digits):
+        error = ("error: transform multiplicity has more than 4300 digits, "
+                 "over the guard 16777216\n")
+        number = digits.lstrip("0")  # JSON has no leading zeros
+        for text in (f"ab x{digits}", f"aab\nab x{digits}\nabb x2",
+                     '{"necklaces": [{"lyndon": "ab", "multiplicity": %s}]}' % number,
+                     '{"necklaces": [], "x": -%s}' % number):
+            assert run(capsys, ["transform", text]) == (3, "", error)
+            assert run(capsys, ["transform", text, "--json"]) == (3, "", error)
+
+    def test_multiplicity_that_converts_keeps_its_message(self, capsys, int_digits):
+        # leading zeros aside, 4300 digits or fewer are read, and the output
+        # they need is counted; a count too long to print is bounded
+        assert run(capsys, ["transform", "ab x" + "0" * 5000 + "3"]) == (0, "bbbaaa\n", "")
+        for digits, count in [("9" * 300, str(2 * int("9" * 300))),
+                              ("4" * 4300, str(2 * int("4" * 4300))),
+                              ("5" * 4300, "at least 10^4300")]:
+            error = f"error: transform output needs {count} letters, over the guard 16777216\n"
+            assert run(capsys, ["transform", f"ab x{digits}"]) == (3, "", error)
+            text = '{"necklaces": [{"lyndon": "ab", "multiplicity": %s}]}' % digits
+            assert run(capsys, ["transform", text]) == (3, "", error)
 
     def test_non_lyndon_entry_rejected(self, capsys):
         code, _, err = run(capsys, ["transform", "ba"])
@@ -702,6 +741,13 @@ class TestDeBruijn:
         (["debruijn", "7", "30000000", "--least"], "k^n = 7^30000000 positions"),
         (["debruijn", "2", "100000000000", "--least"], "k^n = 2^100000000000 positions"),
         (["factors", "--max", "30000000", "2"], "scanning 2^30000000 words"),
+        # a span past a float's range is compared, not converted
+        pytest.param(["debruijn", "2", "1" + "0" * 400, "--least"],
+                     "k^n = 2^1" + "0" * 400 + " positions", id="least-401-digit-span"),
+        pytest.param(["debruijn", "2", "1" + "0" * 400, "--from-gamma", "ab"],
+                     "k^n = 2^1" + "0" * 400 + " positions", id="from-gamma-401-digit-span"),
+        pytest.param(["factors", "--max", "1" + "0" * 400, "2"],
+                     "scanning 2^1" + "0" * 400 + " words", id="max-401-digit-length"),
     ])
     def test_huge_power_refused_without_building_it(self, capsys, argv, power):
         start = time.perf_counter()
@@ -712,13 +758,28 @@ class TestDeBruijn:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert power in err
 
-    def test_from_gamma_huge_span_is_an_input_error(self, capsys):
+    def test_from_gamma_huge_span_is_refused_by_the_guard(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, ["debruijn", "7", "30000000", "--from-gamma", "abcdefg"])
         assert time.perf_counter() - start < 1
-        assert code == 2
-        assert out == ""
-        assert err == "error: word length 7 is not 7^30000000\n"
+        assert (code, out) == (3, "")
+        assert err == ("error: span-30000000 generation over 7 letters needs k^n = 7^30000000 "
+                       "positions, over the guard 16777216\n")
+
+    @pytest.mark.parametrize("word", ["abababab", "a", "a b", "abc"])
+    @pytest.mark.parametrize("output", [[], ["--json"]])
+    def test_from_gamma_is_guarded_before_its_word_is_read(self, capsys, word, output):
+        # k^n against --guard-cells, as for --least: over it is exit 3
+        # whatever the word, and at it the word is judged
+        argv = ["debruijn", "2", "3", "--from-gamma", word, *output]
+        assert run(capsys, argv + ["--guard-cells", "7"]) == (
+            3, "", "error: span-3 generation over 2 letters needs k^n = 8 positions, "
+                   "over the guard 7\n")
+        code, out, err = run(capsys, argv + ["--guard-cells", "8"])
+        if word == "abababab":
+            assert (code, err) == (0, "") and len(out.splitlines()) == (1 if output else 4)
+        else:
+            assert (code, out) == (2, "") and err.startswith("error: ")
 
     @pytest.mark.parametrize("mode", [["--least"], ["--count"], ["--from-gamma", "a b"],
                                       ["--from-gamma", ""]])
@@ -932,6 +993,25 @@ class TestSemigroup:
         assert (code, err) == (0, "")
         assert "order 2\n" in out
 
+    @pytest.mark.parametrize("mode", ["--action", "--syntactic", "--check-iso"])
+    @pytest.mark.parametrize("word", ["ab", "abab", "a"])
+    def test_primitivity_is_decided_once(self, capsys, monkeypatch, mode, word):
+        calls = []
+        monkeypatch.setattr(cli, "is_primitive", lambda w: calls.append(w) or ebwt.is_primitive(w))
+        monkeypatch.setattr(cli, "lyndon_representative", None)  # not called
+        code, _, err = run(capsys, ["semigroup", word, mode])
+        assert [str(w) for w in calls] == [word]
+        assert code == (2 if word == "abab" and mode != "--syntactic" else 0)
+        assert err.startswith("warning: ") == (word == "abab" and mode == "--syntactic")
+
+    @pytest.mark.parametrize("output", [[], ["--json"]])
+    def test_non_primitive_table_refused_without_a_warning(self, capsys, closures, output):
+        # the table limit, like the closure guard, speaks before the warning
+        # and instead of it
+        code, out, err = run(capsys, ["semigroup", "ab" * 512, "--syntactic", "--table", *output])
+        assert (code, out, len(closures)) == (3, "", 0)
+        assert err.startswith("error: multiplication table of order ") and err.count("\n") == 1
+
     def test_non_primitive_syntactic_guarded_inside_the_closure(self, capsys,
                                                                 closures):
         # "abab" closes to 9 elements, |ab| * |abab| + 1, under its length
@@ -1020,11 +1100,12 @@ class TestSemigroup:
 
     @pytest.mark.parametrize("alphabet", [[], ["--alphabet", "abcd"]])
     def test_action_table_is_the_syntactic_table(self, capsys, alphabet):
-        # every primitive word of up to 7 letters over 1-3 letters: both
+        # every primitive word of up to 5 letters over 1-3 letters: both
         # modes print one table, in text on every line after the first and
         # in JSON on every key but the order's, and it is the table of the
         # closure of the letter actions, which --action --table once printed
-        for length in range(1, 8):
+        # (test_semigroups checks the two closures on words of up to 7)
+        for length in range(1, 6):
             for letters in product("abc", repeat=length):
                 word = "".join(letters)
                 if not naive_primitive(word):
@@ -1173,12 +1254,13 @@ class TestDefaultGuards:
         (["transform", "ab x8388609"], None, 2**24),
         (["invert"], "a" * (2**24 + 1), 2**24),
         (["debruijn", "2", "25", "--least"], None, 2**24),
+        (["debruijn", "2", "25", "--from-gamma", "a"], None, 2**24),
         (["semigroup", "a" * 999 + "b", "--action"], None, 10**6),
         (["factors", "ab" * 2**19 + "a"], None, 2**20),
         (["factors", "--max", "19", "2"], None, 2**18),
         (["factors", "--witness", "16777217", "2"], None, 2**24),
-    ], ids=["transform", "invert", "debruijn", "semigroup", "factors", "factors-max",
-            "factors-witness"])
+    ], ids=["transform", "invert", "debruijn", "debruijn-from-gamma", "semigroup", "factors",
+            "factors-max", "factors-witness"])
     def test_just_past_the_default(self, capsys, monkeypatch, argv, stdin, default):
         # Another subcommand's --guard-cells comes first, through the same
         # cached parser: a guard that leaked from it would show in the message.
@@ -1482,9 +1564,9 @@ class TestEntryPoint:
                               capture_output=True, env=env, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err.encode())
 
-    def test_library_warning_under_error_filter(self):
-        # -W error would turn the warning into an exception; the CLI still
-        # prints it as one line and exits 0.
+    def test_warning_line_under_error_filter(self):
+        # the CLI writes its warning line itself, so -W error has no warning
+        # to turn into an exception: one line, and exit 0
         env = dict(os.environ, PYTHONPATH=str(Path(ebwt.__file__).resolve().parents[1]))
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "ebwt.cli", "semigroup", "abab",

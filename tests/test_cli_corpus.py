@@ -24,6 +24,11 @@ def test_replay():
     assert replayed == recorded
 
 
+def test_corpus_is_what_the_script_draws():
+    # a change to the script's grammar or seed shows here, without a CLI call
+    assert [case["argv"] for case in CASES] == cli_corpus.corpus_argv()
+
+
 def test_covers_every_subcommand_outcome_and_format():
     seen = {(case["argv"][0], case["exit"], "--json" in case["argv"]) for case in CASES}
     for command in ("transform", "invert", "debruijn", "semigroup", "factors"):

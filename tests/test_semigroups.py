@@ -1,4 +1,5 @@
 import random
+import warnings
 from functools import reduce
 from itertools import product
 from unittest import mock
@@ -352,7 +353,6 @@ class TestClosureLoop:
             s, ref = closed_with_reference(route, W(text, Alphabet(letters)))
             assert_matches_reference(s, ref, with_table=s.order <= 400)
 
-    @pytest.mark.filterwarnings("ignore:.*not primitive:UserWarning")
     def test_non_primitive_words_on_the_syntactic_route(self):
         checked = 0
         for letters, longest in (("ab", 10), ("abc", 6)):
@@ -534,7 +534,6 @@ class TestClosureOrderFormula:
                 checked += 1
         assert checked == 1 + 2012 + 3179
 
-    @pytest.mark.filterwarnings("ignore:.*not primitive:UserWarning")
     def test_every_small_non_primitive_word(self):
         # the syntactic route alone: the action needs a primitive word
         checked = 0
@@ -586,9 +585,29 @@ class TestSyntacticSemigroup:
                 syntactic_semigroup(W(u)), syntactic_semigroup(W(v))
             )
 
-    def test_non_primitive_flagged(self):
-        with pytest.warns(UserWarning, match="not primitive"):
-            syntactic_semigroup(W("abab"))
+    def test_non_primitive_word_emits_no_warning(self):
+        # a proper power is taken as it is: the library has no comparison
+        # to warn about, since letter_actions refuses the word
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert syntactic_semigroup(W("abab")).order == 9
+        with pytest.raises(NotPrimitiveError):
+            letter_actions(W("abab"))
+
+    @pytest.mark.parametrize("alphabet", [None, Alphabet("abcd")])
+    def test_table_is_the_action_table(self, alphabet):
+        # every primitive word of up to 7 letters over 1-3 letters, over its
+        # own letters or abcd: `semigroup --action --table` prints the
+        # syntactic closure's table, so it must be that of the closure of
+        # the letter actions, with the same element words
+        checked = 0
+        for text in primitive_texts("abc", 7):
+            u = W(text, alphabet or Alphabet("".join(sorted(set(text)))))
+            syntactic, action = syntactic_semigroup(u), generate_closure(letter_actions(u))
+            assert syntactic.element_words == action.element_words
+            assert syntactic.table == action.table
+            checked += 1
+        assert checked == 3225
 
     def test_matches_bounded_context_oracle(self):
         # independent check straight from the congruence definition: the
