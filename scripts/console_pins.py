@@ -6,9 +6,10 @@
 Each row of `pins()` runs under `timeout` and PYTHONWARNINGS=error (so an
 uncaught warning is a traceback) and prints one line; a failed row exits 1.
 A child's `ru_maxrss` starts at its parent's peak (a `pass` child of a
-parent that once held 200 MB reads 213 MB), so each row's stdin is built
-only when that row runs and is written in pieces, and the script also fails
-when its own peak passes SELF_CAP_MB, half the smallest cap.
+parent that once held 200 MB reads 213 MB), so each row's stdin, and a
+large expected stdout, is built only when that row runs, the stdin written
+in pieces, and the script also fails when its own peak passes SELF_CAP_MB,
+half the smallest cap.
 """
 
 import os
@@ -17,6 +18,8 @@ import resource
 import subprocess
 import sys
 import tempfile
+from array import array
+from collections import Counter
 from functools import reduce
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -27,7 +30,7 @@ SELF_CAP_MB = 32
 class Pin(NamedTuple):
     args: tuple  # after `ebwt`
     code: int
-    stdout: str
+    stdout: object  # the text, or a callable that builds it when the row runs
     stderr: str = ""  # a prefix: exactly one line that starts with it
     cap_mb: int | None = None
     timeout: int = 60  # seconds
@@ -67,6 +70,51 @@ def undecodable(data):
 def factor_count(w):
     """The distinct factors of w, counted from sets of its slices."""
     return sum(len({w[i:i + n] for i in range(len(w) - n + 1)}) for n in range(1, len(w) + 1))
+
+
+def coin_word(n, seed):
+    """n random letters over "ab": the bits of `random.Random(seed)`, with
+    no list of n letters."""
+    return format(random.Random(seed).getrandbits(n), f"0{n}b").translate(str.maketrans("01", "ab"))
+
+
+def inverse_text(word):
+    """What `ebwt invert` prints for a word over "ab", from a walk of its own.
+    Row i of the standard permutation holds letter a when i is below the
+    number of a's, and goes to the position in the word of that letter's
+    occurrence of the same rank.  Each cycle, read from its least row,
+    spells a Lyndon word; they are printed sorted, one a line, with " xN"
+    when N cycles spell one.  The image holds 4 bytes a row and each cycle
+    is spelled into a bytearray, so the runner stays small."""
+    a = word.count("a")
+    image = array("i", (i for i, c in enumerate(word) if c == "a"))
+    image.extend(i for i, c in enumerate(word) if c == "b")
+    seen, spelled = bytearray(len(word)), Counter()
+    for start in range(len(word)):
+        letters, i = bytearray(), start
+        while not seen[i]:
+            seen[i] = 1
+            letters.append(97 if i < a else 98)
+            i = image[i]
+        if letters:
+            spelled[letters.decode()] += 1
+    return "".join(f"{w} x{m}\n" if m > 1 else f"{w}\n" for w, m in sorted(spelled.items()))
+
+
+def least_debruijn(letters, n):
+    """The least de Bruijn word of span n over `letters`: the Lyndon words of
+    length dividing n in lexicographic order, listed by the successor step
+    (extend periodically to n letters, strip trailing maxima, bump)."""
+    k, w, words = len(letters), [0], []
+    while w:
+        if n % len(w) == 0:
+            words.append("".join(map(letters.__getitem__, w)))
+        w = [w[i % len(w)] for i in range(n)]
+        while w and w[-1] == k - 1:
+            w.pop()
+        if w:
+            w[-1] += 1
+    return "".join(words)
 
 
 def pins():
@@ -124,6 +172,12 @@ def pins():
         refused("transform", error="transform JSON input has more than 16842752 characters",
                 cap_mb=64, stdin=lambda: chain([b'{"necklaces": [{"lyndon": "'],
                                                repeat(b"a" * 2**21, 16), [b'b"}]}\n'])),
+        # The permutation walked as an array image and byte letters: 2^20
+        # random letters on stdin, and a de Bruijn word of 2^20 letters.
+        Pin(("invert",), 0, lambda: inverse_text(coin_word(2**20, 20)), cap_mb=96,
+            stdin=lambda: (coin_word(2**20, 20).encode(), b"\n")),
+        Pin(("debruijn", "2", "20", "--least"), 0, lambda: least_debruijn("ab", 20) + "\n",
+            cap_mb=86),
     ]
 
 
@@ -149,9 +203,10 @@ def main() -> int:
             stdin.writelines(pin.stdin())
             stdin.seek(0)
             code, out, err, peak_mb = run(("timeout", str(pin.timeout), "ebwt", *pin.args), stdin)
+        expected = pin.stdout() if callable(pin.stdout) else pin.stdout
         wrong = [message for bad, message in [
             (code != pin.code, f"exit {code}, not {pin.code}"),
-            (out != pin.stdout, f"stdout {out[:200]!r}"),
+            (out != expected, f"stdout {out[:200]!r}"),
             (not (err.startswith(pin.stderr) and err.find("\n") == len(err) - 1
                   if pin.stderr else err == ""), f"stderr {err[:200]!r}"),
             (pin.cap_mb and peak_mb >= pin.cap_mb, f"peak over {pin.cap_mb} MB")] if bad]

@@ -15,7 +15,8 @@ import time
 
 # Not needed to start: `dataclasses` pulls in `inspect`, `ast`, `dis` and
 # `tokenize`, `json` serves only --json output and JSON input, and `array`
-# only factor counting.
+# only factor counting and the inverse transform's permutation, each of
+# which imports it when it runs.
 UNWANTED = ("array", "dataclasses", "inspect", "json")
 
 

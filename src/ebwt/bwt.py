@@ -13,6 +13,14 @@ cycles that are translates of one another; each class of translates is
 walked once and becomes one necklace of multiplicity m, taken as a Lyndon
 word without checking it again, and the classes come out in the order of
 their Lyndon words.
+
+One walk, `_cycles`, reads those classes for the inverse, for the least de
+Bruijn word and for `StandardPermutation.cycles`.  The inverse and the de
+Bruijn word run it over two flat sequences: the image as an `array("q")`
+and the sorted letters as a `bytes` (k <= 256), so each step reads 8 bytes
+of a contiguous array, not a tuple slot and then its int object, and each
+letter is one byte.  The `StandardPermutation` record keeps tuples, since
+its fields are compared with tuples and hashed as a record's are.
 """
 
 from __future__ import annotations
@@ -95,79 +103,91 @@ class StandardPermutation(Value):
 
     def cycles(self) -> dict[tuple[int, ...], int]:
         """Disjoint cycles by class of translates: {cycle read from its
-        minimal element s: number m of translates}, listed by s.
+        minimal element s: number m of translates}, listed by s (see
+        `_cycles`, which walks them).  The record's fields stay tuples,
+        which callers compare with tuples and the record hashes, and each
+        cycle becomes a tuple key."""
+        return {tuple(cycle): copies for cycle, copies in _cycles(self.image, self.sorted_codes)}
 
-        The translates of a cycle C are C + 1, ..., C + m - 1, with minima
-        s + 1, ..., s + m - 1; expanded in order they list every cycle by its
-        minimal element.  C + j is such a translate when, for every c in C,
-        `sorted_codes[c + j] == sorted_codes[c]` and
-        `image[c + j] == image[c] + j`.  Then the same holds for every i <= j:
-        `sorted_codes` is sorted, so c + i lies in the domain of the letter of
-        c, where `image` increases, so the j + 1 images of c, ..., c + j are
-        j + 1 increasing integers from image[c] to image[c] + j.  So each
-        C + i is closed under the permutation, a cycle with minimum s + i that
-        spells the letters of C.  The largest such j is found by doubling and
-        then bisection, each check a few C-level maps over C, and the rows of
-        the translates are marked seen by slice assignment.
 
-        In a transform, the m copies of a rotation fill adjacent rows that
-        start with one letter, and the permutation sends them in order to
-        the adjacent rows of the next rotation's copies.  So the copies of
-        a necklace give a cycle and its translates, and translates spell
-        one necklace: each class is exactly the copies of one necklace, and
-        every word is the transform of its inverse.  Each class is walked
-        once: its cycle is followed from its start until the permutation
-        returns there, and the next start is the first row not yet seen,
-        which `bytearray.find` locates in C.
-        """
-        image, letters = self.image, self.sorted_codes
-        n = len(image)
-        seen = bytearray(n)
-        out = {}
-        start = seen.find(0)
-        while start >= 0:
-            seen[start] = 1
-            cycle = [start]
-            i = image[start]
-            while i != start:
-                seen[i] = 1
-                cycle.append(i)
-                i = image[i]
-            copies = 1
-            for c in cycle:  # is C + 1 a translate? most cycles fail at once
-                if c + 1 == n or image[c + 1] != image[c] + 1 or letters[c + 1] != letters[c]:
-                    break
-            else:
-                top = n - max(cycle)  # translates by top or more leave the rows
-                low, high = 1, 2
-                while high < top and self._translates(cycle, high):
-                    low, high = high, 2 * high
-                high = min(high, top)
-                while high - low > 1:
-                    mid = (low + high) // 2
-                    if self._translates(cycle, mid):
-                        low = mid
-                    else:
-                        high = mid
-                copies = low + 1
-                marks = b"\x01" * low
-                for c in cycle:
-                    seen[c + 1:c + copies] = marks
-            out[tuple(cycle)] = copies
-            start = seen.find(0, start + copies)
-        return out
+def _cycles(image, letters):
+    """Yield (cycle, m) for each class of translates of the permutation
+    `image`, whose row i holds the letter `letters[i]`: the cycle as a list
+    read from its minimal element s, and its number m of translates, in
+    order of s.  Both are any flat sequences of ints; `inverse_transform`
+    and `least_debruijn_word` pass an `array("q")` and a `bytes` (k <= 256),
+    `StandardPermutation.cycles` its tuples.
 
-    def _translates(self, cycle: list[int], j: int) -> bool:
-        """Whether `cycle` shifted by j, all rows in range, is a cycle that
-        spells the same letters (see `cycles`)."""
-        letter, image = self.sorted_codes.__getitem__, self.image.__getitem__
-        shifted = list(map(add, cycle, repeat(j)))
-        return (list(map(image, shifted)) == shifted[1:] + shifted[:1]
-                and list(map(letter, shifted)) == list(map(letter, cycle)))
+    The translates of a cycle C are C + 1, ..., C + m - 1, with minima
+    s + 1, ..., s + m - 1; expanded in order they list every cycle by its
+    minimal element.  C + j is such a translate when, for every c in C,
+    `letters[c + j] == letters[c]` and `image[c + j] == image[c] + j`.  Then
+    the same holds for every i <= j: `letters` is sorted, so c + i lies in
+    the domain of the letter of c, where `image` increases, so the j + 1
+    images of c, ..., c + j are j + 1 increasing integers from image[c] to
+    image[c] + j.  So each C + i is closed under the permutation, a cycle
+    with minimum s + i that spells the letters of C.  The largest such j is
+    found by doubling and then bisection, each check a few C-level maps
+    over C, and the rows of the translates are marked seen by slice
+    assignment.
+
+    In a transform, the m copies of a rotation fill adjacent rows that
+    start with one letter, and the permutation sends them in order to
+    the adjacent rows of the next rotation's copies.  So the copies of
+    a necklace give a cycle and its translates, and translates spell
+    one necklace: each class is exactly the copies of one necklace, and
+    every word is the transform of its inverse.  Each class is walked
+    once: its cycle is followed from its start until the permutation
+    returns there, and the next start is the first row not yet seen,
+    which `bytearray.find` locates in C.
+    """
+    n = len(image)
+    seen = bytearray(n)
+    start = seen.find(0)
+    while start >= 0:
+        seen[start] = 1
+        cycle = [start]
+        i = image[start]
+        while i != start:
+            seen[i] = 1
+            cycle.append(i)
+            i = image[i]
+        copies = 1
+        for c in cycle:  # is C + 1 a translate? most cycles fail at once
+            if c + 1 == n or image[c + 1] != image[c] + 1 or letters[c + 1] != letters[c]:
+                break
+        else:
+            top = n - max(cycle)  # translates by top or more leave the rows
+            low, high = 1, 2
+            while high < top and _translates(image, letters, cycle, high):
+                low, high = high, 2 * high
+            high = min(high, top)
+            while high - low > 1:
+                mid = (low + high) // 2
+                if _translates(image, letters, cycle, mid):
+                    low = mid
+                else:
+                    high = mid
+            copies = low + 1
+            marks = b"\x01" * low
+            for c in cycle:
+                seen[c + 1:c + copies] = marks
+        yield cycle, copies
+        start = seen.find(0, start + copies)
+
+
+def _translates(image, letters, cycle: list[int], j: int) -> bool:
+    """Whether `cycle` shifted by j, all rows in range, is a cycle that
+    spells the same letters (see `_cycles`)."""
+    letter, image = letters.__getitem__, image.__getitem__
+    shifted = list(map(add, cycle, repeat(j)))
+    return (list(map(image, shifted)) == shifted[1:] + shifted[:1]
+            and list(map(letter, shifted)) == list(map(letter, cycle)))
 
 
 def standard_permutation(w: Word) -> StandardPermutation:
-    """Build the standard permutation of a nonempty word.
+    """Build the standard permutation of a nonempty word: the flat pair of
+    `_flat_permutation`, held as tuples.
 
     Sorting the positions by letter lists ran(a) for each letter a in turn,
     and the sort is stable, so within ran(a) the positions stay increasing:
@@ -175,9 +195,33 @@ def standard_permutation(w: Word) -> StandardPermutation:
     """
     if len(w) == 0:
         raise ValueError("the standard permutation needs a nonempty word")
+    image, letters = _flat_permutation(w)
+    return StandardPermutation(w.alphabet, tuple(image), tuple(letters))
+
+
+def _flat_permutation(w: Word):
+    """The standard permutation of a nonempty word w as two flat sequences
+    (image, letters): the image as an `array("q")`, 8 bytes a row and no int
+    object, and the sorted letters as a `bytes` when k <= 256, else a tuple.
+
+    The sorted letters are one run per letter that occurs, and the image
+    lists the positions of each run's letter in turn, so each run ends where
+    bisection over the image, keyed by letter, places it: the `bytes` takes
+    one bisection per letter that occurs and one C-level fill per run, in
+    time linear in |w|."""
+    from array import array  # only the permutation needs it, not the CLI's start-up
+
     codes = w.codes
-    image = sorted(range(len(codes)), key=codes.__getitem__)
-    return StandardPermutation(w.alphabet, tuple(image), tuple(sorted(codes)))
+    order = sorted(range(len(codes)), key=codes.__getitem__)
+    if w.alphabet.size > 256:
+        return array("q", order), tuple(sorted(codes))
+    runs, start = [], 0
+    while start < len(order):
+        letter = codes[order[start]]
+        end = bisect_right(order, letter, start, key=codes.__getitem__)
+        runs.append(bytes((letter,)) * (end - start))
+        start = end
+    return array("q", order), b"".join(runs)
 
 
 def transform(m: NecklaceMultiset) -> Word:
@@ -273,12 +317,14 @@ def inverse_transform(w: Word) -> NecklaceMultiset:
     order, so that rotation is the lex-least, the Lyndon word.  Each cycle
     therefore becomes a necklace through `Necklace.unchecked`, with no
     primitivity check and no least-rotation search.  The m copies of a
-    necklace are one class of m translates in `StandardPermutation.cycles`,
-    so each class becomes one necklace of multiplicity m, and distinct
-    classes spell distinct necklaces.
+    necklace are one class of m translates in `_cycles`, so each class
+    becomes one necklace of multiplicity m, and distinct classes spell
+    distinct necklaces.  The walk runs over the flat image and letters of
+    `_flat_permutation`, and each cycle's letters are read through the
+    letters' `__getitem__`; no `StandardPermutation` record is built.
 
     The classes already come in the order of their Lyndon words, so they
-    are not sorted.  `cycles` lists them by minimal row, and the rows are in
+    are not sorted.  `_cycles` lists them by minimal row, and the rows are in
     omega-order, so the Lyndon words U and V of two classes listed in turn
     have U^omega < V^omega, strictly since they are distinct primitive
     words.  On distinct Lyndon words the lex order implies the omega-order,
@@ -298,10 +344,10 @@ def inverse_transform(w: Word) -> NecklaceMultiset:
     alphabet = w.alphabet
     if len(w) == 0:
         return NecklaceMultiset(alphabet, ())
-    p = standard_permutation(w)
-    letter = p.sorted_codes.__getitem__
+    image, letters = _flat_permutation(w)
+    letter = letters.__getitem__
     necklace, word = Necklace.unchecked, Word.unchecked
     return NecklaceMultiset.unchecked(alphabet, tuple(
         (necklace(word(alphabet, tuple(map(letter, cycle)))), copies)
-        for cycle, copies in p.cycles().items()
+        for cycle, copies in _cycles(image, letters)
     ))

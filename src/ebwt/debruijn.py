@@ -12,9 +12,9 @@ enumeration provides the cross-check oracle.
 from __future__ import annotations
 
 from itertools import chain, permutations, product
-from math import factorial, lgamma, log, log10
+from math import factorial, inf, lgamma, log, log10
 
-from .bwt import NecklaceMultiset, inverse_transform, standard_permutation
+from .bwt import NecklaceMultiset, _cycles, _flat_permutation, inverse_transform
 from .errors import ResourceLimitError
 from .words import Alphabet, Value, Word, default_alphabet
 
@@ -109,14 +109,15 @@ def _log10_gamma_count(k: int, n: int) -> float:
     try:
         return float(k) ** (n - 1) * lgamma(k + 1) / log(10)
     except OverflowError:
-        return float("inf")
+        return inf
 
 
-def enumerate_gamma(k: int, n: int, limit: int = 10**6):
+def enumerate_gamma(k: int, n: int, limit: int = 10**6, alphabet: Alphabet | None = None):
     """Yield every concatenation of k^{n-1} alphabet-permutation blocks, in
-    lexicographic order.  Refuses up front when the census exceeds `limit`,
-    in log space first (the margin of 1 absorbs float rounding), so the exact
-    census is only computed when it is about as small as `limit`."""
+    lexicographic order, as words over the k letters of `alphabet`, by
+    default `default_alphabet(k)`.  Refuses up front when the census exceeds
+    `limit`, in log space first (the margin of 1 absorbs float rounding), so
+    the exact census is only computed when it is about as small as `limit`."""
     if _log10_gamma_count(k, n) > limit.bit_length() * log10(2) + 1:
         raise ResourceLimitError(
             f"block-permutation words of span {n} over {k} letters number "
@@ -127,7 +128,7 @@ def enumerate_gamma(k: int, n: int, limit: int = 10**6):
         raise ResourceLimitError(
             f"{count} block-permutation words of span {n} exceed the limit {limit}"
         )
-    alphabet = default_alphabet(k)
+    alphabet = _k_letters(k, alphabet)
     blocks = list(permutations(range(k)))
     for chosen in product(blocks, repeat=k ** (n - 1)):
         codes = tuple(c for block in chosen for c in block)
@@ -149,10 +150,13 @@ def count_debruijn_words(k: int, n: int) -> int:
 
     Refuses a count of more than MAX_COUNT_DIGITS digits.  Its length is
     checked in log space before any big integer exists (the margin of 1
-    absorbs float rounding), then exactly.
+    absorbs float rounding), then exactly.  When the numerator's log is inf,
+    the count is refused at once, so n, which may then be too large for a
+    float, is never converted to one.
     """
     check_alphabet_and_span(k, n)
-    if _log10_gamma_count(k, n) - n * log10(k) <= MAX_COUNT_DIGITS + 1:
+    log_numerator = _log10_gamma_count(k, n)
+    if log_numerator < inf and log_numerator - n * log10(k) <= MAX_COUNT_DIGITS + 1:
         total = factorial(k) ** (k ** (n - 1)) // k**n
         if total < 10**MAX_COUNT_DIGITS:
             return total
@@ -172,6 +176,15 @@ def check_generation_guard(k: int, n: int, max_length: int):
         )
 
 
+def _k_letters(k: int, alphabet: Alphabet | None) -> Alphabet:
+    """`alphabet`, by default `default_alphabet(k)`, refused unless it has
+    exactly k letters."""
+    alphabet = default_alphabet(k) if alphabet is None else alphabet
+    if alphabet.size != k:
+        raise ValueError(f"alphabet needs {k} letters, got {alphabet.size}")
+    return alphabet
+
+
 def _identity_block_word(k: int, n: int, max_length: int,
                          alphabet: Alphabet | None = None) -> Word:
     """The all-identity-block word (0 1 ... k-1)^(k^{n-1}) over `alphabet`,
@@ -180,10 +193,7 @@ def _identity_block_word(k: int, n: int, max_length: int,
     block-permutation word by construction and is not scanned again, and its
     codes are 0..k-1, so it is built without `Word`'s range check."""
     check_generation_guard(k, n, max_length)
-    alphabet = default_alphabet(k) if alphabet is None else alphabet
-    if alphabet.size != k:
-        raise ValueError(f"alphabet needs {k} letters, got {alphabet.size}")
-    return Word.unchecked(alphabet, tuple(range(k)) * (k ** (n - 1)))
+    return Word.unchecked(_k_letters(k, alphabet), tuple(range(k)) * (k ** (n - 1)))
 
 
 def least_debruijn_set(k: int, n: int,
@@ -204,22 +214,23 @@ def least_debruijn_word(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGT
     letters of `alphabet`, by default `default_alphabet(k)`: the Lyndon
     words of length dividing n in lexicographic order, read straight off the
     cycles of the standard permutation of the all-identity-block word, with
-    no record per Lyndon word.
+    no record per Lyndon word and none for the permutation: the walk runs
+    over its flat image and letters, as in `inverse_transform`.
 
-    `StandardPermutation.cycles` lists one cycle per class of translates,
-    read from its minimal row; each spells a Lyndon word, and the classes
-    come in the order of their Lyndon words (see `inverse_transform`).  The
-    word inverted is a block-permutation word, so no necklace of its
-    inverse repeats (see `debruijn_set_from_gamma`): every class has one
-    copy, and the listed cycles are all the cycles.  So their letters, in
+    `bwt._cycles` yields one cycle per class of translates, read from its
+    minimal row; each spells a Lyndon word, and the classes come in the
+    order of their Lyndon words (see `inverse_transform`).  The word
+    inverted is a block-permutation word, so no necklace of its inverse
+    repeats (see `debruijn_set_from_gamma`): every class has one copy, and
+    the listed cycles are all the cycles.  So their letters, in
     listing order, are the sorted concatenation of the Lyndon words of
     `least_debruijn_set`.  They are letters of the word inverted, over its
     k letters, so the result is built without `Word`'s range check.
     """
     v = _identity_block_word(k, n, max_length, alphabet)
-    p = standard_permutation(v)
-    codes = map(p.sorted_codes.__getitem__, chain.from_iterable(p.cycles()))
-    return Word.unchecked(v.alphabet, tuple(codes))
+    image, letters = _flat_permutation(v)
+    rows = chain.from_iterable(cycle for cycle, _ in _cycles(image, letters))
+    return Word.unchecked(v.alphabet, tuple(map(letters.__getitem__, rows)))
 
 
 def _lyndon_words_up_to(n: int, k: int):
@@ -236,12 +247,15 @@ def _lyndon_words_up_to(n: int, k: int):
         w[-1] += 1
 
 
-def lyndon_concatenation_oracle(k: int, n: int) -> Word:
+def lyndon_concatenation_oracle(k: int, n: int, alphabet: Alphabet | None = None) -> Word:
     """Concatenate all Lyndon words of length dividing n in lexicographic
-    order.  Independent of the transform machinery, for cross-validation."""
+    order, over the k letters of `alphabet`, by default
+    `default_alphabet(k)`.  Independent of the transform machinery, for
+    cross-validation."""
     check_generation_guard(k, n, DEFAULT_MAX_WORD_LENGTH)
+    alphabet = _k_letters(k, alphabet)
     codes = []
     for u in _lyndon_words_up_to(n, k):
         if n % len(u) == 0:
             codes.extend(u)
-    return Word(default_alphabet(k), tuple(codes))
+    return Word(alphabet, tuple(codes))

@@ -7,6 +7,7 @@ exception in spirit: a copy of the package's earlier closure loop, kept as
 the reference its rewrite is compared against.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
@@ -100,6 +101,18 @@ def naive_cycles(image) -> list[tuple[int, ...]]:
         least = orbit.index(min(orbit))
         orbits[orbit[least]] = tuple(orbit[least:] + orbit[:least])
     return [orbits[start] for start in sorted(orbits)]
+
+
+def naive_inverse(codes) -> list[tuple[tuple[int, ...], int]]:
+    """The inverse transform of a code sequence, read off the naive cycles:
+    each cycle of its standard permutation spells a word, taken at its least
+    rotation; [(those codes, number of cycles that spell them)], sorted."""
+    image, letters = naive_standard_permutation(codes)
+    spelled = Counter()
+    for cycle in naive_cycles(image):
+        word = tuple(letters[i] for i in cycle)
+        spelled[min(word[i:] + word[:i] for i in range(len(word)))] += 1
+    return sorted(spelled.items())
 
 
 def translated_cycles(classes) -> list[tuple[int, ...]]:

@@ -18,7 +18,7 @@ from ebwt.words import Alphabet, Necklace, Word, lyndon_representative, root
 
 from helpers import (
     AB, ABC, W, all_words, apply_letter, build_table, fibonacci_word, letter_range,
-    naive_bwt, naive_cycles, naive_least_rotation, naive_primitive, naive_root,
+    naive_bwt, naive_cycles, naive_inverse, naive_least_rotation, naive_primitive, naive_root,
     naive_standard_permutation, prefix_bwt, rotations, translated_cycles,
 )
 
@@ -486,6 +486,63 @@ class TestInverseOrder:
     @settings(deadline=None)
     def test_random_powers_and_copies(self, w):
         assert_classes_ascend(w)
+
+
+class TestCycleWalk:
+    """`inverse_transform` walks the flat image and letters of
+    `_flat_permutation` (letters as `bytes` up to 256 letters, as a tuple
+    above); it must read the naive cycles, and `StandardPermutation.cycles`
+    the same classes from its tuples."""
+
+    @staticmethod
+    def check(w):
+        assert [(n.lyndon.codes, m) for n, m in inverse_transform(w).entries] == naive_inverse(
+            w.codes)
+        p = standard_permutation(w)
+        classes = p.cycles()
+        assert classes == {tuple(c): m for c, m in bwt._cycles(*bwt._flat_permutation(w))}
+        assert translated_cycles(classes) == naive_cycles(p.image)
+        return classes
+
+    def test_every_short_word(self):
+        checked = 0
+        for letters, top in [("ab", 10), ("abc", 7)]:
+            alphabet = Alphabet(letters)
+            for n in range(1, top + 1):
+                for codes in all_words(len(letters), n):
+                    self.check(Word(alphabet, codes))
+                    checked += 1
+        assert checked == 2046 + 3279
+
+    @pytest.mark.parametrize("letters", ["ab", "abcd", LETTERS_300])
+    def test_random_words_repeated(self, letters):
+        # powers of random words, and transforms of random necklaces each
+        # repeated 2-5 times, whose copies make classes of translates
+        rng = random.Random(len(letters))
+        alphabet = Alphabet(letters)
+        translated = 0
+        for _ in range(40):
+            text = "".join(rng.choices(letters, k=rng.randint(1, 30)))
+            self.check(alphabet.word(text * rng.randint(2, 5)))
+            items = [(t, rng.randint(2, 5)) for t in random_texts(rng, letters, 12, 4)]
+            classes = self.check(transform(oracle_multiset(letters, items)[0]))
+            translated += sum(m > 1 and len(c) > 1 for c, m in classes.items())
+        assert translated >= 40
+
+    @pytest.mark.parametrize("k, container", [(256, bytes), (257, tuple)])
+    def test_both_letter_containers(self, k, container):
+        # every letter occurs, so the last code is k - 1: 255 is the largest
+        # that a byte holds
+        letters = wide_letters(k)
+        alphabet = Alphabet(letters)
+        rng = random.Random(k)
+        for copies in (1, 3):
+            text = "".join(rng.sample(letters, k) + rng.choices(letters, k=200)) * copies
+            w = alphabet.word(text)
+            assert type(bwt._flat_permutation(w)[1]) is container
+            self.check(w)
+        items = [(t, rng.randint(1, 4)) for t in random_texts(rng, letters, 40, 12)]
+        self.check(transform(oracle_multiset(letters, items + [(letters, 2)])[0]))
 
 
 class TestWordAction:

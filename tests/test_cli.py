@@ -22,7 +22,8 @@ from ebwt.cli import main
 from ebwt.errors import ResourceLimitError
 
 from ebwt.bwt import NecklaceMultiset
-from ebwt.words import lyndon_representative
+from ebwt.debruijn import lyndon_concatenation_oracle
+from ebwt.words import Alphabet, lyndon_representative
 
 from helpers import AB, naive_primitive, necklace_closure_order
 from test_cli_fuzz import ERROR_LINE
@@ -707,6 +708,14 @@ class TestDeBruijn:
         assert code == 0
         assert out == "2048\n"
 
+    @pytest.mark.parametrize("output", [[], ["--json"]])
+    def test_count_of_a_span_too_large_for_a_float(self, capsys, output):
+        # n = 10^400 has no float: refused by the digit guard, no traceback
+        n = 10**400
+        assert run(capsys, ["debruijn", "2", str(n), "--count", *output]) == (
+            3, "", f"error: the number of de Bruijn words of span {n} over 2 letters has "
+                   "more than 4300 digits\n")
+
     def test_from_gamma_single(self, capsys):
         code, out, _ = run(capsys, ["debruijn", "2", "4", "--from-gamma",
                                     "babababaabbababa"])
@@ -800,8 +809,7 @@ class TestDeBruijn:
         # the word is generated over the letters of --alphabet, and equals
         # the Lyndon-concatenation oracle rendered on them
         letters = "".join(map(chr, range(0x100, 0x100 + k)))
-        codes = [c for u in debruijn._lyndon_words_up_to(2, k) if 2 % len(u) == 0 for c in u]
-        expected = "".join(letters[c] for c in codes)
+        expected = str(lyndon_concatenation_oracle(k, 2, alphabet=Alphabet(letters)))
         assert len(expected) == k**2
         for flag in ([], ["--json"]):
             code, out, err = run(capsys, ["debruijn", str(k), "2", "--least",
@@ -811,10 +819,11 @@ class TestDeBruijn:
 
     def test_more_than_26_letters_need_an_alphabet(self, capsys, monkeypatch):
         # without --alphabet the default one refuses them, before generation
+        # builds the permutation that it walks
         def fail(*args):
             raise AssertionError("generated a word over no alphabet")
 
-        monkeypatch.setattr(debruijn, "standard_permutation", fail)
+        monkeypatch.setattr(debruijn, "_flat_permutation", fail)
         assert run(capsys, ["debruijn", "27", "2", "--least"]) == (
             2, "", "error: default alphabet supports 1..26 letters, got 27\n")
 

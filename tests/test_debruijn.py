@@ -177,6 +177,16 @@ class TestEnumerateGamma:
         for v in enumerate_gamma(3, 1):
             assert len(v) == 3 and first_bad_block(v, 3, 1) is None
 
+    def test_given_alphabet(self):
+        assert [str(v) for v in enumerate_gamma(2, 2, alphabet=Alphabet("01"))] == [
+            "0101", "0110", "1001", "1010",
+        ]
+        with pytest.raises(ValueError, match="^alphabet needs 3 letters, got 2$"):
+            next(enumerate_gamma(3, 1, alphabet=AB))
+        # refused before the 27! blocks of 27 letters would be listed
+        with pytest.raises(ValueError, match="^default alphabet supports 1..26 letters, got 27$"):
+            next(enumerate_gamma(27, 1, limit=factorial(27)))
+
 
 class TestCounting:
     @pytest.mark.parametrize("k,n,expected", [
@@ -219,6 +229,15 @@ class TestCounting:
         with pytest.raises(ResourceLimitError, match="4300 digits"):
             count_debruijn_words(k, n)
 
+    @pytest.mark.parametrize("k", [2, 3, 10**400])
+    def test_span_too_large_for_a_float_refused(self, k):
+        # float(10^400) overflows: the numerator's log is inf, and the count
+        # is refused before n is converted
+        n = 10**400
+        with pytest.raises(ResourceLimitError, match=f"^the number of de Bruijn words of span "
+                           f"{n} over {k} letters has more than 4300 digits$"):
+            count_debruijn_words(k, n)
+
 
 class TestLeastDeBruijnWord:
     def test_span5_binary(self):
@@ -241,8 +260,7 @@ class TestLeastDeBruijnWord:
         # the codes do not depend on the alphabet, which needs not stop at 26
         alphabet = Alphabet("".join(map(chr, range(0x100, 0x100 + k))))
         word = least_debruijn_word(k, n, alphabet=alphabet)
-        codes = [c for u in debruijn._lyndon_words_up_to(n, k) if n % len(u) == 0 for c in u]
-        assert word.alphabet == alphabet and list(word.codes) == codes
+        assert word == lyndon_concatenation_oracle(k, n, alphabet=alphabet)
         if k <= 26:
             assert word.codes == lyndon_concatenation_oracle(k, n).codes
 
@@ -286,6 +304,16 @@ class TestLyndonOracle:
     def test_span4(self):
         # a . aaab . aabb . ab . abbb . b
         assert str(lyndon_concatenation_oracle(2, 4)) == "aaaabaabbababbbb"
+
+    def test_given_alphabet(self):
+        assert str(lyndon_concatenation_oracle(2, 3, alphabet=Alphabet("01"))) == "00010111"
+        letters = "".join(map(chr, range(0x100, 0x100 + 30)))
+        word = lyndon_concatenation_oracle(30, 1, alphabet=Alphabet(letters))
+        assert str(word) == letters
+        with pytest.raises(ValueError, match="^alphabet needs 3 letters, got 2$"):
+            lyndon_concatenation_oracle(3, 2, alphabet=AB)
+        with pytest.raises(ValueError, match="^default alphabet supports 1..26 letters, got 27$"):
+            lyndon_concatenation_oracle(27, 2)
 
     def test_matches_transform_route(self):
         # every span whose word has at most 2^16 letters, over 2 to 5 letters
