@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import chain, permutations, product
 from math import factorial, inf, lgamma, log, log10
 
-from .bwt import NecklaceMultiset, _cycles, _flat_permutation, inverse_transform
+from .bwt import NecklaceMultiset, cycle_letters, inverse_transform
 from .errors import ResourceLimitError
 from .words import Alphabet, Value, Word, default_alphabet
 
@@ -112,12 +112,11 @@ def _log10_gamma_count(k: int, n: int) -> float:
         return inf
 
 
-def enumerate_gamma(k: int, n: int, limit: int = 10**6, alphabet: Alphabet | None = None):
+def enumerate_gamma(k: int, n: int, limit: int = 10**6):
     """Yield every concatenation of k^{n-1} alphabet-permutation blocks, in
-    lexicographic order, as words over the k letters of `alphabet`, by
-    default `default_alphabet(k)`.  Refuses up front when the census exceeds
-    `limit`, in log space first (the margin of 1 absorbs float rounding), so
-    the exact census is only computed when it is about as small as `limit`."""
+    lexicographic order.  Refuses up front when the census exceeds `limit`,
+    in log space first (the margin of 1 absorbs float rounding), so the exact
+    census is only computed when it is about as small as `limit`."""
     if _log10_gamma_count(k, n) > limit.bit_length() * log10(2) + 1:
         raise ResourceLimitError(
             f"block-permutation words of span {n} over {k} letters number "
@@ -128,7 +127,7 @@ def enumerate_gamma(k: int, n: int, limit: int = 10**6, alphabet: Alphabet | Non
         raise ResourceLimitError(
             f"{count} block-permutation words of span {n} exceed the limit {limit}"
         )
-    alphabet = _k_letters(k, alphabet)
+    alphabet = default_alphabet(k)
     blocks = list(permutations(range(k)))
     for chosen in product(blocks, repeat=k ** (n - 1)):
         codes = tuple(c for block in chosen for c in block)
@@ -214,23 +213,21 @@ def least_debruijn_word(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGT
     letters of `alphabet`, by default `default_alphabet(k)`: the Lyndon
     words of length dividing n in lexicographic order, read straight off the
     cycles of the standard permutation of the all-identity-block word, with
-    no record per Lyndon word and none for the permutation: the walk runs
-    over its flat image and letters, as in `inverse_transform`.
+    no record per Lyndon word and none for the permutation.
 
-    `bwt._cycles` yields one cycle per class of translates, read from its
-    minimal row; each spells a Lyndon word, and the classes come in the
+    `bwt.cycle_letters` spells one cycle per class of translates, read from
+    its minimal row; each spells a Lyndon word, and the classes come in the
     order of their Lyndon words (see `inverse_transform`).  The word
     inverted is a block-permutation word, so no necklace of its inverse
     repeats (see `debruijn_set_from_gamma`): every class has one copy, and
-    the listed cycles are all the cycles.  So their letters, in
-    listing order, are the sorted concatenation of the Lyndon words of
+    the listed cycles are all the cycles.  So their letters, in listing
+    order, are the sorted concatenation of the Lyndon words of
     `least_debruijn_set`.  They are letters of the word inverted, over its
     k letters, so the result is built without `Word`'s range check.
     """
     v = _identity_block_word(k, n, max_length, alphabet)
-    image, letters = _flat_permutation(v)
-    rows = chain.from_iterable(cycle for cycle, _ in _cycles(image, letters))
-    return Word.unchecked(v.alphabet, tuple(map(letters.__getitem__, rows)))
+    codes = chain.from_iterable(letters for letters, _ in cycle_letters(v))
+    return Word.unchecked(v.alphabet, tuple(codes))
 
 
 def _lyndon_words_up_to(n: int, k: int):

@@ -819,11 +819,11 @@ class TestDeBruijn:
 
     def test_more_than_26_letters_need_an_alphabet(self, capsys, monkeypatch):
         # without --alphabet the default one refuses them, before generation
-        # builds the permutation that it walks
+        # walks the permutation
         def fail(*args):
             raise AssertionError("generated a word over no alphabet")
 
-        monkeypatch.setattr(debruijn, "_flat_permutation", fail)
+        monkeypatch.setattr(debruijn, "cycle_letters", fail)
         assert run(capsys, ["debruijn", "27", "2", "--least"]) == (
             2, "", "error: default alphabet supports 1..26 letters, got 27\n")
 
