@@ -172,12 +172,14 @@ def pins():
         refused("transform", error="transform JSON input has more than 16842752 characters",
                 cap_mb=64, stdin=lambda: chain([b'{"necklaces": [{"lyndon": "'],
                                                repeat(b"a" * 2**21, 16), [b'b"}]}\n'])),
-        # The permutation walked as an array image and byte letters: 2^20
-        # random letters on stdin, and a de Bruijn word of 2^20 letters.
+        # The permutation built by one pass into a row per letter, with no
+        # sort, and walked as an array image and byte letters: 2^20 random
+        # letters on stdin, whose longest cycle, a list of about 900,000 ints,
+        # sets the peak (82 MB), and a de Bruijn word of 2^20 letters (44 MB).
         Pin(("invert",), 0, lambda: inverse_text(coin_word(2**20, 20)), cap_mb=96,
             stdin=lambda: (coin_word(2**20, 20).encode(), b"\n")),
         Pin(("debruijn", "2", "20", "--least"), 0, lambda: least_debruijn("ab", 20) + "\n",
-            cap_mb=86),
+            cap_mb=53),
     ]
 
 

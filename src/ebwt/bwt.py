@@ -8,7 +8,9 @@ two windows tie; each round re-ranks the keys densely and pairs them, and
 each last letter is written once per copy.  So it costs one sort of the
 distinct rotations, plus O(log) rounds over them on ties, plus the output
 length.  The inverse reads the cycles of the standard permutation, built by
-one stable sort of positions by letter.  The m copies of a necklace give m
+one pass that appends each position to the row of its letter, so each row
+receives its positions in increasing order: row a is ran(a), paired in
+order with dom(a), in time O(|w| + k).  The m copies of a necklace give m
 cycles that are translates of one another; each class of translates is
 walked once and becomes one necklace of multiplicity m, taken as a Lyndon
 word without checking it again, and the classes come out in the order of
@@ -19,7 +21,8 @@ Bruijn word and for `StandardPermutation.cycles`.  The inverse and the de
 Bruijn word run it through `cycle_letters`, over two flat sequences: the
 image as an `array("q")` and the sorted letters as a `bytes` (k <= 256),
 so each step reads 8 bytes of a contiguous array, not a tuple slot and
-then its int object, and each letter is one byte.  That layout stays inside
+then its int object, and each letter is one byte; each class's letters are
+gathered by one C-level `itemgetter` call.  That layout stays inside
 this module.  The `StandardPermutation` record keeps tuples, since its
 fields are compared with tuples and hashed as a record's are.
 """
@@ -29,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import chain, repeat
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 # omega_compare is unused here; bench/tracing.py counts calls at bwt.omega_compare.
 from .words import Alphabet, Necklace, Value, Word, lyndon_representative, omega_compare  # noqa: F401
@@ -188,25 +191,25 @@ def _translates(image, letters, cycle: list[int], j: int) -> bool:
 
 def cycle_letters(w: Word):
     """Yield (letters, m) for each class of translates of the standard
-    permutation of a nonempty word w: an iterator of the codes its cycle
-    spells, read from its minimal row, and its number m of translates, in
-    order of that row (see `_cycles`).  The walk runs over the flat image
-    and letters of `_flat_permutation`, and no `StandardPermutation` record
-    is built.  The codes stay lazy, so a caller that chains them all, as
-    `least_debruijn_word` does, builds no tuple per cycle."""
+    permutation of a nonempty word w: the tuple of codes its cycle spells,
+    read from its minimal row, and its number m of translates, in order of
+    that row (see `_cycles`).  The walk runs over the flat image and letters
+    of `_flat_permutation`, and no `StandardPermutation` record is built.
+    Each tuple is read by one C-level gather, `itemgetter(*cycle)`, which
+    returns the bare letter of a one-row cycle, so that one is wrapped."""
     image, letters = _flat_permutation(w)
-    letter = letters.__getitem__
     for cycle, copies in _cycles(image, letters):
-        yield map(letter, cycle), copies
+        spelled = itemgetter(*cycle)(letters)
+        yield (spelled if len(cycle) > 1 else (spelled,)), copies
 
 
 def standard_permutation(w: Word) -> StandardPermutation:
     """Build the standard permutation of a nonempty word: the flat pair of
     `_flat_permutation`, held as tuples.
 
-    Sorting the positions by letter lists ran(a) for each letter a in turn,
-    and the sort is stable, so within ran(a) the positions stay increasing:
-    that is the order-preserving pairing of dom(a) with ran(a).
+    Its image lists ran(a) for each letter a in turn, and each row of that
+    pass receives its positions in increasing order, so row a is ran(a),
+    paired in order with dom(a): the order-preserving pairing.
     """
     if len(w) == 0:
         raise ValueError("the standard permutation needs a nonempty word")
@@ -219,28 +222,26 @@ def _flat_permutation(w: Word):
     (image, letters): the image as an `array("q")`, 8 bytes a row and no int
     object, and the sorted letters as a `bytes` when k <= 256, else a tuple.
 
-    The sorted letters are one run per letter that occurs, and the image
-    lists the positions of each run's letter in turn, so each run ends where
-    bisection over the image, keyed by letter, places it: the `bytes` takes
-    one bisection per letter that occurs and one C-level fill per run, in
-    time linear in |w|.  (`bytes(map(codes.__getitem__, order))` is as
-    linear but converts each letter's int on its own: it costs 20-45% more
-    than the runs on random words of 10^4-2*10^5 letters over 2 and 4
-    letters.)  Past 256 letters, the tuple is read through the order in the
-    same way."""
+    One pass over w appends each position to the row of its letter, an
+    `array("q")`, so row a receives the positions of a in increasing order:
+    it is ran(a).  The rows joined in letter order are the image, which
+    pairs dom(a), the next len(ran(a)) rows of the sorted column, with
+    ran(a) in order, and the sorted letters are a run of each letter a as
+    long as its row.  That is O(|w| + k) time, and no int object per
+    position outlives the pass."""
     from array import array  # only the permutation needs it, not the CLI's start-up
 
-    codes = w.codes
-    order = sorted(range(len(codes)), key=codes.__getitem__)
-    if w.alphabet.size > 256:
-        return array("q", order), tuple(map(codes.__getitem__, order))
-    runs, start = [], 0
-    while start < len(order):
-        letter = codes[order[start]]
-        end = bisect_right(order, letter, start, key=codes.__getitem__)
-        runs.append(bytes((letter,)) * (end - start))
-        start = end
-    return array("q", order), b"".join(runs)
+    k = w.alphabet.size
+    rows = [array("q") for _ in range(k)]
+    appends = [row.append for row in rows]
+    for i, letter in enumerate(w.codes):
+        appends[letter](i)
+    image = array("q")
+    for row in rows:
+        image += row
+    if k > 256:
+        return image, tuple(chain.from_iterable(map(repeat, range(k), map(len, rows))))
+    return image, b"".join(bytes((letter,)) * len(row) for letter, row in enumerate(rows))
 
 
 def transform(m: NecklaceMultiset) -> Word:
@@ -365,5 +366,5 @@ def inverse_transform(w: Word) -> NecklaceMultiset:
         return NecklaceMultiset(alphabet, ())
     necklace, word = Necklace.unchecked, Word.unchecked
     return NecklaceMultiset.unchecked(alphabet, tuple(
-        (necklace(word(alphabet, tuple(letters))), copies) for letters, copies in cycle_letters(w)
+        (necklace(word(alphabet, letters)), copies) for letters, copies in cycle_letters(w)
     ))

@@ -11,7 +11,7 @@ enumeration provides the cross-check oracle.
 
 from __future__ import annotations
 
-from itertools import chain, permutations, product
+from itertools import chain, permutations
 from math import factorial, inf, lgamma, log, log10
 
 from .bwt import NecklaceMultiset, cycle_letters, inverse_transform
@@ -116,7 +116,13 @@ def enumerate_gamma(k: int, n: int, limit: int = 10**6):
     """Yield every concatenation of k^{n-1} alphabet-permutation blocks, in
     lexicographic order.  Refuses up front when the census exceeds `limit`,
     in log space first (the margin of 1 absorbs float rounding), so the exact
-    census is only computed when it is about as small as `limit`."""
+    census is only computed when it is about as small as `limit`.
+
+    The blocks are drawn lazily, one position at a time, like an odometer:
+    each position runs its own `permutations` iterator, and when the last
+    position's runs out, the next one to the left advances and every
+    position after it starts over.  So no list of the k! blocks is built,
+    and the first word draws one block a position."""
     if _log10_gamma_count(k, n) > limit.bit_length() * log10(2) + 1:
         raise ResourceLimitError(
             f"block-permutation words of span {n} over {k} letters number "
@@ -128,10 +134,18 @@ def enumerate_gamma(k: int, n: int, limit: int = 10**6):
             f"{count} block-permutation words of span {n} exceed the limit {limit}"
         )
     alphabet = default_alphabet(k)
-    blocks = list(permutations(range(k)))
-    for chosen in product(blocks, repeat=k ** (n - 1)):
-        codes = tuple(c for block in chosen for c in block)
-        yield Word(alphabet, codes)
+    positions = [permutations(range(k)) for _ in range(k ** (n - 1))]
+    chosen = [next(blocks) for blocks in positions]
+    while True:
+        yield Word(alphabet, tuple(chain.from_iterable(chosen)))
+        j = len(positions) - 1
+        while (block := next(positions[j], None)) is None:
+            if j == 0:
+                return
+            positions[j] = permutations(range(k))
+            chosen[j] = next(positions[j])
+            j -= 1
+        chosen[j] = block
 
 
 def check_alphabet_and_span(k: int, n: int):

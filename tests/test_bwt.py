@@ -13,6 +13,7 @@ from ebwt.bwt import (
     standard_permutation,
     transform,
 )
+from ebwt.debruijn import least_debruijn_word
 from ebwt.errors import ResourceLimitError
 from ebwt.words import Alphabet, Necklace, Word, lyndon_representative, root
 
@@ -543,6 +544,88 @@ class TestCycleWalk:
             self.check(w)
         items = [(t, rng.randint(1, 4)) for t in random_texts(rng, letters, 40, 12)]
         self.check(transform(oracle_multiset(letters, items + [(letters, 2)])[0]))
+
+
+class TestBucketPass:
+    """`_flat_permutation` appends each position to the row of its letter,
+    and `cycle_letters` gathers each class's letters with one `itemgetter`
+    call: both against the naive sort and the naive cycle reading."""
+
+    @staticmethod
+    def check(w):
+        image, letters = bwt._flat_permutation(w)
+        assert (tuple(image), tuple(letters)) == naive_standard_permutation(w.codes)
+        assert type(letters) is (bytes if w.alphabet.size <= 256 else tuple)
+        assert [(n.lyndon.codes, m) for n, m in inverse_transform(w).entries] == naive_inverse(
+            w.codes)
+        spelled = list(bwt.cycle_letters(w))
+        assert all(type(codes) is tuple for codes, _ in spelled)
+        return spelled
+
+    def test_unused_letters_leave_empty_rows(self):
+        # letters of the alphabet that the word never uses, before, between
+        # and after the ones it does
+        alphabet = Alphabet("abcdef")
+        for text in ["b", "e", "f", "a", "bd", "dbdbbd", "fa", "ecca", "ffbbf", "bcbcbce"]:
+            w = alphabet.word(text)
+            self.check(w)
+            p = standard_permutation(w)
+            assert [len(p.dom(a)) for a in range(6)] == [text.count(c) for c in "abcdef"]
+
+    @pytest.mark.parametrize("letters", ["ab", "abc"])
+    def test_run_heavy_transforms(self, letters):
+        # a few necklaces of 4-10 letters, each with multiplicity 100-400, as
+        # in the high-multiplicity shape of the benchmark deck: long runs of
+        # one letter, and classes of many translates
+        rng = random.Random(f"runs{letters}")
+        for _ in range(4):
+            texts = random_texts(rng, letters, rng.randint(4, 10), rng.randint(2, 6))
+            items = [(t, rng.randint(100, 400)) for t in texts]
+            m, ordered = oracle_multiset(letters, items)
+            spelled = self.check(transform(m))
+            assert [copies for _, copies in spelled] == [mult for _, mult in ordered]
+
+    def test_one_row_cycles(self):
+        # itemgetter of one row returns the bare letter, which is wrapped:
+        # (letter codes, copies) for a, b; a x2, b x2; ab; ab x2, b
+        assert list(bwt.cycle_letters(W("ab"))) == [((0,), 1), ((1,), 1)]
+        assert list(bwt.cycle_letters(W("aabb"))) == [((0,), 2), ((1,), 2)]
+        assert list(bwt.cycle_letters(W("ba"))) == [((0, 1), 1)]
+        assert list(bwt.cycle_letters(W("bbaab"))) == [((0, 1), 2), ((1,), 1)]
+        for text in ["ab", "aabb", "abab", "aaab", "abbb", "bbaab"]:
+            self.check(W(text))
+
+    def test_one_letter(self):
+        alphabet = Alphabet("a")
+        for n in (1, 2, 7):
+            assert self.check(alphabet.word("a" * n)) == [((0,), n)]
+
+    @pytest.mark.parametrize("k", [256, 257])
+    def test_unused_letters_at_the_container_boundary(self, k):
+        # the container follows the alphabet, not the letters used: the last
+        # letter alone, the first and last, and a few from the middle
+        letters = wide_letters(k)
+        alphabet = Alphabet(letters)
+        rng = random.Random(f"edge{k}")
+        last = letters[-1]
+        for text in [last, last * 3, letters[0] + last, (last + letters[0]) * 4,
+                     "".join(rng.choices(letters[100:110] + last, k=300))]:
+            self.check(alphabet.word(text))
+
+    def test_no_comparison_sort(self, monkeypatch):
+        # the permutation, the inverse and the least de Bruijn word are
+        # built without sorting
+        def fail(*args, **kwargs):
+            raise AssertionError("sorted called")
+
+        w = W("babbaaba" * 3 + "ab")
+        expected = naive_inverse(w.codes)
+        monkeypatch.setattr(bwt, "sorted", fail, raising=False)
+        p = standard_permutation(w)
+        assert (p.image, p.sorted_codes) == naive_standard_permutation(w.codes)
+        assert [(n.lyndon.codes, m) for n, m in inverse_transform(w).entries] == expected
+        assert str(least_debruijn_word(2, 4)) == "0000100110101111".translate(
+            str.maketrans("01", "ab"))
 
 
 class TestWordAction:

@@ -187,6 +187,25 @@ class TestEnumerateGamma:
         with pytest.raises(ValueError, match="^default alphabet supports 1..26 letters, got 27$"):
             next(enumerate_gamma(27, 1, limit=factorial(27)))
 
+    def test_blocks_drawn_lazily(self, monkeypatch):
+        # the first word draws one block a position, not all k! blocks
+        drawn = 0
+        real = debruijn.permutations
+
+        def counted(*args):
+            nonlocal drawn
+            for block in real(*args):
+                drawn += 1
+                yield block
+
+        monkeypatch.setattr(debruijn, "permutations", counted)
+        assert str(next(enumerate_gamma(9, 1, limit=factorial(9)))) == "abcdefghi"
+        assert drawn <= 2
+        drawn = 0
+        words = enumerate_gamma(3, 2, limit=6**3)
+        assert [str(next(words)) for _ in range(3)] == ["abcabcabc", "abcabcacb", "abcabcbac"]
+        assert drawn <= 6
+
 
 class TestCounting:
     @pytest.mark.parametrize("k,n,expected", [
