@@ -125,6 +125,7 @@ def pins():
     draw = random.Random(256)
     wide = "".join(draw.sample(letters, 256) + draw.choices(letters[:16], k=44))
     ab499 = "ab" * 499 + "b"  # of order 999995 by the closed form
+    tied = coins[300][:260] + coins[300][100:140]  # letters 100-139 again at the end
     return [
         Pin(("semigroup", "abab", "--syntactic"), 0, "syntactic order 9\ngenerators a b\n",
             "warning: "),
@@ -147,6 +148,10 @@ def pins():
         Pin(("factors", coins[300]), 0, f"{factor_count(coins[300])}\n"),
         Pin(("factors", fibonacci), 0, f"{factor_count(fibonacci)}\n"),
         Pin(("factors", wide), 0, f"{factor_count(wide)}\n"),
+        # A repeat of 40 letters after position 0: its starts tie on
+        # primaries of 30 letters and are told apart by exact keys of 64,
+        # with no fallback.
+        Pin(("factors", tied), 0, f"{factor_count(tied)}\n"),
         # Closures refused before either is built.
         refused("semigroup", coins[2000], "--check-iso", timeout=10),
         refused("semigroup", coins[900], "--action", "--table", cap_mb=64),

@@ -1,40 +1,47 @@
 """Distinct-factor counting and the envelope bounds it satisfies.
 
 A word's distinct nonempty factors are counted from its suffixes in sorted
-order: each suffix is cut to the widest window that one integer key of
-PACKED_KEY_BITS bits holds, joined from two 64-bit words of an array read
-over bytes of packed digits, and one sort and one pass over the XORs of
-neighbours follow.  A word with a repeat as long as that window is counted
-by an online suffix automaton, in linear time; so are the short words of
-the exhaustive scan.  The brute-force substring set stays in the test
-suite as the oracle.  The bounds: every repeated-short-factor count lowers
-the n(n+1)/2 ceiling, and a prefix of the least de Bruijn word of a suitable
-span certifies the floor.
-"""
+order.  Each suffix gets a primary key of PRIMARY_BITS bits, cut in C from
+the word's dense code string and small enough for CPython's fast compare of
+one-digit ints; one sort and one pass over the XORs of neighbours follow.
+Only suffixes whose primaries tie get an exact key of PACKED_KEY_BITS bits.
+A word with a repeat as long as the exact key's window is counted by an
+online suffix automaton, in linear time; so are the short words of the
+exhaustive scan.  The brute-force substring set stays in the test suite as
+the oracle.  The bounds: every repeated-short-factor count lowers the
+n(n+1)/2 ceiling, and a prefix of the least de Bruijn word of a suitable
+span certifies the floor."""
 
 from __future__ import annotations
 
 import sys
-from itertools import islice, product, repeat
-from operator import lshift, or_, xor
+from itertools import compress, islice, product, repeat
+from operator import not_, xor
 
 from .debruijn import DEFAULT_MAX_WORD_LENGTH, least_debruijn_word, power_exceeds, power_text
 from .errors import ResourceLimitError
 from .words import Value, Word, default_alphabet
 
 DEFAULT_SCAN_WORDS = 2**18
-# Letters of a word whose factors are counted.  Packed keys take about 61 B
-# per letter at their peak over any alphabet (a 128-bit int and its list
-# slot; tracemalloc reads 60.4, 60.6, 60.1 and 60.7 B on 2^20 random letters
-# over 2, 4, 16 and 300 letters), but a word with a long repeat falls
-# back to the suffix automaton at about 300 B per letter, so about 0.3 GB:
-# a child's ru_maxrss grew by 306 MB as it counted r.r, r a random binary
-# word of 2^19 letters (CPython 3.11).
+# Letters of a word whose factors are counted.  The count peaks at about
+# 45-50 B per letter as it sorts the primaries (a one-digit int, its list
+# slot and its 4-byte record; tracemalloc reads 45.4, 45.5, 45.8, 47.4 and
+# 50.4 B on 2^20 random letters over 2, 4, 16, 300 and 65537 letters).  The
+# worst case without a fallback ties every primary, and short words reach it
+# where a primary holds W = 1 letter (b >= 16): each position then gets an
+# exact key as well, about 95 B per letter and 3x the time of random letters
+# (a de Bruijn word of span 4 over 16 of 65537 letters, 65539 letters).  A
+# word with a long repeat falls back to the suffix automaton at about 300 B
+# per letter, so about 0.3 GB: a child's ru_maxrss grew by 306 MB as it
+# counted r.r, r a random binary word of 2^19 letters (CPython 3.11).
 DEFAULT_FACTOR_LETTERS = 2**20
-# Bits of a packed key of distinct_factors, two 64-bit words: windows of 64
-# letters over 2-3 letters, 32 over 4-15 and 16 over 16-255.  A word with a
-# repeat of that span goes to the automaton.
+# Bits of an exact key of distinct_factors: windows of 64 letters over 2-3
+# letters, 32 over 4-15, 16 over 16-255, 8 over 256-65535 and 4 above.  A
+# word with a repeat of that span goes to the automaton.
 PACKED_KEY_BITS = 128
+# Bits of a primary key of distinct_factors, one CPython digit: 30 letters
+# over 2 letters, 15 over 3-4, 10 over 5-8, and 1 from 2^15 + 1 letters on.
+PRIMARY_BITS = 30
 
 
 def count_distinct_factors(codes) -> int:
@@ -73,98 +80,182 @@ def count_distinct_factors(codes) -> int:
     return sum(maxlen[v] - maxlen[link[v]] for v in range(1, len(maxlen)))
 
 
+def _exact_excess(letters: bytes, starts, dw: int, span: int) -> int | None:
+    """Letters past the first `span` that neighbours share among the sorted
+    suffixes at `starts`, each cut to its exact key: the integer of the
+    widest = PACKED_KEY_BITS / dw digits of `letters` from its start, dw
+    bits a digit.  None when two keys are equal, a repeat of widest letters.
+
+    `letters` holds one character a digit, read in base 2^dw, when dw < 8,
+    and dw / 8 big-endian bytes a digit otherwise; a letter's digit is its
+    code + 1 and the digit 0 pads past the end of the word.
+    """
+    widest = PACKED_KEY_BITS // dw
+    step = max(1, dw // 8)
+    keys = set()
+    for i in starts:
+        window = letters[i * step:(i + widest) * step]
+        key = int(window, 1 << dw) if dw < 8 else int.from_bytes(window, "big")
+        if key in keys:
+            return None
+        keys.add(key)
+    keys = sorted(keys)
+    gaps = bytes(map(int.bit_length, map(xor, keys, islice(keys, 1, None))))
+    excess = bytes(max(0, widest - -(-length // dw) - span) for length in range(256))
+    return sum(gaps.translate(excess))
+
+
 def distinct_factors(w: Word) -> int:
     """Number of distinct nonempty factors of w, from its sorted suffixes
-    (Manber and Myers, "Suffix arrays", SIAM J. Comput. 1993), each cut to
-    its first `widest` letters.
+    (Manber and Myers, "Suffix arrays", SIAM J. Comput. 1993): n(n+1)/2
+    minus the longest common prefix of each pair of neighbours.
 
-    Letter code c is the digit c + 1 of dw bits, dw the least power of two
-    at least k.bit_length(), and the digit 0 pads past the end of w.  Key i
-    is the integer of the widest = PACKED_KEY_BITS / dw digits from position
-    i, so it spells w[i:i + widest] followed by padding.  When dw < 8, a
-    byte holds per = 8 / dw digits, and the string of phase r < per holds
-    the digits from position r on, so key r + per * j starts at its byte j;
-    when dw >= 8, one string holds step = dw / 8 bytes a letter, so key i
-    starts at its byte i * step.  Each string ends in at least a key of
-    padding.  Manber and Myers double the span so that it can grow past any
-    repeat; here it stops at `widest`, so each key is cut whole, in one pass.
+    Primaries.  Each letter is its code, b = max(1, bitlen(k - 1)) bits, in
+    one dense code string with no padding digit.  Each of the N = n - span + 1
+    suffixes with at least span = PRIMARY_BITS // b letters gets as its
+    primary the PRIMARY_BITS bits of that string from its first letter on,
+    zero-filled past the end: its first span letters, then the leading bits
+    of the next letter, if any.  Primaries below 2^30 are one CPython digit,
+    which `list.sort` compares fast.  They are cut in C: positions i = r +
+    P j of phase r < P = 8 / gcd(b, 8) start at the same bit of a byte, so
+    one shift of the packed string per phase puts each such primary, behind
+    two spare bits, in the 4-byte record at byte j * b / gcd(b, 8); strided
+    slices gather the records, a `translate` clears the spare bits and an
+    `array` reads them.
 
-    The keys are cut from 64-bit words, not from slices: each string is
-    read as big-endian words from each byte offset o < 8 that a key starts
-    at, one `array("Q")` an offset, and the key at its byte o + 8t is
-    high[t] << 64 | high[t + 1], high being the words read from o.  A read
-    ends less than 16 bytes past the last key's start, inside the padding.
-    The keys are listed by offset, not by position, which the sort undoes.
+    Order and gaps.  A primary spells its letters in order and pads with
+    zeros, which sort below any bit of a letter after them, so a smaller
+    primary is a smaller suffix.  Two different primaries a and b agree on
+    their first PRIMARY_BITS - bitlen(a ^ b) bits; that many bits over b is
+    their common prefix in letters when it is below span, and it is span
+    when they differ only in the bits of letter span (a letter there, or
+    the end of one of them).  Equal primaries, a tie, share span letters or
+    more.
 
-    A 0 digit never equals a letter, so two keys are equal only when both
-    are full windows that are equal, and two different keys order their
-    suffixes.  Neighbours a < b of the sorted keys share
-    widest - ceil(bitlen(a ^ b) / dw) leading digits, all of them letters:
-    each suffix has its first padding digit at a position of its own, where
-    the other has a letter.  That is their longest common prefix, and the
-    count is n(n+1)/2 minus the sum over neighbours.
+    Ties.  Only tied suffixes get their exact key (`_exact_excess`): the
+    widest = PACKED_KEY_BITS / dw letters from their start as digits c + 1
+    of dw bits, dw the least power of two at least bitlen(k), padded with
+    the digit 0.  A 0 digit never equals a letter, so two exact keys are
+    equal only when both are full windows that are equal; the word then has
+    a repeat of widest letters, and its suffix automaton counts it.
+    Otherwise neighbours among the exact keys share widest -
+    ceil(bitlen(a ^ b) / dw) letters, and each pair in one tie adds what it
+    shares past span.  A pair from two different ties shares span letters
+    at most, so sorting all tied keys together adds nothing for it.  Tied
+    positions are found without a Python step per position: a `translate`
+    of each byte column of the primaries keeps the positions whose four
+    bytes each occur at that place in a tied primary, and only those are
+    looked up in the set of tied primaries.  Keys are cut in position
+    order, so the second start of a repeat ends the step at once.
 
-    When two keys are equal, w has a repeat of `widest` letters or more,
-    and its suffix automaton counts it instead: a packed key for it would
-    grow with the repeat, and with it the whole pass.  When its first
-    `widest` letters occur again, one `bytes.find` says so before any key is
-    cut; periodic and Fibonacci words are found that way.  It runs on the
-    digits that the keys are cut from, step bytes a letter, so a match
-    counts only at a multiple of step (and none reaches the padding, whose
-    digits are 0); the word is never rendered.
+    The tail.  The last span - 1 suffixes (all n when n < span) are shorter
+    than span.  Each adds its length minus the longest prefix it shares
+    with the suffixes counted before it: with the sorted primaries, found at
+    its neighbours where its zero-filled primary would be inserted, and with
+    the longer tail suffixes, from their zero-filled primaries; both capped
+    at its length.
+
+    The prefix probe: when the first widest letters occur again, one
+    `bytes.find` over the digits says so before any primary is cut, and the
+    automaton counts the word; periodic and Fibonacci words are found that
+    way.  With step bytes a letter, a match counts only at a multiple of
+    step (and none reaches the padding, whose digits are 0).
     """
-    from array import array  # only counting needs it, not the CLI's start-up
+    from array import array  # only counting needs these, not the CLI's start-up
+    from bisect import bisect_left
+    from math import gcd
 
     n = len(w)
     if n == 0:
         raise ValueError("factor counting is undefined for the empty word")
-    dw = 1 << (w.alphabet.size.bit_length() - 1).bit_length()
+    k = w.alphabet.size
+    dw = 1 << (k.bit_length() - 1).bit_length()
     widest = PACKED_KEY_BITS // dw
-    key_bytes = PACKED_KEY_BITS // 8
     swap = sys.byteorder == "little"
     if dw < 8:
-        per, step = 8 // dw, 1
-        letters = bytes(w.codes).translate(bytes.maketrans(bytes(range(15)), b"123456789abcdef"))
+        step = 1
+        codes = bytes(w.codes)
+        letters = codes.translate(bytes.maketrans(bytes(range(15)), b"123456789abcdef"))
+        letters += b"0" * widest
     else:
-        per, step = 1, dw // 8
-        wide = array(next(code for code in "BHILQ" if array(code).itemsize == step),
-                     map((1).__add__, w.codes))
-        wide.extend(repeat(0, key_bytes // step))
+        step = dw // 8
+        typecode = next(code for code in "BHILQ" if array(code).itemsize == step)
+        raw = array(typecode, w.codes)
+        wide = array(typecode, map((1).__add__, w.codes))
+        wide.extend(repeat(0, widest))
         if swap:
+            raw.byteswap()
             wide.byteswap()
-        letters = wide.tobytes()
-        del wide
+        codes, letters = raw.tobytes(), wide.tobytes()
+        del raw, wide
     prefix = letters[:widest * step]
     at = letters.find(prefix, step)
     while at > 0 and at % step:
         at = letters.find(prefix, at + 1)
     if at > 0:
         return count_distinct_factors(w.codes)
-    if dw < 8:
-        size = -(-n // per) + key_bytes
-        packed = int(letters + b"0" * (size * per - n), 1 << dw)
-        strings = [(packed << dw * r).to_bytes(size + 1, "big")[1:] for r in range(per)]
-    else:
-        strings = [letters]
-    keys = []
-    for r, string in enumerate(strings):
-        end = len(range(r, n, per)) * step  # keys start at multiples of step below it
-        view = memoryview(string)
-        for offset in range(0, min(8, end), step):
-            high = array("Q")
-            high.frombytes(view[offset:offset + (end - offset + 15) // 8 * 8])
-            if swap:
-                high.byteswap()
-            high = high.tolist()
-            keys += map(or_, map(lshift, high, repeat(64)), islice(high, 1, None))
-    del letters, strings, string, view, high  # the sort and the gaps set the peak
-    keys.sort()
-    gaps = list(map(int.bit_length, map(xor, keys, islice(keys, 1, None))))
-    del keys
-    if 0 in gaps:  # two equal full windows
-        return count_distinct_factors(w.codes)
-    shared = [widest - -(-length // dw) for length in range(PACKED_KEY_BITS + 1)]
-    return n * (n + 1) // 2 - sum(map(shared.__getitem__, gaps))
+
+    b = max(1, (k - 1).bit_length())
+    span = PRIMARY_BITS // b
+    dense = bytearray(n * b)  # codes as "0" and "1", from step big-endian bytes each
+    for t in range(b):
+        bit = b - 1 - t
+        low = 1 << bit % 8  # byte values run `low` with that bit 0, then `low` with it 1
+        table = (b"0" * low + b"1" * low) * (128 // low)
+        dense[t::b] = codes[step - 1 - bit // 8::step].translate(table)
+    del codes
+    packed = int(dense, 2)
+    del dense
+    full = max(0, n - span + 1)
+    tails = [(packed & ~(-1 << length * b)) << PRIMARY_BITS - length * b
+             for length in range(n - full, 0, -1)]
+    period, stride = 8 // gcd(b, 8), b // gcd(b, 8)
+    size = (n * b + 48) // 8
+    packed <<= 8 * size - 8 - n * b  # a zero byte, the codes, zeros: size bytes
+    records = bytearray(4 * full)
+    for r in range(min(period, full)):
+        skip, shift = divmod(r * b + 6, 8)  # two spare bits before position r
+        cut = (packed << shift).to_bytes(size + 1, "big")
+        count = len(range(r, full, period))
+        for t in range(4):
+            start = 1 + skip + t
+            records[4 * r + t::4 * period] = cut[start:start + stride * (count - 1) + 1:stride]
+    del packed
+    records[0::4] = records[0::4].translate(bytes(range(64)) * 4)
+    values = array(next(code for code in "IL" if array(code).itemsize == 4))
+    values.frombytes(records)
+    del records
+    if swap:
+        values.byteswap()
+    primaries = values.tolist()
+    primaries.sort()
+    gaps = bytes(map(int.bit_length, map(xor, primaries, islice(primaries, 1, None))))
+    total = n * (n + 1) // 2
+    shared = bytes((PRIMARY_BITS - length) // b for length in range(PRIMARY_BITS + 1))
+    total -= sum(gaps.translate(shared.ljust(256, b"\0")))
+    for i, tail in enumerate(tails):
+        at = bisect_left(primaries, tail)
+        near = tails[:i] + primaries[max(0, at - 1):at + 1]
+        common = PRIMARY_BITS - min(map(int.bit_length, map(xor, near, repeat(tail))),
+                                    default=PRIMARY_BITS)
+        total -= min(len(tails) - i, common // b)
+    if 0 in gaps:  # ties
+        tied = set(compress(primaries, map(not_, gaps)))
+        del primaries, gaps
+        kept = -1  # positions each of whose bytes is that byte of a tied primary
+        view = memoryview(values).cast("B")
+        for t in range(4):
+            column = bytearray(256)
+            for value in tied:
+                column[value.to_bytes(4, sys.byteorder)[t]] = 1
+            kept &= int.from_bytes(bytes(view[t::4]).translate(column), "big")
+        starts = (i for i in compress(range(full), kept.to_bytes(full, "big"))
+                  if values[i] in tied)
+        excess = _exact_excess(letters, starts, dw, span)
+        if excess is None:
+            return count_distinct_factors(w.codes)
+        total -= excess
+    return total
 
 
 def max_factors_exhaustive(n: int, k: int,

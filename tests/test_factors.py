@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from ebwt import factors
 from ebwt.errors import ResourceLimitError
 from ebwt.factors import (
     PACKED_KEY_BITS,
+    PRIMARY_BITS,
     count_distinct_factors,
     debruijn_factor_witness,
     distinct_factors,
@@ -87,6 +89,26 @@ def fallbacks(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def refined(monkeypatch):
+    """The starts that distinct_factors cut exact keys for, a list a call."""
+    seen = []
+    exact_excess = factors._exact_excess
+
+    def spy(letters, starts, dw, span):
+        starts = list(starts)
+        seen.append(starts)
+        return exact_excess(letters, starts, dw, span)
+
+    monkeypatch.setattr(factors, "_exact_excess", spy)
+    return seen
+
+
+def dense_bits(k: int) -> int:
+    """Bits a letter of the dense code string that primaries are cut from."""
+    return max(1, (k - 1).bit_length())
+
+
 def text_word(text: str) -> Word:
     return Alphabet("".join(sorted(set(text)))).word(text)
 
@@ -131,11 +153,12 @@ class TestPackedCount:
         assert distinct_factors(alphabet.word(text)) == brute_distinct_factors(text)
         assert bool(fallbacks) == (offset >= 0)
 
-    # The edges of every digit width dw = 1, 2, 4, 8, 16, 32, of 8 // dw
-    # phase strings when dw < 8 and of dw // 8 bytes a letter otherwise.
-    # Lengths around 8 * per * j put a key at every byte offset of the
-    # 64-bit words that keys are cut from, and end each string in a word
-    # that is partly padding.
+    # The edges of every exact-key digit width dw = 1, 2, 4, 8, 16, 32: a
+    # character a letter when dw < 8 and dw // 8 bytes a letter otherwise,
+    # `span` letters a key, so a repeat of `span` letters falls back.  The
+    # dense code widths b = 1, 2, 4, 8, 16, 17 of the primaries change with
+    # them; lengths around 8 * per * j end the code string at several bits
+    # of a byte and give each phase of the primary cut several records.
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 15, 16, 255, 256, 65536, 65537])
     def test_every_digit_width_matches_brute_force(self, fallbacks, k):
         dw = 1
@@ -157,6 +180,92 @@ class TestPackedCount:
                 assert distinct_factors(Word(alphabet, codes)) == brute_distinct_factors(codes)
                 repeats += longest_repeat(codes) >= span
         assert len(fallbacks) == repeats
+
+    # Every dense width b at its alphabet edges, so W = PRIMARY_BITS // b
+    # letters a primary: 30 over 2 letters down to 1 from 2^15 + 1 on.
+    # Lengths around W cross from the tail alone to one full primary, and
+    # lengths around W + P, P = 8 / gcd(b, 8) the phases of the cut, give
+    # the last phase its first record.
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 256, 257, 2**15, 2**15 + 1])
+    def test_every_dense_width_matches_brute_force(self, fallbacks, k):
+        span = PRIMARY_BITS // dense_bits(k)
+        period = 8 // gcd(dense_bits(k), 8)
+        alphabet = wide_alphabet(k)
+        rng = random.Random(k)
+        pools = dict.fromkeys([(0, k - 1), tuple(rng.sample(range(k), min(k, 3))),
+                               tuple(range(max(0, k - 16), k))])
+        lengths = {span - 1, span, span + 1, 2 * span, 1, 2,
+                   *(span + period + d for d in (-2, -1, 0, 1)), 2 * span + 3 * period + 1} - {0}
+        repeats = 0
+        for n in sorted(lengths):
+            for pool in pools:
+                codes = tuple(rng.choices(pool, k=n))
+                expected = brute_distinct_factors(codes)
+                assert distinct_factors(Word(alphabet, codes)) == expected
+                assert count_distinct_factors(codes) == expected
+                repeats += longest_repeat(codes) >= budget_span(k)
+        assert len(fallbacks) == repeats
+
+    @pytest.mark.parametrize("k", [2, 4, 16, 256, 2**15 + 1])
+    def test_tied_repeat_is_refined_not_fallen_back(self, fallbacks, refined, k):
+        # x + r + y + r, as in the budget test, with |r| = W - 1, W, W + 1
+        # and widest - 1: r is the longest repeat, shorter than an exact key,
+        # so the word never falls back, and the two starts of r tie when r
+        # is longer than a primary's W letters
+        span = PRIMARY_BITS // dense_bits(k)
+        alphabet = wide_alphabet(k)
+        letters = alphabet.letters
+        for length in sorted({span - 1, span, span + 1, budget_span(k) - 1} - {0}):
+            rng = random.Random(k * 100 + length)
+            x, r, y = ("".join(rng.choices(letters, k=size)) for size in (20, length, 5))
+            if x[-1] == y[-1]:
+                y = y[:-1] + letters[letters.index(x[-1]) - 1]
+            text = x + r + y + r
+            assert longest_repeat(text) == length
+            w = alphabet.word(text)
+            refined.clear()
+            expected = brute_distinct_factors(text)
+            assert distinct_factors(w) == count_distinct_factors(w.codes) == expected
+            if length > span:
+                assert {len(x), len(x + r + y)} <= set(refined[0])
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("k", [2, 3, 16, 300])
+    @pytest.mark.parametrize("n", [1, 40, 200])
+    def test_tail_repeats_the_start(self, fallbacks, k, n):
+        # u + u[:W - 1]: each of the last W - 1 suffixes is a factor of u,
+        # so it adds nothing to what the full primaries count
+        span = PRIMARY_BITS // dense_bits(k)
+        codes = tuple(random.Random(k + n).choices(range(k), k=n))
+        codes += codes[:span - 1]
+        expected = brute_distinct_factors(codes)
+        assert distinct_factors(Word(wide_alphabet(k), codes)) == expected
+        assert count_distinct_factors(codes) == expected
+        assert fallbacks == ([] if longest_repeat(codes) < budget_span(k) else [codes])
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_few_positions_get_exact_keys(self, fallbacks, refined, k):
+        # random words tie on a full primary at a few positions, here at
+        # least at the two starts of a planted repeat of W + 5 letters; a
+        # count that cut exact keys at every position would still be right
+        n, span = 20_000, PRIMARY_BITS // dense_bits(k)
+        codes = random.Random(n + k).choices(range(k), k=n)
+        codes[n // 2:n // 2 + span + 5] = codes[100:100 + span + 5]
+        w = Word(default_alphabet(k), tuple(codes))
+        assert distinct_factors(w) == count_distinct_factors(w.codes)
+        assert fallbacks == []
+        assert {100, n // 2} <= set(refined[0])
+        assert len(refined[0]) < n // 100
+
+    @pytest.mark.parametrize("tail", ["ab" * 400, fibonacci_word(800)[:800]],
+                             ids=["ab-power", "fibonacci"])
+    def test_late_repeat_falls_back_once(self, fallbacks, tail):
+        # the repeat starts after position 0, so the prefix probe misses it
+        # and two equal exact keys find it
+        text = "".join(random.Random(200).choices("ab", k=200)) + tail
+        w = text_word(text)
+        assert distinct_factors(w) == count_distinct_factors(w.codes)
+        assert fallbacks == [w.codes]
 
     @pytest.mark.parametrize("n,packed", [(128, True), (129, False)])
     def test_unary_at_the_budget(self, fallbacks, n, packed):
