@@ -3,7 +3,10 @@
 A word's distinct nonempty factors are counted from its suffixes in sorted
 order.  Each suffix gets a primary key of PRIMARY_BITS bits, cut in C from
 the word's dense code string and small enough for CPython's fast compare of
-one-digit ints; one sort and one pass over the XORs of neighbours follow.
+one-digit ints; one sort follows.  The sorted primaries then go back into
+4-byte records, and the longest common prefix of every neighbour pair is
+read from the records' XOR with their neighbours a byte at a time, by
+`translate` and whole-string int arithmetic, with no int object per pair.
 Only suffixes whose primaries tie get an exact key of PACKED_KEY_BITS bits.
 A word with a repeat as long as the exact key's window is counted by an
 online suffix automaton, in linear time; so are the short words of the
@@ -15,8 +18,8 @@ span certifies the floor."""
 from __future__ import annotations
 
 import sys
-from itertools import compress, islice, product, repeat
-from operator import not_, xor
+from itertools import chain, compress, islice, product, repeat
+from operator import xor
 
 from .debruijn import DEFAULT_MAX_WORD_LENGTH, least_debruijn_word, power_exceeds, power_text
 from .errors import ResourceLimitError
@@ -24,16 +27,18 @@ from .words import Value, Word, default_alphabet
 
 DEFAULT_SCAN_WORDS = 2**18
 # Letters of a word whose factors are counted.  The count peaks at about
-# 45-50 B per letter as it sorts the primaries (a one-digit int, its list
-# slot and its 4-byte record; tracemalloc reads 45.4, 45.5, 45.8, 47.4 and
-# 50.4 B on 2^20 random letters over 2, 4, 16, 300 and 65537 letters).  The
-# worst case without a fallback ties every primary, and short words reach it
-# where a primary holds W = 1 letter (b >= 16): each position then gets an
-# exact key as well, about 95 B per letter and 3x the time of random letters
-# (a de Bruijn word of span 4 over 16 of 65537 letters, 65539 letters).  A
-# word with a long repeat falls back to the suffix automaton at about 300 B
-# per letter, so about 0.3 GB: a child's ru_maxrss grew by 306 MB as it
-# counted r.r, r a random binary word of 2^19 letters (CPython 3.11).
+# 45-51 B per letter as it sorts the primaries (a one-digit int, its list
+# slot, its 4-byte record and the sort's merge space; tracemalloc reads
+# 45.6, 45.8, 46.0, 47.6 and 50.6 B on 2^20 random letters over 2, 4, 16,
+# 300 and 65537 letters); the neighbour pass after the sort holds a few
+# bytes per letter.  The worst case without a fallback ties every primary,
+# and short words reach it where a primary holds W = 1 letter (b >= 16):
+# each position then gets an exact key as well, about 95 B per letter and
+# 3.5x the time of random letters (a de Bruijn word of span 4 over 16 of
+# 65537 letters, 65539 letters).  A word with a long repeat falls back to
+# the suffix automaton at about 300 B per letter, so about 0.3 GB: a
+# child's ru_maxrss grew by 306 MB as it counted r.r, r a random binary
+# word of 2^19 letters (CPython 3.11).
 DEFAULT_FACTOR_LETTERS = 2**20
 # Bits of an exact key of distinct_factors: windows of 64 letters over 2-3
 # letters, 32 over 4-15, 16 over 16-255, 8 over 256-65535 and 4 above.  A
@@ -80,6 +85,19 @@ def count_distinct_factors(codes) -> int:
     return sum(maxlen[v] - maxlen[link[v]] for v in range(1, len(maxlen)))
 
 
+def _select(data, flags: bytes):
+    """The items of `data` at the 1 bytes of `flags`, a string of 0 and 1
+    bytes, in order.  A 1 past the last window opens one over the next 256
+    items, which C-level `compress` reads, so a sparse string costs a Python
+    step a cluster of 1s and a dense one a step per 256 items."""
+    def windows():
+        at = flags.find(1)
+        while at >= 0:
+            yield compress(data[at:at + 256], flags[at:at + 256])
+            at = flags.find(1, at + 256)
+    return chain.from_iterable(windows())
+
+
 def _exact_excess(letters: bytes, starts, dw: int, span: int) -> int | None:
     """Letters past the first `span` that neighbours share among the sorted
     suffixes at `starts`, each cut to its exact key: the integer of the
@@ -123,14 +141,26 @@ def distinct_factors(w: Word) -> int:
     slices gather the records, a `translate` clears the spare bits and an
     `array` reads them.
 
-    Order and gaps.  A primary spells its letters in order and pads with
-    zeros, which sort below any bit of a letter after them, so a smaller
-    primary is a smaller suffix.  Two different primaries a and b agree on
-    their first PRIMARY_BITS - bitlen(a ^ b) bits; that many bits over b is
-    their common prefix in letters when it is below span, and it is span
+    Order and common prefixes.  A primary spells its letters in order and
+    pads with zeros, which sort below any bit of a letter after them, so a
+    smaller primary is a smaller suffix.  Two different primaries agree on
+    the leading bits above the first 1 of their XOR; that many bits over b
+    is their common prefix in letters when it is below span, and it is span
     when they differ only in the bits of letter span (a letter there, or
     the end of one of them).  Equal primaries, a tie, share span letters or
-    more.
+    more.  The sorted primaries go into big-endian 4-byte records, read as
+    one int, which XORed with itself one record down holds at record j the
+    XOR of sorted neighbours j - 1 and j.  Each byte column of those records
+    is translated into the leading zero bits of its byte, A (of 6 in the
+    first byte, whose top two bits are spare, and of 8 in the others), and
+    into a mask Z, 0xff where the byte is 0 and 0 elsewhere; read as ints
+    with a byte a pair, A0 + (Z0 & (A1 + (Z1 & (A2 + (Z2 & A3))))) is each
+    pair's count of shared leading bits, since a byte's zeros count on into
+    the next byte only when the whole byte is 0.  Each byte of it is at
+    most 6 + 8 + 8 + 8 = 30 = PRIMARY_BITS, so no sum carries into the
+    byte of another pair, and it is 30 exactly when all four bytes of the
+    XOR are 0, a tie.  One `translate` by // b gives each pair's shared
+    letters and one `sum` their total.
 
     Ties.  Only tied suffixes get their exact key (`_exact_excess`): the
     widest = PACKED_KEY_BITS / dw letters from their start as digits c + 1
@@ -142,10 +172,14 @@ def distinct_factors(w: Word) -> int:
     ceil(bitlen(a ^ b) / dw) letters, and each pair in one tie adds what it
     shares past span.  A pair from two different ties shares span letters
     at most, so sorting all tied keys together adds nothing for it.  Tied
-    positions are found without a Python step per position: a `translate`
-    of each byte column of the primaries keeps the positions whose four
-    bytes each occur at that place in a tied primary, and only those are
-    looked up in the set of tied primaries.  Keys are cut in position
+    positions are found with no Python step per position: the tied
+    primaries are the sorted records at the bytes 30 of the shared-bit
+    string; a `translate` of each byte column of the primaries in position
+    order keeps the positions whose four bytes each occur at that place in
+    a tied primary, and only those are looked up in the set of tied
+    primaries.  Both reads are C-level `compress` over windows that a
+    flagged byte opens (`_select`), so a few ties cost a Python step each
+    and an all-tied word one per 256 positions.  Keys are cut in position
     order, so the second start of a repeat ends the step at once.
 
     The tail.  The last span - 1 suffixes (all n when n < span) are shorter
@@ -229,28 +263,50 @@ def distinct_factors(w: Word) -> int:
         values.byteswap()
     primaries = values.tolist()
     primaries.sort()
-    gaps = bytes(map(int.bit_length, map(xor, primaries, islice(primaries, 1, None))))
     total = n * (n + 1) // 2
-    shared = bytes((PRIMARY_BITS - length) // b for length in range(PRIMARY_BITS + 1))
-    total -= sum(gaps.translate(shared.ljust(256, b"\0")))
     for i, tail in enumerate(tails):
         at = bisect_left(primaries, tail)
         near = tails[:i] + primaries[max(0, at - 1):at + 1]
         common = PRIMARY_BITS - min(map(int.bit_length, map(xor, near, repeat(tail))),
                                     default=PRIMARY_BITS)
         total -= min(len(tails) - i, common // b)
-    if 0 in gaps:  # ties
-        tied = set(compress(primaries, map(not_, gaps)))
-        del primaries, gaps
+    ordered = array(values.typecode)
+    ordered.fromlist(primaries)
+    del primaries
+    if swap:
+        ordered.byteswap()  # big-endian records, read as one int
+    bits = int.from_bytes(ordered, "big")
+    xors = (bits ^ (bits >> 32)).to_bytes(4 * full, "big")  # record j: sorted j - 1 ^ sorted j
+    del bits
+    first = bytes(6 - v.bit_length() for v in range(64)).ljust(256, b"\0")
+    rest = bytes(8 - v.bit_length() for v in range(256))
+    zero = b"\xff".ljust(256, b"\0")
+    common = 0  # a byte a neighbour pair: the leading bits its primaries share
+    for t, leading in ((3, rest), (2, rest), (1, rest), (0, first)):
+        column = xors[4 + t::4]
+        if common:
+            common &= int.from_bytes(column.translate(zero), "big")
+        common += int.from_bytes(column.translate(leading), "big")
+    del xors, column
+    common = common.to_bytes(max(0, full - 1), "big")
+    total -= sum(common.translate(bytes(length // b for length in range(256))))
+    if PRIMARY_BITS in common:  # ties
+        flags = common.translate(bytes(PRIMARY_BITS) + b"\1".ljust(256 - PRIMARY_BITS, b"\0"))
+        if swap:
+            ordered.byteswap()
+        tied = set(_select(ordered, flags))
+        del ordered, common, flags
+        native = values.tobytes()
         kept = -1  # positions each of whose bytes is that byte of a tied primary
-        view = memoryview(values).cast("B")
         for t in range(4):
             column = bytearray(256)
             for value in tied:
                 column[value.to_bytes(4, sys.byteorder)[t]] = 1
-            kept &= int.from_bytes(bytes(view[t::4]).translate(column), "big")
-        starts = (i for i in compress(range(full), kept.to_bytes(full, "big"))
-                  if values[i] in tied)
+            kept &= int.from_bytes(native[t::4].translate(column), "big")
+        del native
+        kept = kept.to_bytes(full, "big")
+        starts = compress(_select(range(full), kept),
+                          map(tied.__contains__, _select(values, kept)))
         excess = _exact_excess(letters, starts, dw, span)
         if excess is None:
             return count_distinct_factors(w.codes)

@@ -1,11 +1,13 @@
 import random
 import tracemalloc
+from collections import Counter
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ebwt import factors
+from ebwt.debruijn import least_debruijn_word
 from ebwt.errors import ResourceLimitError
 from ebwt.factors import (
     PACKED_KEY_BITS,
@@ -123,6 +125,33 @@ def digit_bytes(codes, step: int) -> bytes:
     return b"".join((c + 1).to_bytes(step, "big") for c in codes)
 
 
+def reference_primaries(codes, k: int) -> list[int]:
+    """The primary of each suffix with at least W letters: the first
+    PRIMARY_BITS bits of the codes written in dense_bits(k) bits each,
+    zero-filled past the end."""
+    b = dense_bits(k)
+    bits = "".join(format(c, f"0{b}b") for c in codes)
+    full = len(codes) - PRIMARY_BITS // b + 1
+    return [int(bits[i * b:i * b + PRIMARY_BITS].ljust(PRIMARY_BITS, "0"), 2)
+            for i in range(max(0, full))]
+
+
+def shared_bits(primaries) -> list[int]:
+    """The leading bits each pair of sorted neighbours shares, PRIMARY_BITS
+    for a tie."""
+    ordered = sorted(primaries)
+    return [PRIMARY_BITS - (a ^ c).bit_length() for a, c in zip(ordered, ordered[1:])]
+
+
+def tied_positions(primaries) -> list[int]:
+    """The positions whose primary occurs more than once, in increasing order."""
+    counts = Counter(primaries)
+    return [i for i, value in enumerate(primaries) if counts[value] > 1]
+
+
+DENSE_EDGES = [2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 256, 257, 2**15, 2**15 + 1]
+
+
 class TestPackedCount:
     @given(st.integers(1, 6).flatmap(
         lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), min_size=1,
@@ -186,7 +215,7 @@ class TestPackedCount:
     # Lengths around W cross from the tail alone to one full primary, and
     # lengths around W + P, P = 8 / gcd(b, 8) the phases of the cut, give
     # the last phase its first record.
-    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 256, 257, 2**15, 2**15 + 1])
+    @pytest.mark.parametrize("k", DENSE_EDGES)
     def test_every_dense_width_matches_brute_force(self, fallbacks, k):
         span = PRIMARY_BITS // dense_bits(k)
         period = 8 // gcd(dense_bits(k), 8)
@@ -205,6 +234,83 @@ class TestPackedCount:
                 assert count_distinct_factors(codes) == expected
                 repeats += longest_repeat(codes) >= budget_span(k)
         assert len(fallbacks) == repeats
+
+    # R + x + R + y, |R| = W, for each bit t of a letter, then W letters
+    # more: x = 0 and y has only bit t set, so the suffixes at R[j:] in the
+    # two copies share W - j letters and then differ first at bit t of a
+    # letter, or tie when that bit lies past a primary's PRIMARY_BITS.  Over
+    # every j and t, sorted neighbours share each count of leading bits from
+    # 0 to PRIMARY_BITS, which puts the first differing bit in each byte of
+    # a 4-byte record and at each of its edges.
+    @pytest.mark.parametrize("k", DENSE_EDGES)
+    def test_every_shared_bit_count(self, fallbacks, refined, k):
+        b = dense_bits(k)
+        span = PRIMARY_BITS // b
+        rng = random.Random(k)
+        codes = ()
+        for t in range(b):
+            r = tuple(rng.choices(range(1, k), k=span))
+            codes += r + (0,) + r + (1 << b - 1 - t,)
+        codes += tuple(rng.choices(range(1, k), k=span))  # so both copies start full primaries
+        primaries = reference_primaries(codes, k)
+        assert set(shared_bits(primaries)) == set(range(PRIMARY_BITS + 1))
+        expected = brute_distinct_factors(codes)
+        assert distinct_factors(Word(wide_alphabet(k), codes)) == expected
+        assert count_distinct_factors(codes) == expected
+        assert fallbacks == []
+        assert refined == [tied_positions(primaries)]
+
+    # N = n - W + 1 full primaries: none (every suffix is in the tail), one
+    # (no neighbour pair) and two (one pair, which ties or not)
+    @pytest.mark.parametrize("k", DENSE_EDGES)
+    def test_zero_one_or_two_full_primaries(self, fallbacks, refined, k):
+        span = PRIMARY_BITS // dense_bits(k)
+        alphabet = wide_alphabet(k)
+        rng = random.Random(k)
+        for full in (0, 1, 2):
+            n = span - 1 + full
+            if n == 0:
+                continue
+            words = [tuple(rng.choices(range(k), k=n)) for _ in range(4)]
+            words += [(k - 1,) * n, (0,) * n]
+            for codes in words:
+                refined.clear()
+                primaries = reference_primaries(codes, k)
+                assert len(primaries) == full
+                expected = brute_distinct_factors(codes)
+                assert distinct_factors(Word(alphabet, codes)) == expected
+                assert count_distinct_factors(codes) == expected
+                tied = tied_positions(primaries)
+                assert refined == ([tied] if tied else [])
+        assert fallbacks == []  # no word is longer than W + 1 < widest letters
+
+    # lo = 0^W 1 and hi = (k-1)^W (k-2), each after four filler letters and
+    # its own last letter.  Fillers have no run of W letters 0 or k - 1, and
+    # no letter 0 or k - 1 at all when W <= 4.  The least primaries are then
+    # the starts of lo and the greatest those of hi, so ties sit at the
+    # first and the last sorted pair, and `copies` copies of a block tie
+    # that many equal primaries in a run.
+    @pytest.mark.parametrize("k", DENSE_EDGES)
+    @pytest.mark.parametrize("copies", [2, 3, 5])
+    def test_ties_at_the_ends_and_in_runs(self, fallbacks, refined, k, copies):
+        span = PRIMARY_BITS // dense_bits(k)
+        rng = random.Random(k * 10 + copies)
+        middle = range(k) if span > 4 else range(1, k - 1)
+        lo, hi = (0,) * span + (1,), (k - 1,) * span + (k - 2,)
+        codes = ()
+        for block in (lo,) * copies + (hi,) * copies:
+            codes += tuple(rng.choices(middle, k=4)) + block[-1:] + block
+        codes += tuple(rng.choices(middle, k=3))
+        assert longest_repeat(codes) < budget_span(k)
+        primaries = reference_primaries(codes, k)
+        ordered = sorted(primaries)
+        assert ordered[:copies] == [ordered[0]] * copies and ordered[copies] != ordered[0]
+        assert ordered[-copies:] == [ordered[-1]] * copies and ordered[-copies - 1] != ordered[-1]
+        expected = brute_distinct_factors(codes)
+        assert distinct_factors(Word(wide_alphabet(k), codes)) == expected
+        assert count_distinct_factors(codes) == expected
+        assert fallbacks == []
+        assert refined == [tied_positions(primaries)]
 
     @pytest.mark.parametrize("k", [2, 4, 16, 256, 2**15 + 1])
     def test_tied_repeat_is_refined_not_fallen_back(self, fallbacks, refined, k):
@@ -338,9 +444,11 @@ class TestPackedCount:
 
     @pytest.mark.parametrize("k", [2, 300, 65537])
     def test_peak_memory_per_letter(self, fallbacks, k):
-        # about 60 B a letter over any alphabet, a 128-bit key and its list
-        # slot; one more object a letter, such as a bytes of its digit,
-        # passes the bound
+        # 45-51 B a letter, at the sort: each primary's one-digit int (28
+        # B) and list slot (8 B), its 4-byte record, the sort's merge space
+        # (4 B) and the word's digits (1-4 B).  The list is freed before the
+        # neighbour pass, whose byte strings hold a few bytes a letter; one
+        # more int object a letter fails the bound
         n = 50_000
         w = Word(wide_alphabet(k), tuple(random.Random(k).choices(range(k), k=n)))
         tracemalloc.start()
@@ -350,7 +458,36 @@ class TestPackedCount:
         finally:
             tracemalloc.stop()
         assert fallbacks == []
-        assert peak / n < 80
+        assert peak / n < 60
+
+    @staticmethod
+    def all_tied_word() -> tuple[int, ...]:
+        """The least de Bruijn word of span 4 over 16 letters, closed by its
+        first 3 letters: read over 65537 letters, a primary holds W = 1
+        letter and 13 bits of the next, which are 0, so all 65539 primaries
+        tie in 16 runs; no 4 letters repeat, so no exact keys are equal."""
+        codes = least_debruijn_word(16, 4).codes
+        return codes + codes[:3]
+
+    def test_all_tied_word_refines_every_position(self, fallbacks, refined):
+        codes = self.all_tied_word()
+        assert distinct_factors(Word(wide_alphabet(65537), codes)) == count_distinct_factors(codes)
+        assert fallbacks == []
+        assert refined == [list(range(len(codes)))]
+
+    def test_all_tied_word_peak_memory(self, fallbacks):
+        # about 95 B a letter: the exact keys of every position, their set
+        # and their sorted list, on top of the records
+        codes = self.all_tied_word()
+        w = Word(wide_alphabet(65537), codes)
+        tracemalloc.start()
+        try:
+            distinct_factors(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fallbacks == []
+        assert peak / len(codes) < 110
 
     def test_one_word_per_path(self, fallbacks):
         rng = random.Random(1)
@@ -479,7 +616,6 @@ class TestDeBruijnWitness:
             debruijn_factor_witness(2, 2)
 
     def test_prefix_of_least_word_and_exact_count(self):
-        from ebwt.debruijn import least_debruijn_word
         for n, k in [(10, 2), (40, 3), (100, 2)]:
             result = debruijn_factor_witness(n, k)
             full = least_debruijn_word(k, result.span)
