@@ -7,13 +7,14 @@ one-digit ints; one sort follows.  The sorted primaries then go back into
 4-byte records, and the longest common prefix of every neighbour pair is
 read from the records' XOR with their neighbours a byte at a time, by
 `translate` and whole-string int arithmetic, with no int object per pair.
-Only suffixes whose primaries tie get an exact key of PACKED_KEY_BITS bits.
-A word with a repeat as long as the exact key's window is counted by an
-online suffix automaton, in linear time; so are the short words of the
-exhaustive scan.  The brute-force substring set stays in the test suite as
-the oracle.  The bounds: every repeated-short-factor count lowers the
-n(n+1)/2 ceiling, and a prefix of the least de Bruijn word of a suitable
-span certifies the floor."""
+Only suffixes whose primaries tie get an exact key: a window of letters
+read from the same code bytes as the primaries, padded past the end of the
+word.  A word with a repeat as long as that window is counted by an online
+suffix automaton, in linear time; so are the short words of the exhaustive
+scan.  The brute-force substring set stays in the test suite as the oracle.
+The bounds: every repeated-short-factor count lowers the n(n+1)/2 ceiling,
+and a prefix of the least de Bruijn word of a suitable span certifies the
+floor."""
 
 from __future__ import annotations
 
@@ -40,9 +41,12 @@ DEFAULT_SCAN_WORDS = 2**18
 # child's ru_maxrss grew by 306 MB as it counted r.r, r a random binary
 # word of 2^19 letters (CPython 3.11).
 DEFAULT_FACTOR_LETTERS = 2**20
-# Bits of an exact key of distinct_factors: windows of 64 letters over 2-3
-# letters, 32 over 4-15, 16 over 16-255, 8 over 256-65535 and 4 above.  A
-# word with a repeat of that span goes to the automaton.
+# Sets the exact-key window of distinct_factors, widest = PACKED_KEY_BITS //
+# dw letters with dw = bitlen(k) rounded up to a power of two: 128 letters
+# over 1 letter, 64 over 2-3, 32 over 4-15, 16 over 16-255, 8 over 256-65535
+# and 4 above.  A word with a repeat of widest letters goes to the
+# automaton.  A key is widest * step code bytes, step = max(1, dw // 8)
+# bytes a letter: 16 bytes from 16 letters on, and 128, 64 or 32 below.
 PACKED_KEY_BITS = 128
 # Bits of a primary key of distinct_factors, one CPython digit: 30 letters
 # over 2 letters, 15 over 3-4, 10 over 5-8, and 1 from 2^15 + 1 letters on.
@@ -98,29 +102,27 @@ def _select(data, flags: bytes):
     return chain.from_iterable(windows())
 
 
-def _exact_excess(letters: bytes, starts, dw: int, span: int) -> int | None:
+def _exact_excess(codes: bytes, starts, dw: int, span: int) -> int | None:
     """Letters past the first `span` that neighbours share among the sorted
     suffixes at `starts`, each cut to its exact key: the integer of the
-    widest = PACKED_KEY_BITS / dw digits of `letters` from its start, dw
-    bits a digit.  None when two keys are equal, a repeat of widest letters.
-
-    `letters` holds one character a digit, read in base 2^dw, when dw < 8,
-    and dw / 8 big-endian bytes a digit otherwise; a letter's digit is its
-    code + 1 and the digit 0 pads past the end of the word.
+    widest = PACKED_KEY_BITS / dw letters of `codes` from its start, step =
+    max(1, dw / 8) big-endian bytes a letter, with 0xff bytes past the end
+    of the word.  None when two keys are equal, a repeat of widest letters.
+    Neighbour keys whose XOR has g bits share widest - ceil(g / (8 step))
+    letters.
     """
-    widest = PACKED_KEY_BITS // dw
-    step = max(1, dw // 8)
+    widest, step = PACKED_KEY_BITS // dw, max(1, dw // 8)
     keys = set()
     for i in starts:
-        window = letters[i * step:(i + widest) * step]
-        key = int(window, 1 << dw) if dw < 8 else int.from_bytes(window, "big")
+        window = codes[i * step:(i + widest) * step].ljust(widest * step, b"\xff")
+        key = int.from_bytes(window, "big")
         if key in keys:
             return None
         keys.add(key)
     keys = sorted(keys)
-    gaps = bytes(map(int.bit_length, map(xor, keys, islice(keys, 1, None))))
-    excess = bytes(max(0, widest - -(-length // dw) - span) for length in range(256))
-    return sum(gaps.translate(excess))
+    gaps = map(int.bit_length, map(xor, keys, islice(keys, 1, None)))
+    excess = [max(0, widest - span - -(-g // (8 * step))) for g in range(8 * widest * step + 1)]
+    return sum(map(excess.__getitem__, gaps))
 
 
 def distinct_factors(w: Word) -> int:
@@ -129,7 +131,7 @@ def distinct_factors(w: Word) -> int:
     minus the longest common prefix of each pair of neighbours.
 
     Primaries.  Each letter is its code, b = max(1, bitlen(k - 1)) bits, in
-    one dense code string with no padding digit.  Each of the N = n - span + 1
+    one dense code string with no padding.  Each of the N = n - span + 1
     suffixes with at least span = PRIMARY_BITS // b letters gets as its
     primary the PRIMARY_BITS bits of that string from its first letter on,
     zero-filled past the end: its first span letters, then the leading bits
@@ -163,24 +165,31 @@ def distinct_factors(w: Word) -> int:
     letters and one `sum` their total.
 
     Ties.  Only tied suffixes get their exact key (`_exact_excess`): the
-    widest = PACKED_KEY_BITS / dw letters from their start as digits c + 1
-    of dw bits, dw the least power of two at least bitlen(k), padded with
-    the digit 0.  A 0 digit never equals a letter, so two exact keys are
-    equal only when both are full windows that are equal; the word then has
-    a repeat of widest letters, and its suffix automaton counts it.
-    Otherwise neighbours among the exact keys share widest -
-    ceil(bitlen(a ^ b) / dw) letters, and each pair in one tie adds what it
-    shares past span.  A pair from two different ties shares span letters
-    at most, so sorting all tied keys together adds nothing for it.  Tied
-    positions are found with no Python step per position: the tied
-    primaries are the sorted records at the bytes 30 of the shared-bit
-    string; a `translate` of each byte column of the primaries in position
-    order keeps the positions whose four bytes each occur at that place in
-    a tied primary, and only those are looked up in the set of tied
-    primaries.  Both reads are C-level `compress` over windows that a
-    flagged byte opens (`_select`), so a few ties cost a Python step each
-    and an all-tied word one per 256 positions.  Keys are cut in position
-    order, so the second start of a repeat ends the step at once.
+    widest = PACKED_KEY_BITS / dw letters from their start, dw the least
+    power of two at least bitlen(k), read as one int from the code bytes,
+    step = max(1, dw / 8) big-endian bytes a letter, with 0xff bytes past
+    the end of the word.  The count stays exact for three reasons.  First,
+    step follows bitlen(k), one byte up to k = 255 and two up to 65535, so
+    the pad letter 0xff...ff lies above every code, and a short suffix sorts
+    after the suffixes it prefixes.  Second, in that order every group of
+    suffixes that share a prefix stays contiguous, as in lex order, so the
+    neighbours' common prefixes have the same sum.  Third, a pad letter
+    never equals a code, so two exact keys are equal only when both are full
+    windows that are equal; the word then has a repeat of widest letters,
+    and its suffix automaton counts it.  Otherwise neighbours among the
+    exact keys share widest - ceil(bitlen(a ^ b) / (8 step)) letters, and
+    each pair in one tie adds what it shares past span.  A pair from two
+    different ties shares span letters at most, so sorting all tied keys
+    together adds nothing for it.  Tied positions are found with no Python
+    step per position: the tied primaries are the sorted records at the
+    bytes 30 of the shared-bit string; a `translate` of each byte column of
+    the primaries in position order keeps the positions whose four bytes
+    each occur at that place in a tied primary, and only those are looked up
+    in the set of tied primaries.  Both reads are C-level `compress` over
+    windows that a flagged byte opens (`_select`), so a few ties cost a
+    Python step each and an all-tied word one per 256 positions.  Keys are
+    cut in position order, so the second start of a repeat ends the step at
+    once.
 
     The tail.  The last span - 1 suffixes (all n when n < span) are shorter
     than span.  Each adds its length minus the longest prefix it shares
@@ -190,10 +199,10 @@ def distinct_factors(w: Word) -> int:
     at its length.
 
     The prefix probe: when the first widest letters occur again, one
-    `bytes.find` over the digits says so before any primary is cut, and the
-    automaton counts the word; periodic and Fibonacci words are found that
-    way.  With step bytes a letter, a match counts only at a multiple of
-    step (and none reaches the padding, whose digits are 0).
+    `bytes.find` over the code bytes says so before any primary is cut, and
+    the automaton counts the word; periodic and Fibonacci words are found
+    that way.  With step bytes a letter, a match counts only at a multiple
+    of step.
     """
     from array import array  # only counting needs these, not the CLI's start-up
     from bisect import bisect_left
@@ -205,27 +214,19 @@ def distinct_factors(w: Word) -> int:
     k = w.alphabet.size
     dw = 1 << (k.bit_length() - 1).bit_length()
     widest = PACKED_KEY_BITS // dw
+    step = max(1, dw // 8)
     swap = sys.byteorder == "little"
-    if dw < 8:
-        step = 1
+    if step == 1:
         codes = bytes(w.codes)
-        letters = codes.translate(bytes.maketrans(bytes(range(15)), b"123456789abcdef"))
-        letters += b"0" * widest
     else:
-        step = dw // 8
-        typecode = next(code for code in "BHILQ" if array(code).itemsize == step)
-        raw = array(typecode, w.codes)
-        wide = array(typecode, map((1).__add__, w.codes))
-        wide.extend(repeat(0, widest))
+        codes = array(next(code for code in "BHILQ" if array(code).itemsize == step), w.codes)
         if swap:
-            raw.byteswap()
-            wide.byteswap()
-        codes, letters = raw.tobytes(), wide.tobytes()
-        del raw, wide
-    prefix = letters[:widest * step]
-    at = letters.find(prefix, step)
+            codes.byteswap()
+        codes = codes.tobytes()
+    prefix = codes[:widest * step]
+    at = codes.find(prefix, step)
     while at > 0 and at % step:
-        at = letters.find(prefix, at + 1)
+        at = codes.find(prefix, at + 1)
     if at > 0:
         return count_distinct_factors(w.codes)
 
@@ -237,7 +238,6 @@ def distinct_factors(w: Word) -> int:
         low = 1 << bit % 8  # byte values run `low` with that bit 0, then `low` with it 1
         table = (b"0" * low + b"1" * low) * (128 // low)
         dense[t::b] = codes[step - 1 - bit // 8::step].translate(table)
-    del codes
     packed = int(dense, 2)
     del dense
     full = max(0, n - span + 1)
@@ -307,7 +307,7 @@ def distinct_factors(w: Word) -> int:
         kept = kept.to_bytes(full, "big")
         starts = compress(_select(range(full), kept),
                           map(tied.__contains__, _select(values, kept)))
-        excess = _exact_excess(letters, starts, dw, span)
+        excess = _exact_excess(codes, starts, dw, span)
         if excess is None:
             return count_distinct_factors(w.codes)
         total -= excess

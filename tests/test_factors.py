@@ -97,10 +97,10 @@ def refined(monkeypatch):
     seen = []
     exact_excess = factors._exact_excess
 
-    def spy(letters, starts, dw, span):
+    def spy(codes, starts, dw, span):
         starts = list(starts)
         seen.append(starts)
-        return exact_excess(letters, starts, dw, span)
+        return exact_excess(codes, starts, dw, span)
 
     monkeypatch.setattr(factors, "_exact_excess", spy)
     return seen
@@ -120,9 +120,9 @@ def wide_alphabet(k: int) -> Alphabet:
     return Alphabet("".join(map(chr, range(0x100, 0x100 + k))))
 
 
-def digit_bytes(codes, step: int) -> bytes:
-    """The digits c + 1 of `codes`, `step` big-endian bytes each."""
-    return b"".join((c + 1).to_bytes(step, "big") for c in codes)
+def code_bytes(codes, step: int) -> bytes:
+    """`codes` as `step` big-endian bytes a code."""
+    return b"".join(c.to_bytes(step, "big") for c in codes)
 
 
 def reference_primaries(codes, k: int) -> list[int]:
@@ -182,13 +182,15 @@ class TestPackedCount:
         assert distinct_factors(alphabet.word(text)) == brute_distinct_factors(text)
         assert bool(fallbacks) == (offset >= 0)
 
-    # The edges of every exact-key digit width dw = 1, 2, 4, 8, 16, 32: a
-    # character a letter when dw < 8 and dw // 8 bytes a letter otherwise,
-    # `span` letters a key, so a repeat of `span` letters falls back.  The
-    # dense code widths b = 1, 2, 4, 8, 16, 17 of the primaries change with
-    # them; lengths around 8 * per * j end the code string at several bits
-    # of a byte and give each phase of the primary cut several records.
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 15, 16, 255, 256, 65536, 65537])
+    # The edges of every exact-key width dw = 1, 2, 4, 8, 16, 32: a key
+    # spells `span` = PACKED_KEY_BITS / dw letters as codes of max(1, dw //
+    # 8) big-endian bytes, padded with 0xff bytes, so a repeat of `span`
+    # letters falls back.  At k = 255 and 65535 the top code sits one below
+    # the 0xff and 0xffff pad.  The dense code widths b = 1, 2, 4, 8, 16,
+    # 17 of the primaries change with them; lengths around 8 * per * j end
+    # the code string at several bits of a byte and give each phase of the
+    # primary cut several records.
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 15, 16, 255, 256, 65535, 65536, 65537])
     def test_every_digit_width_matches_brute_force(self, fallbacks, k):
         dw = 1
         while dw < k.bit_length():
@@ -404,7 +406,7 @@ class TestPackedCount:
         assert fallbacks == [w.codes]
 
     def test_wide_alphabet(self, fallbacks):
-        # 300 letters: 16-bit digits, so windows of 8 letters fit the budget
+        # 300 letters: two-byte codes, so windows of 8 letters fit the budget
         alphabet = wide_alphabet(300)
         rng = random.Random(300)
         for length in (1, 2, 300, 1000):
@@ -417,12 +419,14 @@ class TestPackedCount:
         assert distinct_factors(alphabet.word(text)) == brute_distinct_factors(text)
         assert len(fallbacks) == 1
 
-    # The probe reads digit bytes, step = dw / 8 a letter.  `shifted` spells
-    # the digit bytes of `prefix` from byte `shift` of its first letter on,
-    # so they recur off the letter boundaries, which is no repeat.
+    # The probe reads code bytes, step = dw / 8 a letter.  `shifted` spells
+    # the code bytes of `prefix` from byte `shift` of its first letter on,
+    # so they recur off the letter boundaries, which is no repeat.  Each
+    # byte pair (or quadruple) that straddles two letters of `prefix` is
+    # itself a code below k.
     @pytest.mark.parametrize("k,prefix,shift", [
-        (300, (256, 256, 255, 256, 0, 0, 256, 255), 1),
-        (65537, (65536, 65535, 65536, 0), 2),
+        (300, (257, 257, 256, 257, 1, 1, 257, 256), 1),
+        (65537, (65536, 65536, 1, 0), 2),
     ])
     @pytest.mark.parametrize("boundary", [False, True], ids=["off-boundary", "at-boundary"])
     def test_probe_counts_a_match_only_at_a_letter_boundary(self, fallbacks, k, prefix, shift,
@@ -430,13 +434,13 @@ class TestPackedCount:
         widest = budget_span(k)
         step = PACKED_KEY_BITS // widest // 8
         assert len(prefix) == widest
-        spelled = bytes(shift) + digit_bytes(prefix, step) + (1).to_bytes(step - shift, "big")
-        shifted = tuple(int.from_bytes(spelled[i:i + step], "big") - 1
+        spelled = bytes(shift) + code_bytes(prefix, step) + (1).to_bytes(step - shift, "big")
+        shifted = tuple(int.from_bytes(spelled[i:i + step], "big")
                         for i in range(0, len(spelled), step))
         filler = tuple(random.Random(k).choices(range(k), k=40))
         codes = prefix + filler + (prefix if boundary else shifted)
         assert 0 <= min(codes) and max(codes) < k
-        at = digit_bytes(codes, step).find(digit_bytes(prefix, step), 1)
+        at = code_bytes(codes, step).find(code_bytes(prefix, step), 1)
         assert (at % step == 0) == boundary
         assert (longest_repeat(codes) >= widest) == boundary
         assert distinct_factors(Word(wide_alphabet(k), codes)) == brute_distinct_factors(codes)
@@ -446,9 +450,9 @@ class TestPackedCount:
     def test_peak_memory_per_letter(self, fallbacks, k):
         # 45-51 B a letter, at the sort: each primary's one-digit int (28
         # B) and list slot (8 B), its 4-byte record, the sort's merge space
-        # (4 B) and the word's digits (1-4 B).  The list is freed before the
-        # neighbour pass, whose byte strings hold a few bytes a letter; one
-        # more int object a letter fails the bound
+        # (4 B) and the word's code bytes (1-4 B).  The list is freed before
+        # the neighbour pass, whose byte strings hold a few bytes a letter;
+        # one more int object a letter fails the bound
         n = 50_000
         w = Word(wide_alphabet(k), tuple(random.Random(k).choices(range(k), k=n)))
         tracemalloc.start()
