@@ -125,6 +125,7 @@ def pins():
     draw = random.Random(256)
     wide = "".join(draw.sample(letters, 256) + draw.choices(letters[:16], k=44))
     ab499 = "ab" * 499 + "b"  # of order 999995 by the closed form
+    abc900 = "".join(random.Random(3).choices("abc", k=900))  # of order 810832
     tied = coins[300][:260] + coins[300][100:140]  # letters 100-139 again at the end
     return [
         Pin(("semigroup", "abab", "--syntactic"), 0, "syntactic order 9\ngenerators a b\n",
@@ -160,6 +161,10 @@ def pins():
         # One closure alive at a time, a packed int per one-point map.
         Pin(("semigroup", ab499, "--check-iso"), 0,
             "action order 999995\nsyntactic order 999995\nISOMORPHIC\n", cap_mb=280),
+        # Over three letters each one-point map has two empty products of
+        # its three, which `_close` writes as one row with one dict probe.
+        Pin(("semigroup", abc900, "--check-iso"), 0,
+            "action order 810832\nsyntactic order 810832\nISOMORPHIC\n", cap_mb=280),
         # The order alone, from the closed form, for a primitive word or not.
         Pin(("semigroup", ab499, "--action"), 0, "action order 999995\ngenerators a b\n",
             cap_mb=64),

@@ -521,7 +521,7 @@ def cmd_semigroup(args, guard: int) -> tuple[dict, list[str]]:
             padded = [label.rjust(width) for label in labels]
             lines.append("*".rjust(width) + " " + " ".join(padded))
             for label, row in zip(padded, sg.table):
-                lines.append(label + " " + " ".join(padded[j] for j in row))
+                lines.append(label + " " + " ".join(map(padded.__getitem__, row)))
     if not primitive:  # written last, after every refusal
         print(f"warning: {word} is not primitive; the action comparison theorem "
               "assumes a primitive word", file=sys.stderr)

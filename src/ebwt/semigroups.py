@@ -13,18 +13,22 @@ point is simply absent.  `_close` packs each pair as the int
 `s << shift | t` and keys a map of exactly one pair by that int alone, any
 other map, the empty one included, by the tuple of its packed pairs.  A
 letter is a dict from each point t of its domain to its move a(t) - t, so
-the product of a packed pair p is p + move(p & mask): one dict probe and
-one addition, with no tuple built or hashed, for the one-point maps that
-make up n^2 of the n^2 + R + [K >= 2] elements of a necklace closure (see
-`closure_order`).  A map of several points takes one probe per pair and a
-tuple concatenation per defined image, quadratic in the number of defined
-points in general.  Validation happens once, at the public constructors
-(`PartialInjection(...)`, the degree check of `generate_closure`).  The
-syntactic route reaches the same form by dropping the automaton's sink,
-the non-final state that every letter maps to itself: every map fixes it,
-so "maps to the sink" composes exactly like "undefined", and the semigroup
-of partial maps is isomorphic to the dense transition semigroup, letter for
-letter.
+the product of a packed pair p is p + move(p & mask).  One-point maps make
+up n^2 of the n^2 + R + [K >= 2] elements of a necklace closure (see
+`closure_order`), and on both routes each point lies in the domain of
+exactly one letter, so k - 1 of the k products of a one-point map are the
+empty map.  Once the empty map has its number, `_close` writes such a row
+as that number in every cell but the one of the target's letter, and
+numbers only that product: one dict probe and one addition per row, with no
+tuple built or hashed.  A map of several points takes one probe per pair
+and a tuple concatenation per defined image, quadratic in the number of
+defined points in general.  Validation happens once, at the public
+constructors (`PartialInjection(...)`, the degree check of
+`generate_closure`).  The syntactic route reaches the same form by dropping
+the automaton's sink, the non-final state that every letter maps to itself:
+every map fixes it, so "maps to the sink" composes exactly like
+"undefined", and the semigroup of partial maps is isomorphic to the dense
+transition semigroup, letter for letter.
 
 The packed keys live only while `_close` runs.  A closed semigroup keeps
 no element: only its right Cayley graph and each letter's generator as a
@@ -113,8 +117,9 @@ class FiniteSemigroup:
     computing finite semigroups", 1997).  `elements` composes each element
     from its parent and the value of its last letter, on first use.  The
     multiplication table is read off the same graph: x * y = (x * parent(y))
-    * last(y), so row x fills left to right with one right-Cayley lookup per
-    cell and no composition.
+    * last(y), so column y is the column of its parent mapped through the
+    right table's column of its last letter, one lookup per cell and no
+    composition.
     """
 
     def __init__(self, order, generators, letters, right, values):
@@ -155,19 +160,15 @@ class FiniteSemigroup:
 
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
-        # the rows of the right table, cut here: O(order) against the
-        # order^2 cells that the table fills
-        right = tuple(zip(*[iter(self._right)] * len(self._letters)))
-        steps = self._steps
-        heads = [c for p, c in steps if p < 0]  # the generators come first
-        steps = steps[len(heads):]
-        rows = []
-        for x in right:
-            row = [x[c] for c in heads]
-            for p, c in steps:
-                row.append(right[row[p]][c])
-            rows.append(tuple(row))
-        return tuple(rows)
+        # built by columns, then transposed: column y holds x * y for every
+        # x, and x * y = (x * parent(y)) * last(y) maps the parent's column
+        # through the right table's column of y's last letter
+        k = len(self._letters)
+        right = [self._right[c::k] for c in range(k)]  # right[c][x]: x times letter c
+        columns: list = []
+        for p, c in self._steps:
+            columns.append(right[c] if p < 0 else list(map(right[c].__getitem__, columns[p])))
+        return tuple(zip(*columns))
 
 
 def _close(gens: dict[int, tuple], max_size: int, values: dict) -> FiniteSemigroup:
@@ -192,6 +193,17 @@ def _close(gens: dict[int, tuple], max_size: int, values: dict) -> FiniteSemigro
     keys and their index are dropped on return.  The distinct generators
     count against `max_size` like every other element, so no closure of
     more than `max_size` elements is returned.
+
+    A one-point map whose target t lies in the domain of exactly one
+    letter, of column c, times any other letter is the empty map E.  Once E
+    has its number, the row of such a map is k cells of E with cell c set to
+    the number of the one product, found by one `setdefault` in place of k.
+    The numbering and the guard are unchanged: the k - 1 other products are
+    E, which has its number already, so they add no element and the guard
+    is never checked for them, and the one product that may be new meets
+    the same `setdefault` at the same point of the breadth-first order.  Any
+    other row, of a map of several points, of a target with no letter or
+    several, or met before E has its number, takes one product per letter.
     """
     letters = sorted(gens)
     shift = max((max(pair) for a in letters for pair in gens[a]), default=0).bit_length()
@@ -204,11 +216,34 @@ def _close(gens: dict[int, tuple], max_size: int, values: dict) -> FiniteSemigro
     if len(index) > max_size:
         raise _over_guard(max_size)
     keys = list(index)  # the distinct generators, in letter order
+    k = len(letters)
+    # each point's one letter, as (its cell's offset from the row's end, its
+    # move); None where several letters are defined at it
+    owner: dict[int, tuple[int, int] | None] = {}
+    for c, a in enumerate(letters):
+        for s, t in gens[a]:
+            owner[s] = None if s in owner else (c - k, t - s)
+    steps: dict = {}  # owner, once the empty map E has its number
     cells: list[int] = []
     push = cells.append
     size = len(keys)
     for x in keys:  # visits the elements appended below too
         one_point = type(x) is int
+        if one_point and (step := steps.get(x & mask)):
+            at, d = step
+            y = x + d
+            j = number(y, size)
+            if j == size:
+                if size >= max_size:
+                    raise _over_guard(max_size)
+                keys.append(y)
+                size += 1
+            cells += empty_row
+            cells[at] = j
+            continue
+        if not steps and () in index:  # E has its number; asked each row while owner is empty
+            empty_row = [index[()]] * k
+            steps = owner
         for move in moves:
             if one_point:
                 d = move(x & mask)

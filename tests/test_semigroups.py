@@ -313,6 +313,18 @@ def closed_with_reference(route, u, max_size=DEFAULT_CLOSURE_SIZE):
     return s, reference_close(gens, guard)
 
 
+def one_point_rows(ref):
+    """From a reference closure: the first row that `_close` meets with the
+    empty map numbered (None when no product is empty), and for each
+    one-point map its row and the number of letters defined at its target.
+    `_close` writes such a row with one probe when it comes at or after the
+    first and the number is 1."""
+    known = ref.parent[ref.keys.index(())] + 1 if () in ref.keys else None
+    domains = [dict(ref.gens[a]) for a in ref.letters]
+    return known, [(i, sum(x[0][1] in d for d in domains))
+                   for i, x in enumerate(ref.keys) if len(x) == 1]
+
+
 def assert_matches_reference(s, ref, with_table=True):
     assert s.generators == ref.generators
     if isinstance(s.elements[0], PartialInjection):
@@ -376,7 +388,7 @@ class TestClosureLoop:
 
     @pytest.mark.parametrize("text, letters", [
         ("ab", "ab"), ("aab", "ab"), ("aabab", "ab"), ("abcab", "abc"),
-        ("aabb", "abcd"), ("abaabbab", "ab"),
+        ("aabb", "abcd"), ("abaabbab", "ab"), ("abcacb", "abc"),
     ])
     def test_guard_boundary(self, text, letters):
         # the guard refuses the (max_size + 1)-th element, and the loop it
@@ -477,6 +489,76 @@ class TestPackedKeys:
         s, ref = closed_with_reference(multiset_route, m)
         assert max(map(len, ref.gens.values())) >= 4
         assert_matches_reference(s, ref)
+
+
+class TestOnePointRows:
+    """`_close` writes the row of a one-point map whose target lies in one
+    letter's domain with one probe, once the empty map has its number; each
+    way into and out of that path, checked against `helpers.reference_close`."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_empty_map_numbered_before_the_first_one_point_row(self, route):
+        # in ababb the generator of a times a is empty, so row 0 numbers the
+        # empty map; the first one-point map is element 5
+        s, ref = closed_with_reference(route, W("ababb"))
+        known, rows = one_point_rows(ref)
+        assert known == 1 and rows[0] == (5, 1)
+        assert_matches_reference(s, ref)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_empty_map_numbered_after_the_first_one_point_row(self, route):
+        # b occurs once in aab: its one-point generator, row 1, comes before
+        # the empty map has its number and takes a product per letter
+        s, ref = closed_with_reference(route, W("aab"))
+        known, rows = one_point_rows(ref)
+        assert rows[0] == (1, 1) and known == 2
+        assert any(i >= known and owners == 1 for i, owners in rows)
+        assert_matches_reference(s, ref)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_empty_map_as_a_generator(self, route):
+        # c does not occur in aab: its generator is the empty map, numbered
+        # before the first row
+        s, ref = closed_with_reference(route, W("aab", ABC))
+        known, rows = one_point_rows(ref)
+        assert known == 0 and rows[0] == (1, 1)
+        assert_matches_reference(s, ref)
+
+    def test_one_letter(self):
+        # K = 1: a one-point row has no empty cell beside its one product
+        for gens in (
+            {0: PartialInjection(1, ((0, 0),))},
+            {0: PartialInjection(5, ((0, 1), (1, 2), (3, 4)))},  # a^3 is empty
+        ):
+            assert_matches_reference(*closed_with_reference(generate_closure, gens))
+        for text in ("a", "aaa"):
+            s, ref = closed_with_reference(syntactic_semigroup, W(text, Alphabet("a")))
+            assert_matches_reference(s, ref)
+        assert_matches_reference(*closed_with_reference(action_route, W("a", Alphabet("a"))))
+
+    def test_targets_in_two_domains_or_none(self):
+        # a * a is empty, so row 0 numbers the empty map; later one-point
+        # maps reach point 1, where b and c are both defined, point 2, where
+        # no letter is, and point 0, where only a is
+        gens = {
+            0: PartialInjection(3, ((0, 1),)),
+            1: PartialInjection(3, ((1, 2),)),
+            2: PartialInjection(3, ((1, 0),)),
+        }
+        s, ref = closed_with_reference(generate_closure, gens)
+        known, rows = one_point_rows(ref)
+        assert known == 1
+        assert {owners for i, owners in rows if i >= known} == {0, 1, 2}
+        assert_matches_reference(s, ref)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_guard_refuses_in_a_one_probe_row(self, route):
+        # the last element of the closure of abcacb is first reached as the
+        # one product of a one-probe row, so the abcacb case of
+        # `TestClosureLoop.test_guard_boundary` refuses it there
+        _, ref = closed_with_reference(route, W("abcacb", ABC))
+        known, rows = one_point_rows(ref)
+        assert ref.parent[-1] >= known and (ref.parent[-1], 1) in rows
 
 
 class TestClosureBound:
