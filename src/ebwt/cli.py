@@ -30,9 +30,9 @@ import functools
 import io
 import os
 import sys
-from collections import Counter
 from contextlib import nullcontext
 from itertools import accumulate, chain
+from operator import itemgetter
 
 from .bwt import NecklaceMultiset, inverse_transform, transform
 from .debruijn import (
@@ -190,7 +190,7 @@ def _parse_word(text: str, override: str | None) -> Word:
     return _alphabet_from(text, override).word(text)
 
 
-def _multiset_entries(chunks, guard: int) -> Counter:
+def _multiset_entries(chunks, guard: int) -> dict[str, int]:
     """Raw entry -> multiplicity of the multiset that `chunks` spell,
     refused by the output guard before any entry is checked.
 
@@ -261,10 +261,10 @@ def _lines(chunks, guard: int, lineno: int = 0):
         yield lineno + 1, "".join(head)
 
 
-def _multiset_entries_from_lines(lines, guard: int) -> Counter:
+def _multiset_entries_from_lines(lines, guard: int) -> dict[str, int]:
     """Entries of numbered 'word' or 'word xN' lines, the first of them not
     blank."""
-    entries: Counter = Counter()
+    entries: dict[str, int] = {}
     letters = 0
     for lineno, line in lines:
         parts = line.split()
@@ -279,9 +279,11 @@ def _multiset_entries_from_lines(lines, guard: int) -> Counter:
             continue
         else:
             raise CLIError(f"line {lineno}: expected 'word' or 'word xN', got {line.strip()!r}")
-        entries[parts[0]] += mult
-        letters += len(parts[0]) * mult
-        _check_letters("transform output needs", letters, guard)
+        word = parts[0]
+        entries[word] = entries.get(word, 0) + mult
+        letters += len(word) * mult
+        if letters > guard:
+            _check_letters("transform output needs", letters, guard)
     return entries
 
 
@@ -298,7 +300,7 @@ def _multiplicity(digits: str, guard: int) -> int:
     return int(digits)
 
 
-def _multiset_entries_from_json(text: str, skipped: int, guard: int) -> Counter:
+def _multiset_entries_from_json(text: str, skipped: int, guard: int) -> dict[str, int]:
     """Entries of a JSON multiset that starts after `skipped` lines.
 
     An error's line is counted from `e.pos` by `_line_breaks`, the rule of
@@ -316,7 +318,7 @@ def _multiset_entries_from_json(text: str, skipped: int, guard: int) -> Counter:
     if not isinstance(payload, dict) or not isinstance(payload.get("necklaces"), list):
         raise CLIError('JSON multiset must be {"necklaces": [...]}')
     _refuse_unknown_keys("JSON multiset", payload, {"necklaces"})
-    entries: Counter = Counter()
+    entries: dict[str, int] = {}
     for item in payload["necklaces"]:
         lyndon = item.get("lyndon") if isinstance(item, dict) else None
         if not isinstance(lyndon, str) or not lyndon:
@@ -325,7 +327,7 @@ def _multiset_entries_from_json(text: str, skipped: int, guard: int) -> Counter:
         mult = item.get("multiplicity", 1)
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise CLIError(f"bad multiplicity for entry {lyndon!r}: {mult!r}")
-        entries[lyndon] += mult
+        entries[lyndon] = entries.get(lyndon, 0) + mult
     return entries
 
 
@@ -337,24 +339,42 @@ def _refuse_unknown_keys(what: str, obj: dict, known: set) -> None:
         raise CLIError(f"{what} has the unknown key {unknown!r}")
 
 
-def _canonical_multiset(entries: Counter, override: str | None,
+def _canonical_multiset(entries: dict[str, int], override: str | None,
                         canonicalize: bool) -> NecklaceMultiset:
     """The multiset of the raw entries, each checked and canonicalized once;
     with no entries, the empty multiset over a and b or --alphabet.
 
+    The entries are parsed by one `alphabet.word` over their join, and each
+    entry's word is cut from its codes.  That parse fails only on a letter
+    outside --alphabet; then the entries before the first that holds one
+    are parsed and checked alone, and that entry is refused after them with
+    the message of the parse, which names its first such letter.  So errors
+    come in the order of the entries, as when each entry was parsed alone.
+
     Entries with one Lyndon word merge in a dict keyed by its codes, and
     the multiset is built from them with `unchecked`, since they already
-    hold what `NecklaceMultiset`'s check asks: every word is parsed by
-    `alphabet.word`, over the one alphabet, and its necklace keeps that
-    alphabet; every raw multiplicity is positive (both input formats refuse
-    one below 1), and so is each sum of them; and the keys of a dict are
-    distinct, so one `sorted` makes them strictly ascending, in the order of
-    the code tuples that `NecklaceMultiset` compares.
+    hold what `NecklaceMultiset`'s check asks: every word is cut from the
+    codes of `alphabet.word`, over the one alphabet, and its necklace keeps
+    that alphabet; every raw multiplicity is positive (both input formats
+    refuse one below 1), and so is each sum of them; and the keys of a dict
+    are distinct, so one `sorted` makes them strictly ascending, in the
+    order of the code tuples that `NecklaceMultiset` compares.
     """
-    alphabet = _alphabet_from("".join(entries) or "ab", override)
+    raws = list(entries)
+    text = "".join(raws)
+    alphabet = _alphabet_from(text or "ab", override)
+    try:
+        codes, refusal = alphabet.word(text).codes, None
+    except ValueError as e:
+        letters = set(alphabet.letters)
+        raws = raws[:next(i for i, raw in enumerate(raws) if not letters.issuperset(raw))]
+        codes, refusal = alphabet.word("".join(raws)).codes, e
     merged: dict = {}  # Lyndon codes -> (necklace, multiplicity)
-    for raw, mult in entries.items():
-        word = alphabet.word(raw)
+    start = 0
+    for raw in raws:
+        end = start + len(raw)
+        word = Word.unchecked(alphabet, codes[start:end])
+        start, mult = end, entries[raw]
         try:
             necklace = lyndon_representative(word)
         except NotPrimitiveError:
@@ -368,27 +388,24 @@ def _canonical_multiset(entries: Counter, override: str | None,
         if key in merged:
             mult += merged[key][1]
         merged[key] = necklace, mult
+    if refusal is not None:
+        raise refusal
     return NecklaceMultiset.unchecked(alphabet, tuple(map(merged.__getitem__, sorted(merged))))
 
 
-def _multiset_output(m: NecklaceMultiset) -> tuple[dict, list[str]]:
-    """JSON payload and text lines of a multiset: the Lyndon words are
-    rendered in one piece, which is cut into one per necklace."""
+def _multiset_output(m: NecklaceMultiset, as_json: bool) -> tuple[dict, list[str]]:
+    """The JSON payload of a multiset under --json, else its text lines; the
+    other is left empty.  The Lyndon words are rendered in one piece, which
+    is cut into one per necklace."""
     lyndons = [necklace.lyndon.codes for necklace, _ in m.entries]
     text = m.alphabet.render(chain.from_iterable(lyndons))
     ends = list(accumulate(map(len, lyndons)))
-    rendered = list(zip(map(text.__getitem__, map(slice, [0] + ends, ends)),
-                        (mult for _, mult in m.entries)))
-    payload = {
-        "necklaces": [
-            {"lyndon": lyndon, "multiplicity": mult}
-            for lyndon, mult in rendered
-        ]
-    }
-    return payload, [
-        lyndon if mult == 1 else f"{lyndon} x{mult}"
-        for lyndon, mult in rendered
-    ]
+    rendered = zip(map(text.__getitem__, map(slice, [0] + ends, ends)),
+                   map(itemgetter(1), m.entries))
+    if as_json:
+        return {"necklaces": [{"lyndon": lyndon, "multiplicity": mult}
+                              for lyndon, mult in rendered]}, []
+    return {}, [lyndon if mult == 1 else f"{lyndon} x{mult}" for lyndon, mult in rendered]
 
 
 def _emit(as_json: bool, payload: dict, lines: list[str]) -> None:
@@ -437,7 +454,8 @@ def _guard(args) -> int:
 
 
 # Each handler takes the parsed arguments and the guard of the call, and
-# returns the JSON payload and the text lines of its output; `main` writes them.
+# returns the JSON payload and the text lines of its output; `main` writes
+# the one that --json picks, and `_multiset_output` builds only that one.
 # Only `cmd_semigroup` writes a line of its own, its warning, to stderr.
 
 
@@ -452,8 +470,8 @@ def cmd_invert(args, guard: int) -> tuple[dict, list[str]]:
     text = _read_stripped(_chunks(args), guard,
                           f"invert input has {{}} letters, over the guard {guard}")
     if not text:  # no necklaces, and --alphabet judged as transform judges it
-        return _multiset_output(_canonical_multiset(Counter(), args.alphabet, False))
-    return _multiset_output(inverse_transform(_parse_word(text, args.alphabet)))
+        return _multiset_output(_canonical_multiset({}, args.alphabet, False), args.json)
+    return _multiset_output(inverse_transform(_parse_word(text, args.alphabet)), args.json)
 
 
 def cmd_debruijn(args, guard: int) -> tuple[dict, list[str]]:
@@ -470,7 +488,7 @@ def cmd_debruijn(args, guard: int) -> tuple[dict, list[str]]:
             raise CLIError(
                 f"word uses {word.alphabet.size} letters, expected {k}"
             )
-        return _multiset_output(debruijn_set_from_gamma(GammaWord(word, n)))
+        return _multiset_output(debruijn_set_from_gamma(GammaWord(word, n)), args.json)
     alphabet = _alphabet_from(args.alphabet, args.alphabet) if args.alphabet is not None else None
     if alphabet and alphabet.size != k:
         raise CLIError(f"--alphabet needs {k} characters, got {alphabet.size}")

@@ -393,6 +393,64 @@ class TestTransform:
         assert code == 2
         assert "abab" in err and "primitive" in err
 
+    @pytest.mark.parametrize("entries, canonicalize, error", [
+        # the corpus call whose order a parse of the joined entries must keep
+        ([("aa", 3), ("dacdd", 3)], True, "entry 'aa' is not primitive"),
+        ([("ab", 1), ("aa", 1), ("ac", 1)], False, "entry 'aa' is not primitive"),
+        ([("ab", 2), ("ba", 1), ("ca", 1)], False,
+         "entry 'ba' is not a Lyndon word (canonical form ab); pass --canonicalize to "
+         "accept rotations"),
+        ([("ab", 2), ("ba", 1), ("bca", 1), ("aa", 1)], True,
+         "character 'c' not in alphabet 'ab'"),
+        ([("ac", 1), ("aa", 1)], False, "character 'c' not in alphabet 'ab'"),
+        ([("abb", 1), ("bad", 1), ("ca", 1)], False, "character 'd' not in alphabet 'ab'"),
+    ])
+    def test_errors_come_in_entry_order(self, capsys, entries, canonicalize, error):
+        lines = "\n".join(f"{raw} x{mult}" for raw, mult in entries)
+        payload = json.dumps({"necklaces": [{"lyndon": raw, "multiplicity": mult}
+                                            for raw, mult in entries]})
+        extra = ["--canonicalize"] if canonicalize else []
+        for text in (lines, payload):
+            assert run(capsys, ["transform", text, "--alphabet", "ab", *extra]) == (
+                2, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("guard", range(1, 19))
+    def test_file_refuses_at_the_line_of_the_argument(self, capsys, tmp_path, guard):
+        # the running count is judged at every line on both channels; the
+        # malformed last line is read only when no line passes the guard
+        text = "ab\naab x2\n\nabb x3\nab x"
+        path = tmp_path / "multiset.txt"
+        path.write_text(text)
+        letters = next((total for total in (2, 8, 17) if total > guard), None)
+        if letters is None:
+            expected = (2, "", "error: line 5: expected 'word' or 'word xN', got 'ab x'\n")
+        else:
+            expected = (3, "", f"error: transform output needs {letters} letters, "
+                               f"over the guard {guard}\n")
+        for source in ([text], ["--file", str(path)]):
+            assert run(capsys, ["transform", *source, "--guard-cells", str(guard)]) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["ab", "abc"]).flatmap(lambda letters: st.lists(
+        st.tuples(st.text(letters, min_size=1, max_size=7).filter(naive_primitive),
+                  st.integers(1, 3)), max_size=8)))
+    def test_json_and_text_outputs_agree(self, items):
+        # the text lines and the JSON payload are built apart, one per call
+        def output(*argv):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(list(argv)) == 0
+            return out.getvalue()
+
+        text = "\n".join(f"{raw} x{mult}" for raw, mult in items)
+        word = output("transform", text, "--canonicalize")[:-1]
+        assert json.loads(output("transform", text, "--canonicalize", "--json")) == {
+            "word": word}
+        lines = output("invert", word or " ").splitlines()
+        payload = json.loads(output("invert", word or " ", "--json"))
+        assert [entry["lyndon"] if entry["multiplicity"] == 1
+                else f"{entry['lyndon']} x{entry['multiplicity']}"
+                for entry in payload["necklaces"]] == lines
+
     def test_parse_error_names_line(self, capsys):
         code, _, err = run(capsys, ["transform", "aab\nab x\nabb"])
         assert code == 2

@@ -95,6 +95,12 @@ def test_all_ten_records_are_values():
     assert {cls.__name__ for cls in classes} == set(OTHERS)
 
 
+def test_records_have_one_to_four_fields():
+    # each number of fields has its own straight-line unchecked
+    with pytest.raises(TypeError, match="^a record has one to four fields, not 5$"):
+        type("Wide", (Value,), {"__annotations__": dict.fromkeys("abcde")})
+
+
 @pytest.mark.parametrize("name", NAMES)
 class TestContract:
     def test_equal_within_one_class(self, name):
@@ -139,9 +145,15 @@ class TestContract:
         assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
 
     def test_fields_are_positional_and_counted(self, name):
+        # unchecked counts them too: a record built from too few fields
+        # would raise AttributeError in its repr, == and hash
         a = SAMPLES[name][0]()
-        with pytest.raises(TypeError):
-            type(a)(*fields(a), None)
+        cls, values = type(a), fields(a)
+        for wrong in ((), values[:-1], values + (None,)):
+            message = f"^{cls.__name__} takes {len(values)} fields, got {len(wrong)}$"
+            for build in (cls, cls.unchecked):
+                with pytest.raises(TypeError, match=message):
+                    build(*wrong)
 
 
 # (constructor call, exception type, message) for each check of each

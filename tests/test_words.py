@@ -1,6 +1,8 @@
 import operator
 import random
 import re
+import sys
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -11,6 +13,7 @@ from ebwt.words import (
     EQUAL,
     GREATER,
     LESS,
+    RENDER_CHUNK,
     Alphabet,
     Necklace,
     Word,
@@ -108,6 +111,30 @@ class TestRender:
     def test_empty(self, letters):
         alphabet = Alphabet(letters)
         assert alphabet.render(()) == alphabet.render(iter(())) == ""
+
+    @pytest.mark.parametrize("n", [0, 1, RENDER_CHUNK - 1, RENDER_CHUNK, RENDER_CHUNK + 1])
+    @pytest.mark.parametrize("letters", RENDER_ALPHABETS)
+    def test_chunk_edges(self, letters, n):
+        # a last chunk of one code gathers a bare letter, not a tuple
+        rng = random.Random(n)
+        codes = [rng.randrange(len(letters)) for _ in range(n)]
+        alphabet = Alphabet(letters)
+        expected = naive_render(letters, codes)
+        assert alphabet.render(tuple(codes)) == expected
+        assert alphabet.render(iter(codes)) == expected
+        assert alphabet.render(c for c in codes) == expected
+
+    def test_peak_memory(self):
+        codes = tuple(random.Random(5).choices((0, 1), k=2**20))
+        tracemalloc.start()
+        try:
+            text = AB.render(codes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the gather holds one chunk of letters; a list of them all would
+        # add 8 bytes a code
+        assert peak < sys.getsizeof(text) + 2 * len(codes)
 
     @pytest.mark.parametrize("letters", RENDER_ALPHABETS)
     def test_every_letter_round_trips(self, letters):
