@@ -9,7 +9,8 @@ A child's `ru_maxrss` starts at its parent's peak (a `pass` child of a
 parent that once held 200 MB reads 213 MB), so each row's stdin, and a
 large expected stdout, is built only when that row runs, the stdin written
 in pieces, and the script also fails when its own peak passes SELF_CAP_MB,
-half the smallest cap.
+half the smallest cap.  A row with `sink` writes the child's stdout to
+that path, and reads it back as empty.
 """
 
 import os
@@ -20,6 +21,7 @@ import sys
 import tempfile
 from array import array
 from collections import Counter
+from contextlib import nullcontext
 from functools import reduce
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -35,6 +37,7 @@ class Pin(NamedTuple):
     cap_mb: int | None = None
     timeout: int = 60  # seconds
     stdin: object = tuple  # called when the row runs: the pieces, bytes written in turn
+    sink: str | None = None  # a path that takes the child's stdout
 
 
 def refused(*args, code=3, error="", **pin):
@@ -190,15 +193,20 @@ def pins():
             stdin=lambda: (coin_word(2**20, 20).encode(), b"\n")),
         Pin(("debruijn", "2", "20", "--least"), 0, lambda: least_debruijn("ab", 20) + "\n",
             cap_mb=53),
+        # A write that fails, but not on a closed pipe, is one error line.
+        refused("debruijn", "2", "3", "--least", code=1, sink="/dev/full",
+                error="cannot write the output: No space left on device"),
     ]
 
 
-def run(argv, stdin=None):
+def run(argv, stdin=None, sink=None):
     """Run argv to its end: (exit code, stdout, stderr, peak RSS in MB).  The
     peak is the child's own, from `os.wait4` (RUSAGE_CHILDREN is the largest
-    over every child reaped so far); output goes to files, so no pipe fills."""
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        with subprocess.Popen(argv, stdin=stdin, stdout=out, stderr=err) as child:
+    over every child reaped so far); output goes to files, so no pipe fills,
+    stdout to the path `sink` when one is given."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err, \
+            open(sink, "wb") if sink else nullcontext(out) as stdout:
+        with subprocess.Popen(argv, stdin=stdin, stdout=stdout, stderr=err) as child:
             _, status, usage = os.wait4(child.pid, 0)
             child.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
@@ -214,7 +222,8 @@ def main() -> int:
         with tempfile.TemporaryFile() as stdin:
             stdin.writelines(pin.stdin())
             stdin.seek(0)
-            code, out, err, peak_mb = run(("timeout", str(pin.timeout), "ebwt", *pin.args), stdin)
+            code, out, err, peak_mb = run(("timeout", str(pin.timeout), "ebwt", *pin.args), stdin,
+                                          pin.sink)
         expected = pin.stdout() if callable(pin.stdout) else pin.stdout
         wrong = [message for bad, message in [
             (code != pin.code, f"exit {code}, not {pin.code}"),

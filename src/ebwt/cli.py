@@ -2,8 +2,9 @@
 
 Deterministic, scriptable output: text by default, the same data as JSON
 under --json.  Exit codes: 0 success, 2 input error, 3 resource guard; the
-console entry point exits 1, without a traceback, when stdout is closed
-before the output is written (`ebwt ... | head`).
+console entry point exits 1, without a traceback, when writing the output
+fails: quietly when stdout is closed before it is written (`ebwt ... |
+head`), else with one `error:` line (`ebwt ... > /dev/full`).
 
 `transform` and `invert` take their input from one generator, `_chunks`:
 the positional text whole, else the strict UTF-8 of --file or stdin with
@@ -58,6 +59,7 @@ from .semigroups import (
     DEFAULT_CLOSURE_SIZE,
     TABLE_CELL_LIMIT,
     closure_order,
+    closure_order_bound,
     generate_closure,
     letter_actions,
     letter_induced_isomorphic,
@@ -393,15 +395,20 @@ def _canonical_multiset(entries: dict[str, int], override: str | None,
     return NecklaceMultiset.unchecked(alphabet, tuple(map(merged.__getitem__, sorted(merged))))
 
 
+def _render_each(alphabet: Alphabet, words) -> map:
+    """The text of each of `words`, sequences of codes, from one `render`
+    of their join cut at each word's end."""
+    text = alphabet.render(chain.from_iterable(words))
+    ends = list(accumulate(map(len, words)))
+    return map(text.__getitem__, map(slice, [0] + ends, ends))
+
+
 def _multiset_output(m: NecklaceMultiset, as_json: bool) -> tuple[dict, list[str]]:
     """The JSON payload of a multiset under --json, else its text lines; the
     other is left empty.  The Lyndon words are rendered in one piece, which
     is cut into one per necklace."""
     lyndons = [necklace.lyndon.codes for necklace, _ in m.entries]
-    text = m.alphabet.render(chain.from_iterable(lyndons))
-    ends = list(accumulate(map(len, lyndons)))
-    rendered = zip(map(text.__getitem__, map(slice, [0] + ends, ends)),
-                   map(itemgetter(1), m.entries))
+    rendered = zip(_render_each(m.alphabet, lyndons), map(itemgetter(1), m.entries))
     if as_json:
         return {"necklaces": [{"lyndon": lyndon, "multiplicity": mult}
                               for lyndon, mult in rendered]}, []
@@ -410,12 +417,14 @@ def _multiset_output(m: NecklaceMultiset, as_json: bool) -> tuple[dict, list[str
 
 def _emit(as_json: bool, payload: dict, lines: list[str]) -> None:
     """Write the output in one piece, so that a text stdout cannot encode
-    leaves it empty."""
+    leaves it empty: each line ended by "\n", and nothing for no lines
+    (`invert` of blank text).  One join over the lines and an empty last
+    one builds it, with no copy of a line or of the joined text."""
     if as_json:
         import json  # here, not at the top: only --json output needs it
 
         lines = [json.dumps(payload, sort_keys=True)]
-    sys.stdout.write("".join(line + "\n" for line in lines))
+    sys.stdout.write("\n".join([*lines, ""]))
 
 
 def _refuse_with(mode: str, option: str, given) -> None:
@@ -501,10 +510,20 @@ def cmd_semigroup(args, guard: int) -> tuple[dict, list[str]]:
     primitive = is_primitive(word)
     if not (primitive or args.syntactic):  # the action needs a primitive word
         raise CLIError(f"word is not primitive: {word}")
-    _refuse_with("--check-iso", "--table", args.check_iso and args.table)
-    # The order of every closure below: refuse before building any, with
-    # the message that each would end in.
-    order = closure_order(word, guard)
+    table = args.table
+    _refuse_with("--check-iso", "--table", args.check_iso and table)
+    # Refuse before building any closure, with the message that each would
+    # end in.  The exact order, in closed form, is computed where it is
+    # printed with no closure built, and where a guard may refuse it: where
+    # the bound `closure_order_bound` passes the closure guard, or with
+    # --table, where its square passes the table's.  Elsewhere the bound
+    # admits the call, and it prints the orders of the closures it builds.
+    bound = closure_order_bound(word)
+    if not (args.check_iso or table) or bound > guard or (table and bound**2 > TABLE_CELL_LIMIT):
+        order = closure_order(word, guard)
+        if table and order**2 > TABLE_CELL_LIMIT:
+            raise ResourceLimitError(f"multiplication table of order {order} needs {order**2} "
+                                     f"cells, over the {TABLE_CELL_LIMIT}-cell guard")
     if args.check_iso:
         action = generate_closure(letter_actions(word), max_size=guard)
         syntactic = syntactic_semigroup(word, max_size=guard)
@@ -513,14 +532,7 @@ def cmd_semigroup(args, guard: int) -> tuple[dict, list[str]]:
                    "isomorphic": verdict}
         return payload, [f"action order {action.order}", f"syntactic order {syntactic.order}",
                          "ISOMORPHIC" if verdict else "NOT ISOMORPHIC"]
-    name = "action" if args.action else "syntactic"
-    letters = word.alphabet.letters  # both routes give each a generator
-    payload = {f"{name}_order": order, "generators": list(letters)}
-    lines = [f"{name} order {order}", "generators " + " ".join(letters)]
-    if args.table:  # the table goes only into the output that is printed
-        if order**2 > TABLE_CELL_LIMIT:
-            raise ResourceLimitError(f"multiplication table of order {order} needs {order**2} "
-                                     f"cells, over the {TABLE_CELL_LIMIT}-cell guard")
+    if table:
         # One closure prints every table, in both modes.  On a primitive word
         # the closure of the letter actions is letter-isomorphic to the
         # syntactic semigroup (the paper's theorem, which --check-iso tests),
@@ -530,7 +542,13 @@ def cmd_semigroup(args, guard: int) -> tuple[dict, list[str]]:
         # without --alphabet abcd, the two tables matched byte for byte and
         # took the same time.  So only --check-iso closes the letter actions.
         sg = syntactic_semigroup(word, max_size=guard)
-        labels = [word.alphabet.render(w) for w in sg.element_words]
+        order = sg.order
+    name = "action" if args.action else "syntactic"
+    letters = word.alphabet.letters  # both routes give each a generator
+    payload = {f"{name}_order": order, "generators": list(letters)}
+    lines = [f"{name} order {order}", "generators " + " ".join(letters)]
+    if table:  # the table goes only into the output that is printed
+        labels = list(_render_each(word.alphabet, sg.element_words))
         if args.json:
             payload["elements"] = labels
             payload["table"] = sg.table
@@ -687,11 +705,17 @@ def entry() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (`ebwt ... | head`).  Point stdout at
-        # devnull so the interpreter's final flush cannot raise again.
+    except OSError as e:
+        # Writing the output failed: `main` turns every error of reading
+        # into an input error.  A reader that closed stdout early (`ebwt ...
+        # | head`) wants no message; any other failure (`ebwt ... >
+        # /dev/full`) gets one line.  Point stdout at devnull so the
+        # interpreter's final flush cannot raise again.
+        if not isinstance(e, BrokenPipeError):
+            print(f"error: cannot write the output: {e.strerror or e}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         sys.exit(1)
     sys.exit(code)
 

@@ -203,7 +203,8 @@ def _close(gens: dict[int, tuple], max_size: int, values: dict) -> FiniteSemigro
     is never checked for them, and the one product that may be new meets
     the same `setdefault` at the same point of the breadth-first order.  Any
     other row, of a map of several points, of a target with no letter or
-    several, or met before E has its number, takes one product per letter.
+    several, or met before E has its number or first after it (that row
+    looks E up), takes one product per letter.
     """
     letters = sorted(gens)
     shift = max((max(pair) for a in letters for pair in gens[a]), default=0).bit_length()
@@ -351,6 +352,21 @@ def closure_order(u: Word, max_size: int) -> int:
     return order
 
 
+def closure_order_bound(u: Word) -> int:
+    """An upper bound on `closure_order(u)`, read off the length alone:
+    2 * |u|^2 + 1.
+
+    In the notation of `closure_order`, R sums max(0, lcp[q] - lcp[q - 1])
+    over the m rows, each term at most lcp[q] since lcp[q - 1] >= 0, so
+    R <= sum of lcp[q] <= m * (m - 1): distinct rotations of the primitive
+    root share fewer than m letters.  Hence the order is at most
+    m * n + m * (m - 1) + 1 <= 2 * n^2 + 1, as m <= n.  A guard that admits
+    the bound admits the order, so the exact order is needed only near a
+    guard or to be printed.
+    """
+    return 2 * len(u) ** 2 + 1
+
+
 def generate_closure(gens: dict[int, PartialInjection],
                      max_size: int = DEFAULT_CLOSURE_SIZE) -> FiniteSemigroup:
     """Close letter-labeled partial injections under composition.
@@ -384,9 +400,12 @@ def _necklace_permutation(u: Word) -> StandardPermutation:
 
 
 def letter_injections(p: StandardPermutation) -> dict[int, PartialInjection]:
-    """The per-letter partial injections whose union is the permutation."""
+    """The per-letter partial injections whose union is the permutation,
+    built unchecked: the sources of a letter are its interval of rows, in
+    increasing order, and a permutation of {0..size-1} maps them one to one
+    into that range."""
     return {
-        a: PartialInjection(p.size, tuple((i, p.image[i]) for i in p.dom(a)))
+        a: PartialInjection.unchecked(p.size, tuple((i, p.image[i]) for i in p.dom(a)))
         for a in range(p.alphabet.size)
     }
 

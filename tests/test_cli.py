@@ -1,5 +1,7 @@
 import argparse
 import contextlib
+import errno
+import hashlib
 import io
 import json
 import os
@@ -25,7 +27,7 @@ from ebwt.bwt import NecklaceMultiset
 from ebwt.debruijn import lyndon_concatenation_oracle
 from ebwt.words import Alphabet, lyndon_representative
 
-from helpers import AB, naive_primitive, necklace_closure_order
+from helpers import AB, naive_primitive, necklace_closure_order, primitive_texts
 from test_cli_fuzz import ERROR_LINE
 
 
@@ -638,6 +640,9 @@ class TestInvert:
         assert code == 0
         assert out == ""
 
+    def test_blank_text_prints_nothing(self, capsys):
+        assert run(capsys, ["invert", " \n\t "]) == (0, "", "")
+
     @pytest.mark.parametrize("command", ["transform", "invert"])
     def test_empty_input_judges_its_alphabet(self, capsys, command):
         # an --alphabet is judged even when the input holds no letter
@@ -1027,6 +1032,15 @@ class TestSemigroup:
         monkeypatch.setattr(semigroups, "_close", spy)
         return calls
 
+    @pytest.fixture
+    def exact_orders(self, monkeypatch):
+        """The argument tuples of every `cli.closure_order` call, which still
+        runs."""
+        calls = []
+        real = cli.closure_order
+        monkeypatch.setattr(cli, "closure_order", lambda *args: calls.append(args) or real(*args))
+        return calls
+
     @pytest.mark.parametrize("mode, closed", [("--action", 0), ("--syntactic", 0),
                                               ("--check-iso", 2)])
     def test_closure_decides_above_the_bound(self, capsys, closures, mode, closed):
@@ -1095,7 +1109,10 @@ class TestSemigroup:
 
     @pytest.mark.parametrize("extra", [["--action"], ["--syntactic"], ["--action", "--json"],
                                        ["--syntactic", "--json"]])
-    def test_table_refused_before_either_closure(self, capsys, monkeypatch, extra):
+    def test_table_refused_before_either_closure(self, capsys, monkeypatch, exact_orders,
+                                                 extra):
+        # the bound 2 * 40^2 + 1 squared passes the table's guard, so the
+        # closed form judges the call, once
         def fail(*args):
             raise AssertionError("the closure ran")
 
@@ -1107,6 +1124,7 @@ class TestSemigroup:
         assert (code, out) == (3, "")
         assert err == ("error: multiplication table of order 1680 needs 2822400 cells, "
                        "over the 1048576-cell guard\n")
+        assert len(exact_orders) == 1
 
     @pytest.mark.parametrize("mode", ["--action", "--syntactic"])
     def test_table_judges_the_closure_guard_first(self, capsys, closures, mode):
@@ -1215,6 +1233,79 @@ class TestSemigroup:
         # word errors speak first
         assert run(capsys, ["semigroup", "abab", "--check-iso", "--table", *output]) == (
             2, "", "error: word is not primitive: abab\n")
+
+    @pytest.mark.parametrize("mode", [["--check-iso"], ["--action", "--table"],
+                                      ["--syntactic", "--table"]])
+    @pytest.mark.parametrize("output", [[], ["--json"]])
+    def test_bound_admits_without_the_closed_form(self, capsys, closures, exact_orders, mode,
+                                                 output):
+        # aabab, of order 31, has the bound 2 * 5^2 + 1 = 51: a guard of 51
+        # or more admits it with no closed form; below that the closed form
+        # decides, admitting 31-50 and refusing 30 with the closures' message
+        # before either is built; the output does not change
+        argv = ["semigroup", "aabab", *mode, *output]
+        code, admitted, _ = run(capsys, argv)
+        assert (code, len(exact_orders)) == (0, 0)
+        assert "31" in admitted
+        for guard, calls in (("51", 0), ("50", 1), ("31", 1)):
+            exact_orders.clear()
+            code, out, _ = run(capsys, argv + ["--guard-cells", guard])
+            assert (code, out, len(exact_orders)) == (0, admitted, calls)
+        exact_orders.clear()
+        closures.clear()
+        assert run(capsys, argv + ["--guard-cells", "30"]) == (
+            3, "", "error: semigroup closure exceeds the 30-element guard\n")
+        assert (len(exact_orders), closures) == (1, [])
+
+    @pytest.mark.parametrize("mode, order", [("--action", 31), ("--syntactic", 31)])
+    def test_order_alone_is_the_closed_form(self, capsys, closures, exact_orders, mode, order):
+        code, out, _ = run(capsys, ["semigroup", "aabab", mode])
+        assert (code, len(exact_orders), closures) == (0, 1, [])
+        assert out.startswith(f"{mode[2:]} order {order}\n")
+
+    # The outputs of `semigroup (ab)^12 --syntactic --table`, text and JSON,
+    # as they were printed when the closed form judged every call.
+    ABAB12_SHA256 = {
+        "": "be0b07fd5e26a80e467ab41385c9d3d0621cf1bdc890d7ec7d0aa53b0271d52e",
+        "--json": "02f8beda9eaca5c47c8527e88ccdcd26d8037f830d1881b3ff8272e164b10a17",
+    }
+
+    @pytest.mark.parametrize("output", ["", "--json"])
+    def test_table_near_the_cell_guard_takes_the_closed_form(self, capsys, exact_orders,
+                                                             output):
+        # (ab)^12 has the bound 2 * 24^2 + 1 = 1153, whose square passes the
+        # 2^20 table cells, so the closed form decides, and admits its order
+        # 49; (ab)^11, of bound 969 and 969^2 cells, is admitted by the bound
+        argv = ["semigroup", "ab" * 12, "--syntactic", "--table"] + ([output] if output else [])
+        code, out, err = run(capsys, argv)
+        assert (code, len(exact_orders)) == (0, 1)
+        assert err.startswith("warning: ") and err.count("\n") == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == self.ABAB12_SHA256[output]
+        if not output:
+            sg = semigroups.syntactic_semigroup(AB.word("ab" * 12))
+            labels = [AB.render(w) for w in sg.element_words]  # one render a label
+            width = max(map(len, labels))
+            grid = [" ".join(["*".rjust(width)] + [label.rjust(width) for label in labels])]
+            grid += [" ".join(labels[j].rjust(width) for j in (i, *row))
+                     for i, row in enumerate(sg.table)]
+            assert out == "\n".join(["syntactic order 49", "generators a b", *grid]) + "\n"
+        exact_orders.clear()
+        code, out, _ = run(capsys, ["semigroup", "ab" * 11, "--syntactic", "--table"])
+        assert (code, len(exact_orders)) == (0, 0)
+        assert out.startswith("syntactic order 45\n")
+
+    def test_table_prints_the_closed_form_order(self, capsys, exact_orders):
+        # the order that --table prints is that of the closure it builds;
+        # it is the closed form's, on every primitive word of up to 8
+        # letters over a and b and of up to 6 over a, b and c
+        texts = sorted(set(primitive_texts("ab", 8)) | set(primitive_texts("abc", 6)))
+        for i, text in enumerate(texts):
+            mode = ("--action", "--syntactic")[i % 2]
+            code, out, _ = run(capsys, ["semigroup", text, mode, "--table"])
+            order = semigroups.closure_order(cli._parse_word(text, None),
+                                             semigroups.DEFAULT_CLOSURE_SIZE)
+            assert code == 0 and out.startswith(f"{mode[2:]} order {order}\n")
+        assert exact_orders == [] and len(texts) == 472 + 935
 
     def test_table_cell_guard(self, capsys):
         # a random primitive 62-letter word closes to a few thousand elements,
@@ -1571,6 +1662,45 @@ class TestGuardPastIndexing:
 
 
 class TestEntryPoint:
+    class FullStdout:
+        """A stdout whose every write fails as on a full disk; `fileno` is a
+        real file's, which the entry point points at devnull."""
+
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    @pytest.mark.parametrize("output", [[], ["--json"]])
+    def test_write_error_is_one_error_line(self, capsys, monkeypatch, tmp_path, output):
+        with open(tmp_path / "stdout", "wb") as file:
+            monkeypatch.setattr(sys, "stdout", self.FullStdout(file.fileno()))
+            monkeypatch.setattr(sys, "argv", ["ebwt", "debruijn", "2", "3", "--least", *output])
+            with pytest.raises(SystemExit) as exit_:
+                cli.entry()
+            assert exit_.value.code == 1
+            assert capsys.readouterr().err == (
+                "error: cannot write the output: No space left on device\n")
+            os.write(file.fileno(), b"x")  # now devnull's
+        assert (tmp_path / "stdout").read_bytes() == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_exits_with_one_error_line(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(ebwt.__file__).resolve().parents[1]))
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "ebwt.cli", "debruijn", "2", "3",
+                                   "--least"], stdout=full, stderr=subprocess.PIPE, env=env,
+                                  timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == b"error: cannot write the output: No space left on device\n"
+
     def test_closed_stdout_exits_quietly(self):
         env = dict(os.environ, PYTHONPATH=str(Path(ebwt.__file__).resolve().parents[1]))
         proc = subprocess.Popen(

@@ -1,4 +1,5 @@
 import random
+import sys
 import warnings
 from functools import reduce
 from itertools import product
@@ -16,6 +17,7 @@ from ebwt.semigroups import (
     _minimal_dfa,
     cayley_signature,
     closure_order,
+    closure_order_bound,
     generate_closure,
     letter_actions,
     letter_induced_isomorphic,
@@ -144,6 +146,24 @@ class TestLetterActions:
 
     def test_representative_independent(self):
         assert letter_actions(W("aab")) == letter_actions(W("aba"))
+
+    def test_unchecked_generators_pass_the_checks(self):
+        # `letter_injections` builds each generator unchecked; it is what the
+        # checked constructor builds from the same pairs, for every letter of
+        # a necklace, of an --alphabet that the word does not fill, and of
+        # a multiset, whose letters act on several cycles
+        empty = 0
+        for letters, alphabet, longest in (("ab", AB, 8), ("abc", ABC, 5),
+                                           ("ab", Alphabet("abcd"), 6)):
+            for text in primitive_texts(letters, longest):
+                for g in letter_actions(W(text, alphabet)).values():
+                    assert g == PartialInjection(g.degree, g.pairs)
+                    empty += not g.pairs
+        for texts in (["a", "a", "b", "aab", "aab"], ["abc", "acb", "aabc", "b", "b"]):
+            p = standard_permutation(transform(NecklaceMultiset.from_texts(ABC, texts)))
+            for g in letter_injections(p).values():
+                assert g == PartialInjection(g.degree, g.pairs)
+        assert empty > 0
 
     def test_non_primitive_rejected(self):
         with pytest.raises(NotPrimitiveError):
@@ -317,8 +337,8 @@ def one_point_rows(ref):
     """From a reference closure: the first row that `_close` meets with the
     empty map numbered (None when no product is empty), and for each
     one-point map its row and the number of letters defined at its target.
-    `_close` writes such a row with one probe when it comes at or after the
-    first and the number is 1."""
+    `_close` writes such a row with one probe when it comes after the first
+    and the number is 1; the first looks the empty map up and takes k."""
     known = ref.parent[ref.keys.index(())] + 1 if () in ref.keys else None
     domains = [dict(ref.gens[a]) for a in ref.letters]
     return known, [(i, sum(x[0][1] in d for d in domains))
@@ -491,6 +511,26 @@ class TestPackedKeys:
         assert_matches_reference(s, ref)
 
 
+def setdefault_calls(route, u) -> int:
+    """The number of `dict.setdefault` calls, the probes of `_close`, made
+    while `route` closes u, counted from the c_call events of
+    `sys.setprofile`."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "c_call" and getattr(arg, "__name__", None) == "setdefault" \
+                and type(getattr(arg, "__self__", None)) is dict:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        route(u)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 class TestOnePointRows:
     """`_close` writes the row of a one-point map whose target lies in one
     letter's domain with one probe, once the empty map has its number; each
@@ -552,6 +592,27 @@ class TestOnePointRows:
         assert_matches_reference(s, ref)
 
     @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("text, alphabet", [
+        ("ababb", AB), ("aab", AB), ("aab", ABC), ("abcacb", ABC), ("a", Alphabet("a")),
+        ("abbabaabbbaababbbaaaabbabaabab", AB), ("abbcacbccbaacbbcaabacb", ABC),
+    ])
+    def test_one_probe_per_one_point_row(self, route, text, alphabet):
+        # The probes of `_close`, each a `dict.setdefault` that the
+        # profiler sees as a c_call: one per distinct generator, one per row
+        # of a one-point map whose target one letter owns, met after the
+        # row at which the empty map is first known, and k per other row
+        u = W(text, alphabet)
+        s, ref = closed_with_reference(route, u)
+        known, rows = one_point_rows(ref)
+        k = len(ref.letters)
+        fast = {i for i, owners in rows if known is not None and i > known and owners == 1}
+        expected = len(set(ref.generators.values())) + sum(
+            1 if i in fast else k for i in range(s.order))
+        assert setdefault_calls(route, u) == expected
+        if k > 1 and s.order > 5:  # a closure that never took the one-probe row probes more
+            assert expected < len(set(ref.generators.values())) + k * s.order
+
+    @pytest.mark.parametrize("route", ROUTES)
     def test_guard_refuses_in_a_one_probe_row(self, route):
         # the last element of the closure of abcacb is first reached as the
         # one product of a one-probe row, so the abcacb case of
@@ -598,6 +659,52 @@ class TestClosureBound:
                 route(u, 1)
         assert closure_order(u, 2) == 2
         assert [route(u, 2).order for route in ROUTES] == [2, 2]
+
+
+class TestClosureOrderBound:
+    """`closure_order` is within m * n + m * (m - 1) + 1, and that within
+    `closure_order_bound`, 2 * n^2 + 1, for u of length n whose primitive
+    root has length m."""
+
+    @staticmethod
+    def assert_within_bound(u, order):
+        n, m = len(u), len(root(u))
+        assert order <= m * n + m * (m - 1) + 1 <= closure_order_bound(u) == 2 * n * n + 1
+
+    def test_every_small_word(self):
+        # every word of up to 10 letters over 1-3 letters.  The order is a
+        # function of the necklace (`closure_order` reads the Lyndon word of
+        # the root), so it is computed once per necklace, from its least
+        # rotation; a proper power's is also the order of its syntactic
+        # semigroup, closed once per necklace
+        orders: dict[str, int] = {}
+        words = powers = 0
+        for letters in ("a", "ab", "abc"):
+            alphabet = Alphabet(letters)
+            orders.clear()
+            for length in range(1, 11):
+                for text in map("".join, product(letters, repeat=length)):
+                    least = min(text[i:] + text[:i] for i in range(length))
+                    if least not in orders:
+                        u = W(least, alphabet)
+                        orders[least] = closure_order(u, DEFAULT_CLOSURE_SIZE)
+                        if not naive_primitive(least):
+                            assert syntactic_semigroup(u).order == orders[least]
+                            powers += 1
+                    self.assert_within_bound(W(text, alphabet), orders[least])
+                    words += 1
+        assert words == 10 + 2046 + 88572
+        assert powers == 9 + 35 + 121
+
+    @given(st.sampled_from(["a", "ab", "abc"]).flatmap(lambda letters: st.tuples(
+        st.text(alphabet=letters, min_size=1, max_size=50), st.integers(1, 4),
+        st.just(letters))))
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis_words(self, case):
+        # up to 200 letters: a word, or a power of it
+        text, power, letters = case
+        u = W(text * power, Alphabet(letters))
+        self.assert_within_bound(u, closure_order(u, DEFAULT_CLOSURE_SIZE))
 
 
 class TestClosureOrderFormula:
