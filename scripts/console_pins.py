@@ -193,8 +193,11 @@ def pins():
             stdin=lambda: (coin_word(2**20, 20).encode(), b"\n")),
         Pin(("debruijn", "2", "20", "--least"), 0, lambda: least_debruijn("ab", 20) + "\n",
             cap_mb=53),
-        # A write that fails, but not on a closed pipe, is one error line.
+        # A write that fails, but not on a closed pipe, is one error line:
+        # the output's, and the help text's, which argparse would drop.
         refused("debruijn", "2", "3", "--least", code=1, sink="/dev/full",
+                error="cannot write the output: No space left on device"),
+        refused("--help", code=1, sink="/dev/full",
                 error="cannot write the output: No space left on device"),
     ]
 

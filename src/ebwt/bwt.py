@@ -191,12 +191,13 @@ def _translates(image, letters, cycle: list[int], j: int) -> bool:
 
 def cycle_letters(w: Word):
     """Yield (letters, m) for each class of translates of the standard
-    permutation of a nonempty word w: the tuple of codes its cycle spells,
-    read from its minimal row, and its number m of translates, in order of
-    that row (see `_cycles`).  The walk runs over the flat image and letters
-    of `_flat_permutation`, and no `StandardPermutation` record is built.
-    Each tuple is read by one C-level gather, `itemgetter(*cycle)`, which
-    returns the bare letter of a one-row cycle, so that one is wrapped."""
+    permutation of a word w, and nothing for the empty word: the tuple of
+    codes its cycle spells, read from its minimal row, and its number m of
+    translates, in order of that row (see `_cycles`).  The walk runs over
+    the flat image and letters of `_flat_permutation`, and no
+    `StandardPermutation` record is built.  Each tuple is read by one
+    C-level gather, `itemgetter(*cycle)`, which returns the bare letter of
+    a one-row cycle, so that one is wrapped."""
     image, letters = _flat_permutation(w)
     for cycle, copies in _cycles(image, letters):
         spelled = itemgetter(*cycle)(letters)
@@ -218,9 +219,10 @@ def standard_permutation(w: Word) -> StandardPermutation:
 
 
 def _flat_permutation(w: Word):
-    """The standard permutation of a nonempty word w as two flat sequences
-    (image, letters): the image as an `array("q")`, 8 bytes a row and no int
-    object, and the sorted letters as a `bytes` when k <= 256, else a tuple.
+    """The standard permutation of a word w as two flat sequences (image,
+    letters), both empty for the empty word: the image as an `array("q")`,
+    8 bytes a row and no int object, and the sorted letters as a `bytes`
+    when k <= 256, else a tuple.
 
     One pass over w appends each position to the row of its letter, an
     `array("q")`, so row a receives the positions of a in increasing order:
@@ -359,11 +361,10 @@ def inverse_transform(w: Word) -> NecklaceMultiset:
     constructor's checks: each word's codes are letters of w, over w's
     alphabet, which every necklace shares with the multiset; each
     multiplicity is a number of translates, at least 1; and the entries
-    ascend strictly by Lyndon word.
+    ascend strictly by Lyndon word.  The empty word has no cycle, and gives
+    the empty multiset over its alphabet.
     """
     alphabet = w.alphabet
-    if len(w) == 0:
-        return NecklaceMultiset(alphabet, ())
     necklace, word = Necklace.unchecked, Word.unchecked
     return NecklaceMultiset.unchecked(alphabet, tuple(
         (necklace(word(alphabet, letters)), copies) for letters, copies in cycle_letters(w)

@@ -346,37 +346,25 @@ def _canonical_multiset(entries: dict[str, int], override: str | None,
     """The multiset of the raw entries, each checked and canonicalized once;
     with no entries, the empty multiset over a and b or --alphabet.
 
-    The entries are parsed by one `alphabet.word` over their join, and each
-    entry's word is cut from its codes.  That parse fails only on a letter
-    outside --alphabet; then the entries before the first that holds one
-    are parsed and checked alone, and that entry is refused after them with
-    the message of the parse, which names its first such letter.  So errors
-    come in the order of the entries, as when each entry was parsed alone.
+    The alphabet is inferred from the join of the entries, and each entry
+    is parsed by its own `alphabet.word` and checked before the next is
+    parsed, so errors come in the order of the entries by construction.  A
+    parse fails only on a letter outside --alphabet, with a message that
+    names the entry's first such letter.
 
     Entries with one Lyndon word merge in a dict keyed by its codes, and
     the multiset is built from them with `unchecked`, since they already
-    hold what `NecklaceMultiset`'s check asks: every word is cut from the
-    codes of `alphabet.word`, over the one alphabet, and its necklace keeps
-    that alphabet; every raw multiplicity is positive (both input formats
+    hold what `NecklaceMultiset`'s check asks: every word comes from
+    `alphabet.word`, over the one alphabet, and its necklace keeps that
+    alphabet; every raw multiplicity is positive (both input formats
     refuse one below 1), and so is each sum of them; and the keys of a dict
     are distinct, so one `sorted` makes them strictly ascending, in the
     order of the code tuples that `NecklaceMultiset` compares.
     """
-    raws = list(entries)
-    text = "".join(raws)
-    alphabet = _alphabet_from(text or "ab", override)
-    try:
-        codes, refusal = alphabet.word(text).codes, None
-    except ValueError as e:
-        letters = set(alphabet.letters)
-        raws = raws[:next(i for i, raw in enumerate(raws) if not letters.issuperset(raw))]
-        codes, refusal = alphabet.word("".join(raws)).codes, e
+    alphabet = _alphabet_from("".join(entries) or "ab", override)
     merged: dict = {}  # Lyndon codes -> (necklace, multiplicity)
-    start = 0
-    for raw in raws:
-        end = start + len(raw)
-        word = Word.unchecked(alphabet, codes[start:end])
-        start, mult = end, entries[raw]
+    for raw, mult in entries.items():
+        word = alphabet.word(raw)
         try:
             necklace = lyndon_representative(word)
         except NotPrimitiveError:
@@ -390,8 +378,6 @@ def _canonical_multiset(entries: dict[str, int], override: str | None,
         if key in merged:
             mult += merged[key][1]
         merged[key] = necklace, mult
-    if refusal is not None:
-        raise refusal
     return NecklaceMultiset.unchecked(alphabet, tuple(map(merged.__getitem__, sorted(merged))))
 
 
@@ -609,6 +595,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An `ArgumentParser` whose help text is written or raises, so that
+    `entry` reports a failed write of it as of any other output: argparse's
+    own `print_help` drops an `OSError` of its write, and `ebwt --help >
+    /dev/full` would exit 0 with nothing written.  The subparsers are built
+    from this class too (argparse's default `parser_class`)."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -619,7 +616,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--guard-cells", metavar="N", type=_positive_int, dest="guard_cells",
                         help="override the subcommand's resource guard")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ebwt",
         description="Extended Burrows-Wheeler transform of necklace multisets, "
                     "de Bruijn word generation, necklace semigroups, and "

@@ -20,10 +20,11 @@ exactly one letter, so k - 1 of the k products of a one-point map are the
 empty map.  Once the empty map has its number, `_close` writes such a row
 as that number in every cell but the one of the target's letter, and
 numbers only that product: one dict probe and one addition per row, with no
-tuple built or hashed.  A map of several points takes one probe per pair
-and a tuple concatenation per defined image, quadratic in the number of
-defined points in general.  Validation happens once, at the public
-constructors (`PartialInjection(...)`, the degree check of
+tuple built or hashed.  Every other product comes from one loop over the
+map's packed pairs, a one-point map read as the tuple of its one pair: one
+probe per pair and a tuple concatenation per defined image, quadratic in
+the number of defined points in general.  Validation happens once, at
+the public constructors (`PartialInjection(...)`, the degree check of
 `generate_closure`).  The syntactic route reaches the same form by dropping
 the automaton's sink, the non-final state that every letter maps to itself:
 every map fixes it, so "maps to the sink" composes exactly like
@@ -204,7 +205,9 @@ def _close(gens: dict[int, tuple], max_size: int, values: dict) -> FiniteSemigro
     the same `setdefault` at the same point of the breadth-first order.  Any
     other row, of a map of several points, of a target with no letter or
     several, or met before E has its number or first after it (that row
-    looks E up), takes one product per letter.
+    looks E up), takes one product per letter, each from one loop over the
+    map's packed pairs: a one-point map x is read as the one-pair tuple
+    `(x,)`, and `_key` turns a product of one pair back into its int.
     """
     letters = sorted(gens)
     shift = max((max(pair) for a in letters for pair in gens[a]), default=0).bit_length()
@@ -245,17 +248,14 @@ def _close(gens: dict[int, tuple], max_size: int, values: dict) -> FiniteSemigro
         if not steps and () in index:  # E has its number; asked each row while owner is empty
             empty_row = [index[()]] * k
             steps = owner
+        pairs = (x,) if one_point else x
         for move in moves:
-            if one_point:
-                d = move(x & mask)
-                y = () if d is None else x + d
-            else:
-                y = ()
-                for p in x:
-                    d = move(p & mask)
-                    if d is not None:
-                        y += (p + d,)
-                y = _key(y)
+            y = ()
+            for p in pairs:
+                d = move(p & mask)
+                if d is not None:
+                    y += (p + d,)
+            y = _key(y)
             j = number(y, size)
             if j == size:
                 if size >= max_size:

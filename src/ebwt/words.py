@@ -10,15 +10,19 @@ names annotated in the class body, passed positionally; two records are
 equal when they have the same class and equal fields, the hash follows the
 fields, assigning or deleting a field raises AttributeError, the repr reads
 `Class(field=value, ...)`, and a class's `__post_init__` checks the fields
-after construction.  `Class.unchecked(*fields)` builds a record without that
-check, for callers that have proved the fields valid; each such call says
-why in its docstring.  Each class gets its own `unchecked` from
-`__init_subclass__` (see `_unchecked`), which sets each field with one
-`object.__setattr__` in straight-line code and refuses a wrong number of
-fields with the constructor's TypeError.  Building a `Word` that way takes
-0.45 us, and a `Necklace` 0.29 us, against 0.79 and 0.58 us for a loop over
-`zip(fields, values)` (CPython 3.11.7 on a 2-CPU container); `transform`
-and `invert` build one of each per necklace.
+after construction.  A record may have any number of fields.
+`Class.unchecked(*fields)` builds a record of one or two fields without
+that check, for callers that have proved the fields valid; each such call
+says why in its docstring.  Those are the only records built unchecked
+(`Word`, `Necklace`, `NecklaceMultiset`, `PartialInjection`); a record of
+more fields has no `unchecked`, and is built checked.  Each class of one
+or two fields gets its own `unchecked` from `__init_subclass__` (see
+`_unchecked`), which sets each field with one `object.__setattr__` in
+straight-line code and refuses a wrong number of fields with the
+constructor's TypeError.  Building a `Word` that way takes 0.45 us, and a
+`Necklace` 0.29 us, against 0.79 and 0.58 us for a loop over `zip(fields,
+values)` (CPython 3.11.7 on a 2-CPU container); `transform` and `invert`
+build one of each per necklace.
 
 `Value` stands in for frozen `dataclasses`, which made up most of the CLI's
 start-up: importing `dataclasses` pulls in `inspect`, `ast`, `dis` and
@@ -62,7 +66,8 @@ class Value:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         cls._get_fields = attrgetter(*cls._fields)
-        cls.unchecked = _unchecked(cls._fields)
+        if len(cls._fields) in (1, 2):
+            cls.unchecked = _unchecked(cls._fields)
 
     def __init__(self, *values):
         if len(values) != len(self._fields):
@@ -98,11 +103,11 @@ def _field_count_error(cls, values) -> TypeError:
 
 
 def _unchecked(fields: tuple[str, ...]) -> classmethod:
-    """The `unchecked` of a record class with these fields: one `_setattr`
-    a field, in straight-line code; unpacking `values` checks their number,
-    at no cost when it is right.  The code is written out for each number
-    of fields that a record has, one to four, since generating it with
-    `exec` would add to the CLI's start-up."""
+    """The `unchecked` of a record class with one or two fields: one
+    `_setattr` a field, in straight-line code; unpacking `values` checks
+    their number, at no cost when it is right.  The code is written out for
+    each of the two field counts, since generating it with `exec` would add
+    to the CLI's start-up; a record of more fields has no `unchecked`."""
     new = object.__new__
     if len(fields) == 1:
         (a,) = fields
@@ -115,7 +120,7 @@ def _unchecked(fields: tuple[str, ...]) -> classmethod:
             self = new(cls)
             _setattr(self, a, x)
             return self
-    elif len(fields) == 2:
+    else:
         a, b = fields
 
         def unchecked(cls, *values):
@@ -127,35 +132,6 @@ def _unchecked(fields: tuple[str, ...]) -> classmethod:
             _setattr(self, a, x)
             _setattr(self, b, y)
             return self
-    elif len(fields) == 3:
-        a, b, c = fields
-
-        def unchecked(cls, *values):
-            try:
-                x, y, z = values
-            except ValueError:
-                raise _field_count_error(cls, values) from None
-            self = new(cls)
-            _setattr(self, a, x)
-            _setattr(self, b, y)
-            _setattr(self, c, z)
-            return self
-    elif len(fields) == 4:
-        a, b, c, d = fields
-
-        def unchecked(cls, *values):
-            try:
-                x, y, z, t = values
-            except ValueError:
-                raise _field_count_error(cls, values) from None
-            self = new(cls)
-            _setattr(self, a, x)
-            _setattr(self, b, y)
-            _setattr(self, c, z)
-            _setattr(self, d, t)
-            return self
-    else:
-        raise TypeError(f"a record has one to four fields, not {len(fields)}")
     unchecked.__doc__ = """The record of these fields, without `__post_init__`'s
         check: only for fields the caller has proved valid."""
     return classmethod(unchecked)

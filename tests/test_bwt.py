@@ -651,8 +651,15 @@ class TestInverseTransform:
             ("aab", 1), ("ab", 1), ("abb", 1),
         ]
 
-    def test_empty(self):
-        assert inverse_transform(Word(AB, ())).entries == ()
+    # a one-letter alphabet, and 300 CJK letters: past Latin-1, and past the
+    # 256 letters that `_flat_permutation` holds in bytes
+    @pytest.mark.parametrize("alphabet", [
+        AB, Alphabet("a"), Alphabet("".join(map(chr, range(0x4E00, 0x4E00 + 300)))),
+    ])
+    def test_empty(self, alphabet):
+        m = inverse_transform(Word(alphabet, ()))
+        assert type(m) is NecklaceMultiset
+        assert m == NecklaceMultiset(alphabet, ())
 
     def test_alpha_power_span5(self):
         m = inverse_transform(W("ab" * 16))

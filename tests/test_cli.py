@@ -396,7 +396,8 @@ class TestTransform:
         assert "abab" in err and "primitive" in err
 
     @pytest.mark.parametrize("entries, canonicalize, error", [
-        # the corpus call whose order a parse of the joined entries must keep
+        # errors come in entry order, whether an entry fails its parse or its
+        # checks; the first case is the corpus call that pins that order
         ([("aa", 3), ("dacdd", 3)], True, "entry 'aa' is not primitive"),
         ([("ab", 1), ("aa", 1), ("ac", 1)], False, "entry 'aa' is not primitive"),
         ([("ab", 2), ("ba", 1), ("ca", 1)], False,
@@ -1678,11 +1679,16 @@ class TestEntryPoint:
         def fileno(self):
             return self.fd
 
-    @pytest.mark.parametrize("output", [[], ["--json"]])
-    def test_write_error_is_one_error_line(self, capsys, monkeypatch, tmp_path, output):
+    # the --help rows: argparse's own print_help drops the error of its
+    # write, and exits 0
+    @pytest.mark.parametrize("argv", [
+        ["debruijn", "2", "3", "--least"], ["debruijn", "2", "3", "--least", "--json"],
+        ["--help"], ["factors", "--help"],
+    ])
+    def test_write_error_is_one_error_line(self, capsys, monkeypatch, tmp_path, argv):
         with open(tmp_path / "stdout", "wb") as file:
             monkeypatch.setattr(sys, "stdout", self.FullStdout(file.fileno()))
-            monkeypatch.setattr(sys, "argv", ["ebwt", "debruijn", "2", "3", "--least", *output])
+            monkeypatch.setattr(sys, "argv", ["ebwt", *argv])
             with pytest.raises(SystemExit) as exit_:
                 cli.entry()
             assert exit_.value.code == 1
@@ -1690,6 +1696,19 @@ class TestEntryPoint:
                 "error: cannot write the output: No space left on device\n")
             os.write(file.fileno(), b"x")  # now devnull's
         assert (tmp_path / "stdout").read_bytes() == b""
+
+    def test_help_on_a_closed_stdout_exits_quietly(self, capsys, monkeypatch, tmp_path):
+        class ClosedStdout(self.FullStdout):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        with open(tmp_path / "stdout", "wb") as file:
+            monkeypatch.setattr(sys, "stdout", ClosedStdout(file.fileno()))
+            monkeypatch.setattr(sys, "argv", ["ebwt", "--help"])
+            with pytest.raises(SystemExit) as exit_:
+                cli.entry()
+            assert exit_.value.code == 1
+            assert capsys.readouterr().err == ""
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_full_device_exits_with_one_error_line(self):

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from math import gcd
@@ -501,6 +502,40 @@ class TestPackedCount:
         fibonacci = W(fibonacci_word(2000)[:2000])
         assert distinct_factors(fibonacci) == count_distinct_factors(fibonacci.codes)
         assert fallbacks == [fibonacci.codes]
+
+    @staticmethod
+    def primary_calls(w: Word) -> Counter:
+        """The `translate` and `sort` calls that distinct_factors makes on
+        w, counted from the c_call events of `sys.setprofile`: the primary
+        pass makes both, the prefix probe neither."""
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            if event == "c_call" and getattr(arg, "__name__", None) in ("translate", "sort"):
+                calls[arg.__name__] += 1
+
+        sys.setprofile(profile)
+        try:
+            distinct_factors(w)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    @pytest.mark.parametrize("text", ["ab" * 5000, "aab" * 3000 + "b"],
+                             ids=["ab-power", "aab-power-b"])
+    def test_prefix_probe_cuts_no_primary(self, fallbacks, text):
+        # a word whose first letters recur goes to the automaton before the
+        # primary pass; past the tie route, it would reach it too
+        w = W(text)
+        assert self.primary_calls(w) == Counter()
+        assert fallbacks == [w.codes]
+
+    def test_a_word_with_no_prefix_repeat_cuts_primaries(self, fallbacks):
+        rng = random.Random(5000)
+        w = W("".join(rng.choices("ab", k=5000)))
+        calls = self.primary_calls(w)
+        assert calls["translate"] > 0 and calls["sort"] > 0
+        assert fallbacks == []
 
 
 class TestFactorStats:

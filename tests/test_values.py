@@ -1,7 +1,8 @@
 """The record contract of `words.Value`, over the ten classes built on it:
 equality within one class, a hash that agrees, no assignment, the repr, the
-checks of `__post_init__`, and `unchecked` giving what the checked
-constructor gives where the package uses it."""
+checks of `__post_init__`, and `unchecked`, which only the records of one
+or two fields have, giving what the checked constructor gives where the
+package uses it."""
 
 import re
 
@@ -82,6 +83,9 @@ OTHERS = {
 }
 
 NAMES = sorted(SAMPLES)
+# The records of one or two fields, which have `unchecked`, and the others.
+NARROW = [name for name in NAMES if len(type(SAMPLES[name][0]())._fields) <= 2]
+WIDE = [name for name in NAMES if name not in NARROW]
 
 
 def fields(record):
@@ -95,10 +99,21 @@ def test_all_ten_records_are_values():
     assert {cls.__name__ for cls in classes} == set(OTHERS)
 
 
-def test_records_have_one_to_four_fields():
-    # each number of fields has its own straight-line unchecked
-    with pytest.raises(TypeError, match="^a record has one to four fields, not 5$"):
-        type("Wide", (Value,), {"__annotations__": dict.fromkeys("abcde")})
+def test_narrow_and_wide_records():
+    assert NARROW == ["Alphabet", "GammaWord", "Necklace", "NecklaceMultiset", "PartialInjection",
+                      "Transformation", "Word"]
+    assert WIDE == ["FactorWitness", "MultisetSemigroup", "StandardPermutation"]
+
+
+def test_a_record_of_five_fields_has_no_unchecked():
+    wide = type("Wide", (Value,), {"__annotations__": dict.fromkeys("abcde")})
+    assert wide._fields == tuple("abcde")
+    assert not hasattr(wide, "unchecked")
+    record = wide(1, 2, 3, 4, 5)
+    assert record == wide(1, 2, 3, 4, 5) != wide(1, 2, 3, 4, 6)
+    assert repr(record) == "Wide(a=1, b=2, c=3, d=4, e=5)"
+    with pytest.raises(TypeError, match="^Wide takes 5 fields, got 4$"):
+        wide(1, 2, 3, 4)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -114,7 +129,10 @@ class TestContract:
         a = SAMPLES[name][0]()
         twin = type("Twin", (Value,), {"__annotations__": dict.fromkeys(type(a)._fields)})
         assert twin._fields == type(a)._fields
-        for other in (fields(a), list(fields(a)), twin(*fields(a)), twin.unchecked(*fields(a))):
+        others = [fields(a), list(fields(a)), twin(*fields(a))]
+        if name in NARROW:
+            others.append(twin.unchecked(*fields(a)))
+        for other in others:
             assert a != other and other != a
             assert not a == other
 
@@ -139,21 +157,30 @@ class TestContract:
         make, text = SAMPLES[name]
         assert re.sub("0x[0-9a-f]+", "0x?", repr(make())) == text
 
-    def test_unchecked_equals_checked(self, name):
-        a = SAMPLES[name][0]()
-        b = type(a).unchecked(*fields(a))
-        assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
-
     def test_fields_are_positional_and_counted(self, name):
         # unchecked counts them too: a record built from too few fields
         # would raise AttributeError in its repr, == and hash
         a = SAMPLES[name][0]()
         cls, values = type(a), fields(a)
+        builds = (cls, cls.unchecked) if name in NARROW else (cls,)
         for wrong in ((), values[:-1], values + (None,)):
             message = f"^{cls.__name__} takes {len(values)} fields, got {len(wrong)}$"
-            for build in (cls, cls.unchecked):
+            for build in builds:
                 with pytest.raises(TypeError, match=message):
                     build(*wrong)
+
+
+@pytest.mark.parametrize("name", NARROW)
+def test_unchecked_equals_checked(name):
+    a = SAMPLES[name][0]()
+    b = type(a).unchecked(*fields(a))
+    assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
+
+
+@pytest.mark.parametrize("name", WIDE)
+def test_wide_records_have_no_unchecked(name):
+    # records of three or four fields are only built checked
+    assert not hasattr(type(SAMPLES[name][0]()), "unchecked")
 
 
 # (constructor call, exception type, message) for each check of each
