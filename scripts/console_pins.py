@@ -104,20 +104,25 @@ def inverse_text(word):
     return "".join(f"{w} x{m}\n" if m > 1 else f"{w}\n" for w, m in sorted(spelled.items()))
 
 
-def least_debruijn(letters, n):
-    """The least de Bruijn word of span n over `letters`: the Lyndon words of
-    length dividing n in lexicographic order, listed by the successor step
-    (extend periodically to n letters, strip trailing maxima, bump)."""
-    k, w, words = len(letters), [0], []
+def lyndon_words(letters, n):
+    """The Lyndon words over `letters` of length dividing n, in
+    lexicographic order, by the successor step (extend periodically to n
+    letters, strip trailing maxima, bump)."""
+    k, w = len(letters), [0]
     while w:
         if n % len(w) == 0:
-            words.append("".join(map(letters.__getitem__, w)))
+            yield "".join(map(letters.__getitem__, w))
         w = [w[i % len(w)] for i in range(n)]
         while w and w[-1] == k - 1:
             w.pop()
         if w:
             w[-1] += 1
-    return "".join(words)
+
+
+def least_debruijn(letters, n):
+    """The least de Bruijn word of span n over `letters`: the Lyndon words of
+    length dividing n in lexicographic order."""
+    return "".join(lyndon_words(letters, n))
 
 
 def pins():
@@ -185,6 +190,15 @@ def pins():
         refused("transform", error="transform JSON input has more than 16842752 characters",
                 cap_mb=64, stdin=lambda: chain([b'{"necklaces": [{"lyndon": "'],
                                                repeat(b"a" * 2**21, 16), [b'b"}]}\n'])),
+        # The entries ranked as the text they are read as, with no parse or
+        # least-rotation scan per entry: the 2^20 letters of the Lyndon words
+        # over "ab" of length dividing 20, whose transform is (ab)^(2^19).
+        # The parent of this row peaked at 209 MB, this tree at 183.
+        Pin(("transform",), 0, lambda: "ab" * 2**19 + "\n", cap_mb=224,
+            stdin=lambda: (f"{w}\n".encode() for w in lyndon_words("ab", 20))),
+        # A long periodic entry is refused before any ranking (16 MB, 0.06 s).
+        refused("transform", "--canonicalize", code=2, error="entry 'abab", cap_mb=32,
+                timeout=10, stdin=lambda: (b"ab" * 2**18, b"\n")),
         # The permutation built by one pass into a row per letter, with no
         # sort, and walked as an array image and byte letters: 2^20 random
         # letters on stdin, whose longest cycle, a list of about 900,000 ints,

@@ -1,13 +1,18 @@
 """The extended Burrows-Wheeler transform and its inverse.
 
 The forward map sends a finite multiset of necklaces to the word of last
-letters of its rotations sorted by the omega-order.  It renders each
-distinct necklace once as a periodic string, sorts the windows of a fixed
-width that start at its rotations, and runs prefix-doubling rounds only when
-two windows tie; each round re-ranks the keys densely and pairs them, and
-each last letter is written once per copy.  So it costs one sort of the
-distinct rotations, plus O(log) rounds over them on ties, plus the output
-length.  The inverse reads the cycles of the standard permutation, built by
+letters of its rotations sorted by the omega-order.  Its kernel,
+`transform_text`, works on text: each necklace is a string whose code-point
+order is the letter order, cut into windows of a fixed width that start at
+its rotations, and one sort of the windows gives the order; prefix-doubling
+rounds run only when two windows tie, each re-ranking the keys densely and
+pairing them.  Each last letter is written once per copy and the letters are
+joined in that order.  So it costs one sort of the rotations, plus O(log)
+rounds over them on ties, plus the output length.  The CLI hands the kernel
+its raw entries, which already have that order (every `Alphabet` ascends by
+code point); `transform` hands it Lyndon words rendered as `chr(code)`.
+
+The inverse reads the cycles of the standard permutation, built by
 one pass that appends each position to the row of its letter, so each row
 receives its positions in increasing order: row a is ran(a), paired in
 order with dom(a), in time O(|w| + k).  The m copies of a necklace give m
@@ -31,14 +36,15 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, itemgetter, mul
 
+from .errors import NotLyndonError
 # omega_compare is unused here; bench/tracing.py counts calls at bwt.omega_compare.
 from .words import Alphabet, Necklace, Value, Word, lyndon_representative, omega_compare  # noqa: F401
 
 # The widest window the transform sorts, in bytes of its string: 64 letters
-# of one byte (k <= 256), 32 of two (k <= 65536), 16 of four.
+# of one byte (code points below 256), 32 of two (below 65536), 16 of four.
 WINDOW_BYTES = 64
 
 
@@ -249,63 +255,98 @@ def _flat_permutation(w: Word):
 def transform(m: NecklaceMultiset) -> Word:
     """The extended Burrows-Wheeler transform of a necklace multiset.
 
-    Ranks the rotations of the distinct necklaces by the omega-order.  Each
-    necklace is rendered once as a string of `chr(code)` letters, repeated
-    to at least its length plus `span` letters, and the window of `span`
-    letters at each of its rotations is cut with C-level slicing: the first
-    span letters of that rotation's infinite power.  Then one sort of the
-    rotations by window gives the order, unless two windows tie.
+    Each Lyndon word is rendered as a string of `chr(code)` letters, whose
+    code-point order is the code order, for `transform_text`, and the `ord`s
+    of its text are the word.  Every letter written is a code of a necklace
+    of the multiset, which is over its alphabet, so the word is built
+    without `Word`'s range check.
+    """
+    texts = ["".join(map(chr, necklace.lyndon.codes)) for necklace, _ in m.entries]
+    mults = [mult for _, mult in m.entries]
+    text = transform_text(texts, mults, chr(m.alphabet.size - 1))
+    return Word.unchecked(m.alphabet, tuple(map(ord, text)))
+
+
+def transform_text(texts: list[str], mults: list[int], top: str, lyndon: bool = False) -> str:
+    """The extended Burrows-Wheeler transform, as text, of the necklaces of
+    the primitive `texts`, taken `mults` times each.  The strings' code-point
+    order must be the letter order, and `top` is at least their largest
+    letter.  Raw CLI entries qualify as they stand: every `Alphabet` ascends
+    by code point, so comparing the strings compares the words.
+
+    Ranks the rotations by the omega-order.  Each text is repeated to at
+    least its length plus `span` letters, and the window of `span` letters at
+    each of its rotations is cut with C-level slicing: the first span letters
+    of that rotation's infinite power.  Then one sort of the rotations by
+    window gives the order, unless two windows tie.
 
     Two rotations of lengths p and q with equal prefixes of length
     p + q - gcd(p, q) have equal infinite powers (Fine and Wilf), hence equal
-    roots; rotations of distinct primitive necklaces never do.  So when span
-    is 2 * maxlen, the windows are distinct and their order is the
-    omega-order.  Span is capped at WINDOW_BYTES of string (64 letters for
-    k <= 256, 32 for k <= 65536, 16 above), which bounds the memory of the
-    windows; below 2 * maxlen it is checked for ties, and only when there
-    are any does prefix doubling (Manber and Myers) go on from there.
+    roots, so they are equal words.  So when span is 2 * maxlen, windows tie
+    only on equal rotations, and their order is the omega-order.  Span is
+    capped at WINDOW_BYTES of string, by the byte width of `top` (64 letters
+    below code point 256, 32 below 65536, 16 above), which bounds the memory
+    of the windows; below 2 * maxlen it is checked for ties, and only when
+    there are any does prefix doubling (Manber and Myers) go on from there.
 
     Each round starts by ranking the keys densely, by one sort of the
     distinct ones, so the key of a rotation is below their number, width,
     and orders its first span letters.  The round pairs it with the key of
-    the rotation span letters further round the same necklace, cut from
-    that necklace's keys as two slices, as key * width + key', which is below width squared and orders the first
-    2 * span letters.  The rounds stop as soon as the keys are distinct, or
-    the span reaches 2 * maxlen.  The copies of one necklace have equal
-    rotations, which sit adjacent in the order, so each rotation's last
-    letter, as a `chr(code)` string, is repeated once per copy; those
-    strings are joined in the order into one string, transient at 1 to 4
-    bytes a letter, whose `ord`s are the word (past code 256 each `ord` is
-    an int object of its own, 32 bytes a letter).  Every letter written is
-    a code of a necklace of the multiset, which is over its alphabet, so
-    the word is built without `Word`'s range check.
+    the rotation span letters further round the same text, cut from that
+    text's keys as two slices, as key * width + key', which is below width
+    squared and orders the first 2 * span letters.  The rounds stop as soon
+    as the keys are distinct, or the span reaches 2 * maxlen.
+
+    Equal rotations, the copies of one necklace or rotations of it given as
+    different texts, sit adjacent in the order and end in one letter, so
+    they need no merge: each rotation's last letter is repeated once per
+    copy, and those strings are joined in the order.
+
+    With `lyndon`, each text must be its own least rotation, and the keys,
+    distinct on the rotations of one primitive text, check it before any
+    letter is written: rotation 0 must hold the least key of its text.  The
+    first text that fails raises NotLyndonError with its index and the start
+    of its least rotation, the rotation with the least key.
     """
-    k = m.alphabet.size
-    lyndons = [necklace.lyndon.codes for necklace, _ in m.entries]
-    lengths = list(map(len, lyndons))
+    lengths = list(map(len, texts))
     limit = 2 * max(lengths, default=0)
-    span = min(limit, WINDOW_BYTES // (1 if k <= 256 else 2 if k <= 65536 else 4))
-    keys = _ranking_keys(lyndons, lengths, span, limit)
+    span = min(limit, WINDOW_BYTES // (1 if top < "\u0100" else 2 if top < "\U00010000" else 4))
+    keys = _ranking_keys(texts, lengths, span, limit)
+    if lyndon:
+        _check_lyndon(keys, lengths)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     del keys  # the windows: the largest list here
-    mults = chain.from_iterable(map(repeat, (mult for _, mult in m.entries), lengths))
-    last = list(map(mul, map(chr, chain.from_iterable(c[-1:] + c[:-1] for c in lyndons)), mults))
-    return Word.unchecked(m.alphabet, tuple(map(ord, "".join(map(last.__getitem__, order)))))
+    last = chain.from_iterable(t[-1:] + t[:-1] for t in texts)
+    last = list(map(mul, last, chain.from_iterable(map(repeat, mults, lengths))))
+    return "".join(map(last.__getitem__, order))
 
 
-def _ranking_keys(lyndons: list, lengths: list[int], span: int, limit: int) -> list:
-    """Keys that sort the rotations of the necklaces with the given Lyndon
-    codes into the omega-order (see `transform`): their windows of span
-    letters when those are distinct, else integer keys from prefix-doubling
-    rounds that start at span.
+def _check_lyndon(keys: list, lengths: list[int]) -> None:
+    """Raise NotLyndonError for the first text, of the given lengths, whose
+    rotation 0 does not hold the least of its keys (see `transform_text`)."""
+    ends = list(accumulate(lengths))
+    starts = [0, *ends][:-1]
+    least = list(map(min, map(keys.__getitem__, map(slice, starts, ends))))
+    if least != list(map(keys.__getitem__, starts)):
+        i = next(i for i, (key, start) in enumerate(zip(least, starts)) if key != keys[start])
+        start = keys.index(least[i], starts[i], ends[i]) - starts[i]
+        raise NotLyndonError(f"text {i} is not a Lyndon word: its least rotation starts at "
+                             f"{start}", i, start)
+
+
+def _ranking_keys(texts: list[str], lengths: list[int], span: int, limit: int) -> list:
+    """Keys that sort the rotations of the primitive `texts` into the
+    omega-order (see `transform_text`): their windows of span letters when
+    those are distinct, else integer keys from prefix-doubling rounds that
+    start at span.
 
     A round's width is the number of distinct keys, at most the number of
     rotations, so its keys stay below width squared.  Under the CLI's
     default guard of 2^24 letters that is below 2^48, two 30-bit CPython
     int digits, and pairing is exact at any width."""
     keys: list = []
-    for c, n in zip(lyndons, lengths):
-        text = "".join(map(chr, c)) * (span // n + 2)
+    for t, n in zip(texts, lengths):
+        text = t * (span // n + 2)
         keys.extend(map(text.__getitem__, map(slice, range(n), range(span, span + n))))
     while span < limit and len(distinct := set(keys)) < len(keys):
         keys, width = _dense(keys, distinct)

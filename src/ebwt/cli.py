@@ -11,6 +11,13 @@ the positional text whole, else the strict UTF-8 of --file or stdin with
 universal newlines, a block of INPUT_CHUNK bytes at a time, so that each
 guard on the input bounds what is held of it as it is read.
 
+`transform` ranks its raw entries as the text they are read as: every
+alphabet ascends by code point, so code-point order is letter order, and no
+entry is parsed into codes or canonicalized on its own.  The transform's
+text is printed as it stands (`_transform_entries`).  Its checks keep the
+order of the entries: letters outside --alphabet and primitivity in one
+C-level pass before any ranking, the Lyndon form from the ranking itself.
+
 Each call takes one mode and one input: argparse refuses a second mode of
 `debruijn`, `semigroup` or `factors`, and the positional text with
 --file; a handler refuses an option that its mode would not use
@@ -32,10 +39,11 @@ import io
 import os
 import sys
 from contextlib import nullcontext
-from itertools import accumulate, chain
-from operator import itemgetter
+from itertools import accumulate, chain, repeat
+from operator import add, itemgetter, ne
 
-from .bwt import NecklaceMultiset, inverse_transform, transform
+# transform is unused here; bench/tracing.py times it at cli.transform.
+from .bwt import NecklaceMultiset, inverse_transform, transform, transform_text  # noqa: F401
 from .debruijn import (
     DEFAULT_MAX_WORD_LENGTH,
     MAX_COUNT_DIGITS,
@@ -46,7 +54,7 @@ from .debruijn import (
     debruijn_set_from_gamma,
     least_debruijn_word,
 )
-from .errors import NotPrimitiveError, ResourceLimitError
+from .errors import NotLyndonError, ResourceLimitError
 from .factors import (
     DEFAULT_FACTOR_LETTERS,
     DEFAULT_SCAN_WORDS,
@@ -65,7 +73,9 @@ from .semigroups import (
     letter_induced_isomorphic,
     syntactic_semigroup,
 )
-from .words import Alphabet, Word, is_primitive, lyndon_representative
+# lyndon_representative is unused here; bench/tracing.py times it at
+# cli.lyndon_representative.
+from .words import Alphabet, Word, is_primitive, lyndon_representative  # noqa: F401
 
 
 class CLIError(ValueError):
@@ -341,44 +351,67 @@ def _refuse_unknown_keys(what: str, obj: dict, known: set) -> None:
         raise CLIError(f"{what} has the unknown key {unknown!r}")
 
 
-def _canonical_multiset(entries: dict[str, int], override: str | None,
-                        canonicalize: bool) -> NecklaceMultiset:
-    """The multiset of the raw entries, each checked and canonicalized once;
-    with no entries, the empty multiset over a and b or --alphabet.
+def _transform_entries(entries: dict[str, int], override: str | None,
+                       canonicalize: bool) -> str:
+    """The transform, as text, of the multiset of the raw entries; with no
+    entries, the empty text, --alphabet judged all the same.
 
-    The alphabet is inferred from the join of the entries, and each entry
-    is parsed by its own `alphabet.word` and checked before the next is
-    parsed, so errors come in the order of the entries by construction.  A
-    parse fails only on a letter outside --alphabet, with a message that
-    names the entry's first such letter.
-
-    Entries with one Lyndon word merge in a dict keyed by its codes, and
-    the multiset is built from them with `unchecked`, since they already
-    hold what `NecklaceMultiset`'s check asks: every word comes from
-    `alphabet.word`, over the one alphabet, and its necklace keeps that
-    alphabet; every raw multiplicity is positive (both input formats
-    refuse one below 1), and so is each sum of them; and the keys of a dict
-    are distinct, so one `sorted` makes them strictly ascending, in the
-    order of the code tuples that `NecklaceMultiset` compares.
+    The entries go to `transform_text` as they stand, with no parse: every
+    alphabet ascends by code point, so their code-point order is the letter
+    order.  The alphabet is --alphabet, else the set of their letters, and
+    the checks keep the order of the entries, each its letters, then its
+    primitivity, then its Lyndon form:
+    - `_checked_prefix` refuses the first entry with a letter outside
+      --alphabet or that is not primitive, and only the entries before it
+      are ranked, so no text outside the alphabet is ranked and a long
+      periodic entry is refused before any doubling round;
+    - without --canonicalize, the ranking checks the Lyndon form of each
+      ranked entry, and the first that fails is refused before that entry.
+    With --canonicalize, rotations of one necklace given as different lines
+    are ranked apart and need no merge (see `transform_text`).
     """
-    alphabet = _alphabet_from("".join(entries) or "ab", override)
-    merged: dict = {}  # Lyndon codes -> (necklace, multiplicity)
-    for raw, mult in entries.items():
-        word = alphabet.word(raw)
-        try:
-            necklace = lyndon_representative(word)
-        except NotPrimitiveError:
-            raise CLIError(f"entry {raw!r} is not primitive") from None
-        if necklace.lyndon is not word and not canonicalize:
-            raise CLIError(
-                f"entry {raw!r} is not a Lyndon word (canonical form "
-                f"{necklace!s}); pass --canonicalize to accept rotations"
-            )
-        key = necklace.lyndon.codes
-        if key in merged:
-            mult += merged[key][1]
-        merged[key] = necklace, mult
-    return NecklaceMultiset.unchecked(alphabet, tuple(map(merged.__getitem__, sorted(merged))))
+    texts = list(entries)
+    used = set("".join(texts))
+    alphabet = _alphabet_from(used or "ab", override)
+    ranked, refusal = _checked_prefix(texts, alphabet, used.difference(alphabet.letters))
+    if refusal and canonicalize:  # no entry before it can fail
+        raise refusal
+    try:
+        text = transform_text(ranked, list(entries.values())[:len(ranked)],
+                              alphabet.letters[-1], lyndon=not canonicalize)
+    except NotLyndonError as e:
+        raw = ranked[e.index]
+        raise CLIError(
+            f"entry {raw!r} is not a Lyndon word (canonical form "
+            f"{raw[e.start:] + raw[:e.start]}); pass --canonicalize to accept rotations"
+        ) from None
+    if refusal:
+        raise refusal
+    return text
+
+
+def _checked_prefix(texts: list[str], alphabet: Alphabet,
+                    outside: set[str]) -> tuple[list[str], ValueError | None]:
+    """(the entries before the first refused one, the error that refuses it,
+    or None): the first entry that holds a letter of `outside`, the letters
+    of the entries outside `alphabet`, with the alphabet's message naming
+    its first such letter, else the first that is not primitive.
+
+    Both checks run in C: only an entry that holds a letter outside is
+    searched for it, and an entry t is a proper power exactly when it
+    occurs in t + t before position len(t), which one `str.find` tells in
+    linear time."""
+    end, refusal = len(texts), None
+    if outside:
+        end = next(i for i, t in enumerate(texts) if not outside.isdisjoint(t))
+        refusal = alphabet._unknown(next(filter(outside.__contains__, texts[end])))
+    head = texts[:end]
+    periods = list(map(str.find, map(add, head, head), head, repeat(1)))
+    lengths = list(map(len, head))
+    if periods != lengths:
+        end = list(map(ne, periods, lengths)).index(True)
+        refusal = CLIError(f"entry {texts[end]!r} is not primitive")
+    return texts[:end], refusal
 
 
 def _render_each(alphabet: Alphabet, words) -> map:
@@ -456,16 +489,16 @@ def _guard(args) -> int:
 
 def cmd_transform(args, guard: int) -> tuple[dict, list[str]]:
     entries = _multiset_entries(_chunks(args), guard)
-    m = _canonical_multiset(entries, args.alphabet, args.canonicalize)
-    rendered = str(transform(m))
-    return {"word": rendered}, [rendered]
+    text = _transform_entries(entries, args.alphabet, args.canonicalize)
+    return {"word": text}, [text]
 
 
 def cmd_invert(args, guard: int) -> tuple[dict, list[str]]:
     text = _read_stripped(_chunks(args), guard,
                           f"invert input has {{}} letters, over the guard {guard}")
     if not text:  # no necklaces, and --alphabet judged as transform judges it
-        return _multiset_output(_canonical_multiset({}, args.alphabet, False), args.json)
+        return _multiset_output(NecklaceMultiset(_alphabet_from("ab", args.alphabet), ()),
+                                args.json)
     return _multiset_output(inverse_transform(_parse_word(text, args.alphabet)), args.json)
 
 

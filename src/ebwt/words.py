@@ -224,7 +224,8 @@ class Word(Value):
     """An immutable word: integer codes over a fixed alphabet.
 
     Construction checks that every code lies in 0..k-1, by one `min` and one
-    `max` over the codes.
+    `max` over the codes; a failure names the first code out of range and
+    its position, not the whole tuple.
     """
 
     alphabet: Alphabet
@@ -234,7 +235,8 @@ class Word(Value):
         k = self.alphabet.size
         codes = self.codes
         if codes and (min(codes) < 0 or max(codes) >= k):
-            raise ValueError(f"code out of range for {k}-letter alphabet: {self.codes}")
+            i, code = next((i, c) for i, c in enumerate(codes) if not 0 <= c < k)
+            raise ValueError(f"code {code} at position {i} out of range for {k}-letter alphabet")
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -11,6 +11,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from functools import reduce
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -19,16 +20,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ebwt
-from ebwt import cli, debruijn, semigroups
+from ebwt import bwt, cli, debruijn, semigroups, words
 from ebwt.cli import main
 from ebwt.errors import ResourceLimitError
 
-from ebwt.bwt import NecklaceMultiset
+from ebwt.bwt import NecklaceMultiset, transform
 from ebwt.debruijn import lyndon_concatenation_oracle
 from ebwt.words import Alphabet, lyndon_representative
 
-from helpers import AB, naive_primitive, necklace_closure_order, primitive_texts
-from test_cli_fuzz import ERROR_LINE
+from helpers import (AB, lcm, naive_bwt, naive_least_rotation, naive_primitive, naive_root,
+                     necklace_closure_order, prefix_bwt, primitive_texts)
+from test_cli_fuzz import ERROR_LINE, call
 
 
 def run(capsys, argv):
@@ -106,25 +108,43 @@ class TestTransform:
         assert code == 0
         assert out == "bbbaaa\n"
 
-    def test_canonicalize_gives_the_multiset_of_from_necklaces(self):
+    def test_canonicalize_gives_the_transform_of_from_necklaces(self):
         text = "ba\nab x2\nbaa x3\naab"
-        m = cli._canonical_multiset(cli._multiset_entries(iter([text]), 100), None, True)
+        out = cli._transform_entries(cli._multiset_entries(iter([text]), 100), None, True)
         texts = ["ba", "ab", "ab", "baa", "baa", "baa", "aab"]
-        assert m == NecklaceMultiset.from_necklaces(
-            AB, [lyndon_representative(AB.word(t)) for t in texts])
+        m = NecklaceMultiset.from_necklaces(AB, [lyndon_representative(AB.word(t)) for t in texts])
         assert [(str(n), mult) for n, mult in m.entries] == [("aab", 4), ("ab", 3)]
+        assert out == str(transform(m)) == "bbbbaaaabbbaaaaaaa"
 
     @given(st.sampled_from(["ab", "abc"]).flatmap(lambda letters: st.lists(
         st.tuples(st.text(letters, min_size=1, max_size=9).filter(naive_primitive),
                   st.integers(1, 4)), min_size=1, max_size=12)))
-    def test_canonical_multiset_passes_the_checks(self, items):
-        # built unchecked, it is what the checked constructor accepts
+    def test_canonicalized_entries_give_the_transform_of_from_necklaces(self, items):
+        # rotations of one necklace on different lines are ranked apart,
+        # and give what their merged multiset gives
         text = "\n".join(f"{raw} x{mult}" for raw, mult in items)
-        m = cli._canonical_multiset(cli._multiset_entries(iter([text]), 10**4), None, True)
-        assert NecklaceMultiset(m.alphabet, m.entries) == m
-        expanded = [lyndon_representative(m.alphabet.word(raw))
+        out = cli._transform_entries(cli._multiset_entries(iter([text]), 10**4), None, True)
+        alphabet = Alphabet("".join(sorted(set("".join(raw for raw, _ in items)))))
+        expanded = [lyndon_representative(alphabet.word(raw))
                     for raw, mult in items for _ in range(mult)]
-        assert m == NecklaceMultiset.from_necklaces(m.alphabet, expanded)
+        assert out == str(transform(NecklaceMultiset.from_necklaces(alphabet, expanded)))
+
+    def test_distinct_entries_are_neither_parsed_nor_canonicalized(self, capsys, monkeypatch):
+        # the entries go to the ranking as text: no per-entry least-rotation
+        # scan, parse or render, with and without --canonicalize
+        rng = random.Random(7)
+        entries = sorted({naive_least_rotation(text) for text in (
+            "".join(rng.choices("abc", k=rng.randint(2, 12))) for _ in range(400))
+            if naive_primitive(text)})
+        text = "\n".join(entries)
+        rotated = "\n".join(raw[1:] + raw[:1] for raw in entries)
+        expected = naive_bwt([(raw, 1) for raw in entries]) + "\n"
+        monkeypatch.setattr(words, "least_rotation_start",
+                            lambda codes: pytest.fail("least_rotation_start"))
+        for name in ("word", "render"):
+            monkeypatch.setattr(Alphabet, name, lambda *args, name=name: pytest.fail(name))
+        assert run(capsys, ["transform", text]) == (0, expected, "")
+        assert run(capsys, ["transform", rotated, "--canonicalize"]) == (0, expected, "")
 
     def test_output_guard_edge(self, capsys):
         code, out, _ = run(capsys, ["transform", "ab x3", "--guard-cells", "6"])
@@ -136,18 +156,18 @@ class TestTransform:
         assert err == "error: transform output needs 6 letters, over the guard 5\n"
 
     def test_output_guard_refuses_before_ranking(self, capsys, monkeypatch):
-        def fail(m):
+        def fail(*args, **kwargs):
             raise AssertionError("transform ran past its guard")
-        monkeypatch.setattr(cli, "transform", fail)
+        monkeypatch.setattr(cli, "transform_text", fail)
         code, out, err = run(capsys, ["transform", "ab x1000000000"])
         assert code == 3
         assert out == ""
         assert "2000000000 letters" in err
 
-    def test_output_guard_refuses_before_canonicalizing(self, capsys, monkeypatch):
-        def fail(w):
-            raise AssertionError("an entry was canonicalized past the guard")
-        monkeypatch.setattr(cli, "lyndon_representative", fail)
+    def test_output_guard_refuses_before_the_entry_checks(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("an entry was checked past the guard")
+        monkeypatch.setattr(cli, "_checked_prefix", fail)
         code, out, err = run(capsys, ["transform", "aab\nba x3\nab", "--canonicalize",
                                       "--guard-cells", "10"])
         assert code == 3
@@ -407,6 +427,13 @@ class TestTransform:
          "character 'c' not in alphabet 'ab'"),
         ([("ac", 1), ("aa", 1)], False, "character 'c' not in alphabet 'ab'"),
         ([("abb", 1), ("bad", 1), ("ca", 1)], False, "character 'd' not in alphabet 'ab'"),
+        # a Lyndon form judged by the ranking comes before a later entry's
+        # primitivity, judged before any ranking
+        ([("ab", 1), ("bba", 2), ("abab", 1)], False,
+         "entry 'bba' is not a Lyndon word (canonical form abb); pass --canonicalize to "
+         "accept rotations"),
+        ([("abb", 1), ("ab", 3), ("a\U0001f600b", 1), ("ba", 1)], False,
+         "character %r not in alphabet 'ab'" % "\U0001f600"),
     ])
     def test_errors_come_in_entry_order(self, capsys, entries, canonicalize, error):
         lines = "\n".join(f"{raw} x{mult}" for raw, mult in entries)
@@ -416,6 +443,20 @@ class TestTransform:
         for text in (lines, payload):
             assert run(capsys, ["transform", text, "--alphabet", "ab", *extra]) == (
                 2, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("canonicalize", [False, True])
+    def test_an_entry_outside_the_alphabet_is_never_ranked(self, capsys, monkeypatch,
+                                                            canonicalize):
+        # only the entries before it are ranked, to judge their Lyndon form
+        ranked = []
+        real = bwt._ranking_keys
+        monkeypatch.setattr(bwt, "_ranking_keys",
+                            lambda texts, *args: ranked.append(texts) or real(texts, *args))
+        text = "abb\nab x3\na\U0001f600b\nba"
+        extra = ["--canonicalize"] if canonicalize else []
+        assert run(capsys, ["transform", text, "--alphabet", "ab", *extra]) == (
+            2, "", "error: character %r not in alphabet 'ab'\n" % "\U0001f600")
+        assert ranked == ([] if canonicalize else [["abb", "ab"]])
 
     @pytest.mark.parametrize("guard", range(1, 19))
     def test_file_refuses_at_the_line_of_the_argument(self, capsys, tmp_path, guard):
@@ -517,6 +558,78 @@ class TestTransform:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["transform", "--file", str(tmp_path / "nope")])
         assert code == 2
+
+
+def naive_transform_call(entries, canonicalize: bool, letters: str | None):
+    """(exit code, stdout, stderr) of `ebwt transform` of the lines 'raw xN'
+    of `entries`, the naive way: lines with one raw entry merge, each merged
+    entry is checked in turn (its letters, then naive_primitive, then
+    naive_least_rotation) and added to its necklace, and the necklaces go to
+    naive_bwt, or to prefix_bwt when the lcm-width table would pass 10^6
+    letters."""
+    merged = Counter()
+    for raw, mult in entries:
+        merged[raw] += mult
+    alphabet = letters or "".join(sorted(set("".join(merged)))) or "ab"
+    necklaces = Counter()
+    for raw, mult in merged.items():
+        char = next((c for c in raw if c not in alphabet), None)
+        if char is not None:
+            return 2, "", f"error: character {char!r} not in alphabet {alphabet!r}\n"
+        if not naive_primitive(raw):
+            return 2, "", f"error: entry {raw!r} is not primitive\n"
+        lyndon = naive_least_rotation(raw)
+        if lyndon != raw and not canonicalize:
+            return 2, "", (f"error: entry {raw!r} is not a Lyndon word (canonical form "
+                           f"{lyndon}); pass --canonicalize to accept rotations\n")
+        necklaces[lyndon] += mult
+    items = sorted(necklaces.items())
+    width = reduce(lcm, (len(lyndon) for lyndon, _ in items), 1)
+    rows = sum(len(lyndon) * mult for lyndon, mult in items)
+    oracle = naive_bwt if width * rows <= 10**6 else prefix_bwt
+    return 0, oracle(items) + "\n", ""
+
+
+@st.composite
+def raw_multisets(draw):
+    """(entries, --canonicalize, --alphabet) of a transform: entries of up
+    to about 150 letters over 1-3 letters, roots of u^j v with a short u,
+    so that rotations tie past the 64-letter window.  Most are Lyndon
+    words; some are rotations of an earlier entry (itself, too, which
+    merges), more of them under --canonicalize, and some proper powers;
+    multiplicities go up to 3.  The alphabet is mostly inferred, else fixed
+    to the letters or to all but the last."""
+    letters = draw(st.sampled_from(["a", "ab", "ab", "abc", "abc"]))
+    canonicalize = draw(st.booleans())
+    stem = st.tuples(st.text(letters, min_size=1, max_size=4), st.integers(1, 40),
+                     st.text(letters, max_size=4)).map(
+                         lambda d: naive_root((d[0] * d[1] + d[2])[:150]))
+    kinds = ["lyndon"] * (3 if canonicalize else 12) + ["rotation"] * 3 + ["power"]
+    entries = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "rotation" and entries:
+            base = draw(st.sampled_from(entries))[0]
+            i = draw(st.integers(0, len(base) - 1))
+            raw = base[i:] + base[:i]
+        elif kind == "power":
+            raw = draw(st.text(letters, min_size=1, max_size=5)) * draw(st.integers(2, 30))
+        else:
+            raw = naive_least_rotation(draw(stem))
+        entries.append((raw, draw(st.integers(1, 3))))
+    override = draw(st.sampled_from([None, None, None, letters, letters[:-1] or None]))
+    return entries, canonicalize, override
+
+
+class TestTransformAgainstNaive:
+    @settings(max_examples=300, deadline=None)
+    @given(raw_multisets())
+    def test_matches_the_naive_checker_and_transform(self, drawn):
+        entries, canonicalize, override = drawn
+        text = "\n".join(f"{raw} x{mult}" for raw, mult in entries)
+        argv = ["transform", text, *(["--canonicalize"] if canonicalize else []),
+                *(["--alphabet", override] if override else [])]
+        assert call(argv) == naive_transform_call(entries, canonicalize, override)
 
 
 class TestUndecodableFile:

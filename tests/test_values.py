@@ -184,13 +184,16 @@ def test_wide_records_have_no_unchecked(name):
 
 
 # (constructor call, exception type, message) for each check of each
-# __post_init__; the messages are those the checks have always given.
+# __post_init__; the messages are those the checks have always given, but
+# Word's, which names its first code out of range instead of every code.
 INVALID = [
     (lambda: Alphabet(""), ValueError, "alphabet needs at least one letter"),
     (lambda: Alphabet("ba"), ValueError, "alphabet letters must be strictly increasing: 'ba'"),
     (lambda: Alphabet("aa"), ValueError, "alphabet letters must be strictly increasing: 'aa'"),
-    (lambda: Word(AB, (0, 2)), ValueError, "code out of range for 2-letter alphabet: (0, 2)"),
-    (lambda: Word(AB, (-1,)), ValueError, "code out of range for 2-letter alphabet: (-1,)"),
+    (lambda: Word(AB, (0, 2)), ValueError,
+     "code 2 at position 1 out of range for 2-letter alphabet"),
+    (lambda: Word(AB, (-1,)), ValueError,
+     "code -1 at position 0 out of range for 2-letter alphabet"),
     (lambda: Necklace(W("")), ValueError, "root is undefined for the empty word"),
     (lambda: Necklace(W("abab")), NotPrimitiveError, "necklace word must be primitive: abab"),
     (lambda: Necklace(W("ba")), ValueError,
@@ -218,6 +221,13 @@ def test_post_init_checks(make, error, message):
         make()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_word_range_error_stays_short():
+    # a long tuple is not copied into the message
+    with pytest.raises(ValueError) as info:
+        Word(AB, (0, 1) * 50000 + (5,))
+    assert str(info.value) == "code 5 at position 100000 out of range for 2-letter alphabet"
 
 
 def test_construction_looks_up_post_init():
