@@ -23,7 +23,7 @@ from array import array
 from collections import Counter
 from contextlib import nullcontext
 from functools import reduce
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 SELF_CAP_MB = 32
@@ -33,7 +33,7 @@ class Pin(NamedTuple):
     args: tuple  # after `ebwt`
     code: int
     stdout: object  # the text, or a callable that builds it when the row runs
-    stderr: str = ""  # a prefix: exactly one line that starts with it
+    stderr: str = ""  # a prefix: exactly one line that starts with it (the line when it ends "\n")
     cap_mb: int | None = None
     timeout: int = 60  # seconds
     stdin: object = tuple  # called when the row runs: the pieces, bytes written in turn
@@ -81,27 +81,41 @@ def coin_word(n, seed):
     return format(random.Random(seed).getrandbits(n), f"0{n}b").translate(str.maketrans("01", "ab"))
 
 
-def inverse_text(word):
-    """What `ebwt invert` prints for a word over "ab", from a walk of its own.
-    Row i of the standard permutation holds letter a when i is below the
-    number of a's, and goes to the position in the word of that letter's
-    occurrence of the same rank.  Each cycle, read from its least row,
-    spells a Lyndon word; they are printed sorted, one a line, with " xN"
-    when N cycles spell one.  The image holds 4 bytes a row and each cycle
-    is spelled into a bytearray, so the runner stays small."""
-    a = word.count("a")
-    image = array("i", (i for i, c in enumerate(word) if c == "a"))
-    image.extend(i for i, c in enumerate(word) if c == "b")
+def inverse_text(word, letters="ab"):
+    """What `ebwt invert` prints for a word over `letters`, in code-point
+    order, from a walk of its own.  The rows of the standard permutation
+    hold the word's letters sorted, and row r, the j-th row of its letter,
+    goes to the position in the word of that letter's j-th occurrence.
+    Each cycle, read from its least row, spells a Lyndon word; they are
+    printed sorted, one a line, with " xN" when N cycles spell one.  The
+    image holds 4 bytes a row and each row's letter 2, and each cycle is
+    spelled into a bytearray of UTF-8, so the runner stays small."""
+    counts = Counter(word)
+    rows = dict(zip(letters, accumulate(chain([0], map(counts.__getitem__, letters)))))
+    image = array("i", bytes(4 * len(word)))
+    for i, c in enumerate(word):
+        image[rows[c]] = i
+        rows[c] += 1
+    held = array("H", chain.from_iterable(map(repeat, range(len(letters)),
+                                              map(counts.__getitem__, letters))))
+    encoded = [c.encode() for c in letters]
     seen, spelled = bytearray(len(word)), Counter()
     for start in range(len(word)):
-        letters, i = bytearray(), start
+        cycle, i = bytearray(), start
         while not seen[i]:
             seen[i] = 1
-            letters.append(97 if i < a else 98)
+            cycle += encoded[held[i]]
             i = image[i]
-        if letters:
-            spelled[letters.decode()] += 1
+        if cycle:
+            spelled[cycle.decode()] += 1
     return "".join(f"{w} x{m}\n" if m > 1 else f"{w}\n" for w, m in sorted(spelled.items()))
+
+
+def drawn_word(letters, n, seed):
+    """n letters drawn from `letters` by `random.Random(seed)`, from a list
+    of them, so that the draws share its strings: indexing a str past
+    Latin-1 builds a new one each time."""
+    return "".join(random.Random(seed).choices(list(letters), k=n))
 
 
 def lyndon_words(letters, n):
@@ -135,6 +149,7 @@ def pins():
     ab499 = "ab" * 499 + "b"  # of order 999995 by the closed form
     abc900 = "".join(random.Random(3).choices("abc", k=900))  # of order 810832
     tied = coins[300][:260] + coins[300][100:140]  # letters 100-139 again at the end
+    cjk = "".join(map(chr, range(0x4E00, 0x4E00 + 300)))
     return [
         Pin(("semigroup", "abab", "--syntactic"), 0, "syntactic order 9\ngenerators a b\n",
             "warning: "),
@@ -196,15 +211,24 @@ def pins():
         # The parent of this row peaked at 209 MB, this tree at 183.
         Pin(("transform",), 0, lambda: "ab" * 2**19 + "\n", cap_mb=224,
             stdin=lambda: (f"{w}\n".encode() for w in lyndon_words("ab", 20))),
-        # A long periodic entry is refused before any ranking (16 MB, 0.06 s).
-        refused("transform", "--canonicalize", code=2, error="entry 'abab", cap_mb=32,
-                timeout=10, stdin=lambda: (b"ab" * 2**18, b"\n")),
-        # The permutation built by one pass into a row per letter, with no
-        # sort, and walked as an array image and byte letters: 2^20 random
-        # letters on stdin, whose longest cycle, a list of about 900,000 ints,
-        # sets the peak (82 MB), and a de Bruijn word of 2^20 letters (44 MB).
+        # A long periodic entry is refused before any ranking (19 MB, 0.06 s),
+        # in one line that quotes only its first 64 letters.
+        refused("transform", "--canonicalize", code=2, cap_mb=32, timeout=10,
+                error=f"entry {'ab' * 32!r}... (524288 letters) is not primitive\n",
+                stdin=lambda: (b"ab" * 2**18, b"\n")),
+        # The permutation built from the text by one pass into a row per
+        # letter, with no sort, and walked as an array image and a str column
+        # of letters: 2^20 random letters on stdin, whose longest cycle, a
+        # list of about 900,000 ints, sets the peak (74 MB; 82 when the text
+        # was parsed into codes over a bytes column), and a de Bruijn word of
+        # 2^20 letters (33 MB; 44 then).
         Pin(("invert",), 0, lambda: inverse_text(coin_word(2**20, 20)), cap_mb=96,
             stdin=lambda: (coin_word(2**20, 20).encode(), b"\n")),
+        # The same over 300 CJK letters, past the 256 that once took a tuple
+        # of letters: 2^18 letters on stdin (34 MB; the gather of the
+        # longest cycle builds a string per letter past Latin-1).
+        Pin(("invert",), 0, lambda: inverse_text(drawn_word(cjk, 2**18, 18), cjk), cap_mb=41,
+            stdin=lambda: (drawn_word(cjk, 2**18, 18).encode(), b"\n")),
         Pin(("debruijn", "2", "20", "--least"), 0, lambda: least_debruijn("ab", 20) + "\n",
             cap_mb=53),
         # A write that fails, but not on a closed pipe, is one error line:

@@ -10,34 +10,38 @@ pairing them.  Each last letter is written once per copy and the letters are
 joined in that order.  So it costs one sort of the rotations, plus O(log)
 rounds over them on ties, plus the output length.  The CLI hands the kernel
 its raw entries, which already have that order (every `Alphabet` ascends by
-code point); `transform` hands it Lyndon words rendered as `chr(code)`.
+code point); `transform` hands it Lyndon words written as `chr(code)`.
 
-The inverse reads the cycles of the standard permutation, built by
-one pass that appends each position to the row of its letter, so each row
-receives its positions in increasing order: row a is ran(a), paired in
-order with dom(a), in time O(|w| + k).  The m copies of a necklace give m
-cycles that are translates of one another; each class of translates is
-walked once and becomes one necklace of multiplicity m, taken as a Lyndon
-word without checking it again, and the classes come out in the order of
-their Lyndon words.
+The inverse reads the cycles of the standard permutation.  Its kernel,
+`inverse_text`, works on text as `transform_text` does: one pass appends
+each position of the text to the row of its letter, an `array("q")` reached
+through a dict from letter to the row's `append`, so each row receives its
+positions in increasing order: row a is ran(a), paired in order with
+dom(a), in time O(|w| + k).  The rows joined are the image, and the sorted
+column is a `str`, a run of each letter as long as its row.  The m copies
+of a necklace give m cycles that are translates of one another; `_cycles`
+walks each class of translates once, and its letters, gathered by one
+C-level `itemgetter` call and joined, spell one Lyndon word of multiplicity
+m.  The classes come out in the order of their Lyndon words.
 
-One walk, `_cycles`, reads those classes for the inverse, for the least de
-Bruijn word and for `StandardPermutation.cycles`.  The inverse and the de
-Bruijn word run it through `cycle_letters`, over two flat sequences: the
-image as an `array("q")` and the sorted letters as a `bytes` (k <= 256),
-so each step reads 8 bytes of a contiguous array, not a tuple slot and
-then its int object, and each letter is one byte; each class's letters are
-gathered by one C-level `itemgetter` call.  That layout stays inside
-this module.  The `StandardPermutation` record keeps tuples, since its
-fields are compared with tuples and hashed as a record's are.
+The CLI hands `inverse_text` its raw text and the alphabet's letters, as it
+hands `transform_text` its raw entries, and prints the texts it returns.
+`inverse_transform`, `standard_permutation` and the least de Bruijn word
+hand it the text of their codes as `chr(code)` letters (`code_text`) and
+read codes back from what it returns (`text_codes`).  The one walk,
+`_cycles`, also reads `StandardPermutation.cycles`, whose record keeps
+tuples, since its fields are compared with tuples and hashed as a record's
+are.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate, chain, repeat
 from operator import add, itemgetter, mul
+from struct import pack, unpack  # loaded with the interpreter, unlike `array`
 
 from .errors import NotLyndonError
 # omega_compare is unused here; bench/tracing.py counts calls at bwt.omega_compare.
@@ -46,6 +50,9 @@ from .words import Alphabet, Necklace, Value, Word, lyndon_representative, omega
 # The widest window the transform sorts, in bytes of its string: 64 letters
 # of one byte (code points below 256), 32 of two (below 65536), 16 of four.
 WINDOW_BYTES = 64
+
+# The codec of the bytes of a `struct` "I", 4 to an item in native order.
+_UTF32 = f"utf-32-{sys.byteorder[0]}e"
 
 
 class NecklaceMultiset(Value):
@@ -124,9 +131,8 @@ def _cycles(image, letters):
     """Yield (cycle, m) for each class of translates of the permutation
     `image`, whose row i holds the letter `letters[i]`: the cycle as a list
     read from its minimal element s, and its number m of translates, in
-    order of s.  Both are any flat sequences of ints; `cycle_letters`
-    passes an `array("q")` and a `bytes` (k <= 256),
-    `StandardPermutation.cycles` its tuples.
+    order of s.  Both are any flat sequences: `inverse_text` passes an
+    `array("q")` and a `str`, `StandardPermutation.cycles` its tuples.
 
     The translates of a cycle C are C + 1, ..., C + m - 1, with minima
     s + 1, ..., s + m - 1; expanded in order they list every cycle by its
@@ -195,76 +201,90 @@ def _translates(image, letters, cycle: list[int], j: int) -> bool:
             and list(map(letter, shifted)) == list(map(letter, cycle)))
 
 
-def cycle_letters(w: Word):
-    """Yield (letters, m) for each class of translates of the standard
-    permutation of a word w, and nothing for the empty word: the tuple of
-    codes its cycle spells, read from its minimal row, and its number m of
-    translates, in order of that row (see `_cycles`).  The walk runs over
-    the flat image and letters of `_flat_permutation`, and no
-    `StandardPermutation` record is built.  Each tuple is read by one
-    C-level gather, `itemgetter(*cycle)`, which returns the bare letter of
-    a one-row cycle, so that one is wrapped."""
-    image, letters = _flat_permutation(w)
-    for cycle, copies in _cycles(image, letters):
-        spelled = itemgetter(*cycle)(letters)
-        yield (spelled if len(cycle) > 1 else (spelled,)), copies
-
-
 def standard_permutation(w: Word) -> StandardPermutation:
-    """Build the standard permutation of a nonempty word: the flat pair of
-    `_flat_permutation`, held as tuples.
-
-    Its image lists ran(a) for each letter a in turn, and each row of that
-    pass receives its positions in increasing order, so row a is ran(a),
-    paired in order with dom(a): the order-preserving pairing.
-    """
+    """Build the standard permutation of a nonempty word from the rows of
+    `_standard_rows` over the text of its codes, held as tuples."""
     if len(w) == 0:
         raise ValueError("the standard permutation needs a nonempty word")
-    image, letters = _flat_permutation(w)
-    return StandardPermutation(w.alphabet, tuple(image), tuple(letters))
+    image, column = _standard_rows(code_text(w.codes), code_text(range(w.alphabet.size)))
+    return StandardPermutation(w.alphabet, tuple(image), text_codes(column))
 
 
-def _flat_permutation(w: Word):
-    """The standard permutation of a word w as two flat sequences (image,
-    letters), both empty for the empty word: the image as an `array("q")`,
-    8 bytes a row and no int object, and the sorted letters as a `bytes`
-    when k <= 256, else a tuple.
+def _standard_rows(text: str, letters: str):
+    """The standard permutation of `text` over `letters`, strictly
+    increasing, as (image, sorted column): the image as an `array("q")`, 8
+    bytes a row and no int object, the column as a `str`; both empty for the
+    empty text.
 
-    One pass over w appends each position to the row of its letter, an
-    `array("q")`, so row a receives the positions of a in increasing order:
-    it is ran(a).  The rows joined in letter order are the image, which
-    pairs dom(a), the next len(ran(a)) rows of the sorted column, with
-    ran(a) in order, and the sorted letters are a run of each letter a as
-    long as its row.  That is O(|w| + k) time, and no int object per
-    position outlives the pass."""
+    One pass over the text appends each position to the row of its letter,
+    an `array("q")` reached through a dict from letter to its `append`, so
+    row a receives the positions of a in increasing order: it is ran(a).
+    The rows joined in letter order are the image, which pairs dom(a), the
+    next len(ran(a)) rows of the column, with ran(a) in order, and the
+    column is a run of each letter as long as its row.  That is O(|w| + k)
+    time, and no int object per position outlives the pass.  A character
+    of the text outside `letters` raises the alphabet's ValueError for the
+    first one."""
     from array import array  # only the permutation needs it, not the CLI's start-up
 
-    k = w.alphabet.size
-    rows = [array("q") for _ in range(k)]
-    appends = [row.append for row in rows]
-    for i, letter in enumerate(w.codes):
-        appends[letter](i)
+    rows = [array("q") for _ in letters]
+    appends = dict(zip(letters, [row.append for row in rows]))
+    try:
+        for i, letter in enumerate(text):
+            appends[letter](i)
+    except KeyError as e:
+        raise Alphabet(letters)._unknown(e.args[0]) from None
     image = array("q")
     for row in rows:
         image += row
-    if k > 256:
-        return image, tuple(chain.from_iterable(map(repeat, range(k), map(len, rows))))
-    return image, b"".join(bytes((letter,)) * len(row) for letter, row in enumerate(rows))
+    return image, "".join(map(mul, letters, map(len, rows)))
+
+
+def inverse_text(text: str, letters: str) -> tuple[list[str], list[int]]:
+    """The inverse transform of `text` over `letters`, strictly increasing
+    in code point: the Lyndon word of each necklace, as text, in the order
+    of the Lyndon words (see `inverse_transform`), and beside it the list of
+    their multiplicities.  A character of the text outside `letters` raises
+    the alphabet's ValueError for the first one.
+
+    The rows of `_standard_rows` are walked by `_cycles`, and each class's
+    letters are read by one C-level gather, `itemgetter(*cycle)`, and
+    joined; a one-row cycle gathers the bare letter, which joins as
+    itself."""
+    image, column = _standard_rows(text, letters)
+    lyndons, multiplicities = [], []
+    for cycle, copies in _cycles(image, column):
+        lyndons.append("".join(itemgetter(*cycle)(column)))
+        multiplicities.append(copies)
+    return lyndons, multiplicities
+
+
+def code_text(codes) -> str:
+    """The text whose code points are `codes`, a sized sequence of ints
+    below 0x110000: one C-level `struct` call packs their native 4-byte
+    form, which UTF-32 decodes; lone surrogates pass."""
+    return pack(f"{len(codes)}I", *codes).decode(_UTF32, "surrogatepass")
+
+
+def text_codes(text: str) -> tuple[int, ...]:
+    """The code points of `text`, as `code_text` writes them: its UTF-32
+    bytes unpacked by one C-level `struct` call, which builds the tuple."""
+    return unpack(f"{len(text)}I", text.encode(_UTF32, "surrogatepass"))
 
 
 def transform(m: NecklaceMultiset) -> Word:
     """The extended Burrows-Wheeler transform of a necklace multiset.
 
-    Each Lyndon word is rendered as a string of `chr(code)` letters, whose
-    code-point order is the code order, for `transform_text`, and the `ord`s
-    of its text are the word.  Every letter written is a code of a necklace
-    of the multiset, which is over its alphabet, so the word is built
-    without `Word`'s range check.
+    Each Lyndon word is written as the text of its `chr(code)` letters
+    (`code_text`), whose code-point order is the code order, for
+    `transform_text`, and the code points of its text are the word.  Every
+    letter written is a code of a necklace of the multiset, which is over
+    its alphabet, so the word is built without `Word`'s range check.
     """
-    texts = ["".join(map(chr, necklace.lyndon.codes)) for necklace, _ in m.entries]
+    texts = [code_text(necklace.lyndon.codes) for necklace, _ in m.entries]
     mults = [mult for _, mult in m.entries]
     text = transform_text(texts, mults, chr(m.alphabet.size - 1))
-    return Word.unchecked(m.alphabet, tuple(map(ord, text)))
+    return Word.unchecked(m.alphabet, text_codes(text))
 
 
 def transform_text(texts: list[str], mults: list[int], top: str, lyndon: bool = False) -> str:
@@ -382,9 +402,10 @@ def inverse_transform(w: Word) -> NecklaceMultiset:
     primitivity check and no least-rotation search.  The m copies of a
     necklace are one class of m translates in `_cycles`, so each class
     becomes one necklace of multiplicity m, and distinct classes spell
-    distinct necklaces.  `cycle_letters` walks the flat image and letters
-    of `_flat_permutation` and spells each class; no `StandardPermutation`
-    record is built.
+    distinct necklaces.  The classes are read by `inverse_text`, over the
+    text of w's codes as `chr(code)` letters, and their joined texts are
+    read back as codes once, then cut at each Lyndon word's end; no
+    `StandardPermutation` record is built.
 
     The classes already come in the order of their Lyndon words, so they
     are not sorted.  `_cycles` lists them by minimal row, and the rows are in
@@ -406,7 +427,11 @@ def inverse_transform(w: Word) -> NecklaceMultiset:
     the empty multiset over its alphabet.
     """
     alphabet = w.alphabet
+    lyndons, multiplicities = inverse_text(code_text(w.codes), code_text(range(alphabet.size)))
+    codes = text_codes("".join(lyndons))
+    ends = list(accumulate(map(len, lyndons)))
     necklace, word = Necklace.unchecked, Word.unchecked
     return NecklaceMultiset.unchecked(alphabet, tuple(
-        (necklace(word(alphabet, letters)), copies) for letters, copies in cycle_letters(w)
+        (necklace(word(alphabet, codes[start:end])), copies)
+        for start, end, copies in zip([0, *ends], ends, multiplicities)
     ))

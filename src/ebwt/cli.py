@@ -11,12 +11,16 @@ the positional text whole, else the strict UTF-8 of --file or stdin with
 universal newlines, a block of INPUT_CHUNK bytes at a time, so that each
 guard on the input bounds what is held of it as it is read.
 
-`transform` ranks its raw entries as the text they are read as: every
-alphabet ascends by code point, so code-point order is letter order, and no
-entry is parsed into codes or canonicalized on its own.  The transform's
-text is printed as it stands (`_transform_entries`).  Its checks keep the
-order of the entries: letters outside --alphabet and primitivity in one
-C-level pass before any ranking, the Lyndon form from the ranking itself.
+Both read their input as the text it is, with no parse into codes: every
+alphabet ascends by code point, so code-point order is letter order.
+`transform` ranks its raw entries, and no entry is canonicalized on its
+own; the transform's text is printed as it stands (`_transform_entries`).
+Its checks keep the order of the entries: letters outside --alphabet and
+primitivity in one C-level pass before any ranking, the Lyndon form from
+the ranking itself, and an error quotes at most QUOTED_LETTERS letters of
+an entry.  `invert` builds the standard permutation from its text and the
+alphabet's letters (`bwt.inverse_text`), which refuses the first letter
+outside --alphabet, and prints each Lyndon word's text as it is spelled.
 
 Each call takes one mode and one input: argparse refuses a second mode of
 `debruijn`, `semigroup` or `factors`, and the positional text with
@@ -42,8 +46,9 @@ from contextlib import nullcontext
 from itertools import accumulate, chain, repeat
 from operator import add, itemgetter, ne
 
-# transform is unused here; bench/tracing.py times it at cli.transform.
-from .bwt import NecklaceMultiset, inverse_transform, transform, transform_text  # noqa: F401
+# transform and inverse_transform are unused here; bench/tracing.py times
+# them at cli.transform and cli.inverse_transform.
+from .bwt import inverse_text, inverse_transform, transform, transform_text  # noqa: F401
 from .debruijn import (
     DEFAULT_MAX_WORD_LENGTH,
     MAX_COUNT_DIGITS,
@@ -85,6 +90,9 @@ class CLIError(ValueError):
 
 # Bytes per read of --file or stdin; see _chunks.
 INPUT_CHUNK = 1 << 16
+
+# The most letters of an entry that an error message quotes; see _quoted.
+QUOTED_LETTERS = 64
 
 
 def _chunks(args):
@@ -335,10 +343,11 @@ def _multiset_entries_from_json(text: str, skipped: int, guard: int) -> dict[str
         lyndon = item.get("lyndon") if isinstance(item, dict) else None
         if not isinstance(lyndon, str) or not lyndon:
             raise CLIError(f"JSON necklace entry needs a 'lyndon' field: {item!r}")
-        _refuse_unknown_keys(f"JSON necklace entry {lyndon!r}", item, {"lyndon", "multiplicity"})
+        _refuse_unknown_keys(f"JSON necklace entry {_quoted(lyndon)}", item,
+                             {"lyndon", "multiplicity"})
         mult = item.get("multiplicity", 1)
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-            raise CLIError(f"bad multiplicity for entry {lyndon!r}: {mult!r}")
+            raise CLIError(f"bad multiplicity for entry {_quoted(lyndon)}: {mult!r}")
         entries[lyndon] = entries.get(lyndon, 0) + mult
     return entries
 
@@ -381,10 +390,10 @@ def _transform_entries(entries: dict[str, int], override: str | None,
                               alphabet.letters[-1], lyndon=not canonicalize)
     except NotLyndonError as e:
         raw = ranked[e.index]
-        raise CLIError(
-            f"entry {raw!r} is not a Lyndon word (canonical form "
-            f"{raw[e.start:] + raw[:e.start]}); pass --canonicalize to accept rotations"
-        ) from None
+        canonical = (raw[e.start:] + raw[:e.start])[:QUOTED_LETTERS] + "..." * (
+            len(raw) > QUOTED_LETTERS)
+        raise CLIError(f"entry {_quoted(raw)} is not a Lyndon word (canonical form "
+                       f"{canonical}); pass --canonicalize to accept rotations") from None
     if refusal:
         raise refusal
     return text
@@ -410,8 +419,18 @@ def _checked_prefix(texts: list[str], alphabet: Alphabet,
     lengths = list(map(len, head))
     if periods != lengths:
         end = list(map(ne, periods, lengths)).index(True)
-        refusal = CLIError(f"entry {texts[end]!r} is not primitive")
+        refusal = CLIError(f"entry {_quoted(texts[end])} is not primitive")
     return texts[:end], refusal
+
+
+def _quoted(raw: str) -> str:
+    """An entry as an error message quotes it: its repr, or for an entry of
+    more than QUOTED_LETTERS letters the repr of its first QUOTED_LETTERS,
+    "..." and its length, so that a message stays short however long the
+    entry."""
+    if len(raw) <= QUOTED_LETTERS:
+        return repr(raw)
+    return f"{raw[:QUOTED_LETTERS]!r}... ({len(raw)} letters)"
 
 
 def _render_each(alphabet: Alphabet, words) -> map:
@@ -422,16 +441,14 @@ def _render_each(alphabet: Alphabet, words) -> map:
     return map(text.__getitem__, map(slice, [0] + ends, ends))
 
 
-def _multiset_output(m: NecklaceMultiset, as_json: bool) -> tuple[dict, list[str]]:
-    """The JSON payload of a multiset under --json, else its text lines; the
-    other is left empty.  The Lyndon words are rendered in one piece, which
-    is cut into one per necklace."""
-    lyndons = [necklace.lyndon.codes for necklace, _ in m.entries]
-    rendered = zip(_render_each(m.alphabet, lyndons), map(itemgetter(1), m.entries))
+def _multiset_output(entries, as_json: bool) -> tuple[dict, list[str]]:
+    """The JSON payload of a multiset's (Lyndon word, multiplicity) entries,
+    the words as text, under --json, else its text lines; the other is left
+    empty."""
     if as_json:
         return {"necklaces": [{"lyndon": lyndon, "multiplicity": mult}
-                              for lyndon, mult in rendered]}, []
-    return {}, [lyndon if mult == 1 else f"{lyndon} x{mult}" for lyndon, mult in rendered]
+                              for lyndon, mult in entries]}, []
+    return {}, [lyndon if mult == 1 else f"{lyndon} x{mult}" for lyndon, mult in entries]
 
 
 def _emit(as_json: bool, payload: dict, lines: list[str]) -> None:
@@ -496,10 +513,9 @@ def cmd_transform(args, guard: int) -> tuple[dict, list[str]]:
 def cmd_invert(args, guard: int) -> tuple[dict, list[str]]:
     text = _read_stripped(_chunks(args), guard,
                           f"invert input has {{}} letters, over the guard {guard}")
-    if not text:  # no necklaces, and --alphabet judged as transform judges it
-        return _multiset_output(NecklaceMultiset(_alphabet_from("ab", args.alphabet), ()),
-                                args.json)
-    return _multiset_output(inverse_transform(_parse_word(text, args.alphabet)), args.json)
+    # blank text has no necklaces, and --alphabet is judged as transform judges it
+    alphabet = _alphabet_from(text or "ab", args.alphabet)
+    return _multiset_output(zip(*inverse_text(text, alphabet.letters)), args.json)
 
 
 def cmd_debruijn(args, guard: int) -> tuple[dict, list[str]]:
@@ -516,7 +532,9 @@ def cmd_debruijn(args, guard: int) -> tuple[dict, list[str]]:
             raise CLIError(
                 f"word uses {word.alphabet.size} letters, expected {k}"
             )
-        return _multiset_output(debruijn_set_from_gamma(GammaWord(word, n)), args.json)
+        m = debruijn_set_from_gamma(GammaWord(word, n))
+        lyndons = _render_each(m.alphabet, [necklace.lyndon.codes for necklace, _ in m.entries])
+        return _multiset_output(zip(lyndons, map(itemgetter(1), m.entries)), args.json)
     alphabet = _alphabet_from(args.alphabet, args.alphabet) if args.alphabet is not None else None
     if alphabet and alphabet.size != k:
         raise CLIError(f"--alphabet needs {k} characters, got {alphabet.size}")

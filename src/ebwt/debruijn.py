@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import chain, permutations
 from math import factorial, inf, lgamma, log, log10
 
-from .bwt import NecklaceMultiset, cycle_letters, inverse_transform
+from .bwt import NecklaceMultiset, code_text, inverse_text, inverse_transform, text_codes
 from .errors import ResourceLimitError
 from .words import Alphabet, Value, Word, default_alphabet
 
@@ -198,27 +198,21 @@ def _k_letters(k: int, alphabet: Alphabet | None) -> Alphabet:
     return alphabet
 
 
-def _identity_block_word(k: int, n: int, max_length: int,
-                         alphabet: Alphabet | None = None) -> Word:
-    """The all-identity-block word (0 1 ... k-1)^(k^{n-1}) over `alphabet`,
-    by default `default_alphabet(k)`, refused when k^n passes `max_length`.
-    It has length k^n and every block is the identity, so it is a
-    block-permutation word by construction and is not scanned again, and its
-    codes are 0..k-1, so it is built without `Word`'s range check."""
-    check_generation_guard(k, n, max_length)
-    return Word.unchecked(_k_letters(k, alphabet), tuple(range(k)) * (k ** (n - 1)))
-
-
 def least_debruijn_set(k: int, n: int,
                        max_length: int = DEFAULT_MAX_WORD_LENGTH) -> NecklaceMultiset:
-    """Invert the all-identity-block word: the necklaces of all Lyndon words
-    of length dividing n, each once.
+    """Invert the all-identity-block word (0 1 ... k-1)^(k^{n-1}) over
+    `default_alphabet(k)`, refused when k^n passes `max_length`: the
+    necklaces of all Lyndon words of length dividing n, each once.
 
-    The standard permutation of that word sends a*k^{n-1} + j to jk + a, a
-    rotation of the n base-k digits, so its cycles are the necklaces of
-    A^n, each once (see `debruijn_set_from_gamma` for the general proof).
+    That word has length k^n and every block is the identity, so it is a
+    block-permutation word by construction and is not scanned again, and
+    its codes are 0..k-1, so it is built without `Word`'s range check.  Its
+    standard permutation sends a*k^{n-1} + j to jk + a, a rotation of the n
+    base-k digits, so its cycles are the necklaces of A^n, each once (see
+    `debruijn_set_from_gamma` for the general proof).
     """
-    return inverse_transform(_identity_block_word(k, n, max_length))
+    check_generation_guard(k, n, max_length)
+    return inverse_transform(Word.unchecked(default_alphabet(k), tuple(range(k)) * k ** (n - 1)))
 
 
 def least_debruijn_word(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGTH,
@@ -229,19 +223,22 @@ def least_debruijn_word(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGT
     cycles of the standard permutation of the all-identity-block word, with
     no record per Lyndon word and none for the permutation.
 
-    `bwt.cycle_letters` spells one cycle per class of translates, read from
-    its minimal row; each spells a Lyndon word, and the classes come in the
-    order of their Lyndon words (see `inverse_transform`).  The word
-    inverted is a block-permutation word, so no necklace of its inverse
-    repeats (see `debruijn_set_from_gamma`): every class has one copy, and
-    the listed cycles are all the cycles.  So their letters, in listing
-    order, are the sorted concatenation of the Lyndon words of
-    `least_debruijn_set`.  They are letters of the word inverted, over its
-    k letters, so the result is built without `Word`'s range check.
+    `bwt.inverse_text` spells one Lyndon word per class of translates, in
+    the order of the Lyndon words (see `inverse_transform`), over the text
+    of the word's codes as `chr(code)` letters, the k letters of one block
+    repeated k^{n-1} times (see `least_debruijn_set`).  That word is a
+    block-permutation word, so no necklace of its inverse repeats (see
+    `debruijn_set_from_gamma`): every class has one copy, and the listed
+    classes are all the cycles.  So their texts, joined in listing order,
+    are the sorted concatenation of the Lyndon words of
+    `least_debruijn_set`.  Their code points are letters of that word, the
+    codes 0..k-1, so the result is built without `Word`'s range check.
     """
-    v = _identity_block_word(k, n, max_length, alphabet)
-    codes = chain.from_iterable(letters for letters, _ in cycle_letters(v))
-    return Word.unchecked(v.alphabet, tuple(codes))
+    check_generation_guard(k, n, max_length)
+    alphabet = _k_letters(k, alphabet)
+    block = code_text(range(k))
+    lyndons, _ = inverse_text(block * k ** (n - 1), block)
+    return Word.unchecked(alphabet, text_codes("".join(lyndons)))
 
 
 def _lyndon_words_up_to(n: int, k: int):

@@ -490,10 +490,9 @@ class TestInverseOrder:
 
 
 class TestCycleWalk:
-    """`inverse_transform` walks the flat image and letters of
-    `_flat_permutation` (letters as `bytes` up to 256 letters, as a tuple
-    above); it must read the naive cycles, and `StandardPermutation.cycles`
-    the same classes from its tuples."""
+    """`inverse_transform` walks the array image and `str` column of
+    `_standard_rows`; it must read the naive cycles, and
+    `StandardPermutation.cycles` the same classes from its tuples."""
 
     @staticmethod
     def check(w):
@@ -501,7 +500,8 @@ class TestCycleWalk:
             w.codes)
         p = standard_permutation(w)
         classes = p.cycles()
-        assert classes == {tuple(c): m for c, m in bwt._cycles(*bwt._flat_permutation(w))}
+        rows = bwt._standard_rows(str(w), w.alphabet.letters)
+        assert classes == {tuple(c): m for c, m in bwt._cycles(*rows)}
         assert translated_cycles(classes) == naive_cycles(p.image)
         return classes
 
@@ -530,36 +530,40 @@ class TestCycleWalk:
             translated += sum(m > 1 and len(c) > 1 for c, m in classes.items())
         assert translated >= 40
 
-    @pytest.mark.parametrize("k, container", [(256, bytes), (257, tuple)])
-    def test_both_letter_containers(self, k, container):
-        # every letter occurs, so the last code is k - 1: 255 is the largest
-        # that a byte holds
+    @pytest.mark.parametrize("k", [256, 257])
+    def test_either_side_of_256_letters(self, k):
+        # every letter occurs, so the last code is k - 1: codes past 255
+        # once took a tuple of letters in place of bytes; the column is a
+        # str at every width
         letters = wide_letters(k)
         alphabet = Alphabet(letters)
         rng = random.Random(k)
         for copies in (1, 3):
             text = "".join(rng.sample(letters, k) + rng.choices(letters, k=200)) * copies
             w = alphabet.word(text)
-            assert type(bwt._flat_permutation(w)[1]) is container
+            assert type(bwt._standard_rows(text, letters)[1]) is str
             self.check(w)
         items = [(t, rng.randint(1, 4)) for t in random_texts(rng, letters, 40, 12)]
         self.check(transform(oracle_multiset(letters, items + [(letters, 2)])[0]))
 
 
 class TestBucketPass:
-    """`_flat_permutation` appends each position to the row of its letter,
-    and `cycle_letters` gathers each class's letters with one `itemgetter`
-    call: both against the naive sort and the naive cycle reading."""
+    """`_standard_rows` appends each position to the row of its letter, and
+    `inverse_text` gathers each class's letters with one `itemgetter` call:
+    both against the naive sort and the naive cycle reading."""
 
     @staticmethod
     def check(w):
-        image, letters = bwt._flat_permutation(w)
-        assert (tuple(image), tuple(letters)) == naive_standard_permutation(w.codes)
-        assert type(letters) is (bytes if w.alphabet.size <= 256 else tuple)
+        text, letters = str(w), w.alphabet.letters
+        image, column = bwt._standard_rows(text, letters)
+        assert type(column) is str
+        assert (tuple(image), tuple(map(letters.index, column))) == naive_standard_permutation(
+            w.codes)
         assert [(n.lyndon.codes, m) for n, m in inverse_transform(w).entries] == naive_inverse(
             w.codes)
-        spelled = list(bwt.cycle_letters(w))
-        assert all(type(codes) is tuple for codes, _ in spelled)
+        spelled = list(zip(*bwt.inverse_text(text, letters)))
+        assert [(tuple(map(letters.index, lyndon)), m) for lyndon, m in spelled] == naive_inverse(
+            w.codes)
         return spelled
 
     def test_unused_letters_leave_empty_rows(self):
@@ -586,24 +590,33 @@ class TestBucketPass:
             assert [copies for _, copies in spelled] == [mult for _, mult in ordered]
 
     def test_one_row_cycles(self):
-        # itemgetter of one row returns the bare letter, which is wrapped:
-        # (letter codes, copies) for a, b; a x2, b x2; ab; ab x2, b
-        assert list(bwt.cycle_letters(W("ab"))) == [((0,), 1), ((1,), 1)]
-        assert list(bwt.cycle_letters(W("aabb"))) == [((0,), 2), ((1,), 2)]
-        assert list(bwt.cycle_letters(W("ba"))) == [((0, 1), 1)]
-        assert list(bwt.cycle_letters(W("bbaab"))) == [((0, 1), 2), ((1,), 1)]
+        # itemgetter of one row returns the bare letter, which joins as
+        # itself: a, b; a x2, b x2; ab; ab x2, b
+        assert bwt.inverse_text("ab", "ab") == (["a", "b"], [1, 1])
+        assert bwt.inverse_text("aabb", "ab") == (["a", "b"], [2, 2])
+        assert bwt.inverse_text("ba", "ab") == (["ab"], [1])
+        assert bwt.inverse_text("bbaab", "ab") == (["ab", "b"], [2, 1])
         for text in ["ab", "aabb", "abab", "aaab", "abbb", "bbaab"]:
             self.check(W(text))
 
     def test_one_letter(self):
         alphabet = Alphabet("a")
         for n in (1, 2, 7):
-            assert self.check(alphabet.word("a" * n)) == [((0,), n)]
+            assert self.check(alphabet.word("a" * n)) == [("a", n)]
+
+    @pytest.mark.parametrize("text, first", [("abcad", "c"), ("dab", "d"),
+                                             ("ab" * 50 + "\U0001f600c", "\U0001f600")])
+    def test_a_letter_outside_is_the_alphabets_error(self, text, first):
+        # the first character outside the letters, in the alphabet's words
+        with pytest.raises(ValueError) as raised:
+            bwt.inverse_text(text, "ab")
+        assert str(raised.value) == str(Alphabet("ab")._unknown(first))
+        assert str(raised.value) == f"character {first!r} not in alphabet 'ab'"
 
     @pytest.mark.parametrize("k", [256, 257])
-    def test_unused_letters_at_the_container_boundary(self, k):
-        # the container follows the alphabet, not the letters used: the last
-        # letter alone, the first and last, and a few from the middle
+    def test_unused_letters_either_side_of_256_letters(self, k):
+        # the last letter alone, the first and last, and a few from the
+        # middle, of an alphabet whose codes once decided the column's type
         letters = wide_letters(k)
         alphabet = Alphabet(letters)
         rng = random.Random(f"edge{k}")
@@ -646,13 +659,28 @@ class TestWordAction:
 
 
 class TestInverseTransform:
+    def test_is_the_text_kernel_over_300_letters(self):
+        # the records of `inverse_transform` spell what `inverse_text` gives
+        # for the word's own text: random words over 2, 20 or all 300
+        # letters of a 300-letter alphabet, and transforms with copies
+        rng = random.Random(300)
+        alphabet = Alphabet(LETTERS_300)
+        words = ["".join(rng.choices(LETTERS_300[:rng.choice([2, 20, 300])],
+                                     k=rng.randint(0, 400))) for _ in range(40)]
+        for _ in range(10):
+            items = [(t, rng.randint(1, 5)) for t in random_texts(rng, LETTERS_300, 12, 5)]
+            words.append(str(transform(oracle_multiset(LETTERS_300, items)[0])))
+        for text in words:
+            lyndons, mults = bwt.inverse_text(text, LETTERS_300)
+            assert entries(inverse_transform(alphabet.word(text))) == list(zip(lyndons, mults))
+
     def test_paper_example(self):
         assert entries(inverse_transform(W("babbaaba"))) == [
             ("aab", 1), ("ab", 1), ("abb", 1),
         ]
 
-    # a one-letter alphabet, and 300 CJK letters: past Latin-1, and past the
-    # 256 letters that `_flat_permutation` holds in bytes
+    # a one-letter alphabet, and 300 CJK letters: past Latin-1, and past 256
+    # letters
     @pytest.mark.parametrize("alphabet", [
         AB, Alphabet("a"), Alphabet("".join(map(chr, range(0x4E00, 0x4E00 + 300)))),
     ])

@@ -26,10 +26,11 @@ from ebwt.errors import ResourceLimitError
 
 from ebwt.bwt import NecklaceMultiset, transform
 from ebwt.debruijn import lyndon_concatenation_oracle
-from ebwt.words import Alphabet, lyndon_representative
+from ebwt.words import Alphabet, Necklace, Word, lyndon_representative
 
-from helpers import (AB, lcm, naive_bwt, naive_least_rotation, naive_primitive, naive_root,
-                     necklace_closure_order, prefix_bwt, primitive_texts)
+from helpers import (AB, lcm, naive_bwt, naive_cycles, naive_least_rotation, naive_primitive,
+                     naive_root, naive_standard_permutation, necklace_closure_order, prefix_bwt,
+                     primitive_texts)
 from test_cli_fuzz import ERROR_LINE, call
 
 
@@ -410,6 +411,23 @@ class TestTransform:
         assert code == 0
         assert out == "ba\n"
 
+    @pytest.mark.parametrize("text, canonicalize, error", [
+        ("ab" * 2**17, True, "entry %r... (262144 letters) is not primitive" % ("ab" * 32)),
+        ("b" + "a" * 99, False, "entry %r... (100 letters) is not a Lyndon word (canonical "
+         "form %s...); pass --canonicalize to accept rotations" % ("b" + "a" * 63, "a" * 64)),
+        ("b" + "a" * 63, False, "entry %r is not a Lyndon word (canonical form %s); pass "
+         "--canonicalize to accept rotations" % ("b" + "a" * 63, "a" * 63 + "b")),
+        ('{"necklaces": [{"lyndon": "%s", "multiplicity": 0}]}' % ("a" * 65), False,
+         "bad multiplicity for entry %r... (65 letters): 0" % ("a" * 64)),
+        ('{"necklaces": [{"lyndon": "%s", "x": 1}]}' % ("a" * 65), False,
+         "JSON necklace entry %r... (65 letters) has the unknown key 'x'" % ("a" * 64)),
+    ])
+    def test_long_entry_errors_stay_short(self, capsys, text, canonicalize, error):
+        # an entry of more than 64 letters is quoted by its first 64 and its
+        # length, and so is its canonical form, by its first 64
+        extra = ["--canonicalize"] if canonicalize else []
+        assert run(capsys, ["transform", text, *extra]) == (2, "", f"error: {error}\n")
+
     def test_non_primitive_always_rejected(self, capsys):
         code, _, err = run(capsys, ["transform", "abab", "--canonicalize"])
         assert code == 2
@@ -560,13 +578,20 @@ class TestTransform:
         assert code == 2
 
 
+def naive_quoted(raw: str) -> str:
+    """An entry as the errors quote it: whole up to 64 letters, else its
+    first 64 and its length."""
+    return repr(raw) if len(raw) <= 64 else f"{raw[:64]!r}... ({len(raw)} letters)"
+
+
 def naive_transform_call(entries, canonicalize: bool, letters: str | None):
     """(exit code, stdout, stderr) of `ebwt transform` of the lines 'raw xN'
     of `entries`, the naive way: lines with one raw entry merge, each merged
     entry is checked in turn (its letters, then naive_primitive, then
     naive_least_rotation) and added to its necklace, and the necklaces go to
     naive_bwt, or to prefix_bwt when the lcm-width table would pass 10^6
-    letters."""
+    letters.  An error quotes at most 64 letters of an entry and of its
+    canonical form."""
     merged = Counter()
     for raw, mult in entries:
         merged[raw] += mult
@@ -577,11 +602,12 @@ def naive_transform_call(entries, canonicalize: bool, letters: str | None):
         if char is not None:
             return 2, "", f"error: character {char!r} not in alphabet {alphabet!r}\n"
         if not naive_primitive(raw):
-            return 2, "", f"error: entry {raw!r} is not primitive\n"
+            return 2, "", f"error: entry {naive_quoted(raw)} is not primitive\n"
         lyndon = naive_least_rotation(raw)
         if lyndon != raw and not canonicalize:
-            return 2, "", (f"error: entry {raw!r} is not a Lyndon word (canonical form "
-                           f"{lyndon}); pass --canonicalize to accept rotations\n")
+            shown = lyndon if len(lyndon) <= 64 else lyndon[:64] + "..."
+            return 2, "", (f"error: entry {naive_quoted(raw)} is not a Lyndon word (canonical "
+                           f"form {shown}); pass --canonicalize to accept rotations\n")
         necklaces[lyndon] += mult
     items = sorted(necklaces.items())
     width = reduce(lcm, (len(lyndon) for lyndon, _ in items), 1)
@@ -630,6 +656,79 @@ class TestTransformAgainstNaive:
         argv = ["transform", text, *(["--canonicalize"] if canonicalize else []),
                 *(["--alphabet", override] if override else [])]
         assert call(argv) == naive_transform_call(entries, canonicalize, override)
+
+
+def naive_invert_call(text: str, letters: str | None, as_json: bool):
+    """(exit code, stdout, stderr) of `ebwt invert` of `text`, the naive way:
+    the text stripped, its alphabet --alphabet or its sorted letters ("ab"
+    for blank text), its characters checked in order against it, and each
+    cycle of the naive standard permutation, read from its least row,
+    spelled and taken at its least rotation; the Lyndon words are counted
+    and printed in order, a line each or as JSON."""
+    word = text.strip()
+    alphabet = letters or "".join(sorted(set(word))) or "ab"
+    outside = next((c for c in word if c not in alphabet), None)
+    if outside is not None:
+        return 2, "", f"error: character {outside!r} not in alphabet {alphabet!r}\n"
+    image, column = naive_standard_permutation([alphabet.index(c) for c in word])
+    counts = Counter()
+    for cycle in naive_cycles(image):
+        counts[naive_least_rotation("".join(alphabet[column[i]] for i in cycle))] += 1
+    items = sorted(counts.items())
+    if as_json:
+        payload = {"necklaces": [{"lyndon": w, "multiplicity": m} for w, m in items]}
+        return 0, json.dumps(payload, sort_keys=True) + "\n", ""
+    return 0, "".join(f"{w}\n" if m == 1 else f"{w} x{m}\n" for w, m in items), ""
+
+
+CJK_300 = "".join(map(chr, range(0x4E00, 0x4E00 + 300)))
+# 1-3 Latin letters; Latin-1 past ASCII; the BMP past Latin-1; past the BMP;
+# and 300 CJK letters, past 256
+INVERT_LETTERS = ["a", "ab", "ab", "abc", "abc", "a\u00e9\u00ff", "\u4e00\u4e01\u4e02",
+                  "a\U0001f600\U0001f601", CJK_300]
+
+
+@st.composite
+def invert_calls(draw):
+    """(text, --alphabet, --json) of an invert: a random word, or the
+    transform of a multiset with multiplicities up to 6 (by `prefix_bwt`),
+    over one of INVERT_LETTERS, sometimes with whitespace around it.  The
+    alphabet is mostly inferred, else the letters, the letters with unused
+    ones added, or the letters with one of the word's own missing."""
+    letters = draw(st.sampled_from(INVERT_LETTERS))
+    pool = letters if len(letters) < 100 else draw(st.sampled_from(
+        [letters[:5], letters[100:110], letters]))
+    if draw(st.booleans()):
+        items = draw(st.lists(st.tuples(st.text(pool, min_size=1, max_size=8),
+                                        st.integers(1, 6)), min_size=1, max_size=4))
+        necklaces = Counter()
+        for raw, mult in items:
+            necklaces[naive_least_rotation(naive_root(raw))] += mult
+        word = prefix_bwt(sorted(necklaces.items()))
+    else:
+        word = draw(st.text(pool, max_size=80))
+    kind = draw(st.sampled_from(["inferred", "inferred", "letters", "unused", "missing"]))
+    override = None
+    if kind == "letters":  # all 300 for the CJK letters
+        override = letters
+    elif kind == "unused":
+        extra = draw(st.text("z\u00e0\u4e00\U0001f602", min_size=1, max_size=3))
+        override = "".join(sorted(set(letters + extra)))
+    elif kind == "missing" and word:
+        dropped = draw(st.sampled_from(sorted(set(word))))
+        override = "".join(sorted(set(letters + "z") - {dropped}))
+    pad = draw(st.sampled_from(["", " ", "\n", " \t\n"]))
+    return pad + word + pad, override, draw(st.booleans())
+
+
+class TestInvertAgainstNaive:
+    @settings(max_examples=300, deadline=None)
+    @given(invert_calls())
+    def test_matches_the_naive_checker_and_inverse(self, drawn):
+        text, override, as_json = drawn
+        argv = ["invert", text, *(["--alphabet", override] if override else []),
+                *(["--json"] if as_json else [])]
+        assert call(argv) == naive_invert_call(text, override, as_json)
 
 
 class TestUndecodableFile:
@@ -769,6 +868,25 @@ class TestInvert:
         assert code == 2
         assert "'c'" in err
 
+    def test_no_word_necklace_or_render(self, capsys, monkeypatch):
+        # the kernel reads the raw text: no parse into a Word, no record per
+        # necklace, and no render of the Lyndon words, in text and JSON,
+        # with and without --alphabet, over Latin and CJK letters
+        rng = random.Random(39)
+        calls = [(text, override, as_json)
+                 for text, override in [("babbaaba", None), ("bbbaaa", "abc"), ("ab" * 500, None),
+                                        ("".join(rng.choices("abc", k=2000)), None),
+                                        ("".join(rng.choices(CJK_300, k=2000)), CJK_300)]
+                 for as_json in (False, True)]
+        expected = [naive_invert_call(*drawn) for drawn in calls]
+        for owner, name in [(Alphabet, "word"), (Alphabet, "render"), (Word, "unchecked"),
+                            (Necklace, "unchecked")]:
+            monkeypatch.setattr(owner, name, lambda *args, name=name: pytest.fail(name))
+        for (text, override, as_json), output in zip(calls, expected):
+            argv = ["invert", text, *(["--alphabet", override] if override else []),
+                    *(["--json"] if as_json else [])]
+            assert run(capsys, argv) == output
+
     def test_round_trip_bytes(self, capsys):
         code, word_out, _ = run(capsys, ["transform", "aab\nab\nabb"])
         assert code == 0
@@ -788,11 +906,11 @@ class TestInvert:
         assert out == ""
         assert err == "error: invert input has 8 letters, over the guard 7\n"
 
-    def test_input_guard_refuses_before_parsing(self, capsys, monkeypatch):
+    def test_input_guard_refuses_before_the_permutation(self, capsys, monkeypatch):
         def fail(*args):
             raise AssertionError("invert ran past its guard")
-        monkeypatch.setattr(cli, "_parse_word", fail)
-        monkeypatch.setattr(cli, "inverse_transform", fail)
+        monkeypatch.setattr(cli, "_alphabet_from", fail)
+        monkeypatch.setattr(cli, "inverse_text", fail)
         monkeypatch.setattr(sys, "stdin", ChunkedStdin("ab" * 2**23 + "a\n"))
         code, out, err = run(capsys, ["invert"])
         assert code == 3
@@ -803,7 +921,7 @@ class TestInvert:
     def test_input_guard_bounds_reading(self, capsys, monkeypatch):
         def fail(*args):
             raise AssertionError("invert ran past its guard")
-        monkeypatch.setattr(cli, "_parse_word", fail)
+        monkeypatch.setattr(cli, "inverse_text", fail)
         monkeypatch.setattr(sys, "stdin", ChunkedStdin(" \n\t" + "ab" * 10**6 + "a\r\n "))
         tracemalloc.start()
         try:
@@ -1000,7 +1118,7 @@ class TestDeBruijn:
         def fail(*args):
             raise AssertionError("generated a word over no alphabet")
 
-        monkeypatch.setattr(debruijn, "cycle_letters", fail)
+        monkeypatch.setattr(debruijn, "inverse_text", fail)
         assert run(capsys, ["debruijn", "27", "2", "--least"]) == (
             2, "", "error: default alphabet supports 1..26 letters, got 27\n")
 
