@@ -111,6 +111,14 @@ def inverse_text(word, letters="ab"):
     return "".join(f"{w} x{m}\n" if m > 1 else f"{w}\n" for w, m in sorted(spelled.items()))
 
 
+def gamma_word(n, seed):
+    """A block-permutation word of 2^n letters over "ab": its 2^(n-1)
+    blocks, each "ab" or "ba", are the bits of `random.Random(seed)`."""
+    blocks = 2 ** (n - 1)
+    return format(random.Random(seed).getrandbits(blocks), f"0{blocks}b").translate(
+        str.maketrans({"0": "ab", "1": "ba"}))
+
+
 def drawn_word(letters, n, seed):
     """n letters drawn from `letters` by `random.Random(seed)`, from a list
     of them, so that the draws share its strings: indexing a str past
@@ -162,6 +170,12 @@ def pins():
         # The guard judges k^n before --from-gamma reads its word.
         refused("debruijn", "2", "25", "--from-gamma", "a", timeout=10,
                 error="span-25 generation over 2 letters needs k^n = 33554432 positions"),
+        # --from-gamma inverts its word's text as `invert` does, with no
+        # record per necklace: a block-permutation word of 2^16 letters in
+        # argv (19 MB; 20 when it built the records).  It runs before the
+        # rows that raise this script's own peak, where a child's starts.
+        Pin(("debruijn", "2", "16", "--from-gamma", gamma_word(16, 16)), 0,
+            lambda: inverse_text(gamma_word(16, 16)), cap_mb=24),
         refused("invert", "--guard-cells", "1000", stdin=lambda: (b"ab" * 1000 + b"\n",)),
         refused("transform", '{"necklaces": [{"lyndon": 5}]}', code=2),
         # A multiplicity too long for CPython to convert is the guard's.

@@ -21,6 +21,8 @@ the ranking itself, and an error quotes at most QUOTED_LETTERS letters of
 an entry.  `invert` builds the standard permutation from its text and the
 alphabet's letters (`bwt.inverse_text`), which refuses the first letter
 outside --alphabet, and prints each Lyndon word's text as it is spelled.
+`debruijn --from-gamma` inverts its word's text the same way, once the
+word has passed its checks as a `GammaWord`.
 
 Each call takes one mode and one input: argparse refuses a second mode of
 `debruijn`, `semigroup` or `factors`, and the positional text with
@@ -44,7 +46,7 @@ import os
 import sys
 from contextlib import nullcontext
 from itertools import accumulate, chain, repeat
-from operator import add, itemgetter, ne
+from operator import add, ne
 
 # transform and inverse_transform are unused here; bench/tracing.py times
 # them at cli.transform and cli.inverse_transform.
@@ -56,7 +58,6 @@ from .debruijn import (
     check_alphabet_and_span,
     check_generation_guard,
     count_debruijn_words,
-    debruijn_set_from_gamma,
     least_debruijn_word,
 )
 from .errors import NotLyndonError, ResourceLimitError
@@ -91,7 +92,7 @@ class CLIError(ValueError):
 # Bytes per read of --file or stdin; see _chunks.
 INPUT_CHUNK = 1 << 16
 
-# The most letters of an entry that an error message quotes; see _quoted.
+# The most characters of an input text that an error message quotes; see _quoted.
 QUOTED_LETTERS = 64
 
 
@@ -298,7 +299,8 @@ def _multiset_entries_from_lines(lines, guard: int) -> dict[str, int]:
         elif not parts:
             continue
         else:
-            raise CLIError(f"line {lineno}: expected 'word' or 'word xN', got {line.strip()!r}")
+            raise CLIError(f"line {lineno}: expected 'word' or 'word xN', "
+                           f"got {_quoted(line.strip())}")
         word = parts[0]
         entries[word] = entries.get(word, 0) + mult
         letters += len(word) * mult
@@ -342,12 +344,13 @@ def _multiset_entries_from_json(text: str, skipped: int, guard: int) -> dict[str
     for item in payload["necklaces"]:
         lyndon = item.get("lyndon") if isinstance(item, dict) else None
         if not isinstance(lyndon, str) or not lyndon:
-            raise CLIError(f"JSON necklace entry needs a 'lyndon' field: {item!r}")
+            raise CLIError(f"JSON necklace entry needs a 'lyndon' field: {_quoted_value(item)}")
         _refuse_unknown_keys(f"JSON necklace entry {_quoted(lyndon)}", item,
                              {"lyndon", "multiplicity"})
         mult = item.get("multiplicity", 1)
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-            raise CLIError(f"bad multiplicity for entry {_quoted(lyndon)}: {mult!r}")
+            raise CLIError(f"bad multiplicity for entry {_quoted(lyndon)}: "
+                           f"{_quoted_value(mult)}")
         entries[lyndon] = entries.get(lyndon, 0) + mult
     return entries
 
@@ -357,7 +360,7 @@ def _refuse_unknown_keys(what: str, obj: dict, known: set) -> None:
     drop what it says."""
     unknown = next((key for key in obj if key not in known), None)
     if unknown is not None:
-        raise CLIError(f"{what} has the unknown key {unknown!r}")
+        raise CLIError(f"{what} has the unknown key {_quoted(unknown)}")
 
 
 def _transform_entries(entries: dict[str, int], override: str | None,
@@ -423,14 +426,21 @@ def _checked_prefix(texts: list[str], alphabet: Alphabet,
     return texts[:end], refusal
 
 
-def _quoted(raw: str) -> str:
-    """An entry as an error message quotes it: its repr, or for an entry of
-    more than QUOTED_LETTERS letters the repr of its first QUOTED_LETTERS,
-    "..." and its length, so that a message stays short however long the
-    entry."""
+def _quoted(raw: str, show=repr, unit: str = "letters") -> str:
+    """A text of the input as an error message quotes it: `show(raw)`, or
+    for a text of more than QUOTED_LETTERS characters `show` of its first
+    QUOTED_LETTERS, "..." and its length, so that a message stays short
+    however long the text.  An entry, a line or a key is shown by its repr,
+    a word as it is written (`show=str`)."""
     if len(raw) <= QUOTED_LETTERS:
-        return repr(raw)
-    return f"{raw[:QUOTED_LETTERS]!r}... ({len(raw)} letters)"
+        return show(raw)
+    return f"{show(raw[:QUOTED_LETTERS])}... ({len(raw)} {unit})"
+
+
+def _quoted_value(value) -> str:
+    """A value of a JSON multiset as an error message quotes it: its repr,
+    cut as `_quoted` cuts a text, with its length in characters."""
+    return _quoted(repr(value), str, "characters")
 
 
 def _render_each(alphabet: Alphabet, words) -> map:
@@ -529,12 +539,10 @@ def cmd_debruijn(args, guard: int) -> tuple[dict, list[str]]:
     if args.from_gamma is not None:
         word = _parse_word(args.from_gamma, args.alphabet)
         if word.alphabet.size != k:
-            raise CLIError(
-                f"word uses {word.alphabet.size} letters, expected {k}"
-            )
-        m = debruijn_set_from_gamma(GammaWord(word, n))
-        lyndons = _render_each(m.alphabet, [necklace.lyndon.codes for necklace, _ in m.entries])
-        return _multiset_output(zip(lyndons, map(itemgetter(1), m.entries)), args.json)
+            raise CLIError(f"word uses {word.alphabet.size} letters, expected {k}")
+        GammaWord(word, n)  # refuses a wrong length, then a block that is no permutation
+        return _multiset_output(zip(*inverse_text(args.from_gamma, word.alphabet.letters)),
+                                args.json)
     alphabet = _alphabet_from(args.alphabet, args.alphabet) if args.alphabet is not None else None
     if alphabet and alphabet.size != k:
         raise CLIError(f"--alphabet needs {k} characters, got {alphabet.size}")
@@ -546,7 +554,7 @@ def cmd_semigroup(args, guard: int) -> tuple[dict, list[str]]:
     word = _parse_word(args.word, args.alphabet)
     primitive = is_primitive(word)
     if not (primitive or args.syntactic):  # the action needs a primitive word
-        raise CLIError(f"word is not primitive: {word}")
+        raise CLIError(f"word is not primitive: {_quoted(args.word, str)}")
     table = args.table
     _refuse_with("--check-iso", "--table", args.check_iso and table)
     # Refuse before building any closure, with the message that each would
@@ -596,8 +604,8 @@ def cmd_semigroup(args, guard: int) -> tuple[dict, list[str]]:
             for label, row in zip(padded, sg.table):
                 lines.append(label + " " + " ".join(map(padded.__getitem__, row)))
     if not primitive:  # written last, after every refusal
-        print(f"warning: {word} is not primitive; the action comparison theorem "
-              "assumes a primitive word", file=sys.stderr)
+        print(f"warning: {_quoted(args.word, str)} is not primitive; the action comparison "
+              "theorem assumes a primitive word", file=sys.stderr)
     return payload, lines
 
 

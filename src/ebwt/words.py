@@ -10,19 +10,14 @@ names annotated in the class body, passed positionally; two records are
 equal when they have the same class and equal fields, the hash follows the
 fields, assigning or deleting a field raises AttributeError, the repr reads
 `Class(field=value, ...)`, and a class's `__post_init__` checks the fields
-after construction.  A record may have any number of fields.
-`Class.unchecked(*fields)` builds a record of one or two fields without
-that check, for callers that have proved the fields valid; each such call
-says why in its docstring.  Those are the only records built unchecked
-(`Word`, `Necklace`, `NecklaceMultiset`, `PartialInjection`); a record of
-more fields has no `unchecked`, and is built checked.  Each class of one
-or two fields gets its own `unchecked` from `__init_subclass__` (see
-`_unchecked`), which sets each field with one `object.__setattr__` in
-straight-line code and refuses a wrong number of fields with the
-constructor's TypeError.  Building a `Word` that way takes 0.45 us, and a
-`Necklace` 0.29 us, against 0.79 and 0.58 us for a loop over `zip(fields,
-values)` (CPython 3.11.7 on a 2-CPU container); `transform` and `invert`
-build one of each per necklace.
+after construction.  A record may have any number of fields.  Every record
+class has `Class.unchecked(*fields)`, which builds the record without that
+check, for callers that have proved the fields valid; each such call says
+why in its docstring.  Both builds fill the fields through one helper,
+`Value._fill`, which refuses a wrong number of fields with the same
+TypeError.  Records belong at the library's boundary: `transform`,
+`invert` and `debruijn --from-gamma` read and print text, with no record
+per necklace, so a CLI call builds only a few.
 
 `Value` stands in for frozen `dataclasses`, which made up most of the CLI's
 start-up: importing `dataclasses` pulls in `inspect`, `ast`, `dis` and
@@ -66,15 +61,27 @@ class Value:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         cls._get_fields = attrgetter(*cls._fields)
-        if len(cls._fields) in (1, 2):
-            cls.unchecked = _unchecked(cls._fields)
 
     def __init__(self, *values):
-        if len(values) != len(self._fields):
-            raise _field_count_error(type(self), values)
-        for name, value in zip(self._fields, values):
-            _setattr(self, name, value)
+        self._fill(values)
         self.__post_init__()
+
+    @classmethod
+    def unchecked(cls, *values):
+        """The record of these fields, without `__post_init__`'s check: only
+        for fields the caller has proved valid."""
+        self = object.__new__(cls)
+        self._fill(values)
+        return self
+
+    def _fill(self, values: tuple) -> None:
+        """Set the fields to `values`, refusing a wrong number of them."""
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, "
+                            f"got {len(values)}")
+        for name, value in zip(fields, values):
+            _setattr(self, name, value)
 
     def __post_init__(self):
         """Check the fields; a class with constraints overrides this."""
@@ -96,45 +103,6 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _field_count_error(cls, values) -> TypeError:
-    return TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(values)}")
-
-
-def _unchecked(fields: tuple[str, ...]) -> classmethod:
-    """The `unchecked` of a record class with one or two fields: one
-    `_setattr` a field, in straight-line code; unpacking `values` checks
-    their number, at no cost when it is right.  The code is written out for
-    each of the two field counts, since generating it with `exec` would add
-    to the CLI's start-up; a record of more fields has no `unchecked`."""
-    new = object.__new__
-    if len(fields) == 1:
-        (a,) = fields
-
-        def unchecked(cls, *values):
-            try:
-                (x,) = values
-            except ValueError:
-                raise _field_count_error(cls, values) from None
-            self = new(cls)
-            _setattr(self, a, x)
-            return self
-    else:
-        a, b = fields
-
-        def unchecked(cls, *values):
-            try:
-                x, y = values
-            except ValueError:
-                raise _field_count_error(cls, values) from None
-            self = new(cls)
-            _setattr(self, a, x)
-            _setattr(self, b, y)
-            return self
-    unchecked.__doc__ = """The record of these fields, without `__post_init__`'s
-        check: only for fields the caller has proved valid."""
-    return classmethod(unchecked)
 
 
 class Alphabet(Value):

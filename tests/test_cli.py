@@ -428,6 +428,39 @@ class TestTransform:
         extra = ["--canonicalize"] if canonicalize else []
         assert run(capsys, ["transform", text, *extra]) == (2, "", f"error: {error}\n")
 
+    @pytest.mark.parametrize("text, error", [
+        pytest.param("a" * 60 + " b c", "line 1: expected 'word' or 'word xN', got %r"
+                     % ("a" * 60 + " b c"), id="line-of-64"),
+        pytest.param("a" * 100000 + " b c", "line 1: expected 'word' or 'word xN', got "
+                     "%r... (100004 letters)" % ("a" * 64), id="long-line"),
+        pytest.param(json.dumps({"necklaces": [[1] * 50001]}),
+                     "JSON necklace entry needs a 'lyndon' field: [%s... (150003 characters)"
+                     % ("1, " * 21), id="long-item"),
+        pytest.param('{"necklaces": [{"lyndon": "ab", "multiplicity": "%s"}]}' % ("a" * 62),
+                     "bad multiplicity for entry 'ab': %r" % ("a" * 62), id="multiplicity-of-64"),
+        pytest.param('{"necklaces": [{"lyndon": "ab", "multiplicity": "%s"}]}' % ("a" * 63),
+                     "bad multiplicity for entry 'ab': '%s... (65 characters)" % ("a" * 63),
+                     id="multiplicity-of-65"),
+        pytest.param(json.dumps({"necklaces": [{"lyndon": "ab", "multiplicity": [1] * 50000}]}),
+                     "bad multiplicity for entry 'ab': [%s... (150000 characters)" % ("1, " * 21),
+                     id="long-multiplicity-list"),
+        pytest.param('{"necklaces": [{"lyndon": "ab", "multiplicity": "%s"}]}' % ("a" * 100000),
+                     "bad multiplicity for entry 'ab': '%s... (100002 characters)" % ("a" * 63),
+                     id="long-multiplicity-string"),
+        pytest.param('{"necklaces": [{"lyndon": "ab", "%s": 1}]}' % ("k" * 100000),
+                     "JSON necklace entry 'ab' has the unknown key %r... (100000 letters)"
+                     % ("k" * 64), id="long-key-in-an-item"),
+        pytest.param('{"necklaces": [], "%s": 1}' % ("k" * 64),
+                     "JSON multiset has the unknown key %r" % ("k" * 64), id="key-of-64"),
+        pytest.param('{"necklaces": [], "%s": 1}' % ("k" * 100000),
+                     "JSON multiset has the unknown key %r... (100000 letters)" % ("k" * 64),
+                     id="long-key"),
+    ])
+    def test_long_input_errors_stay_short(self, capsys, text, error):
+        # a line, a key or a JSON value's repr of more than 64 characters is
+        # quoted by its first 64 and its length; up to 64 it is quoted whole
+        assert run(capsys, ["transform", text]) == (2, "", f"error: {error}\n")
+
     def test_non_primitive_always_rejected(self, capsys):
         code, _, err = run(capsys, ["transform", "abab", "--canonicalize"])
         assert code == 2
@@ -731,6 +764,53 @@ class TestInvertAgainstNaive:
         assert call(argv) == naive_invert_call(text, override, as_json)
 
 
+# k letters for the block-permutation words of --from-gamma: Latin; Latin-1
+# past ASCII; the BMP past Latin-1; past the BMP
+GAMMA_LETTERS = ["abcd", "\u00e0\u00e9\u00f6\u00ff", "\u4e00\u4e01\u4e02\u4e03",
+                 "a\U0001f600\U0001f601\U0001f602"]
+
+
+def block_permutation_word(letters: str, n: int, rng: random.Random) -> str:
+    """A word of k^n letters, k = len(letters), whose k^(n-1) blocks of k
+    letters each permute `letters`, shuffled by `rng`."""
+    blocks = []
+    for _ in range(len(letters) ** (n - 1)):
+        block = list(letters)
+        rng.shuffle(block)
+        blocks += block
+    return "".join(blocks)
+
+
+@st.composite
+def from_gamma_calls(draw):
+    """(k, n, word, --alphabet, --json) of a `debruijn K N --from-gamma`: a
+    random block-permutation word of k = 2-4 letters, drawn from one of
+    GAMMA_LETTERS, and span n with k^n <= 2^10.  The alphabet is inferred,
+    or given as the k letters in order or reversed."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, {2: 10, 3: 6, 4: 5}[k]))
+    letters = "".join(sorted(draw(st.permutations(draw(st.sampled_from(GAMMA_LETTERS))))[:k]))
+    word = block_permutation_word(letters, n, draw(st.randoms(use_true_random=False)))
+    override = draw(st.sampled_from([None, letters, letters[::-1]]))
+    return k, n, word, override, draw(st.booleans())
+
+
+def from_gamma_argv(k: int, n: int, word: str, override: str | None, as_json: bool) -> list:
+    return ["debruijn", str(k), str(n), "--from-gamma", word,
+            *(["--alphabet", override] if override else []), *(["--json"] if as_json else [])]
+
+
+class TestFromGammaAgainstNaive:
+    @settings(max_examples=150, deadline=None)
+    @given(from_gamma_calls())
+    def test_matches_the_naive_inverse(self, drawn):
+        # a block-permutation word that passes its checks is inverted as
+        # `invert` inverts it; --alphabet is a set of letters, in any order
+        _, _, word, override, as_json = drawn
+        letters = "".join(sorted(override)) if override else None
+        assert call(from_gamma_argv(*drawn)) == naive_invert_call(word, letters, as_json)
+
+
 class TestUndecodableFile:
     """A --file or stdin that is not UTF-8 is an input error whose position
     counts from the start of the input, as a whole read of it gives it,
@@ -1023,6 +1103,35 @@ class TestDeBruijn:
         assert code == 0
         assert out == "aaaabaabbbbabb\nab\n"
 
+    def test_from_gamma_builds_no_necklace_or_render(self, capsys, monkeypatch):
+        # --from-gamma inverts the word's text through the invert kernel: no
+        # inverse_transform, no record per necklace or for the multiset, and
+        # no render, in text and JSON, with and without --alphabet
+        rng = random.Random(40)
+        calls = [(len(letters), n, block_permutation_word(letters, n, rng), override, as_json)
+                 for letters, n, override in [("ab", 4, None), ("abc", 3, None), ("ab", 10, "ba"),
+                                              ("\u4e00\u4e01\u4e02\u4e03", 3, None),
+                                              ("a\U0001f600", 6, "a\U0001f600")]
+                 for as_json in (False, True)]
+        expected = [naive_invert_call(word, override and "".join(sorted(override)), as_json)
+                    for _, _, word, override, as_json in calls]
+        for owner, name in [(bwt, "inverse_transform"), (debruijn, "inverse_transform"),
+                            (cli, "inverse_transform"), (Necklace, "unchecked"),
+                            (NecklaceMultiset, "unchecked"), (Alphabet, "render")]:
+            monkeypatch.setattr(owner, name, lambda *args, name=name: pytest.fail(name))
+        for drawn, output in zip(calls, expected):
+            assert run(capsys, from_gamma_argv(*drawn)) == output
+
+    @pytest.mark.parametrize("word, error", [
+        ("abab", "word length 4 is not 2^3"),
+        ("abc" * 3, "word uses 3 letters, expected 2"),  # judged before the length
+        ("abbaaabb", "block 2 is not a permutation of the alphabet"),
+        ("abbaaa", "word length 6 is not 2^3"),  # judged before the blocks
+    ])
+    def test_from_gamma_refusals(self, capsys, word, error):
+        assert run(capsys, ["debruijn", "2", "3", "--from-gamma", word]) == (
+            2, "", f"error: {error}\n")
+
     def test_from_gamma_rejects_bad_block(self, capsys):
         code, _, err = run(capsys, ["debruijn", "2", "3", "--from-gamma", "babbaaba"])
         assert code == 2
@@ -1196,6 +1305,23 @@ class TestSemigroup:
         code, _, err = run(capsys, ["semigroup", "abab", "--action"])
         assert code == 2
         assert "primitive" in err
+
+    @pytest.mark.parametrize("word, shown", [("ab" * 32, "ab" * 32),
+                                             ("ab" * 50000, "ab" * 32 + "... (100000 letters)")],
+                             ids=["64-letters", "100000-letters"])
+    def test_non_primitive_error_stays_short(self, capsys, word, shown):
+        # a word of more than 64 letters is quoted by its first 64 and its length
+        assert run(capsys, ["semigroup", word, "--action"]) == (
+            2, "", f"error: word is not primitive: {shown}\n")
+
+    @pytest.mark.parametrize("word, shown", [("ab" * 32, "ab" * 32),
+                                             ("ab" * 40, "ab" * 32 + "... (80 letters)")],
+                             ids=["64-letters", "80-letters"])
+    def test_non_primitive_warning_stays_short(self, capsys, word, shown):
+        code, out, err = run(capsys, ["semigroup", word, "--syntactic"])
+        assert (code, out) == (0, f"syntactic order {2 * len(word) + 1}\ngenerators a b\n")
+        assert err == (f"warning: {shown} is not primitive; the action comparison theorem "
+                       "assumes a primitive word\n")
 
     def test_non_primitive_syntactic_warns_in_one_line(self, capsys):
         code, out, err = run(capsys, ["semigroup", "abab", "--syntactic"])

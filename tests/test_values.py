@@ -1,8 +1,7 @@
 """The record contract of `words.Value`, over the ten classes built on it:
 equality within one class, a hash that agrees, no assignment, the repr, the
-checks of `__post_init__`, and `unchecked`, which only the records of one
-or two fields have, giving what the checked constructor gives where the
-package uses it."""
+checks of `__post_init__`, and `unchecked`, which every record has, giving
+what the checked constructor gives where the package uses it."""
 
 import re
 
@@ -83,9 +82,6 @@ OTHERS = {
 }
 
 NAMES = sorted(SAMPLES)
-# The records of one or two fields, which have `unchecked`, and the others.
-NARROW = [name for name in NAMES if len(type(SAMPLES[name][0]())._fields) <= 2]
-WIDE = [name for name in NAMES if name not in NARROW]
 
 
 def fields(record):
@@ -99,21 +95,19 @@ def test_all_ten_records_are_values():
     assert {cls.__name__ for cls in classes} == set(OTHERS)
 
 
-def test_narrow_and_wide_records():
-    assert NARROW == ["Alphabet", "GammaWord", "Necklace", "NecklaceMultiset", "PartialInjection",
-                      "Transformation", "Word"]
-    assert WIDE == ["FactorWitness", "MultisetSemigroup", "StandardPermutation"]
-
-
-def test_a_record_of_five_fields_has_no_unchecked():
+def test_a_record_of_five_fields_has_unchecked():
     wide = type("Wide", (Value,), {"__annotations__": dict.fromkeys("abcde")})
     assert wide._fields == tuple("abcde")
-    assert not hasattr(wide, "unchecked")
     record = wide(1, 2, 3, 4, 5)
     assert record == wide(1, 2, 3, 4, 5) != wide(1, 2, 3, 4, 6)
     assert repr(record) == "Wide(a=1, b=2, c=3, d=4, e=5)"
-    with pytest.raises(TypeError, match="^Wide takes 5 fields, got 4$"):
-        wide(1, 2, 3, 4)
+    built = wide.unchecked(1, 2, 3, 4, 5)
+    assert type(built) is wide
+    assert built == record and hash(built) == hash(record) and repr(built) == repr(record)
+    for build in (wide, wide.unchecked):
+        for values in ((1, 2, 3, 4), (1, 2, 3, 4, 5, 6)):
+            with pytest.raises(TypeError, match=f"^Wide takes 5 fields, got {len(values)}$"):
+                build(*values)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -129,9 +123,7 @@ class TestContract:
         a = SAMPLES[name][0]()
         twin = type("Twin", (Value,), {"__annotations__": dict.fromkeys(type(a)._fields)})
         assert twin._fields == type(a)._fields
-        others = [fields(a), list(fields(a)), twin(*fields(a))]
-        if name in NARROW:
-            others.append(twin.unchecked(*fields(a)))
+        others = [fields(a), list(fields(a)), twin(*fields(a)), twin.unchecked(*fields(a))]
         for other in others:
             assert a != other and other != a
             assert not a == other
@@ -162,25 +154,20 @@ class TestContract:
         # would raise AttributeError in its repr, == and hash
         a = SAMPLES[name][0]()
         cls, values = type(a), fields(a)
-        builds = (cls, cls.unchecked) if name in NARROW else (cls,)
         for wrong in ((), values[:-1], values + (None,)):
             message = f"^{cls.__name__} takes {len(values)} fields, got {len(wrong)}$"
-            for build in builds:
+            for build in (cls, cls.unchecked):
                 with pytest.raises(TypeError, match=message):
                     build(*wrong)
 
 
-@pytest.mark.parametrize("name", NARROW)
+@pytest.mark.parametrize("name", NAMES)
 def test_unchecked_equals_checked(name):
+    # every record has `unchecked`, whatever its number of fields
     a = SAMPLES[name][0]()
     b = type(a).unchecked(*fields(a))
+    assert type(b) is type(a)
     assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
-
-
-@pytest.mark.parametrize("name", WIDE)
-def test_wide_records_have_no_unchecked(name):
-    # records of three or four fields are only built checked
-    assert not hasattr(type(SAMPLES[name][0]()), "unchecked")
 
 
 # (constructor call, exception type, message) for each check of each
