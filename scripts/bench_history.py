@@ -10,8 +10,13 @@ parent's runs and of the change's, and the change's median against the
 parent's.  A file whose parent `src_tree` is the previous file's change
 `src_tree` measured the same code twice, at two times; it is flagged, with
 the drift of each median between the two measurements, which is how far
-medians move on this host with no change to the code.  A PR without a file
-and a run without a metric are skipped.
+medians move on this host with no change to the code.  Each run records the
+seed of its deck, and a workload's metrics move with the seed alone (the
+`long_words` peak RSS by about 10 MB), so the drift compares, for each
+workload, medians over only the seeds that the previous file's change runs
+and this file's parent runs share; a workload with none shared is listed
+as such, with no drift read.  A PR without a file and a run without a
+metric are skipped.
 """
 
 import json
@@ -25,11 +30,30 @@ def pr_number(path: Path) -> int:
     return int(re.fullmatch(r"BENCH_pr(\d+)\.json", path.name).group(1))
 
 
-def medians(runs, side, metrics):
-    """{(workload, metric): (median, IQR)} of one side's runs."""
+def seeds(runs, side):
+    """{workload: set of seeds} of one side's runs."""
+    drawn = {}
+    for run in runs:
+        if run["side"] == side:
+            drawn.setdefault(run["workload"], set()).add(run["seed"])
+    return drawn
+
+
+def seed_text(drawn) -> str:
+    """Seeds as sorted text, a run of consecutive ones as "first-last"."""
+    drawn = sorted(drawn)
+    if len(drawn) > 1 and drawn == list(range(drawn[0], drawn[-1] + 1)):
+        return f"{drawn[0]}-{drawn[-1]}"
+    return ", ".join(map(str, drawn))
+
+
+def medians(runs, side, metrics, shared=None):
+    """{(workload, metric): (median, IQR)} of one side's runs; with
+    `shared`, only of the runs whose seed is in shared[workload]."""
     values = {}
     for run in runs:
-        if run["side"] != side:
+        if run["side"] != side or (shared is not None
+                                   and run["seed"] not in shared.get(run["workload"], ())):
             continue
         measured = run.get("summary", {}).get("metrics", {})
         for metric in metrics:
@@ -55,7 +79,7 @@ def relative(new: float, old: float) -> str:
 
 def main(root: Path) -> None:
     metrics = [m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]]
-    previous = None  # (file name, change src_tree, change stats)
+    previous = None  # (file name, change src_tree, runs)
     for path in sorted(root.glob("BENCH_pr*.json"), key=pr_number):
         bench = json.loads(path.read_text())
         parent = medians(bench["runs"], "parent", metrics)
@@ -66,13 +90,22 @@ def main(root: Path) -> None:
             print(f"  {key[0]:<11} {key[1]:<12} parent {number(p):>6} (IQR {number(p_iqr):>6})"
                   f"  change {number(c):>6} (IQR {number(c_iqr):>6})  {relative(c, p)}")
         if previous and bench["parent"]["src_tree"] == previous[1]:
-            print(f"  same src tree as the change side of {previous[0]}; drift of its medians:")
-            for key in sorted(parent.keys() & previous[2].keys()):
-                before, after = previous[2][key][0], parent[key][0]
-                print(f"    {key[0]:<11} {key[1]:<12} {number(before):>6} -> {number(after):>6}"
-                      f"  {relative(after, before)}")
-        previous = (path.name, bench["change"]["src_tree"], change)
-
+            print(f"  same src tree as the change side of {previous[0]}; drift of its medians"
+                  " over the seeds both measured:")
+            before, after = seeds(previous[2], "change"), seeds(bench["runs"], "parent")
+            shared = {workload: before[workload] & after[workload]
+                      for workload in before.keys() & after.keys()}
+            old = medians(previous[2], "change", metrics, shared)
+            new = medians(bench["runs"], "parent", metrics, shared)
+            for workload in sorted(shared):
+                if not shared[workload]:
+                    print(f"    {workload:<11} seeds differ ({seed_text(before[workload])} -> "
+                          f"{seed_text(after[workload])}): no drift read")
+                for key in sorted(k for k in old.keys() & new.keys() if k[0] == workload):
+                    print(f"    {key[0]:<11} {key[1]:<12} {number(old[key][0]):>6} -> "
+                          f"{number(new[key][0]):>6}  {relative(new[key][0], old[key][0])}"
+                          f"  (seeds {seed_text(shared[workload])})")
+        previous = (path.name, bench["change"]["src_tree"], bench["runs"])
 
 if __name__ == "__main__":
     main(Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)

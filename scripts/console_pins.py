@@ -6,11 +6,14 @@
 Each row of `pins()` runs under `timeout` and PYTHONWARNINGS=error (so an
 uncaught warning is a traceback) and prints one line; a failed row exits 1.
 A child's `ru_maxrss` starts at its parent's peak (a `pass` child of a
-parent that once held 200 MB reads 213 MB), so each row's stdin, and a
-large expected stdout, is built only when that row runs, the stdin written
-in pieces, and the script also fails when its own peak passes SELF_CAP_MB,
-half the smallest cap.  A row with `sink` writes the child's stdout to
-that path, and reads it back as empty.
+parent that once held 200 MB reads 213 MB), so no row is run by this script
+itself: each runs under a small launcher process started fresh (LAUNCHER),
+which spawns it and reports its `os.wait4` peak, the row's own above the
+launcher's few MB.  Each row's stdin, and a large expected stdout, is still
+built only when that row runs, the stdin written in pieces, and the script
+fails when its own peak passes SELF_CAP_MB, so that what it builds stays
+small.  A row with `sink` writes the child's stdout to that path, and reads
+it back as empty.
 """
 
 import os
@@ -27,6 +30,17 @@ from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 SELF_CAP_MB = 32
+
+# Run with the write end of a pipe and an argv: spawns the argv with this
+# process's stdin, stdout and stderr, waits for it, and writes its exit code
+# and its peak RSS in KiB to the pipe.  Started fresh for each row, so the
+# spawned process's peak starts at this small interpreter's, not at the
+# runner's.
+LAUNCHER = """
+import os, sys
+_, status, usage = os.wait4(os.posix_spawnp(sys.argv[2], sys.argv[2:], os.environ), 0)
+os.write(int(sys.argv[1]), f"{os.waitstatus_to_exitcode(status)} {usage.ru_maxrss}".encode())
+"""
 
 
 class Pin(NamedTuple):
@@ -172,8 +186,7 @@ def pins():
                 error="span-25 generation over 2 letters needs k^n = 33554432 positions"),
         # --from-gamma inverts its word's text as `invert` does, with no
         # record per necklace: a block-permutation word of 2^16 letters in
-        # argv (19 MB; 20 when it built the records).  It runs before the
-        # rows that raise this script's own peak, where a child's starts.
+        # argv (19 MB; 20 when it built the records).
         Pin(("debruijn", "2", "16", "--from-gamma", gamma_word(16, 16)), 0,
             lambda: inverse_text(gamma_word(16, 16)), cap_mb=24),
         refused("invert", "--guard-cells", "1000", stdin=lambda: (b"ab" * 1000 + b"\n",)),
@@ -255,19 +268,26 @@ def pins():
 
 
 def run(argv, stdin=None, sink=None):
-    """Run argv to its end: (exit code, stdout, stderr, peak RSS in MB).  The
-    peak is the child's own, from `os.wait4` (RUSAGE_CHILDREN is the largest
-    over every child reaped so far); output goes to files, so no pipe fills,
-    stdout to the path `sink` when one is given."""
+    """Run argv to its end under LAUNCHER: (exit code, stdout, stderr, peak
+    RSS in MB).  The peak is argv's own, from the launcher's `os.wait4`
+    (RUSAGE_CHILDREN would be the largest over every child reaped so far);
+    output goes to files, so no pipe fills, stdout to the path `sink` when
+    one is given."""
+    report, write = os.pipe()
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err, \
-            open(sink, "wb") if sink else nullcontext(out) as stdout:
-        with subprocess.Popen(argv, stdin=stdin, stdout=stdout, stderr=err) as child:
-            _, status, usage = os.wait4(child.pid, 0)
-            child.returncode = os.waitstatus_to_exitcode(status)
+            open(sink, "wb") if sink else nullcontext(out) as stdout, \
+            os.fdopen(report, "rb") as report:
+        with subprocess.Popen((sys.executable, "-I", "-S", "-c", LAUNCHER, str(write), *argv),
+                              stdin=stdin, stdout=stdout, stderr=err, pass_fds=(write,)):
+            os.close(write)
+            reported = report.read().split()
         out.seek(0)
         err.seek(0)
-        return (child.returncode, out.read().decode("utf-8"), err.read().decode("utf-8"),
-                usage.ru_maxrss / 1024)
+        stderr = err.read().decode("utf-8")
+        if len(reported) != 2:
+            raise RuntimeError(f"the launcher did not run {argv[0]}: {stderr}")
+        code, peak_kib = map(int, reported)
+        return code, out.read().decode("utf-8"), stderr, peak_kib / 1024
 
 
 def main() -> int:

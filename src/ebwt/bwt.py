@@ -22,16 +22,18 @@ column is a `str`, a run of each letter as long as its row.  The m copies
 of a necklace give m cycles that are translates of one another; `_cycles`
 walks each class of translates once, and its letters, gathered by one
 C-level `itemgetter` call and joined, spell one Lyndon word of multiplicity
-m.  The classes come out in the order of their Lyndon words.
+m.  The kernel yields one (Lyndon word, multiplicity) pair per class, in
+the order of the Lyndon words, as the walk reaches it.
 
-The CLI hands `inverse_text` its raw text and the alphabet's letters, as it
-hands `transform_text` its raw entries, and prints the texts it returns.
-`inverse_transform`, `standard_permutation` and the least de Bruijn word
-hand it the text of their codes as `chr(code)` letters (`code_text`) and
-read codes back from what it returns (`text_codes`).  The one walk,
-`_cycles`, also reads `StandardPermutation.cycles`, whose record keeps
-tuples, since its fields are compared with tuples and hashed as a record's
-are.
+Every caller takes the pairs as they come.  The CLI hands `inverse_text`
+its raw text and the alphabet's letters, as it hands `transform_text` its
+raw entries, and prints each pair as a line or a JSON entry; the least de
+Bruijn word joins the Lyndon words of the pairs.  `inverse_transform` and
+`standard_permutation` hand it the text of their codes as `chr(code)`
+letters (`code_text`) and read codes back (`text_codes`): one call per
+Lyndon word, or per column.  The one walk, `_cycles`, also reads
+`StandardPermutation.cycles`, whose record keeps tuples, since its fields
+are compared with tuples and hashed as a record's are.
 """
 
 from __future__ import annotations
@@ -240,23 +242,22 @@ def _standard_rows(text: str, letters: str):
     return image, "".join(map(mul, letters, map(len, rows)))
 
 
-def inverse_text(text: str, letters: str) -> tuple[list[str], list[int]]:
+def inverse_text(text: str, letters: str):
     """The inverse transform of `text` over `letters`, strictly increasing
-    in code point: the Lyndon word of each necklace, as text, in the order
-    of the Lyndon words (see `inverse_transform`), and beside it the list of
-    their multiplicities.  A character of the text outside `letters` raises
-    the alphabet's ValueError for the first one.
+    in code point: an iterator of one (Lyndon word as text, multiplicity)
+    pair per necklace, in the order of the Lyndon words (see
+    `inverse_transform`).  A character of the text outside `letters` raises
+    the alphabet's ValueError for the first one, at the call, before any
+    pair is read.
 
-    The rows of `_standard_rows` are walked by `_cycles`, and each class's
-    letters are read by one C-level gather, `itemgetter(*cycle)`, and
-    joined; a one-row cycle gathers the bare letter, which joins as
-    itself."""
+    The rows of `_standard_rows` are built at the call and walked by
+    `_cycles` as the pairs are read, and each class's letters are read by
+    one C-level gather, `itemgetter(*cycle)`, and joined; a one-row cycle
+    gathers the bare letter, which joins as itself.  No list of the pairs
+    is built, so a caller that joins or prints them holds each word once."""
     image, column = _standard_rows(text, letters)
-    lyndons, multiplicities = [], []
-    for cycle, copies in _cycles(image, column):
-        lyndons.append("".join(itemgetter(*cycle)(column)))
-        multiplicities.append(copies)
-    return lyndons, multiplicities
+    return (("".join(itemgetter(*cycle)(column)), copies)
+            for cycle, copies in _cycles(image, column))
 
 
 def code_text(codes) -> str:
@@ -403,9 +404,9 @@ def inverse_transform(w: Word) -> NecklaceMultiset:
     necklace are one class of m translates in `_cycles`, so each class
     becomes one necklace of multiplicity m, and distinct classes spell
     distinct necklaces.  The classes are read by `inverse_text`, over the
-    text of w's codes as `chr(code)` letters, and their joined texts are
-    read back as codes once, then cut at each Lyndon word's end; no
-    `StandardPermutation` record is built.
+    text of w's codes as `chr(code)` letters, and each Lyndon word's text
+    is read back as codes by one `text_codes`; no `StandardPermutation`
+    record is built.
 
     The classes already come in the order of their Lyndon words, so they
     are not sorted.  `_cycles` lists them by minimal row, and the rows are in
@@ -427,11 +428,8 @@ def inverse_transform(w: Word) -> NecklaceMultiset:
     the empty multiset over its alphabet.
     """
     alphabet = w.alphabet
-    lyndons, multiplicities = inverse_text(code_text(w.codes), code_text(range(alphabet.size)))
-    codes = text_codes("".join(lyndons))
-    ends = list(accumulate(map(len, lyndons)))
     necklace, word = Necklace.unchecked, Word.unchecked
     return NecklaceMultiset.unchecked(alphabet, tuple(
-        (necklace(word(alphabet, codes[start:end])), copies)
-        for start, end, copies in zip([0, *ends], ends, multiplicities)
+        (necklace(word(alphabet, text_codes(lyndon))), copies)
+        for lyndon, copies in inverse_text(code_text(w.codes), code_text(range(alphabet.size)))
     ))

@@ -20,9 +20,12 @@ primitivity in one C-level pass before any ranking, the Lyndon form from
 the ranking itself, and an error quotes at most QUOTED_LETTERS letters of
 an entry.  `invert` builds the standard permutation from its text and the
 alphabet's letters (`bwt.inverse_text`), which refuses the first letter
-outside --alphabet, and prints each Lyndon word's text as it is spelled.
-`debruijn --from-gamma` inverts its word's text the same way, once the
-word has passed its checks as a `GammaWord`.
+outside --alphabet, and prints each (Lyndon word, multiplicity) pair that
+it yields as it is spelled.  `debruijn --from-gamma` inverts its word's
+text the same way, once the word has passed its checks as a `GammaWord`,
+and `debruijn --least` prints the text that the same kernel spells over the
+letters of the default alphabet or --alphabet
+(`debruijn.least_debruijn_text`), with no code tuple, word or render.
 
 Each call takes one mode and one input: argparse refuses a second mode of
 `debruijn`, `semigroup` or `factors`, and the positional text with
@@ -51,6 +54,8 @@ from operator import add, ne
 # transform and inverse_transform are unused here; bench/tracing.py times
 # them at cli.transform and cli.inverse_transform.
 from .bwt import inverse_text, inverse_transform, transform, transform_text  # noqa: F401
+# least_debruijn_word is unused here; bench/tracing.py times it at
+# cli.least_debruijn_word, and bench/run.py reads it there.
 from .debruijn import (
     DEFAULT_MAX_WORD_LENGTH,
     MAX_COUNT_DIGITS,
@@ -58,9 +63,10 @@ from .debruijn import (
     check_alphabet_and_span,
     check_generation_guard,
     count_debruijn_words,
-    least_debruijn_word,
+    least_debruijn_text,
+    least_debruijn_word,  # noqa: F401
 )
-from .errors import NotLyndonError, ResourceLimitError
+from .errors import QUOTED_LETTERS, NotLyndonError, ResourceLimitError, quoted
 from .factors import (
     DEFAULT_FACTOR_LETTERS,
     DEFAULT_SCAN_WORDS,
@@ -79,9 +85,10 @@ from .semigroups import (
     letter_induced_isomorphic,
     syntactic_semigroup,
 )
+from .words import Alphabet, Word, default_alphabet, is_primitive
 # lyndon_representative is unused here; bench/tracing.py times it at
 # cli.lyndon_representative.
-from .words import Alphabet, Word, is_primitive, lyndon_representative  # noqa: F401
+from .words import lyndon_representative  # noqa: F401
 
 
 class CLIError(ValueError):
@@ -91,9 +98,6 @@ class CLIError(ValueError):
 
 # Bytes per read of --file or stdin; see _chunks.
 INPUT_CHUNK = 1 << 16
-
-# The most characters of an input text that an error message quotes; see _quoted.
-QUOTED_LETTERS = 64
 
 
 def _chunks(args):
@@ -196,11 +200,12 @@ def _alphabet_from(chars, override: str | None) -> Alphabet:
     if override == "":
         raise CLIError("--alphabet has no characters")
     if override and len(set(override)) != len(override):
-        raise CLIError(f"--alphabet has repeated characters: {override!r}")
+        raise CLIError("--alphabet has repeated characters: "
+                       + quoted(override, repr, "characters"))
     letters = "".join(sorted(set(override or chars)))
     space = next(filter(str.isspace, letters), "")
     if space:
-        where = f"--alphabet {override!r}" if override else "the input"
+        where = f"--alphabet {quoted(override, repr, 'characters')}" if override else "the input"
         raise CLIError(f"{where} holds the whitespace letter {space!r}")
     return Alphabet(letters)
 
@@ -300,7 +305,7 @@ def _multiset_entries_from_lines(lines, guard: int) -> dict[str, int]:
             continue
         else:
             raise CLIError(f"line {lineno}: expected 'word' or 'word xN', "
-                           f"got {_quoted(line.strip())}")
+                           f"got {quoted(line.strip())}")
         word = parts[0]
         entries[word] = entries.get(word, 0) + mult
         letters += len(word) * mult
@@ -345,11 +350,11 @@ def _multiset_entries_from_json(text: str, skipped: int, guard: int) -> dict[str
         lyndon = item.get("lyndon") if isinstance(item, dict) else None
         if not isinstance(lyndon, str) or not lyndon:
             raise CLIError(f"JSON necklace entry needs a 'lyndon' field: {_quoted_value(item)}")
-        _refuse_unknown_keys(f"JSON necklace entry {_quoted(lyndon)}", item,
+        _refuse_unknown_keys(f"JSON necklace entry {quoted(lyndon)}", item,
                              {"lyndon", "multiplicity"})
         mult = item.get("multiplicity", 1)
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-            raise CLIError(f"bad multiplicity for entry {_quoted(lyndon)}: "
+            raise CLIError(f"bad multiplicity for entry {quoted(lyndon)}: "
                            f"{_quoted_value(mult)}")
         entries[lyndon] = entries.get(lyndon, 0) + mult
     return entries
@@ -360,7 +365,7 @@ def _refuse_unknown_keys(what: str, obj: dict, known: set) -> None:
     drop what it says."""
     unknown = next((key for key in obj if key not in known), None)
     if unknown is not None:
-        raise CLIError(f"{what} has the unknown key {_quoted(unknown)}")
+        raise CLIError(f"{what} has the unknown key {quoted(unknown)}")
 
 
 def _transform_entries(entries: dict[str, int], override: str | None,
@@ -395,7 +400,7 @@ def _transform_entries(entries: dict[str, int], override: str | None,
         raw = ranked[e.index]
         canonical = (raw[e.start:] + raw[:e.start])[:QUOTED_LETTERS] + "..." * (
             len(raw) > QUOTED_LETTERS)
-        raise CLIError(f"entry {_quoted(raw)} is not a Lyndon word (canonical form "
+        raise CLIError(f"entry {quoted(raw)} is not a Lyndon word (canonical form "
                        f"{canonical}); pass --canonicalize to accept rotations") from None
     if refusal:
         raise refusal
@@ -422,25 +427,14 @@ def _checked_prefix(texts: list[str], alphabet: Alphabet,
     lengths = list(map(len, head))
     if periods != lengths:
         end = list(map(ne, periods, lengths)).index(True)
-        refusal = CLIError(f"entry {_quoted(texts[end])} is not primitive")
+        refusal = CLIError(f"entry {quoted(texts[end])} is not primitive")
     return texts[:end], refusal
-
-
-def _quoted(raw: str, show=repr, unit: str = "letters") -> str:
-    """A text of the input as an error message quotes it: `show(raw)`, or
-    for a text of more than QUOTED_LETTERS characters `show` of its first
-    QUOTED_LETTERS, "..." and its length, so that a message stays short
-    however long the text.  An entry, a line or a key is shown by its repr,
-    a word as it is written (`show=str`)."""
-    if len(raw) <= QUOTED_LETTERS:
-        return show(raw)
-    return f"{show(raw[:QUOTED_LETTERS])}... ({len(raw)} {unit})"
 
 
 def _quoted_value(value) -> str:
     """A value of a JSON multiset as an error message quotes it: its repr,
-    cut as `_quoted` cuts a text, with its length in characters."""
-    return _quoted(repr(value), str, "characters")
+    cut as `quoted` cuts a text, with its length in characters."""
+    return quoted(repr(value), str, "characters")
 
 
 def _render_each(alphabet: Alphabet, words) -> map:
@@ -525,7 +519,7 @@ def cmd_invert(args, guard: int) -> tuple[dict, list[str]]:
                           f"invert input has {{}} letters, over the guard {guard}")
     # blank text has no necklaces, and --alphabet is judged as transform judges it
     alphabet = _alphabet_from(text or "ab", args.alphabet)
-    return _multiset_output(zip(*inverse_text(text, alphabet.letters)), args.json)
+    return _multiset_output(inverse_text(text, alphabet.letters), args.json)
 
 
 def cmd_debruijn(args, guard: int) -> tuple[dict, list[str]]:
@@ -541,20 +535,20 @@ def cmd_debruijn(args, guard: int) -> tuple[dict, list[str]]:
         if word.alphabet.size != k:
             raise CLIError(f"word uses {word.alphabet.size} letters, expected {k}")
         GammaWord(word, n)  # refuses a wrong length, then a block that is no permutation
-        return _multiset_output(zip(*inverse_text(args.from_gamma, word.alphabet.letters)),
-                                args.json)
-    alphabet = _alphabet_from(args.alphabet, args.alphabet) if args.alphabet is not None else None
-    if alphabet and alphabet.size != k:
+        return _multiset_output(inverse_text(args.from_gamma, word.alphabet.letters), args.json)
+    alphabet = (default_alphabet(k) if args.alphabet is None
+                else _alphabet_from(args.alphabet, args.alphabet))
+    if alphabet.size != k:  # only --alphabet can miss: the default has k letters
         raise CLIError(f"--alphabet needs {k} characters, got {alphabet.size}")
-    rendered = str(least_debruijn_word(k, n, max_length=guard, alphabet=alphabet))
-    return {"word": rendered}, [rendered]
+    text = least_debruijn_text(alphabet.letters, n)
+    return {"word": text}, [text]
 
 
 def cmd_semigroup(args, guard: int) -> tuple[dict, list[str]]:
     word = _parse_word(args.word, args.alphabet)
     primitive = is_primitive(word)
     if not (primitive or args.syntactic):  # the action needs a primitive word
-        raise CLIError(f"word is not primitive: {_quoted(args.word, str)}")
+        raise CLIError(f"word is not primitive: {quoted(args.word, str)}")
     table = args.table
     _refuse_with("--check-iso", "--table", args.check_iso and table)
     # Refuse before building any closure, with the message that each would
@@ -604,7 +598,7 @@ def cmd_semigroup(args, guard: int) -> tuple[dict, list[str]]:
             for label, row in zip(padded, sg.table):
                 lines.append(label + " " + " ".join(map(padded.__getitem__, row)))
     if not primitive:  # written last, after every refusal
-        print(f"warning: {_quoted(args.word, str)} is not primitive; the action comparison "
+        print(f"warning: {quoted(args.word, str)} is not primitive; the action comparison "
               "theorem assumes a primitive word", file=sys.stderr)
     return payload, lines
 

@@ -7,6 +7,12 @@ concatenation is the lexicographically least de Bruijn word.  Both routes
 build what the theorem proves and do not check the inverse again; the tests
 check it with `is_debruijn_set`, and an independent Lyndon-successor
 enumeration provides the cross-check oracle.
+
+The least word is text first: `least_debruijn_text` inverts the
+identity-block word over any letters with `bwt.inverse_text` and joins the
+Lyndon words of its pairs, and `debruijn --least` prints that text.
+`least_debruijn_word`, the library's checked entry, wraps the same text,
+spelled over `chr(code)` letters, as a `Word`.
 """
 
 from __future__ import annotations
@@ -215,30 +221,42 @@ def least_debruijn_set(k: int, n: int,
     return inverse_transform(Word.unchecked(default_alphabet(k), tuple(range(k)) * k ** (n - 1)))
 
 
+def least_debruijn_text(letters: str, n: int) -> str:
+    """The lexicographically least de Bruijn word of span n over `letters`,
+    strictly increasing in code point, as text: the Lyndon words of length
+    dividing n in lexicographic order, read straight off the cycles of the
+    standard permutation of the all-identity-block word, with no record per
+    Lyndon word, none for the permutation and no code tuple.  Its callers
+    guard k^n.  Every path to the least word runs through it: `debruijn
+    --least`, and `least_debruijn_word` with `factors --witness` on top;
+    only `least_debruijn_set`, whose result is records, inverts the same
+    word through `inverse_transform`.
+
+    `bwt.inverse_text` yields one Lyndon word per class of translates, in
+    the order of the Lyndon words (see `inverse_transform`), over the text
+    of the k letters of one block repeated k^{n-1} times (see
+    `least_debruijn_set`).  That word is a block-permutation word, so no
+    necklace of its inverse repeats (see `debruijn_set_from_gamma`): every
+    class has one copy, and the listed classes are all the cycles.  So the
+    Lyndon words of the pairs, joined in listing order, are the sorted
+    concatenation of the Lyndon words of `least_debruijn_set`.
+    """
+    word = letters * len(letters) ** (n - 1)
+    return "".join(lyndon for lyndon, _ in inverse_text(word, letters))
+
+
 def least_debruijn_word(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGTH,
                         alphabet: Alphabet | None = None) -> Word:
     """The lexicographically least de Bruijn word of span n over the k
-    letters of `alphabet`, by default `default_alphabet(k)`: the Lyndon
-    words of length dividing n in lexicographic order, read straight off the
-    cycles of the standard permutation of the all-identity-block word, with
-    no record per Lyndon word and none for the permutation.
-
-    `bwt.inverse_text` spells one Lyndon word per class of translates, in
-    the order of the Lyndon words (see `inverse_transform`), over the text
-    of the word's codes as `chr(code)` letters, the k letters of one block
-    repeated k^{n-1} times (see `least_debruijn_set`).  That word is a
-    block-permutation word, so no necklace of its inverse repeats (see
-    `debruijn_set_from_gamma`): every class has one copy, and the listed
-    classes are all the cycles.  So their texts, joined in listing order,
-    are the sorted concatenation of the Lyndon words of
-    `least_debruijn_set`.  Their code points are letters of that word, the
-    codes 0..k-1, so the result is built without `Word`'s range check.
+    letters of `alphabet`, by default `default_alphabet(k)`, refused when
+    k^n passes `max_length`: `least_debruijn_text` over the codes 0..k-1 as
+    `chr(code)` letters, read back as codes once.  Those code points are
+    letters of the identity-block word, the codes 0..k-1, so the result is
+    built without `Word`'s range check.
     """
     check_generation_guard(k, n, max_length)
     alphabet = _k_letters(k, alphabet)
-    block = code_text(range(k))
-    lyndons, _ = inverse_text(block * k ** (n - 1), block)
-    return Word.unchecked(alphabet, text_codes("".join(lyndons)))
+    return Word.unchecked(alphabet, text_codes(least_debruijn_text(code_text(range(k)), n)))
 
 
 def _lyndon_words_up_to(n: int, k: int):

@@ -1,4 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule by which an
+error message quotes a text of its input."""
+
+# The most characters of an input text that an error message quotes; see quoted.
+QUOTED_LETTERS = 64
+
+
+def quoted(raw: str, show=repr, unit: str = "letters") -> str:
+    """A text of the input as an error message quotes it: `show(raw)`, or
+    for a text of more than QUOTED_LETTERS characters `show` of its first
+    QUOTED_LETTERS, "..." and its length, so that a message stays short
+    however long the text.  An entry, a line, a key or an alphabet is shown
+    by its repr, a word as it is written (`show=str`)."""
+    if len(raw) <= QUOTED_LETTERS:
+        return show(raw)
+    return f"{show(raw[:QUOTED_LETTERS])}... ({len(raw)} {unit})"
 
 
 class NotPrimitiveError(ValueError):

@@ -387,6 +387,9 @@ def debruijn_factor_witness(n: int, k: int,
     length l >= m starts with its own window, so the n-l+1 factors of each
     such length are distinct too, and summing n-l+1 over l = m..n gives the
     floor.
+
+    The prefix is cut from the codes of the de Bruijn word, codes of the
+    same alphabet, so it is built without `Word`'s range check.
     """
     if not n > k >= 2:
         raise ValueError(f"witness needs n > k >= 2, got n={n}, k={k}")
@@ -394,5 +397,5 @@ def debruijn_factor_witness(n: int, k: int,
     while k**m < n:
         m += 1
     full = least_debruijn_word(k, m, max_length)
-    w = Word(full.alphabet, full.codes[:n])
+    w = Word.unchecked(full.alphabet, full.codes[:n])
     return FactorWitness(w, m, distinct_factors(w), (n - m + 1) * (n - m + 2) // 2)

@@ -16,8 +16,8 @@ check, for callers that have proved the fields valid; each such call says
 why in its docstring.  Both builds fill the fields through one helper,
 `Value._fill`, which refuses a wrong number of fields with the same
 TypeError.  Records belong at the library's boundary: `transform`,
-`invert` and `debruijn --from-gamma` read and print text, with no record
-per necklace, so a CLI call builds only a few.
+`invert`, `debruijn --from-gamma` and `debruijn --least` read and print
+text, with no record per necklace, so a CLI call builds only a few.
 
 `Value` stands in for frozen `dataclasses`, which made up most of the CLI's
 start-up: importing `dataclasses` pulls in `inspect`, `ast`, `dis` and
@@ -33,7 +33,7 @@ from itertools import islice
 from math import gcd
 from operator import attrgetter, itemgetter
 
-from .errors import NotPrimitiveError
+from .errors import NotPrimitiveError, quoted
 
 LOWERCASE = "abcdefghijklmnopqrstuvwxyz"
 
@@ -129,7 +129,7 @@ class Alphabet(Value):
         return {c: i for i, c in enumerate(self.letters)}
 
     def _unknown(self, char: str) -> ValueError:
-        return ValueError(f"character {char!r} not in alphabet {self.letters!r}")
+        return ValueError(f"character {char!r} not in alphabet {quoted(self.letters)}")
 
     def code(self, char: str) -> int:
         try:

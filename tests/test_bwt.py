@@ -561,7 +561,7 @@ class TestBucketPass:
             w.codes)
         assert [(n.lyndon.codes, m) for n, m in inverse_transform(w).entries] == naive_inverse(
             w.codes)
-        spelled = list(zip(*bwt.inverse_text(text, letters)))
+        spelled = list(bwt.inverse_text(text, letters))
         assert [(tuple(map(letters.index, lyndon)), m) for lyndon, m in spelled] == naive_inverse(
             w.codes)
         return spelled
@@ -592,12 +592,20 @@ class TestBucketPass:
     def test_one_row_cycles(self):
         # itemgetter of one row returns the bare letter, which joins as
         # itself: a, b; a x2, b x2; ab; ab x2, b
-        assert bwt.inverse_text("ab", "ab") == (["a", "b"], [1, 1])
-        assert bwt.inverse_text("aabb", "ab") == (["a", "b"], [2, 2])
-        assert bwt.inverse_text("ba", "ab") == (["ab"], [1])
-        assert bwt.inverse_text("bbaab", "ab") == (["ab", "b"], [2, 1])
+        assert list(bwt.inverse_text("ab", "ab")) == [("a", 1), ("b", 1)]
+        assert list(bwt.inverse_text("aabb", "ab")) == [("a", 2), ("b", 2)]
+        assert list(bwt.inverse_text("ba", "ab")) == [("ab", 1)]
+        assert list(bwt.inverse_text("bbaab", "ab")) == [("ab", 2), ("b", 1)]
         for text in ["ab", "aabb", "abab", "aaab", "abbb", "bbaab"]:
             self.check(W(text))
+
+    def test_pairs_come_one_at_a_time(self):
+        # an iterator of (Lyndon word, multiplicity) pairs, in Lyndon order,
+        # not a list built ahead of the caller
+        pairs = bwt.inverse_text("bbaab", "ab")
+        assert iter(pairs) is pairs
+        assert next(pairs) == ("ab", 2)
+        assert list(pairs) == [("b", 1)]
 
     def test_one_letter(self):
         alphabet = Alphabet("a")
@@ -607,7 +615,8 @@ class TestBucketPass:
     @pytest.mark.parametrize("text, first", [("abcad", "c"), ("dab", "d"),
                                              ("ab" * 50 + "\U0001f600c", "\U0001f600")])
     def test_a_letter_outside_is_the_alphabets_error(self, text, first):
-        # the first character outside the letters, in the alphabet's words
+        # the first character outside the letters, in the alphabet's words,
+        # at the call, before any pair is read
         with pytest.raises(ValueError) as raised:
             bwt.inverse_text(text, "ab")
         assert str(raised.value) == str(Alphabet("ab")._unknown(first))
@@ -671,8 +680,8 @@ class TestInverseTransform:
             items = [(t, rng.randint(1, 5)) for t in random_texts(rng, LETTERS_300, 12, 5)]
             words.append(str(transform(oracle_multiset(LETTERS_300, items)[0])))
         for text in words:
-            lyndons, mults = bwt.inverse_text(text, LETTERS_300)
-            assert entries(inverse_transform(alphabet.word(text))) == list(zip(lyndons, mults))
+            pairs = list(bwt.inverse_text(text, LETTERS_300))
+            assert entries(inverse_transform(alphabet.word(text))) == pairs
 
     def test_paper_example(self):
         assert entries(inverse_transform(W("babbaaba"))) == [

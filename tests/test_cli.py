@@ -28,9 +28,11 @@ from ebwt.bwt import NecklaceMultiset, transform
 from ebwt.debruijn import lyndon_concatenation_oracle
 from ebwt.words import Alphabet, Necklace, Word, lyndon_representative
 
-from helpers import (AB, lcm, naive_bwt, naive_cycles, naive_least_rotation, naive_primitive,
-                     naive_root, naive_standard_permutation, necklace_closure_order, prefix_bwt,
-                     primitive_texts)
+from helpers import (AB, brute_distinct_factors, lcm, lyndon_texts, moore_minimal_dfa,
+                     naive_bwt, naive_closure_size, naive_cycles, naive_least_rotation,
+                     naive_letter_maps, naive_primitive, naive_root, naive_standard_permutation,
+                     necklace_closure_order, prefix_bwt, primitive_texts, reference_close,
+                     scan_max_factors)
 from test_cli_fuzz import ERROR_LINE, call
 
 
@@ -611,10 +613,10 @@ class TestTransform:
         assert code == 2
 
 
-def naive_quoted(raw: str) -> str:
-    """An entry as the errors quote it: whole up to 64 letters, else its
-    first 64 and its length."""
-    return repr(raw) if len(raw) <= 64 else f"{raw[:64]!r}... ({len(raw)} letters)"
+def naive_quoted(raw: str, unit: str = "letters") -> str:
+    """An entry or an alphabet as the errors quote it: whole up to 64
+    letters, else its first 64 and its length."""
+    return repr(raw) if len(raw) <= 64 else f"{raw[:64]!r}... ({len(raw)} {unit})"
 
 
 def naive_transform_call(entries, canonicalize: bool, letters: str | None):
@@ -623,8 +625,8 @@ def naive_transform_call(entries, canonicalize: bool, letters: str | None):
     entry is checked in turn (its letters, then naive_primitive, then
     naive_least_rotation) and added to its necklace, and the necklaces go to
     naive_bwt, or to prefix_bwt when the lcm-width table would pass 10^6
-    letters.  An error quotes at most 64 letters of an entry and of its
-    canonical form."""
+    letters.  An error quotes at most 64 letters of an entry, of its
+    canonical form and of the alphabet."""
     merged = Counter()
     for raw, mult in entries:
         merged[raw] += mult
@@ -633,7 +635,7 @@ def naive_transform_call(entries, canonicalize: bool, letters: str | None):
     for raw, mult in merged.items():
         char = next((c for c in raw if c not in alphabet), None)
         if char is not None:
-            return 2, "", f"error: character {char!r} not in alphabet {alphabet!r}\n"
+            return 2, "", f"error: character {char!r} not in alphabet {naive_quoted(alphabet)}\n"
         if not naive_primitive(raw):
             return 2, "", f"error: entry {naive_quoted(raw)} is not primitive\n"
         lyndon = naive_least_rotation(raw)
@@ -697,12 +699,13 @@ def naive_invert_call(text: str, letters: str | None, as_json: bool):
     for blank text), its characters checked in order against it, and each
     cycle of the naive standard permutation, read from its least row,
     spelled and taken at its least rotation; the Lyndon words are counted
-    and printed in order, a line each or as JSON."""
+    and printed in order, a line each or as JSON.  An error quotes at most
+    64 letters of the alphabet."""
     word = text.strip()
     alphabet = letters or "".join(sorted(set(word))) or "ab"
     outside = next((c for c in word if c not in alphabet), None)
     if outside is not None:
-        return 2, "", f"error: character {outside!r} not in alphabet {alphabet!r}\n"
+        return 2, "", f"error: character {outside!r} not in alphabet {naive_quoted(alphabet)}\n"
     image, column = naive_standard_permutation([alphabet.index(c) for c in word])
     counts = Counter()
     for cycle in naive_cycles(image):
@@ -809,6 +812,279 @@ class TestFromGammaAgainstNaive:
         _, _, word, override, as_json = drawn
         letters = "".join(sorted(override)) if override else None
         assert call(from_gamma_argv(*drawn)) == naive_invert_call(word, letters, as_json)
+
+
+def naive_output(payload: dict, lines: list[str], as_json: bool) -> str:
+    """The stdout of a call that prints `payload` under --json, else `lines`."""
+    if as_json:
+        return json.dumps(payload, sort_keys=True) + "\n"
+    return "".join(line + "\n" for line in lines)
+
+
+def naive_alphabet(word: str, letters: str | None):
+    """(the alphabet of a one-word call, its letters sorted, and the error
+    line for the word's first letter outside it, or None)."""
+    alphabet = "".join(sorted(set(letters or word)))
+    outside = next((c for c in word if c not in alphabet), None)
+    if outside is None:
+        return alphabet, None
+    return alphabet, f"error: character {outside!r} not in alphabet {naive_quoted(alphabet)}\n"
+
+
+def naive_semigroup_call(word: str, letters: str | None, mode: str, table: bool,
+                         as_json: bool, guard: int | None):
+    """(exit code, stdout, stderr) of `ebwt semigroup WORD --MODE`, the naive
+    way, with refusals in the CLI's order: a letter outside the alphabet, a
+    word that is not primitive (naive_primitive) outside --syntactic,
+    --table with --check-iso, then an order over the guard.  The action
+    order is that of the set-based closure of naive_letter_maps
+    (naive_closure_size), the syntactic order the closed form
+    (necklace_closure_order).  The table and its shortlex labels come from
+    reference_close: over the letter maps for --action, over the transition
+    maps of moore_minimal_dfa for --syntactic; --check-iso calls the two
+    letter-isomorphic when those two closures have one right Cayley graph.
+    A word that is not primitive is warned about last."""
+    alphabet, error = naive_alphabet(word, letters)
+    if error:
+        return 2, "", error
+    primitive = naive_primitive(word)
+    if not primitive and mode != "syntactic":
+        return 2, "", f"error: word is not primitive: {word}\n"
+    if mode == "check-iso" and table:
+        return 2, "", "error: --table is not allowed with --check-iso\n"
+    limit = guard or 10**6
+    maps = naive_letter_maps(word, alphabet)
+    orders = {"syntactic": necklace_closure_order(word, len(alphabet))}
+    if primitive:
+        orders["action"] = naive_closure_size(maps)
+    if max(orders.values()) > limit:
+        return 3, "", f"error: semigroup closure exceeds the {limit}-element guard\n"
+    m, delta, _, _ = moore_minimal_dfa(Alphabet(alphabet).word(word))
+    closures = {
+        "action": lambda: reference_close(
+            {c: tuple(sorted(maps[a].items())) for c, a in enumerate(alphabet)}, limit),
+        "syntactic": lambda: reference_close(
+            {c: tuple((q, delta[q][c]) for q in range(m)) for c in range(len(alphabet))}, limit),
+    }
+    warning = "" if primitive else (f"warning: {word} is not primitive; the action comparison "
+                                    "theorem assumes a primitive word\n")
+    if mode == "check-iso":
+        action, syntactic = closures["action"](), closures["syntactic"]()
+        verdict = (action.generators, action.right) == (syntactic.generators, syntactic.right)
+        payload = {"action_order": orders["action"], "syntactic_order": orders["syntactic"],
+                   "isomorphic": verdict}
+        lines = [f"action order {orders['action']}", f"syntactic order {orders['syntactic']}",
+                 "ISOMORPHIC" if verdict else "NOT ISOMORPHIC"]
+        return 0, naive_output(payload, lines, as_json), warning
+    payload = {f"{mode}_order": orders[mode], "generators": list(alphabet)}
+    lines = [f"{mode} order {orders[mode]}", "generators " + " ".join(alphabet)]
+    if table:
+        closure = closures[mode]()
+        labels = ["".join(map(alphabet.__getitem__, w)) for w in closure.element_words]
+        payload["elements"], payload["table"] = labels, closure.table
+        width = max(map(len, labels))
+        padded = [label.rjust(width) for label in labels]
+        lines.append(" ".join(["*".rjust(width), *padded]))
+        lines += [" ".join([padded[i], *(padded[j] for j in row)])
+                  for i, row in enumerate(closure.table)]
+    return 0, naive_output(payload, lines, as_json), warning
+
+
+def optional_alphabet(draw, word: str, letters: str):
+    """No --alphabet, the word's letters, those with unused letters added,
+    or (for a refusal) with one of the word's own dropped; in any order, as
+    the CLI takes --alphabet as a set."""
+    kind = draw(st.sampled_from(["inferred"] * 3 + ["letters", "unused"] * 2 + ["missing"]))
+    if kind == "inferred":
+        return None
+    chosen = set(letters + word)
+    if kind == "unused":
+        chosen |= set(draw(st.text("abcdxyz\u00e9", min_size=1, max_size=3)))
+    elif kind == "missing":
+        chosen.discard(draw(st.sampled_from(sorted(set(word)))))
+        chosen.add("z")
+    return "".join(draw(st.permutations(sorted(chosen))))
+
+
+def guard_around(draw, *needed: int):
+    """No --guard-cells, or one within 1 of a value the call needs."""
+    chosen = draw(st.sampled_from([None, *needed]))
+    return None if chosen is None else max(1, chosen + draw(st.integers(-1, 1)))
+
+
+@st.composite
+def semigroup_calls(draw):
+    """(word, --alphabet, mode, --table, --json, --guard-cells) of a
+    `semigroup`: a word of 1-12 letters over 1-3 letters, a random one or
+    a proper power, and a guard drawn around its naive order and around
+    the bound 2|u|^2 + 1 below which the CLI skips the exact order."""
+    letters = draw(st.sampled_from(["a", "ab", "ab", "abc", "abc"]))
+    if draw(st.sampled_from(["random"] * 3 + ["power"])) == "random":
+        word = draw(st.text(letters, min_size=1, max_size=12))
+    else:
+        root = draw(st.text(letters, min_size=1, max_size=6))
+        word = root * draw(st.integers(2, max(2, 12 // len(root))))
+    override = optional_alphabet(draw, word, letters)
+    size = len(set(override or word))
+    mode = draw(st.sampled_from(["action", "syntactic", "check-iso"]))
+    order = necklace_closure_order(word, size)
+    guard = guard_around(draw, order, order, 2 * len(word) ** 2 + 1)
+    return word, override, mode, draw(st.booleans()), draw(st.booleans()), guard
+
+
+def semigroup_argv(word, override, mode, table, as_json, guard) -> list:
+    return ["semigroup", word, f"--{mode}", *(["--table"] if table else []),
+            *(["--json"] if as_json else []), *(["--alphabet", override] if override else []),
+            *(["--guard-cells", str(guard)] if guard else [])]
+
+
+class TestSemigroupAgainstNaive:
+    @settings(max_examples=300, deadline=None)
+    @given(semigroup_calls())
+    def test_matches_the_naive_closures(self, drawn):
+        word, override, mode, table, as_json, guard = drawn
+        assert call(semigroup_argv(*drawn)) == naive_semigroup_call(
+            word, override, mode, table, as_json, guard)
+
+
+# 1-4 letters for `factors WORD`: Latin; Latin-1 past ASCII; the BMP past
+# Latin-1; past the BMP
+FACTOR_LETTERS = ["a", "ab", "abc", "abcd", "\u00e0\u00e9\u00ff", "a\u00e9\u4e00\U0001f600"]
+
+
+def naive_ceiling(n: int, k: int) -> int:
+    """The ceiling that `factors --max` prints: n(n+1)/2 over one letter,
+    else at most min(k^l, n - l + 1) distinct factors of each length l."""
+    if k == 1:
+        return n * (n + 1) // 2
+    return sum(min(k**length, n - length + 1) for length in range(1, n + 1))
+
+
+def naive_factors_call(argv: list, guard: int | None):
+    """(exit code, stdout, stderr) of `ebwt factors ARGV`, the naive way:
+    WORD by the set of its slices (brute_distinct_factors); `--max N K` by
+    scanning every word (scan_max_factors); `--witness N K` as the length-N
+    prefix of the least de Bruijn word of the least span m with K^m >= N,
+    the Lyndon words over a..K of length dividing m (lyndon_texts) joined in
+    order, with the brute count of its factors and the floor
+    (N-m+1)(N-m+2)/2.  Each refusal comes in the CLI's order."""
+    if "--alphabet" in argv[:-1] and argv[0] in ("--max", "--witness"):
+        return 2, "", f"error: --alphabet is not allowed with {argv[0]}\n"
+    as_json = "--json" in argv
+    if argv[0] == "--max":
+        n, k = int(argv[1]), int(argv[2])
+        limit = guard or 2**18
+        if k**n > limit:
+            return 3, "", (f"error: scanning {k}^{n} = {k**n} words exceeds the "
+                           f"{limit}-word guard\n")
+        best, witness = scan_max_factors(n, k)
+        payload = {"n": n, "k": k, "max_distinct": best, "upper_bound": naive_ceiling(n, k),
+                   "witness": "".join("abcd"[c] for c in witness)}
+        lines = [f"{key} {payload[key]}" for key in ("n", "max_distinct", "upper_bound",
+                                                     "witness")]
+        return 0, naive_output(payload, lines, as_json), ""
+    if argv[0] == "--witness":
+        n, k = int(argv[1]), int(argv[2])
+        if not n > k >= 2:
+            return 2, "", f"error: witness needs n > k >= 2, got n={n}, k={k}\n"
+        m = next(m for m in range(1, n + 1) if k**m >= n)
+        limit = guard or 2**24
+        if k**m > limit:
+            return 3, "", (f"error: span-{m} generation over {k} letters needs k^n = {k**m} "
+                           f"positions, over the guard {limit}\n")
+        letters = "abcd"[:k]
+        prefix = "".join(sorted(w for d in range(1, m + 1) if m % d == 0
+                                for w in lyndon_texts(letters, d)))[:n]
+        payload = {"n": n, "k": k, "span": m, "witness": prefix,
+                   "distinct_factors": brute_distinct_factors(prefix),
+                   "lower_bound": (n - m + 1) * (n - m + 2) // 2}
+        lines = [f"{key} {payload[key]}" for key in ("witness", "span", "distinct_factors",
+                                                     "lower_bound")]
+        return 0, naive_output(payload, lines, as_json), ""
+    word = argv[0]
+    override = argv[argv.index("--alphabet") + 1] if "--alphabet" in argv else None
+    limit = guard or 2**20
+    if len(word) > limit:
+        return 3, "", f"error: factors input has {len(word)} letters, over the guard {limit}\n"
+    _, error = naive_alphabet(word, override)
+    if error:
+        return 2, "", error
+    count = brute_distinct_factors(word)
+    return 0, naive_output({"distinct_factors": count}, [str(count)], as_json), ""
+
+
+@st.composite
+def factors_calls(draw):
+    """(argv after `factors`, --guard-cells) of a `factors`: WORD over 1-4
+    of FACTOR_LETTERS with an optional --alphabet and a guard around its
+    length; `--max N K` with K^N <= 256 and a guard around K^N; or
+    `--witness N K` with K < N <= 130 over 2-4 letters, or the refused
+    N = K, and a guard around K^m; and --json or not.  --alphabet with --max or
+    --witness is a refusal."""
+    kind = draw(st.sampled_from(["word", "word", "max", "witness"]))
+    if kind == "word":
+        letters = draw(st.sampled_from(FACTOR_LETTERS))
+        word = draw(st.text(letters, min_size=1, max_size=40))
+        override = optional_alphabet(draw, word, letters)
+        argv = [word, *(["--alphabet", override] if override else [])]
+        guard = guard_around(draw, len(word))
+    elif kind == "max":
+        k = draw(st.integers(1, 4))
+        n = draw(st.integers(1, {1: 12, 2: 8, 3: 5, 4: 4}[k]))
+        argv = ["--max", str(n), str(k)]
+        guard = guard_around(draw, k**n)
+    else:
+        k = draw(st.integers(2, 4))
+        n = draw(st.integers(k + 1, 130)) if draw(st.sampled_from(range(8))) != 7 else k
+        argv = ["--witness", str(n), str(k)]
+        span = next((m for m in range(1, n + 1) if k**m >= n), 1)
+        guard = guard_around(draw, k**span)
+    if kind != "word" and draw(st.sampled_from(range(10))) == 7:
+        argv += ["--alphabet", "ab"]
+    return argv + (["--json"] if draw(st.booleans()) else []), guard
+
+
+class TestFactorsAgainstNaive:
+    @settings(max_examples=300, deadline=None)
+    @given(factors_calls())
+    def test_matches_the_brute_force_counts(self, drawn):
+        argv, guard = drawn
+        assert call(["factors", *argv, *(["--guard-cells", str(guard)] if guard else [])]) == (
+            naive_factors_call(argv, guard))
+
+
+@st.composite
+def least_calls(draw):
+    """(k, n, --alphabet, --json, --guard-cells) of a `debruijn K N --least`:
+    k = 2-4 and k^n <= 2^10, the letters of --alphabet drawn from Latin-1,
+    the BMP and past it, in any order, or none; and a guard around k^n."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, {2: 10, 3: 6, 4: 5}[k]))
+    pool = "xy\u00e0\u00ff\u4e00\uffef\U0001f600\U0010fffd"
+    override = draw(st.one_of(st.none(), st.permutations(pool).map(lambda p: "".join(p[:k]))))
+    return k, n, override, draw(st.booleans()), guard_around(draw, k**n)
+
+
+class TestLeastAgainstNaive:
+    @settings(max_examples=150, deadline=None)
+    @given(least_calls())
+    def test_matches_the_sorted_lyndon_words(self, drawn):
+        # the Lyndon words of length dividing n over the letters, by brute
+        # force, sorted and joined
+        k, n, override, as_json, guard = drawn
+        argv = ["debruijn", str(k), str(n), "--least", *(["--json"] if as_json else []),
+                *(["--alphabet", override] if override else []),
+                *(["--guard-cells", str(guard)] if guard else [])]
+        limit = guard or 2**24
+        if k**n > limit:
+            expected = (3, "", f"error: span-{n} generation over {k} letters needs k^n = {k**n} "
+                               f"positions, over the guard {limit}\n")
+        else:
+            letters = "".join(sorted(override or "abcd"[:k]))
+            word = "".join(sorted(w for d in range(1, n + 1) if n % d == 0
+                                  for w in lyndon_texts(letters, d)))
+            expected = (0, naive_output({"word": word}, [word], as_json), "")
+        assert call(argv) == expected
 
 
 class TestUndecodableFile:
@@ -1221,6 +1497,23 @@ class TestDeBruijn:
             assert (code, err) == (0, "")
             assert out == (json.dumps({"word": expected}) if flag else expected) + "\n"
 
+    def test_least_builds_no_code_tuple_word_or_render(self, capsys, monkeypatch):
+        # --least prints the kernel's text over the alphabet's letters: no
+        # code tuple read back, no Word, checked or not, and no render, in
+        # text and JSON, with and without --alphabet
+        calls = [(2, 5, None), (3, 3, None), (2, 4, "01"), (4, 2, "a\u00e9\u4e00\U0001f600")]
+        words = [str(lyndon_concatenation_oracle(k, n, alphabet=Alphabet(letters or "abcd"[:k])))
+                 for k, n, letters in calls]
+        for owner, name in [(bwt, "text_codes"), (debruijn, "text_codes"), (Word, "unchecked"),
+                            (Word, "__post_init__"), (Alphabet, "render"),
+                            (cli, "least_debruijn_word"), (debruijn, "least_debruijn_word")]:
+            monkeypatch.setattr(owner, name, lambda *args, name=name, **kwargs: pytest.fail(name))
+        for (k, n, letters), word in zip(calls, words):
+            argv = ["debruijn", str(k), str(n), "--least",
+                    *(["--alphabet", letters] if letters else [])]
+            assert run(capsys, argv) == (0, word + "\n", "")
+            assert run(capsys, argv + ["--json"]) == (0, json.dumps({"word": word}) + "\n", "")
+
     def test_more_than_26_letters_need_an_alphabet(self, capsys, monkeypatch):
         # without --alphabet the default one refuses them, before generation
         # walks the permutation
@@ -1244,7 +1537,7 @@ class TestDeBruijn:
         def fail(*args, **kwargs):
             raise AssertionError("generated a word for a bad --alphabet")
 
-        monkeypatch.setattr(cli, "least_debruijn_word", fail)
+        monkeypatch.setattr(cli, "least_debruijn_text", fail)
         code, out, err = run(capsys, ["debruijn", "2", "20", "--least", "--alphabet", alphabet])
         assert (code, out, err) == (2, "", error)
         # over the guard is still exit 3, ahead of the alphabet
@@ -1827,6 +2120,45 @@ class TestLetterRule:
         assert run(capsys, ["invert", " \u00a0ba\n"]) == (0, "ab\n", "")
 
 
+class TestLongAlphabetQuoted:
+    """The three errors that quote --alphabet or the alphabet quote it as an
+    input text is quoted: whole up to 64 letters, else its first 64 and its
+    length, so that one error line stays short however long the alphabet."""
+
+    SIZES = [64, 65, 100_000]
+
+    @staticmethod
+    def letters(n: int) -> str:
+        """n letters past the BMP, none of them whitespace."""
+        return "".join(map(chr, range(0x10000, 0x10000 + n)))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_repeated_characters(self, capsys, n):
+        override = "a" * n
+        assert run(capsys, ["invert", "ab", "--alphabet", override]) == (
+            2, "", "error: --alphabet has repeated characters: "
+                   f"{naive_quoted(override, 'characters')}\n")
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_whitespace_letter(self, capsys, n):
+        override = " " + self.letters(n - 1)
+        assert run(capsys, ["invert", "ab", "--alphabet", override]) == (
+            2, "", f"error: --alphabet {naive_quoted(override, 'characters')} holds the "
+                   "whitespace letter ' '\n")
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("argv", [
+        ["invert", "abz"], ["transform", "abz"], ["semigroup", "abz", "--syntactic"],
+        ["factors", "abz"], ["debruijn", "2", "1", "--from-gamma", "az"],
+    ])
+    def test_letter_not_in_the_alphabet(self, capsys, argv, n):
+        letters = "ab" + self.letters(n - 2)
+        code, out, err = run(capsys, [*argv, "--alphabet", letters[::-1]])
+        assert (code, out) == (2, "")
+        assert err == f"error: character 'z' not in alphabet {naive_quoted(letters)}\n"
+        assert len(err) < 400
+
+
 class TestEmptyAlphabet:
     """An empty --alphabet is refused in every mode that reads one, not taken
     as no --alphabet."""
@@ -1952,7 +2284,7 @@ class TestOneModeAndOneInput:
     @pytest.fixture
     def no_work(self, monkeypatch):
         for name in ("_chunks", "distinct_factors", "max_factors_exhaustive",
-                     "debruijn_factor_witness", "count_debruijn_words", "least_debruijn_word"):
+                     "debruijn_factor_witness", "count_debruijn_words", "least_debruijn_text"):
             monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs:
                                 pytest.fail(f"{name} ran"))
 
