@@ -26,7 +26,8 @@ from array import array
 from collections import Counter
 from contextlib import nullcontext
 from functools import reduce
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, repeat, takewhile, tee
+from operator import ne
 from typing import NamedTuple
 
 SELF_CAP_MB = 32
@@ -87,6 +88,20 @@ def undecodable(data):
 def factor_count(w):
     """The distinct factors of w, counted from sets of its slices."""
     return sum(len({w[i:i + n] for i in range(len(w) - n + 1)}) for n in range(1, len(w) + 1))
+
+
+def window_factor_count(w, span=40):
+    """The distinct factors of an ASCII word w when no factor of `span`
+    letters occurs twice: n(n+1)/2 less the common prefix of each pair of
+    neighbours among its suffixes sorted by their first `span` letters, in
+    that case the order of the suffixes, with common prefixes below `span`.
+    The windows are bytes, 16 bytes smaller each than a str."""
+    w = w.encode("ascii")
+    keys = sorted(w[i:i + span] for i in range(len(w)))
+    if not all(map(ne, keys, keys[1:])):
+        raise ValueError(f"a factor of {span} letters repeats")
+    shared = map(len, map(os.path.commonprefix, zip(keys, keys[1:])))
+    return len(w) * (len(w) + 1) // 2 - sum(shared)
 
 
 def coin_word(n, seed):
@@ -155,10 +170,15 @@ def lyndon_words(letters, n):
             w[-1] += 1
 
 
-def least_debruijn(letters, n):
-    """The least de Bruijn word of span n over `letters`: the Lyndon words of
-    length dividing n in lexicographic order."""
-    return "".join(lyndon_words(letters, n))
+def least_debruijn(letters, n, length=None):
+    """The least de Bruijn word of span n over `letters`, or its first
+    `length` letters: the Lyndon words of length dividing n in
+    lexicographic order, up to the first that starts past them."""
+    words, sizes = tee(lyndon_words(letters, n))
+    starts = accumulate(map(len, sizes), initial=0)
+    if length is not None:
+        starts = takewhile(length.__gt__, starts)
+    return "".join(w for _, w in zip(starts, words))[:length]
 
 
 def pins():
@@ -203,6 +223,19 @@ def pins():
         # primaries of 30 letters and are told apart by exact keys of 64,
         # with no fallback.
         Pin(("factors", tied), 0, f"{factor_count(tied)}\n"),
+        # The longest word that argv takes: Linux holds one argv string to
+        # 131,071 bytes.  Counted from its text, with no code tuple (23 MB;
+        # 24 when the text was parsed into codes).
+        Pin(("factors", coin_word(131071, 7)), 0,
+            lambda: f"{window_factor_count(coin_word(131071, 7))}\n", cap_mb=28),
+        # The first 2^20 + 3 letters of the least de Bruijn word of span 21,
+        # spelled and counted as text; the walk stops past them (79 MB; 95
+        # when the whole word was read back as codes).  The count is the one
+        # that `factors.count_distinct_factors`, the suffix automaton, gives.
+        Pin(("factors", "--witness", "1048579", "2"), 0,
+            lambda: (f"witness {least_debruijn('ab', 21, 1048579)}\nspan 21\n"
+                     f"distinct_factors 549739926078\nlower_bound {1048559 * 1048560 // 2}\n"),
+            cap_mb=88),
         # Closures refused before either is built.
         refused("semigroup", coins[2000], "--check-iso", timeout=10),
         refused("semigroup", coins[900], "--action", "--table", cap_mb=64),

@@ -26,6 +26,9 @@ text the same way, once the word has passed its checks as a `GammaWord`,
 and `debruijn --least` prints the text that the same kernel spells over the
 letters of the default alphabet or --alphabet
 (`debruijn.least_debruijn_text`), with no code tuple, word or render.
+`factors WORD` counts its text over its alphabet's letters
+(`factors.distinct_factors`), which refuses the first letter outside
+--alphabet, with no code tuple or word either.
 
 Each call takes one mode and one input: argparse refuses a second mode of
 `debruijn`, `semigroup` or `factors`, and the positional text with
@@ -210,10 +213,15 @@ def _alphabet_from(chars, override: str | None) -> Alphabet:
     return Alphabet(letters)
 
 
-def _parse_word(text: str, override: str | None) -> Word:
+def _word_alphabet(text: str, override: str | None) -> Alphabet:
+    """The alphabet of a word given in argv, which may not be empty."""
     if not text:
         raise CLIError("empty word")
-    return _alphabet_from(text, override).word(text)
+    return _alphabet_from(text, override)
+
+
+def _parse_word(text: str, override: str | None) -> Word:
+    return _word_alphabet(text, override).word(text)
 
 
 def _multiset_entries(chunks, guard: int) -> dict[str, int]:
@@ -632,7 +640,7 @@ def cmd_factors(args, guard: int) -> tuple[dict, list[str]]:
         return payload, [f"{key} {payload[key]}"
                          for key in ("witness", "span", "distinct_factors", "lower_bound")]
     _check_letters("factors input has", len(args.word), guard)
-    count = distinct_factors(_parse_word(args.word, args.alphabet))
+    count = distinct_factors(args.word, _word_alphabet(args.word, args.alphabet).letters)
     return {"distinct_factors": count}, [str(count)]
 
 

@@ -17,7 +17,7 @@ spelled over `chr(code)` letters, as a `Word`.
 
 from __future__ import annotations
 
-from itertools import chain, permutations
+from itertools import accumulate, chain, permutations, takewhile, tee
 from math import factorial, inf, lgamma, log, log10
 
 from .bwt import NecklaceMultiset, code_text, inverse_text, inverse_transform, text_codes
@@ -221,16 +221,17 @@ def least_debruijn_set(k: int, n: int,
     return inverse_transform(Word.unchecked(default_alphabet(k), tuple(range(k)) * k ** (n - 1)))
 
 
-def least_debruijn_text(letters: str, n: int) -> str:
+def least_debruijn_text(letters: str, n: int, length: int | None = None) -> str:
     """The lexicographically least de Bruijn word of span n over `letters`,
-    strictly increasing in code point, as text: the Lyndon words of length
-    dividing n in lexicographic order, read straight off the cycles of the
-    standard permutation of the all-identity-block word, with no record per
-    Lyndon word, none for the permutation and no code tuple.  Its callers
-    guard k^n.  Every path to the least word runs through it: `debruijn
-    --least`, and `least_debruijn_word` with `factors --witness` on top;
-    only `least_debruijn_set`, whose result is records, inverts the same
-    word through `inverse_transform`.
+    strictly increasing in code point, as text, or its first `length`
+    letters: the Lyndon words of length dividing n in lexicographic order,
+    read straight off the cycles of the standard permutation of the
+    all-identity-block word, with no record per Lyndon word, none for the
+    permutation and no code tuple.  Its callers guard k^n.  Every path to
+    the least word runs through it: `debruijn --least`,
+    `least_debruijn_word` and `factors --witness`; only
+    `least_debruijn_set`, whose result is records, inverts the same word
+    through `inverse_transform`.
 
     `bwt.inverse_text` yields one Lyndon word per class of translates, in
     the order of the Lyndon words (see `inverse_transform`), over the text
@@ -239,10 +240,17 @@ def least_debruijn_text(letters: str, n: int) -> str:
     necklace of its inverse repeats (see `debruijn_set_from_gamma`): every
     class has one copy, and the listed classes are all the cycles.  So the
     Lyndon words of the pairs, joined in listing order, are the sorted
-    concatenation of the Lyndon words of `least_debruijn_set`.
+    concatenation of the Lyndon words of `least_debruijn_set`.  The rows
+    are built whole, but a prefix stops the walk at the first Lyndon word
+    past it.
     """
     word = letters * len(letters) ** (n - 1)
-    return "".join(lyndon for lyndon, _ in inverse_text(word, letters))
+    lyndons = (lyndon for lyndon, _ in inverse_text(word, letters))
+    if length is None:
+        return "".join(lyndons)
+    lyndons, sizes = tee(lyndons)
+    starts = takewhile(length.__gt__, accumulate(map(len, sizes), initial=0))
+    return "".join(lyndon for _, lyndon in zip(starts, lyndons))[:length]
 
 
 def least_debruijn_word(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGTH,

@@ -1,9 +1,11 @@
 """Distinct-factor counting and the envelope bounds it satisfies.
 
 A word's distinct nonempty factors are counted from its suffixes in sorted
-order.  Each suffix gets a primary key of PRIMARY_BITS bits, cut in C from
-the word's dense code string and small enough for CPython's fast compare of
-one-digit ints; one sort follows.  The sorted primaries then go back into
+order, from its text: one `str.translate` maps the text to code text and
+one codec call writes that as code bytes, with no code tuple.  Each suffix
+gets a primary key of PRIMARY_BITS bits, cut in C from the word's dense
+code string and small enough for CPython's fast compare of one-digit ints;
+one sort follows.  The sorted primaries then go back into
 4-byte records, and the longest common prefix of every neighbour pair is
 read from the records' XOR with their neighbours a byte at a time, by
 `translate` and whole-string int arithmetic, with no int object per pair.
@@ -21,22 +23,35 @@ from __future__ import annotations
 import sys
 from itertools import chain, compress, islice, product, repeat
 from operator import xor
+from struct import unpack
 
-from .debruijn import DEFAULT_MAX_WORD_LENGTH, least_debruijn_word, power_exceeds, power_text
+from .bwt import code_text, text_codes
+from .debruijn import (
+    DEFAULT_MAX_WORD_LENGTH,
+    check_generation_guard,
+    least_debruijn_text,
+    power_exceeds,
+    power_text,
+)
+# least_debruijn_word is unused here; bench/tracing.py times it at
+# factors.least_debruijn_word.
+from .debruijn import least_debruijn_word  # noqa: F401
 from .errors import ResourceLimitError
-from .words import Value, Word, default_alphabet
+from .words import Alphabet, Value, Word, default_alphabet
 
 DEFAULT_SCAN_WORDS = 2**18
 # Letters of a word whose factors are counted.  The count peaks at about
 # 45-51 B per letter as it sorts the primaries (a one-digit int, its list
 # slot, its 4-byte record and the sort's merge space; tracemalloc reads
 # 45.6, 45.8, 46.0, 47.6 and 50.6 B on 2^20 random letters over 2, 4, 16,
-# 300 and 65537 letters); the neighbour pass after the sort holds a few
-# bytes per letter.  The worst case without a fallback ties every primary,
-# and short words reach it where a primary holds W = 1 letter (b >= 16):
-# each position then gets an exact key as well, about 95 B per letter and
-# 3.5x the time of random letters (a de Bruijn word of span 4 over 16 of
-# 65537 letters, 65539 letters).  A word with a long repeat falls back to
+# 300 and 65537 letters, counted by distinct_factors from the text, which
+# is held outside it; the code text and the translate table are freed by
+# then); the neighbour pass after the sort holds a few bytes per letter.
+# The worst case without a fallback ties every primary, and short words
+# reach it where a primary holds W = 1 letter (b >= 16): each position then
+# gets an exact key as well, about 95 B per letter and 3.5x the time of
+# random letters (a de Bruijn word of span 4 over 16 of 65537 letters,
+# 65539 letters).  A word with a long repeat falls back to
 # the suffix automaton at about 300 B per letter, so about 0.3 GB: a
 # child's ru_maxrss grew by 306 MB as it counted r.r, r a random binary
 # word of 2^19 letters (CPython 3.11).
@@ -48,6 +63,8 @@ DEFAULT_FACTOR_LETTERS = 2**20
 # automaton.  A key is widest * step code bytes, step = max(1, dw // 8)
 # bytes a letter: 16 bytes from 16 letters on, and 128, 64 or 32 below.
 PACKED_KEY_BITS = 128
+# Codec and struct format of distinct_factors's code bytes, by bytes a code.
+_CODECS = {1: ("latin-1", "B"), 2: ("utf-16-be", "H"), 4: ("utf-32-be", "I")}
 # Bits of a primary key of distinct_factors, one CPython digit: 30 letters
 # over 2 letters, 15 over 3-4, 10 over 5-8, and 1 from 2^15 + 1 letters on.
 PRIMARY_BITS = 30
@@ -125,10 +142,48 @@ def _exact_excess(codes: bytes, starts, dw: int, span: int) -> int | None:
     return sum(map(excess.__getitem__, gaps))
 
 
-def distinct_factors(w: Word) -> int:
-    """Number of distinct nonempty factors of w, from its sorted suffixes
-    (Manber and Myers, "Suffix arrays", SIAM J. Comput. 1993): n(n+1)/2
-    minus the longest common prefix of each pair of neighbours.
+class _CodeTable(dict):
+    """Ordinal -> code of each of `letters`, for `str.translate`, which
+    looks up each character of its text in order: one outside the letters
+    raises the alphabet's ValueError, where a plain dict would leave it as
+    it is."""
+
+    def __init__(self, letters: str):
+        super().__init__(zip(map(ord, letters), range(len(letters))))
+        self.letters = letters
+
+    def __missing__(self, key: int):
+        raise Alphabet(self.letters)._unknown(chr(key))
+
+
+def distinct_factors(text: str, letters: str) -> int:
+    """Number of distinct nonempty factors of `text`, a word over `letters`,
+    distinct characters, from its sorted suffixes (Manber and Myers, "Suffix
+    arrays", SIAM J. Comput. 1993): n(n+1)/2 minus the longest common
+    prefix of each pair of neighbours.  A caller holding codes 0..k-1
+    passes `bwt.code_text` of them over `code_text(range(k))`.
+
+    Code text.  One `str.translate` spells the text with the character of
+    code i for letter i of `letters`; a character outside them raises the
+    alphabet's ValueError for the first one.  The count of a word does not
+    depend on which code each letter gets, so neither does it on the order
+    of `letters`.  The table holds an int pair a letter of `letters`, up to
+    about 100 B each, and is freed before the count (`_code_text_factors`).
+    """
+    return _code_text_factors(text.translate(_CodeTable(letters)), len(letters))
+
+
+def _code_text_factors(text: str, k: int) -> int:
+    """`distinct_factors` of the code text `text`, whose characters are
+    codes below k.
+
+    Code bytes.  One codec call writes the code text as step big-endian
+    bytes a code (step below): latin-1 for one byte, UTF-16 for two and
+    UTF-32 for four, with surrogatepass, since codes 0xD800-0xDFFF occur
+    past 55,296 letters.  The code text is let go before the primaries are
+    cut.  The suffix automaton of a fallback counts it, or after the
+    primaries the codes unpacked from the code bytes: a UTF-16 decode would
+    join a high surrogate code followed by a low one into one character.
 
     Primaries.  Each letter is its code, b = max(1, bitlen(k - 1)) bits, in
     one dense code string with no padding.  Each of the N = n - span + 1
@@ -208,27 +263,22 @@ def distinct_factors(w: Word) -> int:
     from bisect import bisect_left
     from math import gcd
 
-    n = len(w)
+    n = len(text)
     if n == 0:
         raise ValueError("factor counting is undefined for the empty word")
-    k = w.alphabet.size
     dw = 1 << (k.bit_length() - 1).bit_length()
     widest = PACKED_KEY_BITS // dw
     step = max(1, dw // 8)
     swap = sys.byteorder == "little"
-    if step == 1:
-        codes = bytes(w.codes)
-    else:
-        codes = array(next(code for code in "BHILQ" if array(code).itemsize == step), w.codes)
-        if swap:
-            codes.byteswap()
-        codes = codes.tobytes()
+    codec, form = _CODECS[step]
+    codes = text.encode(codec, "surrogatepass")
     prefix = codes[:widest * step]
     at = codes.find(prefix, step)
     while at > 0 and at % step:
         at = codes.find(prefix, at + 1)
     if at > 0:
-        return count_distinct_factors(w.codes)
+        return count_distinct_factors(text)
+    del text  # a late fallback unpacks the codes from the code bytes
 
     b = max(1, (k - 1).bit_length())
     span = PRIMARY_BITS // b
@@ -309,7 +359,7 @@ def distinct_factors(w: Word) -> int:
                           map(tied.__contains__, _select(values, kept)))
         excess = _exact_excess(codes, starts, dw, span)
         if excess is None:
-            return count_distinct_factors(w.codes)
+            return count_distinct_factors(unpack(f">{n}{form}", codes))
         total -= excess
     return total
 
@@ -388,14 +438,18 @@ def debruijn_factor_witness(n: int, k: int,
     such length are distinct too, and summing n-l+1 over l = m..n gives the
     floor.
 
-    The prefix is cut from the codes of the de Bruijn word, codes of the
-    same alphabet, so it is built without `Word`'s range check.
+    The prefix is spelled as text over the codes 0..k-1 as `chr(code)`
+    letters, with no more of the de Bruijn word than its first n letters,
+    and counted over those letters; only its n codes are read back, for the
+    witness word, which is built without `Word`'s range check.
     """
     if not n > k >= 2:
         raise ValueError(f"witness needs n > k >= 2, got n={n}, k={k}")
     m = 1
     while k**m < n:
         m += 1
-    full = least_debruijn_word(k, m, max_length)
-    w = Word.unchecked(full.alphabet, full.codes[:n])
-    return FactorWitness(w, m, distinct_factors(w), (n - m + 1) * (n - m + 2) // 2)
+    check_generation_guard(k, m, max_length)
+    alphabet, letters = default_alphabet(k), code_text(range(k))
+    prefix = least_debruijn_text(letters, m, n)
+    return FactorWitness(Word.unchecked(alphabet, text_codes(prefix)), m,
+                         distinct_factors(prefix, letters), (n - m + 1) * (n - m + 2) // 2)

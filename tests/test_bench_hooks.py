@@ -21,3 +21,24 @@ def test_every_traced_name_exists(monkeypatch):
     assert points
     missing = [(owner.__name__, attr) for owner, attr, _ in points if attr not in vars(owner)]
     assert missing == []
+
+
+def test_factors_word_is_one_distinct_factors_span(monkeypatch, capsys):
+    # the CLI counts a word through the name that the tracer wraps, so
+    # factors.distinct_factors_s reads the count and not cli.self_s
+    monkeypatch.syspath_prepend(str(BENCH))
+    try:
+        tracing = importlib.import_module("tracing")
+    finally:
+        sys.modules.pop("tracing", None)
+    from ebwt import cli
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["factors", "abaab"]) == 0
+    finally:
+        tracer.uninstall(1.0)
+    assert capsys.readouterr().out == "11\n"
+    names = [name for _, _, _, name, _, _ in tracer.spans]
+    assert names.count("factors.distinct_factors") == 1

@@ -1998,6 +1998,15 @@ class TestFactors:
             2, "", f"error: witness needs n > k >= 2, got n={n}, k={k}\n")
         assert calls == [(n, k)]
 
+    # A character outside --alphabet whose code point is below k, so that
+    # it would pass as a code if a translate let it through unmapped; the
+    # first one is named, however many follow.
+    @pytest.mark.parametrize("word, named", [("a\x01b", "\x01"), ("ab\x00a", "\x00"),
+                                             ("\x01cb", "\x01"), ("abcb\x00", "c")])
+    def test_letter_outside_the_alphabet_below_k(self, capsys, word, named):
+        assert run(capsys, ["factors", word, "--alphabet", "ab"]) == (
+            2, "", f"error: character {named!r} not in alphabet 'ab'\n")
+
     def test_witness_report(self, capsys):
         code, out, _ = run(capsys, ["factors", "--witness", "16", "2"])
         assert code == 0

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ebwt import factors
+from ebwt.bwt import code_text
 from ebwt.debruijn import least_debruijn_word
 from ebwt.errors import ResourceLimitError
 from ebwt.factors import (
@@ -22,8 +24,7 @@ from ebwt.factors import (
 )
 from ebwt.words import Alphabet, Word, default_alphabet
 
-from helpers import (AB, ABC, W, all_words, brute_distinct_factors, fibonacci_word,
-                     scan_max_factors)
+from helpers import W, all_words, brute_distinct_factors, fibonacci_word, scan_max_factors
 
 
 class TestDistinctFactors:
@@ -33,14 +34,14 @@ class TestDistinctFactors:
         ("aab", 5),
     ])
     def test_binary_examples(self, text, expected):
-        assert distinct_factors(W(text)) == expected
+        assert distinct_factors(text, "ab") == expected
 
     def test_full_alphabet_attains_ceiling(self):
-        assert distinct_factors(W("abc", ABC)) == 6
+        assert distinct_factors("abc", "abc") == 6
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            distinct_factors(Word(AB, ()))
+            distinct_factors("", "ab")
 
     def test_exhaustive_binary_matches_brute_force(self):
         for n in range(1, 11):
@@ -81,11 +82,12 @@ def longest_repeat(text: str) -> int:
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Words that distinct_factors handed to the suffix automaton."""
+    """Words that distinct_factors handed to the suffix automaton, each as
+    the tuple of its codes, whether counted as code text or as ints."""
     seen = []
 
     def automaton(codes):
-        seen.append(codes)
+        seen.append(tuple(map(ord, codes)) if isinstance(codes, str) else tuple(codes))
         return count_distinct_factors(codes)
 
     monkeypatch.setattr(factors, "count_distinct_factors", automaton)
@@ -162,7 +164,8 @@ class TestPackedCount:
         k, codes = drawn
         w = Word(default_alphabet(k), tuple(codes))
         expected = brute_distinct_factors(str(w))
-        assert distinct_factors(w) == count_distinct_factors(w.codes) == expected
+        assert count_distinct_factors(w.codes) == expected
+        assert distinct_factors(str(w), w.alphabet.letters) == expected
 
     @pytest.mark.parametrize("k", [2, 3, 5, 16, 256])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -180,7 +183,7 @@ class TestPackedCount:
             y = y[:-1] + letters[letters.index(x[-1]) - 1]
         text = x + r + y + r
         assert longest_repeat(text) == span + offset
-        assert distinct_factors(alphabet.word(text)) == brute_distinct_factors(text)
+        assert distinct_factors(text, alphabet.letters) == brute_distinct_factors(text)
         assert bool(fallbacks) == (offset >= 0)
 
     # The edges of every exact-key width dw = 1, 2, 4, 8, 16, 32: a key
@@ -199,7 +202,7 @@ class TestPackedCount:
         per = max(1, 8 // dw)
         span = budget_span(k)
         assert span * dw == PACKED_KEY_BITS
-        alphabet = wide_alphabet(k)
+        letters = code_text(range(k))
         rng = random.Random(k)
         pools = dict.fromkeys([(0,), (k - 1,), (0, k - 1), tuple(rng.sample(range(k), min(k, 3))),
                                tuple(range(k))])
@@ -209,7 +212,7 @@ class TestPackedCount:
         for n in sorted(lengths):
             for pool in pools:
                 codes = tuple(rng.choices(pool, k=n))
-                assert distinct_factors(Word(alphabet, codes)) == brute_distinct_factors(codes)
+                assert distinct_factors(code_text(codes), letters) == brute_distinct_factors(codes)
                 repeats += longest_repeat(codes) >= span
         assert len(fallbacks) == repeats
 
@@ -222,7 +225,7 @@ class TestPackedCount:
     def test_every_dense_width_matches_brute_force(self, fallbacks, k):
         span = PRIMARY_BITS // dense_bits(k)
         period = 8 // gcd(dense_bits(k), 8)
-        alphabet = wide_alphabet(k)
+        letters = code_text(range(k))
         rng = random.Random(k)
         pools = dict.fromkeys([(0, k - 1), tuple(rng.sample(range(k), min(k, 3))),
                                tuple(range(max(0, k - 16), k))])
@@ -233,7 +236,7 @@ class TestPackedCount:
             for pool in pools:
                 codes = tuple(rng.choices(pool, k=n))
                 expected = brute_distinct_factors(codes)
-                assert distinct_factors(Word(alphabet, codes)) == expected
+                assert distinct_factors(code_text(codes), letters) == expected
                 assert count_distinct_factors(codes) == expected
                 repeats += longest_repeat(codes) >= budget_span(k)
         assert len(fallbacks) == repeats
@@ -258,7 +261,7 @@ class TestPackedCount:
         primaries = reference_primaries(codes, k)
         assert set(shared_bits(primaries)) == set(range(PRIMARY_BITS + 1))
         expected = brute_distinct_factors(codes)
-        assert distinct_factors(Word(wide_alphabet(k), codes)) == expected
+        assert distinct_factors(code_text(codes), code_text(range(k))) == expected
         assert count_distinct_factors(codes) == expected
         assert fallbacks == []
         assert refined == [tied_positions(primaries)]
@@ -268,7 +271,7 @@ class TestPackedCount:
     @pytest.mark.parametrize("k", DENSE_EDGES)
     def test_zero_one_or_two_full_primaries(self, fallbacks, refined, k):
         span = PRIMARY_BITS // dense_bits(k)
-        alphabet = wide_alphabet(k)
+        letters = code_text(range(k))
         rng = random.Random(k)
         for full in (0, 1, 2):
             n = span - 1 + full
@@ -281,7 +284,7 @@ class TestPackedCount:
                 primaries = reference_primaries(codes, k)
                 assert len(primaries) == full
                 expected = brute_distinct_factors(codes)
-                assert distinct_factors(Word(alphabet, codes)) == expected
+                assert distinct_factors(code_text(codes), letters) == expected
                 assert count_distinct_factors(codes) == expected
                 tied = tied_positions(primaries)
                 assert refined == ([tied] if tied else [])
@@ -310,7 +313,7 @@ class TestPackedCount:
         assert ordered[:copies] == [ordered[0]] * copies and ordered[copies] != ordered[0]
         assert ordered[-copies:] == [ordered[-1]] * copies and ordered[-copies - 1] != ordered[-1]
         expected = brute_distinct_factors(codes)
-        assert distinct_factors(Word(wide_alphabet(k), codes)) == expected
+        assert distinct_factors(code_text(codes), code_text(range(k))) == expected
         assert count_distinct_factors(codes) == expected
         assert fallbacks == []
         assert refined == [tied_positions(primaries)]
@@ -334,7 +337,8 @@ class TestPackedCount:
             w = alphabet.word(text)
             refined.clear()
             expected = brute_distinct_factors(text)
-            assert distinct_factors(w) == count_distinct_factors(w.codes) == expected
+            assert count_distinct_factors(w.codes) == expected
+            assert distinct_factors(str(w), w.alphabet.letters) == expected
             if length > span:
                 assert {len(x), len(x + r + y)} <= set(refined[0])
         assert fallbacks == []
@@ -348,7 +352,7 @@ class TestPackedCount:
         codes = tuple(random.Random(k + n).choices(range(k), k=n))
         codes += codes[:span - 1]
         expected = brute_distinct_factors(codes)
-        assert distinct_factors(Word(wide_alphabet(k), codes)) == expected
+        assert distinct_factors(code_text(codes), code_text(range(k))) == expected
         assert count_distinct_factors(codes) == expected
         assert fallbacks == ([] if longest_repeat(codes) < budget_span(k) else [codes])
 
@@ -361,7 +365,7 @@ class TestPackedCount:
         codes = random.Random(n + k).choices(range(k), k=n)
         codes[n // 2:n // 2 + span + 5] = codes[100:100 + span + 5]
         w = Word(default_alphabet(k), tuple(codes))
-        assert distinct_factors(w) == count_distinct_factors(w.codes)
+        assert distinct_factors(str(w), w.alphabet.letters) == count_distinct_factors(w.codes)
         assert fallbacks == []
         assert {100, n // 2} <= set(refined[0])
         assert len(refined[0]) < n // 100
@@ -373,13 +377,13 @@ class TestPackedCount:
         # and two equal exact keys find it
         text = "".join(random.Random(200).choices("ab", k=200)) + tail
         w = text_word(text)
-        assert distinct_factors(w) == count_distinct_factors(w.codes)
+        assert distinct_factors(str(w), w.alphabet.letters) == count_distinct_factors(w.codes)
         assert fallbacks == [w.codes]
 
     @pytest.mark.parametrize("n,packed", [(128, True), (129, False)])
     def test_unary_at_the_budget(self, fallbacks, n, packed):
         w = text_word("a" * n)
-        assert distinct_factors(w) == n
+        assert distinct_factors(str(w), w.alphabet.letters) == n
         assert bool(fallbacks) != packed
 
     @pytest.mark.parametrize("text", [
@@ -393,7 +397,7 @@ class TestPackedCount:
     ], ids=["fibonacci-300", "fibonacci-233", "unary", "ab-power", "aab-power-ab",
             "abaab-power-bba", "abc-power-cab"])
     def test_periodic_words_match_brute_force(self, text):
-        assert distinct_factors(text_word(text)) == brute_distinct_factors(text)
+        assert distinct_factors(text, ''.join(sorted(set(text)))) == brute_distinct_factors(text)
 
     @pytest.mark.parametrize("text", [
         fibonacci_word(5000)[:5000],
@@ -403,7 +407,7 @@ class TestPackedCount:
     ], ids=["fibonacci", "unary", "ab-power", "abaab-power-bba"])
     def test_long_periodic_words_fall_back(self, fallbacks, text):
         w = text_word(text)
-        assert distinct_factors(w) == count_distinct_factors(w.codes)
+        assert distinct_factors(str(w), w.alphabet.letters) == count_distinct_factors(w.codes)
         assert fallbacks == [w.codes]
 
     def test_wide_alphabet(self, fallbacks):
@@ -412,12 +416,12 @@ class TestPackedCount:
         rng = random.Random(300)
         for length in (1, 2, 300, 1000):
             text = "".join(rng.choice(alphabet.letters) for _ in range(length))
-            assert distinct_factors(alphabet.word(text)) == brute_distinct_factors(text)
+            assert distinct_factors(text, alphabet.letters) == brute_distinct_factors(text)
         assert fallbacks == []
         repeat = text[:8]
         text = repeat + text[8:400] + repeat
         assert longest_repeat(text) >= 8
-        assert distinct_factors(alphabet.word(text)) == brute_distinct_factors(text)
+        assert distinct_factors(text, alphabet.letters) == brute_distinct_factors(text)
         assert len(fallbacks) == 1
 
     # The probe reads code bytes, step = dw / 8 a letter.  `shifted` spells
@@ -444,7 +448,8 @@ class TestPackedCount:
         at = code_bytes(codes, step).find(code_bytes(prefix, step), 1)
         assert (at % step == 0) == boundary
         assert (longest_repeat(codes) >= widest) == boundary
-        assert distinct_factors(Word(wide_alphabet(k), codes)) == brute_distinct_factors(codes)
+        expected = brute_distinct_factors(codes)
+        assert distinct_factors(code_text(codes), code_text(range(k))) == expected
         assert len(fallbacks) == boundary
 
     @pytest.mark.parametrize("k", [2, 300, 65537])
@@ -453,12 +458,14 @@ class TestPackedCount:
         # B) and list slot (8 B), its 4-byte record, the sort's merge space
         # (4 B) and the word's code bytes (1-4 B).  The list is freed before
         # the neighbour pass, whose byte strings hold a few bytes a letter;
-        # one more int object a letter fails the bound
+        # one more int object a letter fails the bound.  The count after
+        # the translate, whose table of k letters (6.8 MB at k = 65537) is
+        # freed before it
         n = 50_000
-        w = Word(wide_alphabet(k), tuple(random.Random(k).choices(range(k), k=n)))
+        codes = tuple(random.Random(k).choices(range(k), k=n))
         tracemalloc.start()
         try:
-            distinct_factors(w)
+            factors._code_text_factors(code_text(codes), k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -476,18 +483,19 @@ class TestPackedCount:
 
     def test_all_tied_word_refines_every_position(self, fallbacks, refined):
         codes = self.all_tied_word()
-        assert distinct_factors(Word(wide_alphabet(65537), codes)) == count_distinct_factors(codes)
+        expected = count_distinct_factors(codes)
+        assert distinct_factors(code_text(codes), code_text(range(65537))) == expected
         assert fallbacks == []
         assert refined == [list(range(len(codes)))]
 
     def test_all_tied_word_peak_memory(self, fallbacks):
         # about 95 B a letter: the exact keys of every position, their set
-        # and their sorted list, on top of the records
+        # and their sorted list, on top of the records; the count after the
+        # translate, as above
         codes = self.all_tied_word()
-        w = Word(wide_alphabet(65537), codes)
         tracemalloc.start()
         try:
-            distinct_factors(w)
+            factors._code_text_factors(code_text(codes), 65537)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -497,26 +505,28 @@ class TestPackedCount:
     def test_one_word_per_path(self, fallbacks):
         rng = random.Random(1)
         word = W("".join(rng.choice("ab") for _ in range(2000)))
-        assert distinct_factors(word) == count_distinct_factors(word.codes)
+        assert distinct_factors(str(word), "ab") == count_distinct_factors(word.codes)
         assert fallbacks == []
         fibonacci = W(fibonacci_word(2000)[:2000])
-        assert distinct_factors(fibonacci) == count_distinct_factors(fibonacci.codes)
+        assert distinct_factors(str(fibonacci), "ab") == count_distinct_factors(fibonacci.codes)
         assert fallbacks == [fibonacci.codes]
 
     @staticmethod
-    def primary_calls(w: Word) -> Counter:
-        """The `translate` and `sort` calls that distinct_factors makes on
-        w, counted from the c_call events of `sys.setprofile`: the primary
-        pass makes both, the prefix probe neither."""
+    def primary_calls(text: str) -> Counter:
+        """The `translate` and `sort` calls that distinct_factors makes on a
+        binary text, counted from the c_call events of `sys.setprofile`,
+        past the one `str.translate` to code text: the primary pass makes
+        both, the prefix probe neither."""
         calls = Counter()
 
         def profile(frame, event, arg):
-            if event == "c_call" and getattr(arg, "__name__", None) in ("translate", "sort"):
+            if (event == "c_call" and getattr(arg, "__name__", None) in ("translate", "sort")
+                    and not isinstance(arg.__self__, str)):
                 calls[arg.__name__] += 1
 
         sys.setprofile(profile)
         try:
-            distinct_factors(w)
+            distinct_factors(text, "ab")
         finally:
             sys.setprofile(None)
         return calls
@@ -526,16 +536,106 @@ class TestPackedCount:
     def test_prefix_probe_cuts_no_primary(self, fallbacks, text):
         # a word whose first letters recur goes to the automaton before the
         # primary pass; past the tie route, it would reach it too
-        w = W(text)
-        assert self.primary_calls(w) == Counter()
-        assert fallbacks == [w.codes]
+        assert self.primary_calls(text) == Counter()
+        assert fallbacks == [W(text).codes]
 
     def test_a_word_with_no_prefix_repeat_cuts_primaries(self, fallbacks):
         rng = random.Random(5000)
-        w = W("".join(rng.choices("ab", k=5000)))
-        calls = self.primary_calls(w)
+        calls = self.primary_calls("".join(rng.choices("ab", k=5000)))
         assert calls["translate"] > 0 and calls["sort"] > 0
         assert fallbacks == []
+
+
+def spread_letters(k: int) -> str:
+    """k code points drawn from all of Unicode past the controls, lone
+    surrogates among them, in increasing order: not the codes 0..k-1 and
+    not one run."""
+    return "".join(map(chr, sorted(random.Random(k).sample(range(0x21, 0x110000), k))))
+
+
+class TestTextKernel:
+    """distinct_factors of a text over its letters, at every code width:
+    one byte a code (k = 2, 3), two (256, 300 and 60,000, whose code text
+    holds lone surrogates) and four (65,537), against the slices and the
+    suffix automaton of the text itself."""
+
+    @staticmethod
+    def pool(letters: str, rng: random.Random) -> str:
+        """The letters a word is drawn from: the first and last, those of
+        codes 0xD800 and 0xDFFF where there are such codes, and up to 40
+        more."""
+        codes = {0, len(letters) - 1, *rng.sample(range(len(letters)), min(len(letters), 40))}
+        codes |= {0xD800, 0xDFFF} & set(range(len(letters)))
+        return "".join(letters[c] for c in sorted(codes))
+
+    def check(self, text: str, letters: str, fallbacks, refined) -> tuple[int, ...]:
+        """Count `text` with its letters in order and reversed, against the
+        slices and the automaton of the text, with the spies holding what
+        the count in order did; the codes of the text."""
+        expected = brute_distinct_factors(text)
+        assert count_distinct_factors(text) == expected
+        assert distinct_factors(text, letters[::-1]) == expected
+        fallbacks.clear()
+        refined.clear()
+        assert distinct_factors(text, letters) == expected
+        index = {letter: code for code, letter in enumerate(letters)}
+        return tuple(map(index.__getitem__, text))
+
+    @pytest.mark.parametrize("k", [2, 3, 256, 300, 60_000, 65_537])
+    def test_packed_tie_and_fallback_paths(self, fallbacks, refined, k):
+        letters = spread_letters(k)
+        span, widest = PRIMARY_BITS // dense_bits(k), budget_span(k)
+        rng = random.Random(k)
+        pool = self.pool(letters, rng)
+
+        def draw(length: int) -> str:
+            return "".join(rng.choices(pool, k=length))
+
+        # packed: random words, and each letter of the pool once, the codes
+        # 0xD800 and 0xDFFF among them at k = 60,000 and 65,536 at 65,537
+        for text in [draw(n) for n in (1, span - 1, span, 3 * widest) if n] + [pool[::-1]]:
+            codes = self.check(text, letters, fallbacks, refined)
+            assert fallbacks == []
+        if k == 60_000:
+            assert {0xD800, 0xDFFF} <= set(codes)
+        assert max(codes) == k - 1
+        # the tie step: x + r + y + r, the starts of r tie on their primaries
+        x, y = draw(20), draw(5)
+        y = y[:-1] + next(letter for letter in pool if letter != x[-1])
+        r = draw(span + 1)
+        self.check(x + r + y + r, letters, fallbacks, refined)
+        assert fallbacks == [] and {len(x), len(x + r + y)} <= set(refined[0])
+        # the prefix probe: a repeat of widest letters at the start
+        r = draw(widest)
+        codes = self.check(r + y + r, letters, fallbacks, refined)
+        assert fallbacks == [codes] and refined == []
+        # a late repeat: two equal exact keys
+        codes = self.check(x + r + y + r, letters, fallbacks, refined)
+        assert fallbacks == [codes] and len(refined) == 1
+
+    # Two-byte codes, with a high surrogate code right before a low one
+    # throughout a late repeat: the fallback must count them as two codes,
+    # where a UTF-16 decode of the code bytes would join them into one
+    # character.
+    def test_late_repeat_keeps_surrogate_codes_apart(self, fallbacks, refined):
+        k, pair = 60_000, (0xD800, 0xDC00)
+        rng = random.Random(k)
+        x, middle, y = (tuple(rng.choices(range(k), k=n)) for n in (20, 6, 5))
+        r = pair + middle + pair
+        codes = x + r + y + r + pair
+        assert len(r) >= budget_span(k) > longest_repeat(codes[:len(x) + len(r) + len(y)])
+        expected = brute_distinct_factors(codes)
+        assert distinct_factors(code_text(codes), code_text(range(k))) == expected
+        assert fallbacks == [codes] and len(refined) == 1
+
+    # Characters whose code points are codes below k, but no letters: the
+    # first in the text is named, not the least.
+    @pytest.mark.parametrize("k", [2, 300, 65_537])
+    def test_first_character_outside_is_named(self, k):
+        letters = spread_letters(k)
+        least, other = [chr(c) for c in range(k) if chr(c) not in letters][:2]
+        with pytest.raises(ValueError, match=f"^character {re.escape(repr(other))} not in "):
+            distinct_factors(letters[:5] + other + least + letters[-1], letters)
 
 
 class TestFactorStats:
