@@ -31,30 +31,28 @@ raw entries, and prints each pair as a line or a JSON entry; the least de
 Bruijn word joins the Lyndon words of the pairs.  `inverse_transform` and
 `standard_permutation` hand it the text of their codes as `chr(code)`
 letters (`code_text`) and read codes back (`text_codes`): one call per
-Lyndon word, or per column.  The one walk, `_cycles`, also reads
+Lyndon word, or per column.  That codec belongs to `words`, and the error
+for a letter outside an alphabet to `errors.unknown_letter`; this module
+imports both.  The one walk, `_cycles`, also reads
 `StandardPermutation.cycles`, whose record keeps tuples, since its fields
 are compared with tuples and hashed as a record's are.
 """
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate, chain, repeat
 from operator import add, itemgetter, mul
-from struct import pack, unpack  # loaded with the interpreter, unlike `array`
 
-from .errors import NotLyndonError
+from .errors import NotLyndonError, unknown_letter
+from .words import Alphabet, Necklace, Value, Word, code_text, lyndon_representative, text_codes
 # omega_compare is unused here; bench/tracing.py counts calls at bwt.omega_compare.
-from .words import Alphabet, Necklace, Value, Word, lyndon_representative, omega_compare  # noqa: F401
+from .words import omega_compare  # noqa: F401
 
 # The widest window the transform sorts, in bytes of its string: 64 letters
 # of one byte (code points below 256), 32 of two (below 65536), 16 of four.
 WINDOW_BYTES = 64
-
-# The codec of the bytes of a `struct` "I", 4 to an item in native order.
-_UTF32 = f"utf-32-{sys.byteorder[0]}e"
 
 
 class NecklaceMultiset(Value):
@@ -225,8 +223,8 @@ def _standard_rows(text: str, letters: str):
     next len(ran(a)) rows of the column, with ran(a) in order, and the
     column is a run of each letter as long as its row.  That is O(|w| + k)
     time, and no int object per position outlives the pass.  A character
-    of the text outside `letters` raises the alphabet's ValueError for the
-    first one."""
+    of the text outside `letters` raises `unknown_letter`'s ValueError for
+    the first one: the dict's KeyError is that check."""
     from array import array  # only the permutation needs it, not the CLI's start-up
 
     rows = [array("q") for _ in letters]
@@ -235,7 +233,7 @@ def _standard_rows(text: str, letters: str):
         for i, letter in enumerate(text):
             appends[letter](i)
     except KeyError as e:
-        raise Alphabet(letters)._unknown(e.args[0]) from None
+        raise unknown_letter(e.args[0], letters) from None
     image = array("q")
     for row in rows:
         image += row
@@ -247,8 +245,8 @@ def inverse_text(text: str, letters: str):
     in code point: an iterator of one (Lyndon word as text, multiplicity)
     pair per necklace, in the order of the Lyndon words (see
     `inverse_transform`).  A character of the text outside `letters` raises
-    the alphabet's ValueError for the first one, at the call, before any
-    pair is read.
+    `unknown_letter`'s ValueError for the first one, at the call, before
+    any pair is read.
 
     The rows of `_standard_rows` are built at the call and walked by
     `_cycles` as the pairs are read, and each class's letters are read by
@@ -258,19 +256,6 @@ def inverse_text(text: str, letters: str):
     image, column = _standard_rows(text, letters)
     return (("".join(itemgetter(*cycle)(column)), copies)
             for cycle, copies in _cycles(image, column))
-
-
-def code_text(codes) -> str:
-    """The text whose code points are `codes`, a sized sequence of ints
-    below 0x110000: one C-level `struct` call packs their native 4-byte
-    form, which UTF-32 decodes; lone surrogates pass."""
-    return pack(f"{len(codes)}I", *codes).decode(_UTF32, "surrogatepass")
-
-
-def text_codes(text: str) -> tuple[int, ...]:
-    """The code points of `text`, as `code_text` writes them: its UTF-32
-    bytes unpacked by one C-level `struct` call, which builds the tuple."""
-    return unpack(f"{len(text)}I", text.encode(_UTF32, "surrogatepass"))
 
 
 def transform(m: NecklaceMultiset) -> Word:

@@ -69,7 +69,7 @@ from .debruijn import (
     least_debruijn_text,
     least_debruijn_word,  # noqa: F401
 )
-from .errors import QUOTED_LETTERS, NotLyndonError, ResourceLimitError, quoted
+from .errors import QUOTED_LETTERS, NotLyndonError, ResourceLimitError, quoted, unknown_letter
 from .factors import (
     DEFAULT_FACTOR_LETTERS,
     DEFAULT_SCAN_WORDS,
@@ -205,12 +205,12 @@ def _alphabet_from(chars, override: str | None) -> Alphabet:
     if override and len(set(override)) != len(override):
         raise CLIError("--alphabet has repeated characters: "
                        + quoted(override, repr, "characters"))
-    letters = "".join(sorted(set(override or chars)))
-    space = next(filter(str.isspace, letters), "")
+    alphabet = Alphabet("".join(sorted(set(override or chars))))
+    space = next(filter(str.isspace, alphabet.letters), "")
     if space:
         where = f"--alphabet {quoted(override, repr, 'characters')}" if override else "the input"
         raise CLIError(f"{where} holds the whitespace letter {space!r}")
-    return Alphabet(letters)
+    return alphabet
 
 
 def _word_alphabet(text: str, override: str | None) -> Alphabet:
@@ -352,14 +352,14 @@ def _multiset_entries_from_json(text: str, skipped: int, guard: int) -> dict[str
         raise CLIError("JSON multiset is nested too deeply to parse") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("necklaces"), list):
         raise CLIError('JSON multiset must be {"necklaces": [...]}')
-    _refuse_unknown_keys("JSON multiset", payload, {"necklaces"})
+    _refuse_stray_keys("JSON multiset", payload, {"necklaces"})
     entries: dict[str, int] = {}
     for item in payload["necklaces"]:
         lyndon = item.get("lyndon") if isinstance(item, dict) else None
         if not isinstance(lyndon, str) or not lyndon:
             raise CLIError(f"JSON necklace entry needs a 'lyndon' field: {_quoted_value(item)}")
-        _refuse_unknown_keys(f"JSON necklace entry {quoted(lyndon)}", item,
-                             {"lyndon", "multiplicity"})
+        _refuse_stray_keys(f"JSON necklace entry {quoted(lyndon)}", item,
+                           {"lyndon", "multiplicity"})
         mult = item.get("multiplicity", 1)
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise CLIError(f"bad multiplicity for entry {quoted(lyndon)}: "
@@ -368,7 +368,7 @@ def _multiset_entries_from_json(text: str, skipped: int, guard: int) -> dict[str
     return entries
 
 
-def _refuse_unknown_keys(what: str, obj: dict, known: set) -> None:
+def _refuse_stray_keys(what: str, obj: dict, known: set) -> None:
     """Refuse a key that the JSON multiset format does not read, rather than
     drop what it says."""
     unknown = next((key for key in obj if key not in known), None)
@@ -429,7 +429,7 @@ def _checked_prefix(texts: list[str], alphabet: Alphabet,
     end, refusal = len(texts), None
     if outside:
         end = next(i for i, t in enumerate(texts) if not outside.isdisjoint(t))
-        refusal = alphabet._unknown(next(filter(outside.__contains__, texts[end])))
+        refusal = unknown_letter(next(filter(outside.__contains__, texts[end])), alphabet.letters)
     head = texts[:end]
     periods = list(map(str.find, map(add, head, head), head, repeat(1)))
     lengths = list(map(len, head))

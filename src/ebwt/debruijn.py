@@ -12,7 +12,8 @@ The least word is text first: `least_debruijn_text` inverts the
 identity-block word over any letters with `bwt.inverse_text` and joins the
 Lyndon words of its pairs, and `debruijn --least` prints that text.
 `least_debruijn_word`, the library's checked entry, wraps the same text,
-spelled over `chr(code)` letters, as a `Word`.
+spelled over `chr(code)` letters, as a `Word` over `default_alphabet(k)`;
+a caller with other letters takes the text.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from __future__ import annotations
 from itertools import accumulate, chain, permutations, takewhile, tee
 from math import factorial, inf, lgamma, log, log10
 
-from .bwt import NecklaceMultiset, code_text, inverse_text, inverse_transform, text_codes
+from .bwt import NecklaceMultiset, inverse_text, inverse_transform
 from .errors import ResourceLimitError
-from .words import Alphabet, Value, Word, default_alphabet
+from .words import Value, Word, code_text, default_alphabet, text_codes
 
 DEFAULT_MAX_WORD_LENGTH = 2**24
 # Longest de Bruijn word count returned, in decimal digits: CPython's default
@@ -195,15 +196,6 @@ def check_generation_guard(k: int, n: int, max_length: int):
         )
 
 
-def _k_letters(k: int, alphabet: Alphabet | None) -> Alphabet:
-    """`alphabet`, by default `default_alphabet(k)`, refused unless it has
-    exactly k letters."""
-    alphabet = default_alphabet(k) if alphabet is None else alphabet
-    if alphabet.size != k:
-        raise ValueError(f"alphabet needs {k} letters, got {alphabet.size}")
-    return alphabet
-
-
 def least_debruijn_set(k: int, n: int,
                        max_length: int = DEFAULT_MAX_WORD_LENGTH) -> NecklaceMultiset:
     """Invert the all-identity-block word (0 1 ... k-1)^(k^{n-1}) over
@@ -253,18 +245,17 @@ def least_debruijn_text(letters: str, n: int, length: int | None = None) -> str:
     return "".join(lyndon for _, lyndon in zip(starts, lyndons))[:length]
 
 
-def least_debruijn_word(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGTH,
-                        alphabet: Alphabet | None = None) -> Word:
-    """The lexicographically least de Bruijn word of span n over the k
-    letters of `alphabet`, by default `default_alphabet(k)`, refused when
-    k^n passes `max_length`: `least_debruijn_text` over the codes 0..k-1 as
-    `chr(code)` letters, read back as codes once.  Those code points are
-    letters of the identity-block word, the codes 0..k-1, so the result is
-    built without `Word`'s range check.
+def least_debruijn_word(k: int, n: int, max_length: int = DEFAULT_MAX_WORD_LENGTH) -> Word:
+    """The lexicographically least de Bruijn word of span n over
+    `default_alphabet(k)`, refused when k^n passes `max_length`:
+    `least_debruijn_text` over the codes 0..k-1 as `chr(code)` letters, read
+    back as codes once.  Those code points are letters of the identity-block
+    word, the codes 0..k-1, so the result is built without `Word`'s range
+    check.
     """
     check_generation_guard(k, n, max_length)
-    alphabet = _k_letters(k, alphabet)
-    return Word.unchecked(alphabet, text_codes(least_debruijn_text(code_text(range(k)), n)))
+    letters = code_text(range(k))
+    return Word.unchecked(default_alphabet(k), text_codes(least_debruijn_text(letters, n)))
 
 
 def _lyndon_words_up_to(n: int, k: int):
@@ -281,13 +272,12 @@ def _lyndon_words_up_to(n: int, k: int):
         w[-1] += 1
 
 
-def lyndon_concatenation_oracle(k: int, n: int, alphabet: Alphabet | None = None) -> Word:
+def lyndon_concatenation_oracle(k: int, n: int) -> Word:
     """Concatenate all Lyndon words of length dividing n in lexicographic
-    order, over the k letters of `alphabet`, by default
-    `default_alphabet(k)`.  Independent of the transform machinery, for
-    cross-validation."""
+    order, over `default_alphabet(k)`.  Independent of the transform
+    machinery, for cross-validation."""
     check_generation_guard(k, n, DEFAULT_MAX_WORD_LENGTH)
-    alphabet = _k_letters(k, alphabet)
+    alphabet = default_alphabet(k)
     codes = []
     for u in _lyndon_words_up_to(n, k):
         if n % len(u) == 0:

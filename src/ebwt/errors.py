@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the rule by which an
-error message quotes a text of its input."""
+"""Exception types shared across the package, the rule by which an error
+message quotes a text of its input, and the one wording of a letter outside
+an alphabet."""
 
 # The most characters of an input text that an error message quotes; see quoted.
 QUOTED_LETTERS = 64
@@ -14,6 +15,12 @@ def quoted(raw: str, show=repr, unit: str = "letters") -> str:
     if len(raw) <= QUOTED_LETTERS:
         return show(raw)
     return f"{show(raw[:QUOTED_LETTERS])}... ({len(raw)} {unit})"
+
+
+def unknown_letter(char: str, letters: str) -> ValueError:
+    """The error that refuses `char`, a character outside the alphabet of
+    `letters`: every module that finds such a character words it here."""
+    return ValueError(f"character {char!r} not in alphabet {quoted(letters)}")
 
 
 class NotPrimitiveError(ValueError):

@@ -2,7 +2,9 @@
 
 A word's distinct nonempty factors are counted from its suffixes in sorted
 order, from its text: one `str.translate` maps the text to code text and
-one codec call writes that as code bytes, with no code tuple.  Each suffix
+one codec call writes that as code bytes, with no code tuple.  The table
+of that translate is `words.LetterTable`, the letter rule's one home, and
+`code_text`/`text_codes` come from `words` too.  Each suffix
 gets a primary key of PRIMARY_BITS bits, cut in C from the word's dense
 code string and small enough for CPython's fast compare of one-digit ints;
 one sort follows.  The sorted primaries then go back into
@@ -25,7 +27,6 @@ from itertools import chain, compress, islice, product, repeat
 from operator import xor
 from struct import unpack
 
-from .bwt import code_text, text_codes
 from .debruijn import (
     DEFAULT_MAX_WORD_LENGTH,
     check_generation_guard,
@@ -37,7 +38,7 @@ from .debruijn import (
 # factors.least_debruijn_word.
 from .debruijn import least_debruijn_word  # noqa: F401
 from .errors import ResourceLimitError
-from .words import Alphabet, Value, Word, default_alphabet
+from .words import LetterTable, Value, Word, code_text, default_alphabet, text_codes
 
 DEFAULT_SCAN_WORDS = 2**18
 # Letters of a word whose factors are counted.  The count peaks at about
@@ -52,9 +53,10 @@ DEFAULT_SCAN_WORDS = 2**18
 # gets an exact key as well, about 95 B per letter and 3.5x the time of
 # random letters (a de Bruijn word of span 4 over 16 of 65537 letters,
 # 65539 letters).  A word with a long repeat falls back to
-# the suffix automaton at about 300 B per letter, so about 0.3 GB: a
-# child's ru_maxrss grew by 306 MB as it counted r.r, r a random binary
-# word of 2^19 letters (CPython 3.11).
+# the suffix automaton at about 400 B per letter, so about 0.4 GB: a
+# child's ru_maxrss grew by 412 MB as distinct_factors counted r.r, r a
+# random binary word of 2^19 letters, on each of three seeds (CPython
+# 3.11.7).
 DEFAULT_FACTOR_LETTERS = 2**20
 # Sets the exact-key window of distinct_factors, widest = PACKED_KEY_BITS //
 # dw letters with dw = bitlen(k) rounded up to a power of two: 128 letters
@@ -142,35 +144,22 @@ def _exact_excess(codes: bytes, starts, dw: int, span: int) -> int | None:
     return sum(map(excess.__getitem__, gaps))
 
 
-class _CodeTable(dict):
-    """Ordinal -> code of each of `letters`, for `str.translate`, which
-    looks up each character of its text in order: one outside the letters
-    raises the alphabet's ValueError, where a plain dict would leave it as
-    it is."""
-
-    def __init__(self, letters: str):
-        super().__init__(zip(map(ord, letters), range(len(letters))))
-        self.letters = letters
-
-    def __missing__(self, key: int):
-        raise Alphabet(self.letters)._unknown(chr(key))
-
-
 def distinct_factors(text: str, letters: str) -> int:
     """Number of distinct nonempty factors of `text`, a word over `letters`,
     distinct characters, from its sorted suffixes (Manber and Myers, "Suffix
     arrays", SIAM J. Comput. 1993): n(n+1)/2 minus the longest common
     prefix of each pair of neighbours.  A caller holding codes 0..k-1
-    passes `bwt.code_text` of them over `code_text(range(k))`.
+    passes `words.code_text` of them over `code_text(range(k))`.
 
-    Code text.  One `str.translate` spells the text with the character of
-    code i for letter i of `letters`; a character outside them raises the
-    alphabet's ValueError for the first one.  The count of a word does not
-    depend on which code each letter gets, so neither does it on the order
-    of `letters`.  The table holds an int pair a letter of `letters`, up to
+    Code text.  One `str.translate` through a `LetterTable` spells the text
+    with the character of code i for letter i of `letters`; a character
+    outside them raises `unknown_letter`'s ValueError for the first one,
+    naming `letters` as given.  The count of a word does not depend on
+    which code each letter gets, so neither does it on the order of
+    `letters`.  The table holds an int pair a letter of `letters`, up to
     about 100 B each, and is freed before the count (`_code_text_factors`).
     """
-    return _code_text_factors(text.translate(_CodeTable(letters)), len(letters))
+    return _code_text_factors(text.translate(LetterTable(letters)), len(letters))
 
 
 def _code_text_factors(text: str, k: int) -> int:

@@ -4,6 +4,14 @@ Words are tuples of contiguous integer codes 0..k-1 over an ordered alphabet;
 display characters exist only at the rendering boundary.  Code order is the
 lexicographic letter order, so comparing code tuples compares rendered words.
 
+This module is the one home of the letter rule.  `LetterTable` maps each
+letter's ordinal to its code for `str.translate` and refuses the first
+character outside the letters with `errors.unknown_letter`; `Alphabet.word`
+and `Alphabet.code` read one cached table, and `factors.distinct_factors`
+builds one over its letters.  The codec between code tuples and code text,
+text whose code points are the codes (`code_text`, `text_codes`), lives
+here too; `bwt`, `debruijn` and `factors` import it.
+
 The package's immutable records (`Alphabet`, `Word`, `Necklace` here, and
 one or more in each other module) derive from `Value`.  Its fields are the
 names annotated in the class body, passed positionally; two records are
@@ -28,12 +36,14 @@ fields through one `operator.attrgetter` per class, in C.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 from itertools import islice
 from math import gcd
 from operator import attrgetter, itemgetter
+from struct import pack, unpack  # loaded with the interpreter, unlike `array`
 
-from .errors import NotPrimitiveError, quoted
+from .errors import NotPrimitiveError, unknown_letter
 
 LOWERCASE = "abcdefghijklmnopqrstuvwxyz"
 
@@ -44,6 +54,9 @@ RENDER_CHUNK = 1 << 16
 # it keeps the fields in CPython's compact instance layout, which is read
 # faster and takes less memory.
 _setattr = object.__setattr__
+
+# The codec of the bytes of a `struct` "I", 4 to an item in native order.
+_UTF32 = f"utf-32-{sys.byteorder[0]}e"
 
 # Return values of omega_compare.
 LESS = -1
@@ -125,31 +138,26 @@ class Alphabet(Value):
         return len(self.letters)
 
     @cached_property
-    def _index(self) -> dict[str, int]:
-        return {c: i for i, c in enumerate(self.letters)}
-
-    def _unknown(self, char: str) -> ValueError:
-        return ValueError(f"character {char!r} not in alphabet {quoted(self.letters)}")
+    def _table(self) -> LetterTable:
+        return LetterTable(self.letters)
 
     def code(self, char: str) -> int:
-        try:
-            return self._index[char]
-        except KeyError:
-            raise self._unknown(char) from None
+        """The code of the letter `char`; anything else, "" or a longer
+        text included, raises `unknown_letter`'s ValueError."""
+        if len(char) != 1:
+            raise unknown_letter(char, self.letters)
+        return self._table[ord(char)]
 
     def word(self, text: str) -> Word:
         """Parse a rendered string into a Word over this alphabet.
 
-        This is where outside text is checked: one dict lookup per character,
-        and a ValueError naming the first character outside the alphabet.
-        The codes are values of `_index`, which numbers the letters 0..k-1,
-        so the word is built without `Word`'s range check.
+        This is where outside text is checked: one `str.translate` through
+        the alphabet's `LetterTable` spells the text in codes, refusing the
+        first character outside the alphabet, and one `text_codes` reads
+        them.  The table numbers the letters 0..k-1, so the word is built
+        without `Word`'s range check.
         """
-        try:
-            codes = tuple(map(self._index.__getitem__, text))
-        except KeyError as e:
-            raise self._unknown(e.args[0]) from None
-        return Word.unchecked(self, codes)
+        return Word.unchecked(self, text_codes(text.translate(self._table)))
 
     @cached_property
     def _letters(self) -> list[str]:
@@ -179,6 +187,34 @@ class Alphabet(Value):
         while chunk := tuple(islice(codes, RENDER_CHUNK)):
             pieces.append("".join(itemgetter(*chunk)(letters)))
         return "".join(pieces)
+
+
+class LetterTable(dict):
+    """Ordinal -> code of each of `letters`, in their order, for
+    `str.translate`, which looks up each character of its text in turn: one
+    outside the letters raises `unknown_letter`'s ValueError, where a plain
+    dict would leave it as it is.  The letters need not be in increasing
+    order."""
+
+    def __init__(self, letters: str):
+        super().__init__(zip(map(ord, letters), range(len(letters))))
+        self.letters = letters
+
+    def __missing__(self, key: int):
+        raise unknown_letter(chr(key), self.letters)
+
+
+def code_text(codes) -> str:
+    """The text whose code points are `codes`, a sized sequence of ints
+    below 0x110000: one C-level `struct` call packs their native 4-byte
+    form, which UTF-32 decodes; lone surrogates pass."""
+    return pack(f"{len(codes)}I", *codes).decode(_UTF32, "surrogatepass")
+
+
+def text_codes(text: str) -> tuple[int, ...]:
+    """The code points of `text`, as `code_text` writes them: its UTF-32
+    bytes unpacked by one C-level `struct` call, which builds the tuple."""
+    return unpack(f"{len(text)}I", text.encode(_UTF32, "surrogatepass"))
 
 
 def default_alphabet(k: int) -> Alphabet:

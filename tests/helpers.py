@@ -239,6 +239,14 @@ def lyndon_texts(alphabet: str, length: int):
             yield text
 
 
+def least_debruijn_oracle(letters: str, n: int) -> str:
+    """The least de Bruijn word of span n over `letters`, strictly
+    increasing: the Lyndon words of every length dividing n, by brute
+    force, joined in lexicographic order."""
+    return "".join(sorted(text for length in range(1, n + 1) if n % length == 0
+                          for text in lyndon_texts(letters, length)))
+
+
 def naive_letter_maps(u: str, alphabet: str) -> dict[str, dict[int, int]]:
     """Per-letter conjugation maps on the sorted necklace of u, as dicts."""
     necklace = sorted(rotations(u))

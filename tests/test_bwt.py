@@ -14,7 +14,7 @@ from ebwt.bwt import (
     transform,
 )
 from ebwt.debruijn import least_debruijn_word
-from ebwt.errors import ResourceLimitError
+from ebwt.errors import ResourceLimitError, unknown_letter
 from ebwt.words import Alphabet, Necklace, Word, lyndon_representative, root
 
 from helpers import (
@@ -619,7 +619,7 @@ class TestBucketPass:
         # at the call, before any pair is read
         with pytest.raises(ValueError) as raised:
             bwt.inverse_text(text, "ab")
-        assert str(raised.value) == str(Alphabet("ab")._unknown(first))
+        assert str(raised.value) == str(unknown_letter(first, "ab"))
         assert str(raised.value) == f"character {first!r} not in alphabet 'ab'"
 
     @pytest.mark.parametrize("k", [256, 257])

@@ -25,14 +25,13 @@ from ebwt.cli import main
 from ebwt.errors import ResourceLimitError
 
 from ebwt.bwt import NecklaceMultiset, transform
-from ebwt.debruijn import lyndon_concatenation_oracle
 from ebwt.words import Alphabet, Necklace, Word, lyndon_representative
 
-from helpers import (AB, brute_distinct_factors, lcm, lyndon_texts, moore_minimal_dfa,
-                     naive_bwt, naive_closure_size, naive_cycles, naive_least_rotation,
-                     naive_letter_maps, naive_primitive, naive_root, naive_standard_permutation,
-                     necklace_closure_order, prefix_bwt, primitive_texts, reference_close,
-                     scan_max_factors)
+from helpers import (AB, brute_distinct_factors, lcm, least_debruijn_oracle, lyndon_texts,
+                     moore_minimal_dfa, naive_bwt, naive_closure_size, naive_cycles,
+                     naive_least_rotation, naive_letter_maps, naive_primitive, naive_root,
+                     naive_standard_permutation, necklace_closure_order, prefix_bwt,
+                     primitive_texts, reference_close, scan_max_factors)
 from test_cli_fuzz import ERROR_LINE, call
 
 
@@ -1487,9 +1486,9 @@ class TestDeBruijn:
     @pytest.mark.parametrize("k", [27, 40])
     def test_least_over_more_than_26_given_letters(self, capsys, k):
         # the word is generated over the letters of --alphabet, and equals
-        # the Lyndon-concatenation oracle rendered on them
+        # the brute-force Lyndon-concatenation oracle over them
         letters = "".join(map(chr, range(0x100, 0x100 + k)))
-        expected = str(lyndon_concatenation_oracle(k, 2, alphabet=Alphabet(letters)))
+        expected = least_debruijn_oracle(letters, 2)
         assert len(expected) == k**2
         for flag in ([], ["--json"]):
             code, out, err = run(capsys, ["debruijn", str(k), "2", "--least",
@@ -1502,8 +1501,7 @@ class TestDeBruijn:
         # code tuple read back, no Word, checked or not, and no render, in
         # text and JSON, with and without --alphabet
         calls = [(2, 5, None), (3, 3, None), (2, 4, "01"), (4, 2, "a\u00e9\u4e00\U0001f600")]
-        words = [str(lyndon_concatenation_oracle(k, n, alphabet=Alphabet(letters or "abcd"[:k])))
-                 for k, n, letters in calls]
+        words = [least_debruijn_oracle(letters or "abcd"[:k], n) for k, n, letters in calls]
         for owner, name in [(bwt, "text_codes"), (debruijn, "text_codes"), (Word, "unchecked"),
                             (Word, "__post_init__"), (Alphabet, "render"),
                             (cli, "least_debruijn_word"), (debruijn, "least_debruijn_word")]:

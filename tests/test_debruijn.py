@@ -18,7 +18,7 @@ from ebwt.debruijn import (
     lyndon_concatenation_oracle,
 )
 from ebwt.errors import ResourceLimitError
-from ebwt.words import Alphabet, Word, default_alphabet
+from ebwt.words import Word, default_alphabet
 
 from helpers import (
     AB, W, all_words, apply_letter, letter_range, lyndon_texts, naive_power_prefixes_cover,
@@ -274,18 +274,7 @@ class TestLeastDeBruijnWord:
         with pytest.raises(ResourceLimitError):
             least_debruijn_word(2, 30, max_length=2**20)
 
-    @pytest.mark.parametrize("k, n", [(2, 4), (3, 3), (27, 2), (30, 2)])
-    def test_given_alphabet(self, k, n):
-        # the codes do not depend on the alphabet, which needs not stop at 26
-        alphabet = Alphabet("".join(map(chr, range(0x100, 0x100 + k))))
-        word = least_debruijn_word(k, n, alphabet=alphabet)
-        assert word == lyndon_concatenation_oracle(k, n, alphabet=alphabet)
-        if k <= 26:
-            assert word.codes == lyndon_concatenation_oracle(k, n).codes
-
-    def test_given_alphabet_needs_k_letters(self):
-        with pytest.raises(ValueError, match="^alphabet needs 3 letters, got 2$"):
-            least_debruijn_word(3, 2, alphabet=AB)
+    def test_more_than_26_letters_are_refused(self):
         with pytest.raises(ValueError, match="^default alphabet supports 1..26 letters, got 27$"):
             least_debruijn_word(27, 2)
 
@@ -324,13 +313,7 @@ class TestLyndonOracle:
         # a . aaab . aabb . ab . abbb . b
         assert str(lyndon_concatenation_oracle(2, 4)) == "aaaabaabbababbbb"
 
-    def test_given_alphabet(self):
-        assert str(lyndon_concatenation_oracle(2, 3, alphabet=Alphabet("01"))) == "00010111"
-        letters = "".join(map(chr, range(0x100, 0x100 + 30)))
-        word = lyndon_concatenation_oracle(30, 1, alphabet=Alphabet(letters))
-        assert str(word) == letters
-        with pytest.raises(ValueError, match="^alphabet needs 3 letters, got 2$"):
-            lyndon_concatenation_oracle(3, 2, alphabet=AB)
+    def test_more_than_26_letters_are_refused(self):
         with pytest.raises(ValueError, match="^default alphabet supports 1..26 letters, got 27$"):
             lyndon_concatenation_oracle(27, 2)
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ebwt import factors
-from ebwt.bwt import code_text
 from ebwt.debruijn import least_debruijn_word
 from ebwt.errors import ResourceLimitError
 from ebwt.factors import (
@@ -22,7 +21,7 @@ from ebwt.factors import (
     max_factors_exhaustive,
     repeated_factor_lower_bound,
 )
-from ebwt.words import Alphabet, Word, default_alphabet
+from ebwt.words import Alphabet, Word, code_text, default_alphabet
 
 from helpers import W, all_words, brute_distinct_factors, fibonacci_word, scan_max_factors
 
@@ -636,6 +635,12 @@ class TestTextKernel:
         least, other = [chr(c) for c in range(k) if chr(c) not in letters][:2]
         with pytest.raises(ValueError, match=f"^character {re.escape(repr(other))} not in "):
             distinct_factors(letters[:5] + other + least + letters[-1], letters)
+
+    # Letters in any order: the refusal names the character outside them,
+    # with the letters as given, not an order they need not have.
+    def test_letters_out_of_order_name_the_character_outside(self):
+        with pytest.raises(ValueError, match=r"^character 'x' not in alphabet 'ba'$"):
+            distinct_factors("abx", "ba")
 
 
 class TestFactorStats:

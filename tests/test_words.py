@@ -8,7 +8,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ebwt.errors import NotPrimitiveError
+from ebwt.bwt import inverse_text
+from ebwt.errors import NotPrimitiveError, unknown_letter
+from ebwt.factors import distinct_factors
 from ebwt.words import (
     EQUAL,
     GREATER,
@@ -31,6 +33,7 @@ from helpers import (
     AB, ABC, W, all_words, naive_least_rotation, naive_omega_compare, naive_primitive,
     naive_render, rotations,
 )
+from test_cli_fuzz import call
 
 binary_words = st.lists(st.integers(0, 1), min_size=1, max_size=14).map(
     lambda codes: Word(AB, tuple(codes))
@@ -82,6 +85,41 @@ class TestAlphabet:
             i = data.draw(st.integers(0, len(codes)))
             with pytest.raises(ValueError, match="out of range"):
                 Word(alphabet, tuple(codes[:i] + [bad] + codes[i:]))
+
+
+def _raised(function, *args) -> str:
+    """The message of the ValueError that `function(*args)` raises."""
+    with pytest.raises(ValueError) as raised:
+        function(*args)
+    return str(raised.value)
+
+
+def _cli_error(*argv) -> str:
+    """The error line of a CLI call over --alphabet ab, refused as an input
+    error with no output."""
+    code, out, err = call([*argv, "--alphabet", "ab"])
+    assert (code, out) == (2, "")
+    return err.removeprefix("error: ").removesuffix("\n")
+
+
+# One text with a letter outside the alphabet, or a code asked of a text
+# that is not one letter, through every door: each refusal is worded by
+# errors.unknown_letter.
+@pytest.mark.parametrize("refusal, char", [
+    (lambda: _raised(AB.word, "abx"), "x"),
+    (lambda: _raised(AB.code, "x"), "x"),
+    (lambda: _raised(AB.code, ""), ""),
+    (lambda: _raised(AB.code, "ab"), "ab"),
+    (lambda: _raised(inverse_text, "abx", "ab"), "x"),  # at the call, before a pair is read
+    (lambda: _raised(distinct_factors, "abx", "ab"), "x"),
+    (lambda: _cli_error("invert", "abx"), "x"),
+    (lambda: _cli_error("factors", "abx"), "x"),
+    (lambda: _cli_error("transform", "abx"), "x"),
+    (lambda: _cli_error("semigroup", "abx", "--action"), "x"),
+], ids=["word", "code", "code-empty", "code-two", "inverse_text", "distinct_factors",
+        "cli-invert", "cli-factors", "cli-transform", "cli-semigroup"])
+def test_one_wording_for_a_letter_outside(refusal, char):
+    assert refusal() == str(unknown_letter(char, "ab")) == f"character {char!r} not in alphabet 'ab'"
 
 
 # alphabets whose letters are ASCII, Latin-1, BMP past U+00FF, and astral
